@@ -13,7 +13,7 @@ with weight sum 1:
   squared moduli sum to 1.
 * ``decompose_xu4``: the explicit 24-weight table for XU(4), the one
   composite dimension with a known squared-moduli-1 construction.
-* ``decompose_recursive``: works for every n >= 2 by peeling one
+* ``decompose_recursive``: works for every n by peeling one
   dimension at a time through the ZXZ factorization; makes no
   squared-moduli claim.
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
@@ -25,6 +25,7 @@ recomputes every claimed invariant from scratch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +38,14 @@ from .numerics import (
     max_abs_diff,
     root_of_unity,
 )
-from .permsum import ComplexPermSum, ComplexPermTerm, WeightedPermSum
-from .permutations import (
-    Permutation,
-    SupercirculantLabel,
-    compose,
-    d_family,
-    lexicographic_permutations,
-    supercirculant_perm,
-)
+from .permsum import ComplexPermSum, WeightedPermSum, _product
+from .permutations import Permutation, lexicographic_permutations
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import (
     circulant_xu_decompose,
     embed_core,
     extract_core,
+    fourier_core,
     is_prime,
     require_xu,
 )
@@ -66,16 +61,11 @@ def product(a: WeightedPermSum, b: WeightedPermSum) -> WeightedPermSum:
     """The decomposition of A @ B from decompositions of A and B.
 
     Pairwise products of weights attach to pairwise compositions of
-    permutations; duplicates merge. The weight sum multiplies, so sums of
-    1 stay 1.
+    permutations; duplicates merge in pair order. The weight sum
+    multiplies, so sums of 1 stay 1. Sizes that differ raise
+    DimensionError.
     """
-    if a.n != b.n:
-        raise DimensionError(f"product of sizes {a.n} and {b.n}")
-    out = WeightedPermSum(a.n)
-    for p, wp in a.items():
-        for q, wq in b.items():
-            out.add(compose(p, q), wp * wq)
-    return out
+    return _product(a, b)
 
 
 def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
@@ -111,7 +101,7 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
     a = require_xu(x, tol)
     if a.shape[0] != 3:
         raise DimensionError(f"expected a 3x3 matrix, got {a.shape[0]}")
-    u = extract_core(a, tol)
+    u = fourier_core(a, tol)
     p = complex(p)
     q = 1.0 - p
     w = root_of_unity(3, 1)
@@ -152,17 +142,31 @@ def decompose_prime_parts(
             f"the generic construction starts at n=5; use the closed forms "
             f"for n={n}"
         )
-    u = extract_core(a, tol)
-    c_part = WeightedPermSum(n, engine="prime-c")
-    for xx in range(1, n):
-        for l in range(1, n + 1):
-            m = sum(
-                root_of_unity(n, -(l - 1) * s) * u[(s * xx) % n - 1, s - 1]
-                for s in range(1, n)
-            ) / n
-            c_part.add(supercirculant_perm(n, SupercirculantLabel(l, xx)), m)
-    d_part = WeightedPermSum(
-        n, ((d, 1.0 / n) for d in d_family(n)), engine="prime-d"
+    u = fourier_core(a, tol)
+    s = np.arange(1, n)
+    # g[s-1, x-1] = U[r, s] with r = s*x mod n (never 0 for prime n), and
+    # e[l-1, s-1] = w^(-(l-1)s) with the exponent reduced mod n.
+    g = u[np.outer(s, s) % n - 1, s[:, None] - 1]
+    e = np.exp(2j * math.pi * (-np.outer(np.arange(n), s) % n) / n)
+    m = e @ g / n
+    # C[l,x] puts the unit of row k at column (l-1) + (k-1)x mod n, so its
+    # image row starts l-1, l-1+x. Listing l, then the second image v != l-1
+    # in increasing order (x = v-(l-1) mod n), lists the rows in
+    # lexicographic order.
+    k = np.arange(n)
+    xs = (k[None, :] - k[:, None]) % n
+    xs = xs[xs != 0].reshape(n, n - 1)
+    images = (k[:, None, None] + xs[:, :, None] * k) % n
+    c_part = WeightedPermSum._sorted(
+        n, images.reshape(-1, n), m[k[:, None], xs - 1].reshape(-1), "prime-c"
+    )
+    # D_1 is the identity with its last two rows swapped, and row k of
+    # D_j = Q^(j-1) D_1 (``d_family``) is row k+j-1 of D_1. D_j starts with
+    # d1[j-1], so taking j-1 in the order d1 sorts the rows.
+    d1 = np.arange(n)
+    d1[[-2, -1]] = d1[[-1, -2]]
+    d_part = WeightedPermSum._sorted(
+        n, d1[(d1[:, None] + k) % n], np.full(n, 1.0 / n, dtype=complex), "prime-d"
     )
     return c_part, d_part
 
@@ -176,9 +180,10 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     n^2 terms (the two permutation families are disjoint, so nothing
     merges). Composite n raises UnsupportedDimensionError: whether such a
     construction exists for composite n > 4 is an open question, and only
-    the n = 4 table (``decompose_xu4``) is known.
+    the n = 4 table (``decompose_xu4``) is known. Each branch checks XU
+    membership once.
     """
-    a = require_xu(x, tol)
+    a = as_complex_matrix(x)
     n = a.shape[0]
     if n == 2:
         out = decompose_xu2(a, tol)
@@ -186,9 +191,12 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
         out = decompose_xu3(a, p=1.0, tol=tol)
     else:
         c_part, d_part = decompose_prime_parts(a, tol)
-        out = WeightedPermSum(n, c_part.items(), engine="prime")
-        for d, w in d_part.items():
-            out.add(d, w)
+        out = WeightedPermSum._distinct(
+            n,
+            np.vstack([c_part.images, d_part.images]),
+            np.concatenate([c_part.weights, d_part.weights]),
+            "",
+        )
     out.engine = "prime"
     return out
 
@@ -248,7 +256,7 @@ def decompose_xu4(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     a = require_xu(x, tol)
     if a.shape[0] != 4:
         raise DimensionError(f"expected a 4x4 matrix, got {a.shape[0]}")
-    u = extract_core(a, tol)
+    u = fourier_core(a, tol)
     perms = list(lexicographic_permutations(4))
     return WeightedPermSum(4, zip(perms, _xu4_weights(u)), engine="xu4")
 
@@ -256,16 +264,15 @@ def decompose_xu4(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
 def _lift(s: WeightedPermSum) -> WeightedPermSum:
     """Embed a sum on {1..n-1} as a sum on {1..n} fixing 1: each
     permutation p becomes 1 (+) p."""
-    out = WeightedPermSum(s.n + 1, engine=s.engine)
-    for p, w in s.items():
-        out.add(Permutation((1,) + tuple(v + 1 for v in p.image)), w)
-    return out
+    images = np.hstack([np.zeros((len(s), 1), dtype=int), s.images + 1])
+    # Prepending the smallest image keeps the rows distinct and in order.
+    return WeightedPermSum._sorted(s.n + 1, images, s.weights, s.engine)
 
 
 def decompose_recursive(
     x, opts: ScalingOptions | None = None, tol: float = RECURSIVE_TOL
 ) -> WeightedPermSum:
-    """Decompose any XU(n), n >= 2, by recursion on the dimension.
+    """Decompose any XU(n) by recursion on the dimension.
 
     One step: extract the core U of X, factor U = e^(i*alpha) Z1 y Z2 by
     scaling, and split X into three XU factors
@@ -282,12 +289,10 @@ def decompose_recursive(
 
     The default membership tolerance is looser than elsewhere (1e-8)
     because each level re-enters through a scaled core whose line sums
-    carry the scaling residual.
+    carry the scaling residual. XU(1) = {[1]} is the single identity term.
     """
     opts = opts or ScalingOptions()
     a = require_xu(x, tol)
-    if a.shape[0] < 2:
-        raise DimensionError("recursive decomposition needs n >= 2")
     out = _recurse(a, opts, tol)
     out.engine = "recursive"
     return out
@@ -295,6 +300,8 @@ def decompose_recursive(
 
 def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> WeightedPermSum:
     n = a.shape[0]
+    if n == 1:
+        return WeightedPermSum(1, [(Permutation.identity(1), 1.0)])
     if n == 2:
         return decompose_xu2(a, tol)
     u = extract_core(a, tol)
@@ -320,7 +327,7 @@ def decompose_xu(
 
     method 'auto' picks the engine with the squared-moduli-1 guarantee
     when one exists (prime n or n = 4) and falls back to the recursive
-    engine for composite n > 4. Explicit methods: 'xu2', 'xu3', 'xu4',
+    engine for n = 1 and composite n > 4. Explicit methods: 'xu2', 'xu3', 'xu4',
     'prime', 'recursive'.
     """
     a = as_complex_matrix(x)
@@ -373,13 +380,14 @@ def decompose_unitary(
     else:
         inner = decompose_recursive(fac.core, opts, tol)
     phase = complex(np.exp(1j * fac.alpha))
-    terms = []
-    for perm, m in inner.pruned(PRUNE_EPS).items():
-        phases = tuple(
-            complex(fac.z1[k] * fac.z2[perm.image[k] - 1]) for k in range(n)
-        )
-        terms.append(ComplexPermTerm(perm, phases, phase * m))
-    return ComplexPermSum(n, terms, engine=f"zxz+{inner.engine}")
+    kept = inner.pruned(PRUNE_EPS)
+    return ComplexPermSum.from_arrays(
+        n,
+        kept.images,
+        phase * kept.weights,
+        fac.z1[None, :] * fac.z2[kept.images],
+        engine=f"zxz+{inner.engine}",
+    )
 
 
 @dataclass(frozen=True)

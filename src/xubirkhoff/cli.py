@@ -27,7 +27,7 @@ import numpy as np
 
 from . import selfcheck as _selfcheck
 from .birkhoff import decompose_xu, verify
-from .errors import XUBirkhoffError
+from .errors import NotAPermutationError, XUBirkhoffError
 from .numerics import (
     dumps_json,
     matrix_from_json,
@@ -112,7 +112,7 @@ def _cmd_scale(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         s = perm_sum_from_json(_load_json(args.decomposition))
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, NotAPermutationError) as e:
         raise ParseError(f"{args.decomposition}: {e}") from e
     a = _load_matrix(args.matrix)
     tol = args.tol if args.tol is not None else 1e-9

@@ -174,7 +174,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must have 'dim' and 'entries' fields")
     n = obj["dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"matrix 'dim' must be a positive integer, got {n!r}")
     entries = obj["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):

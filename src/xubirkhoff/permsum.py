@@ -1,32 +1,225 @@
-"""Weighted sums of permutation matrices.
+"""Weighted sums of permutation matrices, stored as arrays.
 
-``WeightedPermSum`` maps permutations to complex weights (duplicate
-permutations always merge by adding their weights) and is the result type
-of every decomposition of an XU matrix. ``ComplexPermSum`` carries terms
-that are complex permutation matrices: a permutation together with one
-unit-modulus phase per row.
+``WeightedPermSum`` is the result type of every decomposition of an XU
+matrix: a weighted sum of permutation matrices with complex weights.
+``ComplexPermSum`` carries terms that are complex permutation matrices: a
+permutation together with one unit-modulus phase per row.
 
-Reconstruction always iterates terms in lexicographic image order so that
-reported residuals are reproducible.
+Layout. A sum of k terms of size n holds
+
+* ``images``: a read-only ``(k, n)`` integer array (int8 for n <= 127)
+  whose row j is the 0-based one-line image of term j, so that
+  ``images[j, r] = sigma_j(r + 1) - 1``;
+* ``weights``: a read-only ``(k,)`` complex128 array;
+* ``phases`` (``ComplexPermSum`` only): a read-only ``(k, n)`` complex128
+  array, the phase of each row of each term.
+
+A ``WeightedPermSum`` keeps its rows in lexicographic order and has no
+duplicate rows: equal permutations always merge by adding their weights,
+in the order the terms arrived. A ``ComplexPermSum`` keeps its terms in
+the order given and keeps duplicates, since two complex permutation
+matrices on one permutation do not in general add up to a third; it lists
+them in lexicographic order through ``items_sorted`` and in the JSON form.
+
+Merging encodes each row as the base-n integer key
+``sum over r of images[j, r] * n**(n-1-r)``, whose numeric order is the
+lexicographic order of the rows; ``np.unique`` then groups and sorts the
+keys and ``np.bincount`` sums the weights. The product of two sums
+(``birkhoff.product``) builds these keys straight from the factors'
+images, without forming the composed rows. For n >= 16 the key overflows
+int64, and the rows are sorted with ``np.lexsort`` instead.
+
+``Permutation`` objects (1-based image tuples) are built only when a
+caller reads ``items()`` or ``terms``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError
-from .permutations import (
-    Permutation,
-    perm_from_json,
-    perm_to_json,
-    perm_to_matrix,
-)
+from .errors import DimensionError, NotAPermutationError
+from .permutations import Permutation, perm_to_json, perm_to_matrix
+
+# Largest n whose base-n keys n**n - 1 fit in int64.
+KEY_MAX_N = 15
 
 
-class WeightedPermSum:
+def _image_dtype(n: int):
+    return np.int8 if n <= 127 else np.int32
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _powers(n: int) -> np.ndarray:
+    """Place values n**(n-1), ..., n, 1 of the base-n row key, in the
+    narrowest of int32 and int64 that holds every key."""
+    dtype = np.int32 if n**n <= np.iinfo(np.int32).max else np.int64
+    return n ** np.arange(n - 1, -1, -1, dtype=dtype)
+
+
+def _check_images(n: int, images) -> np.ndarray:
+    """``images`` as a (k, n) array after checking that every row is a
+    bijection on 0..n-1."""
+    a = np.asarray(images)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise DimensionError(f"images must have shape (k, {n}), got {a.shape}")
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"image entries must be integers, got {a.dtype}")
+    # Range first, so that narrowing cannot wrap; rows sort as int32
+    # because numpy sorts short int8 rows an order of magnitude slower.
+    in_range = a.size == 0 or (a.min() >= 0 and a.max() < n)
+    identity = np.broadcast_to(np.arange(n), a.shape)
+    if not in_range or not np.array_equal(np.sort(a.astype(np.int32), axis=1), identity):
+        raise NotAPermutationError(f"an image row is not a bijection on 1..{n}")
+    return a.astype(_image_dtype(n))
+
+
+def _sum_groups(inverse: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Weights summed per group ``inverse``, each group in input order."""
+    out = np.empty(k, dtype=complex)
+    out.real = np.bincount(inverse, weights.real, k)
+    out.imag = np.bincount(inverse, weights.imag, k)
+    return out
+
+
+def _decode(n: int, keys: np.ndarray) -> np.ndarray:
+    """Image rows of base-n ``keys``."""
+    return ((keys[:, None] // _powers(n)) % n).astype(_image_dtype(n))
+
+
+def _merge_keys(n: int, keys: np.ndarray, weights: np.ndarray):
+    """Sorted distinct rows (decoded from base-n ``keys``) and their summed
+    weights."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return _decode(n, uniq), _sum_groups(inverse, weights, len(uniq))
+
+
+def _merge_lexsort(images: np.ndarray, weights: np.ndarray):
+    """Sorted distinct rows and their summed weights, for any n."""
+    order = np.lexsort(images.T[::-1])
+    rows = images[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    merged = _sum_groups(inverse, weights, int(starts.sum()))
+    return rows[starts].astype(_image_dtype(images.shape[1])), merged
+
+
+def _merge(n: int, images: np.ndarray, weights: np.ndarray):
+    """Sort rows lexicographically and merge duplicates by adding weights."""
+    if n <= KEY_MAX_N:
+        powers = _powers(n)
+        return _merge_keys(n, images.astype(powers.dtype) @ powers, weights)
+    return _merge_lexsort(images, weights)
+
+
+def _row_order(images: np.ndarray) -> np.ndarray:
+    """Stable permutation of the rows that sorts them lexicographically."""
+    n = images.shape[1]
+    if n <= KEY_MAX_N:
+        powers = _powers(n)
+        return np.argsort(images.astype(powers.dtype) @ powers, kind="stable")
+    return np.lexsort(images.T[::-1])
+
+
+def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """sum over terms j of the matrix with ``entries[j, r]`` at
+    (r, images[j, r]), added in term order."""
+    out = np.zeros((n, n), dtype=complex)
+    rows = np.broadcast_to(np.arange(n), images.shape)
+    np.add.at(out, (rows, images), entries)
+    return out
+
+
+def _perms(images: np.ndarray):
+    """Permutation objects of the image rows, in row order. Tuples come
+    straight from per-column lists, so no list per row is built."""
+    return map(Permutation, zip(*[(col + 1).tolist() for col in images.T]))
+
+
+def _product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
+    """The sum whose matrix is ``a.reconstruct() @ b.reconstruct()``.
+
+    Term pairs (i, j), i over ``a`` and j over ``b`` in that nesting,
+    compose to the permutation with image row ``b.images[j, a.images[i]]``
+    and weight w_i * w_j; duplicates merge in that pair order. For
+    n <= KEY_MAX_N the composed rows are never formed: each pair's base-n
+    key is accumulated digit by digit from gathers of ``b``'s images, cast
+    once to the key dtype so that no step depends on numpy's promotion of
+    small integers, and the pair weights are formed only after the keys are
+    grouped, which keeps the peak memory down.
+    """
+    n = a.n
+    if b.n != n:
+        raise DimensionError(f"product of sizes {n} and {b.n}")
+    ia = a.images
+    if n <= KEY_MAX_N:
+        powers = _powers(n)
+        ib = b.images.astype(powers.dtype)
+        keys = np.zeros((len(ia), len(ib)), dtype=powers.dtype)
+        for r, place in enumerate(powers):
+            keys.T[...] += ib[:, ia[:, r]] * place
+        uniq, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+        del keys
+        weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
+        images = _decode(n, uniq)
+        merged = _sum_groups(inverse, weights, len(uniq))
+    else:
+        weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
+        composed = b.images[:, ia].transpose(1, 0, 2).reshape(-1, n)
+        images, merged = _merge_lexsort(composed, weights)
+    return WeightedPermSum._sorted(n, images, merged, "")
+
+
+class _PermArrays:
+    """What both sum types share: size, engine label, images, weights."""
+
+    def __init__(self, n: int, engine: str):
+        if n < 1:
+            raise DimensionError(f"dimension must be positive, got n={n}")
+        self.n = n
+        self.engine = engine
+        self._images = _frozen(np.empty((0, n), dtype=_image_dtype(n)))
+        self._weights = _frozen(np.empty(0, dtype=complex))
+
+    @property
+    def images(self) -> np.ndarray:
+        """(k, n) 0-based one-line images, one row per term."""
+        return self._images
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(k,) complex weights, one per image row."""
+        return self._weights
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    @property
+    def term_count(self) -> int:
+        return len(self._weights)
+
+    def weight_sum(self) -> complex:
+        return complex(self._weights.sum())
+
+    def sq_moduli_sum(self) -> float:
+        return float(np.vdot(self._weights, self._weights).real)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(n={self.n}, terms={self.term_count}, "
+            f"engine={self.engine!r})"
+        )
+
+
+class WeightedPermSum(_PermArrays):
     """A finite map from permutations of {1..n} to complex weights."""
 
     def __init__(
@@ -35,69 +228,94 @@ class WeightedPermSum:
         terms: Iterable[tuple[Permutation, complex]] = (),
         engine: str = "",
     ):
-        if n < 1:
-            raise DimensionError(f"dimension must be positive, got n={n}")
-        self.n = n
-        self.engine = engine
-        self._terms: dict[Permutation, complex] = {}
-        for p, w in terms:
-            self.add(p, w)
+        super().__init__(n, engine)
+        terms = list(terms)
+        if terms:
+            for p, _ in terms:
+                if p.n != n:
+                    raise DimensionError(
+                        f"term size {p.n} does not match sum size {n}"
+                    )
+            images = np.array([p.image for p, _ in terms]) - 1
+            weights = np.array([complex(w) for _, w in terms], dtype=complex)
+            self._set(*_merge(n, images, weights))
+
+    @classmethod
+    def from_arrays(
+        cls, n: int, images, weights, engine: str = ""
+    ) -> "WeightedPermSum":
+        """The sum of ``weights[j]`` times the permutation with 0-based
+        image row ``images[j]``; rows in any order, duplicates merge."""
+        out = cls(n, engine=engine)
+        a = _check_images(n, images)
+        w = np.asarray(weights, dtype=complex).reshape(-1)
+        if len(w) != len(a):
+            raise DimensionError(f"{len(a)} image rows but {len(w)} weights")
+        out._set(*_merge(n, a, w))
+        return out
+
+    @classmethod
+    def _sorted(cls, n, images, weights, engine) -> "WeightedPermSum":
+        """Wrap valid, distinct image rows that already are in
+        lexicographic order; nothing is checked."""
+        out = cls(n, engine=engine)
+        out._set(images, weights)
+        return out
+
+    @classmethod
+    def _distinct(cls, n, images, weights, engine) -> "WeightedPermSum":
+        """Wrap valid, distinct image rows in any order: one sort, no
+        check and no merge."""
+        order = _row_order(images)
+        return cls._sorted(n, images[order], weights[order], engine)
+
+    def _set(self, images: np.ndarray, weights: np.ndarray) -> None:
+        self._images = _frozen(images.astype(_image_dtype(self.n), copy=False))
+        self._weights = _frozen(weights)
+
+    def _row(self, p: Permutation) -> int | None:
+        if p.n != self.n:
+            return None
+        hit = np.flatnonzero((self._images == np.subtract(p.image, 1)).all(axis=1))
+        return int(hit[0]) if len(hit) else None
 
     def add(self, p: Permutation, w: complex) -> None:
+        """Add ``w`` to the weight of ``p`` (O(k log k); for hand-built
+        sums)."""
         if p.n != self.n:
             raise DimensionError(
                 f"term size {p.n} does not match sum size {self.n}"
             )
-        self._terms[p] = self._terms.get(p, 0.0) + complex(w)
+        images = np.vstack([self._images, np.subtract(p.image, 1)])
+        weights = np.append(self._weights, complex(w))
+        self._set(*_merge(self.n, images, weights))
 
     def items(self) -> list[tuple[Permutation, complex]]:
         """Terms sorted lexicographically by permutation image."""
-        return sorted(self._terms.items(), key=lambda t: t[0].image)
-
-    def __len__(self) -> int:
-        return len(self._terms)
+        return list(zip(_perms(self._images), self._weights.tolist()))
 
     def __getitem__(self, p: Permutation) -> complex:
-        return self._terms.get(p, 0.0)
+        j = self._row(p)
+        return 0.0 if j is None else complex(self._weights[j])
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._terms
-
-    @property
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def weight_sum(self) -> complex:
-        return complex(sum(w for _, w in self.items()))
-
-    def sq_moduli_sum(self) -> float:
-        return float(sum(abs(w) ** 2 for _, w in self.items()))
+        return self._row(p) is not None
 
     def reconstruct(self) -> np.ndarray:
         """The matrix sum(w * matrix(p)) over all terms."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for p, w in self.items():
-            for k in range(self.n):
-                out[k, p.image[k] - 1] += w
-        return out
+        entries = np.broadcast_to(self._weights[:, None], self._images.shape)
+        return _reconstruct(self.n, self._images, entries)
 
     def pruned(self, eps: float) -> "WeightedPermSum":
         """Copy without the terms of weight modulus <= eps."""
-        return WeightedPermSum(
-            self.n,
-            ((p, w) for p, w in self.items() if abs(w) > eps),
-            engine=self.engine,
+        keep = np.abs(self._weights) > eps
+        return WeightedPermSum._sorted(
+            self.n, self._images[keep], self._weights[keep], self.engine
         )
 
     def scaled(self, c: complex) -> "WeightedPermSum":
-        return WeightedPermSum(
-            self.n, ((p, c * w) for p, w in self.items()), engine=self.engine
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightedPermSum(n={self.n}, terms={self.term_count}, "
-            f"engine={self.engine!r})"
+        return WeightedPermSum._sorted(
+            self.n, self._images, c * self._weights, self.engine
         )
 
 
@@ -121,37 +339,103 @@ class ComplexPermTerm:
         return m
 
 
-@dataclass
-class ComplexPermSum:
-    """A weighted sum of complex permutation matrices."""
+class ComplexPermSum(_PermArrays):
+    """A weighted sum of complex permutation matrices.
 
-    n: int
-    terms: list[ComplexPermTerm] = field(default_factory=list)
-    engine: str = ""
+    Terms keep the order they were given in; ``items_sorted`` and the JSON
+    form list them in stable lexicographic order of their permutations.
+    Two sums are equal when size, engine and every term agree in order.
+    """
 
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
+    def __init__(
+        self, n: int, terms: Iterable[ComplexPermTerm] = (), engine: str = ""
+    ):
+        super().__init__(n, engine)
+        self._phases = _frozen(np.empty((0, n), dtype=complex))
+        self.terms = terms
 
-    def items_sorted(self) -> list[ComplexPermTerm]:
-        return sorted(self.terms, key=lambda t: t.perm.image)
-
-    def weight_sum(self) -> complex:
-        return complex(sum(t.weight for t in self.items_sorted()))
-
-    def sq_moduli_sum(self) -> float:
-        return float(sum(abs(t.weight) ** 2 for t in self.items_sorted()))
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for t in self.items_sorted():
-            for k in range(self.n):
-                out[k, t.perm.image[k] - 1] += t.weight * t.phases[k]
+    @classmethod
+    def from_arrays(
+        cls, n: int, images, weights, phases, engine: str = ""
+    ) -> "ComplexPermSum":
+        """The sum of ``weights[j]`` times the complex permutation matrix
+        with 0-based image row ``images[j]`` and row phases ``phases[j]``."""
+        out = cls(n, engine=engine)
+        a = _check_images(n, images)
+        w = np.asarray(weights, dtype=complex).reshape(-1)
+        ph = np.asarray(phases, dtype=complex)
+        if len(w) != len(a) or ph.shape != a.shape:
+            raise DimensionError(
+                f"{len(a)} image rows, {len(w)} weights, phases {ph.shape}"
+            )
+        out._set(a, w, ph)
         return out
 
+    def _set(self, images, weights, phases) -> None:
+        self._images = _frozen(images.astype(_image_dtype(self.n), copy=False))
+        self._weights = _frozen(weights)
+        self._phases = _frozen(phases)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """(k, n) row phases, one row per term."""
+        return self._phases
+
+    @property
+    def terms(self) -> list[ComplexPermTerm]:
+        """The terms in stored order, as a new list on every read; assign a
+        list to replace them."""
+        return self._term_list(slice(None))
+
+    @terms.setter
+    def terms(self, terms: Iterable[ComplexPermTerm]) -> None:
+        terms = list(terms)
+        for t in terms:
+            if t.perm.n != self.n or len(t.phases) != self.n:
+                raise DimensionError(f"term size does not match sum size {self.n}")
+        self._set(
+            np.array([t.perm.image for t in terms], dtype=int).reshape(-1, self.n) - 1,
+            np.array([t.weight for t in terms], dtype=complex),
+            np.array([t.phases for t in terms], dtype=complex).reshape(-1, self.n),
+        )
+
+    def items_sorted(self) -> list[ComplexPermTerm]:
+        """The terms in stable lexicographic order of their permutations."""
+        return self._term_list(_row_order(self._images))
+
+    def _term_list(self, rows) -> list[ComplexPermTerm]:
+        return [
+            ComplexPermTerm(p, tuple(ph), w)
+            for p, ph, w in zip(
+                _perms(self._images[rows]),
+                self._phases[rows].tolist(),
+                self._weights[rows].tolist(),
+            )
+        ]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ComplexPermSum:
+            return NotImplemented
+        return (self.n, self.engine) == (other.n, other.engine) and all(
+            np.array_equal(x, y)
+            for x, y in (
+                (self._images, other._images),
+                (self._weights, other._weights),
+                (self._phases, other._phases),
+            )
+        )
+
+    __hash__ = None
+
+    def reconstruct(self) -> np.ndarray:
+        entries = self._weights[:, None] * self._phases
+        return _reconstruct(self.n, self._images, entries)
+
     def pruned(self, eps: float) -> "ComplexPermSum":
-        kept = [t for t in self.terms if abs(t.weight) > eps]
-        return ComplexPermSum(self.n, kept, engine=self.engine)
+        keep = np.abs(self._weights) > eps
+        out = ComplexPermSum(self.n, engine=self.engine)
+        out._set(self._images[keep], self._weights[keep], self._phases[keep])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +450,9 @@ class ComplexPermSum:
 # ---------------------------------------------------------------------------
 
 
-def _weight_json(w: complex) -> list[float]:
-    return [float(w.real), float(w.imag)]
+def _pairs(z: np.ndarray) -> list:
+    """[re, im] pairs of a complex array, as nested lists of floats."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 def perm_sum_to_json(s) -> dict:
@@ -175,47 +460,58 @@ def perm_sum_to_json(s) -> dict:
     order, without a report)."""
     if isinstance(s, WeightedPermSum):
         terms = [
-            {"perm": list(p.image), "weight": _weight_json(w)}
-            for p, w in s.items()
+            {"perm": perm, "weight": w}
+            for perm, w in zip((s.images + 1).tolist(), _pairs(s.weights))
         ]
     elif isinstance(s, ComplexPermSum):
+        order = _row_order(s.images)
         terms = [
-            {
-                "perm": list(t.perm.image),
-                "phases": [_weight_json(ph) for ph in t.phases],
-                "weight": _weight_json(t.weight),
-            }
-            for t in s.items_sorted()
+            {"perm": perm, "phases": ph, "weight": w}
+            for perm, ph, w in zip(
+                (s.images[order] + 1).tolist(),
+                _pairs(s.phases[order]),
+                _pairs(s.weights[order]),
+            )
         ]
     else:
         raise TypeError(f"cannot serialize {type(s).__name__}")
     return {"n": s.n, "engine": s.engine, "terms": terms}
 
 
+def _complex_column(pairs) -> np.ndarray:
+    """[[re, im], ...] -> complex array, each part read with float()."""
+    return np.array([complex(float(a), float(b)) for a, b in pairs], dtype=complex)
+
+
 def perm_sum_from_json(obj):
     """Parse the decomposition schema; returns a WeightedPermSum when no
-    term carries phases, otherwise a ComplexPermSum."""
+    term carries phases, otherwise a ComplexPermSum.
+
+    Malformed fields raise ValueError, TypeError or KeyError; a ``perm``
+    that is not a bijection on 1..n raises NotAPermutationError.
+    """
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError("decomposition JSON must have 'n' and 'terms' fields")
     n = int(obj["n"])
     engine = str(obj.get("engine", ""))
     raw = obj["terms"]
+    perms = [[int(v) for v in t["perm"]] for t in raw]
+    if any(len(p) != n for p in perms):
+        raise ValueError("term 'perm' length disagrees with 'n'")
+    try:
+        images = np.array(perms, dtype=np.int64).reshape(len(raw), n)
+    except OverflowError as e:
+        raise NotAPermutationError(f"a term 'perm' is not a bijection on 1..{n}") from e
+    images -= 1
+    weights = _complex_column(t["weight"] for t in raw)
     if any("phases" in t for t in raw):
-        terms = []
-        for t in raw:
-            p = perm_from_json({"n": n, "image": t["perm"]})
-            phases = tuple(complex(float(a), float(b)) for a, b in t["phases"])
-            if len(phases) != n:
-                raise ValueError("term phases must have length n")
-            w = complex(float(t["weight"][0]), float(t["weight"][1]))
-            terms.append(ComplexPermTerm(p, phases, w))
-        return ComplexPermSum(n, terms, engine=engine)
-    pairs = []
-    for t in raw:
-        p = perm_from_json({"n": n, "image": t["perm"]})
-        w = complex(float(t["weight"][0]), float(t["weight"][1]))
-        pairs.append((p, w))
-    return WeightedPermSum(n, pairs, engine=engine)
+        phases = [_complex_column(t["phases"]) for t in raw]
+        if any(len(ph) != n for ph in phases):
+            raise ValueError("term phases must have length n")
+        return ComplexPermSum.from_arrays(
+            n, images, weights, np.array(phases).reshape(len(raw), n), engine
+        )
+    return WeightedPermSum.from_arrays(n, images, weights, engine)
 
 
 __all__ = [

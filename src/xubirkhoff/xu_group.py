@@ -31,11 +31,7 @@ from .numerics import (
     line_sums,
 )
 from .permsum import WeightedPermSum
-from .permutations import (
-    Permutation,
-    SupercirculantLabel,
-    supercirculant_perm,
-)
+from .permutations import Permutation
 
 
 def require_xu(m, tol: float = DEFAULT_TOL, what: str = "input") -> np.ndarray:
@@ -78,7 +74,15 @@ def extract_core(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     is block diagonal; off-block leakage above ``tol`` raises
     StructureError with the observed maximum.
     """
-    a = require_xu(x, tol)
+    return fourier_core(require_xu(x, tol), tol)
+
+
+def fourier_core(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``extract_core`` for a matrix already checked to be in XU(n).
+
+    Engines that validated their input call this directly, so that one
+    public call checks membership once.
+    """
     n = a.shape[0]
     if n < 2:
         raise DimensionError(f"extraction needs n >= 2, got n={n}")
@@ -115,11 +119,12 @@ def circulant_xu_decompose(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     mc = classify(a, tol)
     if not mc.is_circulant:
         raise MembershipError(f"input is not circulant at tolerance {tol}")
-    terms = [
-        (supercirculant_perm(n, SupercirculantLabel(l, 1)), complex(a[0, l - 1]))
-        for l in range(1, n + 1)
-    ]
-    return WeightedPermSum(n, terms, engine="circulant")
+    # Row l is the cyclic shift by l: its first image l puts the rows in
+    # lexicographic order.
+    k = np.arange(n)
+    return WeightedPermSum._sorted(
+        n, (k[:, None] + k) % n, a[0].copy(), engine="circulant"
+    )
 
 
 def constant_line_sum_check(

@@ -10,6 +10,7 @@ from xubirkhoff import (
     UnsupportedDimensionError,
     WeightedPermSum,
     circulant_xu_decompose,
+    d_family,
     decompose_prime,
     decompose_prime_parts,
     decompose_recursive,
@@ -25,9 +26,13 @@ from xubirkhoff import (
     product,
     random_circulant_xu,
     random_xu,
+    root_of_unity,
+    SupercirculantLabel,
+    supercirculant_perm,
     verify,
 )
 from xubirkhoff.numerics import max_abs_diff
+from xubirkhoff.xu_group import extract_core
 
 
 class TestProduct:
@@ -195,6 +200,48 @@ class TestPrime:
             assert r.sq_moduli_ok
             assert r.term_count == n * n
 
+    @pytest.mark.parametrize("n", [5, 7, 11, 13, 31])
+    def test_weights_match_scalar_formula(self, n):
+        # m[l,x] = (1/n) sum_s w^(-(l-1)s) U[r,s], r = s*x mod n, summed
+        # term by term as the construction states it
+        x = random_xu(n, seed=n)
+        u = extract_core(x)
+        c_part, d_part = decompose_prime_parts(x)
+        assert [p for p, _ in d_part.items()] == sorted(d_family(n))
+        assert [p for p, _ in c_part.items()] == sorted(
+            supercirculant_perm(n, SupercirculantLabel(l, xx))
+            for l in range(1, n + 1)
+            for xx in range(1, n)
+        )
+        whole = [p.image for p, _ in decompose_prime(x).items()]
+        assert all(a < b for a, b in zip(whole, whole[1:]))
+        for xx in range(1, n):
+            for l in range(1, n + 1):
+                want = sum(
+                    root_of_unity(n, -(l - 1) * s) * u[(s * xx) % n - 1, s - 1]
+                    for s in range(1, n)
+                ) / n
+                p = supercirculant_perm(n, SupercirculantLabel(l, xx))
+                assert abs(c_part[p] - want) <= 1e-14
+
+    def test_membership_checked_once(self, monkeypatch):
+        import xubirkhoff.birkhoff as birkhoff
+        import xubirkhoff.xu_group as xu_group
+
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for mod in (birkhoff, xu_group):
+            monkeypatch.setattr(mod, "require_xu", counting(mod.require_xu))
+        decompose_prime(random_xu(7, seed=1))
+        assert len(calls) == 1
+
     def test_composite_rejected(self):
         with pytest.raises(UnsupportedDimensionError, match="open|composite"):
             decompose_prime(random_xu(6, seed=0))
@@ -236,6 +283,13 @@ class TestXu4:
 
 
 class TestRecursive:
+    @pytest.mark.parametrize("method", ["auto", "recursive"])
+    def test_xu1_single_identity_term(self, method):
+        s = decompose_xu(np.eye(1), method=method)
+        assert s.items() == [(Permutation.identity(1), 1.0)]
+        assert s.engine == "recursive"
+        assert verify(s, np.eye(1)).reconstruction_ok
+
     def test_identity_collapses(self):
         s = decompose_recursive(np.eye(4))
         assert s.term_count == 1

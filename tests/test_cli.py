@@ -130,6 +130,19 @@ class TestVerifyRoundTrip:
         assert code == 1
         assert not json.loads(out)["passed"]["reconstruction"]
 
+    @pytest.mark.parametrize("perm", [[1, 1, 2, 3, 4], [10**30, 2, 3, 4, 5]])
+    def test_non_bijective_perm_is_parse_error(self, capsys, tmp_path, perm):
+        mpath = tmp_path / "m.json"
+        write_matrix(mpath, random_xu(5, seed=9))
+        code, out, _ = run_cli(capsys, "decompose", str(mpath), "--method", "prime")
+        d = json.loads(out)
+        d["terms"][0]["perm"] = perm
+        dpath = tmp_path / "d.json"
+        dpath.write_text(dumps_json(d) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(dpath), str(mpath))
+        assert code == 2
+        assert out == "" and "bijection" in err
+
 
 class TestScale:
     def test_haar_input(self, capsys, tmp_path):

@@ -169,3 +169,7 @@ class TestMatrixJson:
             matrix_from_json({"dim": 2, "entries": [[[1, 0]]]})
         with pytest.raises(ValueError):
             matrix_from_json({"entries": []})
+
+    def test_bool_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})

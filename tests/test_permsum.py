@@ -1,0 +1,214 @@
+"""Property tests for the array-backed permutation sums."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xubirkhoff import (
+    ComplexPermSum,
+    ComplexPermTerm,
+    NotAPermutationError,
+    Permutation,
+    WeightedPermSum,
+    compose,
+    perm_sum_from_json,
+    perm_sum_to_json,
+    product,
+)
+from xubirkhoff.numerics import dumps_json, max_abs_diff
+from xubirkhoff.permsum import _merge_keys, _merge_lexsort
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+parts = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+weights = st.builds(complex, parts, parts)
+
+
+def perms(n):
+    return st.permutations(range(1, n + 1)).map(lambda image: Permutation(tuple(image)))
+
+
+def term_lists(n, max_size=12):
+    """Lists of (permutation, weight) pairs, duplicates allowed."""
+    return st.lists(st.tuples(perms(n), weights), min_size=1, max_size=max_size)
+
+
+@st.composite
+def sized_term_lists(draw, sizes=st.integers(1, 6)):
+    n = draw(sizes)
+    return n, draw(term_lists(n))
+
+
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return (
+        WeightedPermSum(n, draw(term_lists(n))),
+        WeightedPermSum(n, draw(term_lists(n))),
+    )
+
+
+def reference_product(a, b):
+    """The loop the array product replaces: every pair, composed and added
+    in (a, b) nesting order."""
+    out = {}
+    for p, wp in a.items():
+        for q, wq in b.items():
+            r = compose(p, q)
+            out[r] = out.get(r, 0.0) + wp * wq
+    return sorted(out.items(), key=lambda t: t[0].image)
+
+
+@PROPERTY
+@given(sum_pairs())
+def test_product_reconstructs_matrix_product(pair):
+    a, b = pair
+    ab = product(a, b)
+    assert max_abs_diff(ab.reconstruct(), a.reconstruct() @ b.reconstruct()) < 1e-12
+
+
+@PROPERTY
+@given(sum_pairs())
+def test_product_matches_pairwise_loop(pair):
+    a, b = pair
+    got = product(a, b).items()
+    want = reference_product(a, b)
+    assert [p for p, _ in got] == [p for p, _ in want]
+    assert max(abs(w - v) for (_, w), (_, v) in zip(got, want)) < 1e-12
+
+
+@PROPERTY
+@given(sized_term_lists())
+def test_items_strictly_lexicographic_and_merged(case):
+    n, terms = case
+    s = WeightedPermSum(n, terms)
+    images = [p.image for p, _ in s.items()]
+    assert all(x < y for x, y in zip(images, images[1:]))
+    assert set(images) == {p.image for p, _ in terms}
+    for p in {p for p, _ in terms}:
+        want = sum(w for q, w in terms if q == p)
+        assert abs(s[p] - want) < 1e-12
+        assert p in s
+
+
+@PROPERTY
+@given(sized_term_lists(), st.floats(0.0, 2.0))
+def test_pruned_drops_exactly_small_weights(case, eps):
+    n, terms = case
+    s = WeightedPermSum(n, terms, engine="e")
+    t = s.pruned(eps)
+    assert t.items() == [(p, w) for p, w in s.items() if abs(w) > eps]
+    assert t.engine == "e"
+
+
+@PROPERTY
+@given(sized_term_lists())
+def test_json_round_trip_exact(case):
+    n, terms = case
+    s = WeightedPermSum(n, terms, engine="e")
+    t = perm_sum_from_json(json.loads(dumps_json(perm_sum_to_json(s))))
+    assert isinstance(t, WeightedPermSum)
+    assert t.engine == "e"
+    assert t.items() == s.items()
+
+
+@PROPERTY
+@given(sized_term_lists(), st.data())
+def test_complex_json_round_trip_exact(case, data):
+    n, terms = case
+    phases = st.lists(
+        st.floats(-np.pi, np.pi).map(lambda a: complex(np.exp(1j * a))),
+        min_size=n,
+        max_size=n,
+    )
+    cs = ComplexPermSum(
+        n, [ComplexPermTerm(p, tuple(data.draw(phases)), w) for p, w in terms]
+    )
+    t = perm_sum_from_json(json.loads(dumps_json(perm_sum_to_json(cs))))
+    assert isinstance(t, ComplexPermSum)
+    assert t.terms == cs.items_sorted()
+    images = [term.perm.image for term in t.terms]
+    assert images == sorted(images)
+
+
+@PROPERTY
+@given(sized_term_lists())
+def test_complex_sum_keeps_given_order(case):
+    n, terms = case
+    given_terms = [ComplexPermTerm(p, (1j,) * n, w) for p, w in terms]
+    cs = ComplexPermSum(n, given_terms, engine="e")
+    assert cs.terms == given_terms
+    assert cs.items_sorted() == sorted(given_terms, key=lambda t: t.perm.image)
+    assert cs == ComplexPermSum(n, given_terms, engine="e")
+    assert cs != ComplexPermSum(n, given_terms, engine="other")
+
+
+def test_complex_sum_equality_sees_order():
+    p, q = Permutation((2, 1)), Permutation((1, 2))
+    terms = [ComplexPermTerm(p, (1.0, 1.0), 0.5), ComplexPermTerm(q, (1.0, 1.0), 0.5)]
+    assert ComplexPermSum(2, terms).terms == terms
+    assert ComplexPermSum(2, terms) != ComplexPermSum(2, terms[::-1])
+
+
+def test_complex_terms_assignment_replaces_terms():
+    t = ComplexPermTerm(Permutation((2, 1)), (1.0, -1.0), 0.5)
+    cs = ComplexPermSum(2)
+    cs.terms = [t, t]
+    assert cs.terms == [t, t]
+    assert cs.term_count == 2
+
+
+@PROPERTY
+@given(sized_term_lists(sizes=st.integers(1, 8)))
+def test_lexsort_merge_matches_key_merge(case):
+    n, terms = case
+    images = np.array([p.image for p, _ in terms]) - 1
+    w = np.array([w for _, w in terms], dtype=complex)
+    keys = images @ (n ** np.arange(n - 1, -1, -1))
+    rows_k, w_k = _merge_keys(n, keys, w)
+    rows_l, w_l = _merge_lexsort(images, w)
+    assert np.array_equal(rows_k, rows_l)
+    assert np.array_equal(w_k, w_l)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(16, 20).flatmap(lambda n: st.tuples(term_lists(n, 5), term_lists(n, 5))))
+def test_product_above_key_range_matches_loop(pair):
+    n = pair[0][0][0].n
+    a, b = WeightedPermSum(n, pair[0]), WeightedPermSum(n, pair[1])
+    got = product(a, b).items()
+    want = reference_product(a, b)
+    assert [p for p, _ in got] == [p for p, _ in want]
+    assert max(abs(w - v) for (_, w), (_, v) in zip(got, want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_product_key_digits_do_not_wrap(n):
+    """Every image digit up to n - 1 at every place value, so a key digit
+    computed in a narrower integer type than the key would wrap."""
+    rng = np.random.default_rng(n)
+    rows = np.array([rng.permutation(n) for _ in range(2 * n)])
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    a = WeightedPermSum.from_arrays(n, rows, rng.normal(size=2 * n))
+    b = WeightedPermSum.from_arrays(n, shifts, rng.normal(size=n))
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = product(x, y).items()
+        want = reference_product(x, y)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert max(abs(w - v) for (_, w), (_, v) in zip(got, want)) < 1e-12
+
+
+def test_arrays_are_read_only():
+    s = WeightedPermSum(3, [(Permutation((2, 1, 3)), 1.0)])
+    with pytest.raises(ValueError):
+        s.weights[0] = 2.0
+    with pytest.raises(ValueError):
+        s.images[0, 0] = 1
+
+
+def test_from_arrays_rejects_non_bijection():
+    with pytest.raises(NotAPermutationError):
+        WeightedPermSum.from_arrays(3, [[0, 0, 1]], [1.0])

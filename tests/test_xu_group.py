@@ -140,6 +140,8 @@ class TestCirculantDecompose:
             s = circulant_xu_decompose(x)
             assert max_abs_diff(s.reconstruct(), x) < 1e-11
             assert abs(s.weight_sum() - 1.0) < 1e-11
+            images = [p.image for p, _ in s.items()]
+            assert all(a < b for a, b in zip(images, images[1:]))
 
     def test_non_circulant_rejected(self):
         with pytest.raises(MembershipError, match="circulant"):
