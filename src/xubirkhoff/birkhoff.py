@@ -42,10 +42,9 @@ from .permsum import ComplexPermSum, WeightedPermSum, _product
 from .permutations import Permutation, lexicographic_permutations
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import (
-    circulant_xu_decompose,
-    embed_core,
-    extract_core,
+    circulant_sum,
     fourier_core,
+    fourier_embed,
     is_prime,
     require_xu,
 )
@@ -80,6 +79,10 @@ def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     a = require_xu(x, tol)
     if a.shape[0] != 2:
         raise DimensionError(f"expected a 2x2 matrix, got {a.shape[0]}")
+    return _xu2(a)
+
+
+def _xu2(a: np.ndarray) -> WeightedPermSum:
     m1 = complex(a[0, 0])
     m2 = 1.0 - m1
     return WeightedPermSum(
@@ -299,19 +302,22 @@ def decompose_recursive(
 
 
 def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> WeightedPermSum:
+    # ``a`` is the checked input or a block this function built, so no
+    # level re-checks membership; ``fourier_core`` still rejects a core
+    # that does not split off.
     n = a.shape[0]
     if n == 1:
         return WeightedPermSum(1, [(Permutation.identity(1), 1.0)])
     if n == 2:
-        return decompose_xu2(a, tol)
-    u = extract_core(a, tol)
+        return _xu2(a)
+    u = fourier_core(a, tol)
     fac = zxz_scale(u, opts)
-    x1 = embed_core(np.diag(np.exp(1j * fac.alpha) * fac.z1), tol)
-    x2 = embed_core(np.diag(fac.z2), tol)
-    middle = embed_core(fac.core, tol)
+    x1 = fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))
+    x2 = fourier_embed(np.diag(fac.z2))
+    middle = fourier_embed(fac.core)
     ytilde = middle[1:, 1:]
-    s1 = circulant_xu_decompose(x1, tol).pruned(PRUNE_EPS)
-    s2 = circulant_xu_decompose(x2, tol).pruned(PRUNE_EPS)
+    s1 = circulant_sum(x1).pruned(PRUNE_EPS)
+    s2 = circulant_sum(x2).pruned(PRUNE_EPS)
     sy = _lift(_recurse(ytilde, opts, tol))
     return product(product(s1, sy).pruned(PRUNE_EPS), s2).pruned(PRUNE_EPS)
 

@@ -32,9 +32,13 @@ class ConvergenceError(XUBirkhoffError):
     """Iterative scaling failed to converge.
 
     Carries the best line-sum spread achieved so callers can report how
-    close the run came.
+    close the run came, and ``attempts``: one ``(iterations, stop_reason,
+    best_spread)`` tuple per attempt, in order, where the reason is
+    ``"cap"`` (the iteration limit) or ``"stall"`` (the attempt stopped
+    moving towards equal line sums).
     """
 
-    def __init__(self, message, best_spread=None):
+    def __init__(self, message, best_spread=None, attempts=()):
         super().__init__(message)
         self.best_spread = best_spread
+        self.attempts = tuple(attempts)

@@ -23,8 +23,8 @@ them in lexicographic order through ``items_sorted`` and in the JSON form.
 
 Merging encodes each row as the base-n integer key
 ``sum over r of images[j, r] * n**(n-1-r)``, whose numeric order is the
-lexicographic order of the rows; ``np.unique`` then groups and sorts the
-keys and ``np.bincount`` sums the weights. The product of two sums
+lexicographic order of the rows; a sort then groups the keys
+(``_group``) and ``np.bincount`` sums the weights. The product of two sums
 (``birkhoff.product``) builds these keys straight from the factors'
 images, without forming the composed rows. For n >= 16 the key overflows
 int64, and the rows are sorted with ``np.lexsort`` instead.
@@ -88,6 +88,46 @@ def _sum_groups(inverse: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _sum_pair_groups(
+    inverse: np.ndarray, wa: np.ndarray, wb: np.ndarray, k: int
+) -> np.ndarray:
+    """Per group g, the sum of wa[i] * wb[j] over the pairs (i, j) with
+    ``inverse[i, j] == g``.
+
+    The pair weights are formed a block of rows of ``inverse`` at a time,
+    about k pairs per block, so that no array holds a weight for every
+    pair. Each block adds its pairs in pair order, and the blocks add up
+    in row order.
+    """
+    out = np.zeros(k, dtype=complex)
+    rows = max(1, k // max(1, len(wb)))
+    for start in range(0, len(wa), rows):
+        w = np.multiply.outer(wa[start : start + rows], wb).reshape(-1)
+        g = inverse[start : start + rows].reshape(-1)
+        out.real += np.bincount(g, w.real, k)
+        out.imag += np.bincount(g, w.imag, k)
+    return out
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``keys`` and, for each key, the index of its
+    value among them: ``np.unique(keys, return_inverse=True)`` without its
+    copy of the keys and its second index array, which set the peak
+    memory of a large product."""
+    order = np.argsort(keys)
+    s = keys[order]
+    starts = np.ones(len(s), dtype=bool)
+    starts[1:] = s[1:] != s[:-1]
+    uniq = s[starts]
+    del s
+    dtype = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.intp
+    group = np.cumsum(starts, dtype=dtype)
+    group -= 1
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    return uniq, inverse
+
+
 def _decode(n: int, keys: np.ndarray) -> np.ndarray:
     """Image rows of base-n ``keys``."""
     return ((keys[:, None] // _powers(n)) % n).astype(_image_dtype(n))
@@ -96,7 +136,7 @@ def _decode(n: int, keys: np.ndarray) -> np.ndarray:
 def _merge_keys(n: int, keys: np.ndarray, weights: np.ndarray):
     """Sorted distinct rows (decoded from base-n ``keys``) and their summed
     weights."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    uniq, inverse = _group(keys)
     return _decode(n, uniq), _sum_groups(inverse, weights, len(uniq))
 
 
@@ -153,8 +193,9 @@ def _product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     n <= KEY_MAX_N the composed rows are never formed: each pair's base-n
     key is accumulated digit by digit from gathers of ``b``'s images, cast
     once to the key dtype so that no step depends on numpy's promotion of
-    small integers, and the pair weights are formed only after the keys are
-    grouped, which keeps the peak memory down.
+    small integers. To keep the peak memory down, the keys are grouped by
+    ``_group`` and the pair weights are formed only afterwards, a block of
+    pairs at a time (``_sum_pair_groups``).
     """
     n = a.n
     if b.n != n:
@@ -164,13 +205,19 @@ def _product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
         powers = _powers(n)
         ib = b.images.astype(powers.dtype)
         keys = np.zeros((len(ia), len(ib)), dtype=powers.dtype)
+        digit = np.empty((len(ib), len(ia)), dtype=powers.dtype)
         for r, place in enumerate(powers):
-            keys.T[...] += ib[:, ia[:, r]] * place
-        uniq, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+            np.take(ib, ia[:, r], axis=1, out=digit)
+            digit *= place
+            keys.T[...] += digit
+        del digit
+        uniq, inverse = _group(keys.reshape(-1))
         del keys
-        weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
+        merged = _sum_pair_groups(
+            inverse.reshape(len(ia), len(ib)), a.weights, b.weights, len(uniq)
+        )
+        del inverse
         images = _decode(n, uniq)
-        merged = _sum_groups(inverse, weights, len(uniq))
     else:
         weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
         composed = b.images[:, ia].transpose(1, 0, 2).reshape(-1, n)

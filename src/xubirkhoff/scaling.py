@@ -1,18 +1,40 @@
 """Factor a unitary U as e^(i*alpha) Z1 X Z2 with X in XU(n).
 
 Z1 and Z2 are diagonal unitaries whose first entry is 1 (the phase freedom
-is absorbed into alpha) and X has all 2n line sums equal to 1. The factors
-are found by alternating phase normalization: left-multiplying by the
-conjugate phases of the row sums and right-multiplying by the conjugate
-phases of the column sums monotonically increases the total entry sum, and
-the fixed points with equal line sums are exactly the XU cores. A sum that
-is exactly zero has no phase and is left untouched for that half step.
+is absorbed into alpha) and X has all 2n line sums equal to 1. Writing
+V = diag(e^(i theta)) U diag(e^(i phi)), the factors are phase angles
+theta, phi that make every line sum of V equal to 1. Each attempt runs in
+two phases:
+
+* Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014):
+  left-multiplying by the conjugate phases of the row sums and
+  right-multiplying by the conjugate phases of the column sums
+  monotonically increases the total entry sum, and the fixed points with
+  equal line sums are exactly the XU cores. A sum that is exactly zero has
+  no phase and is left untouched for that half step. This is the global
+  phase: it converges from anywhere, but only linearly.
+* Gauss-Newton polish: once the spread (the largest distance of a line
+  sum from 1) first drops to POLISH_SPREAD, Gauss-Newton steps on the 2n
+  angles drive the 4n real components of [V 1 - 1; 1^T V - 1] to zero,
+  quadratically at a regular solution. The gauge direction
+  (theta + c, phi - c), which leaves V unchanged, is taken out by
+  solving each linearized least-squares problem for its least-norm step
+  with conjugate gradients (CGLS). If the polish stalls before ``tol``,
+  the attempt sweeps on and polishes again once the spread is 100 times
+  lower.
 
 Unstable fixed points with positive-real but unequal line sums exist (for
-example the rotation by pi/4, whose second row and column sums vanish);
-the iteration detects them by a step that changes nothing and restarts
-from a random diagonal-phase perturbation drawn from a seeded counter-based
-generator (numpy Philox), so runs are reproducible.
+example the rotation by pi/4, whose second row and column sums vanish;
+Idel & Wolf, "Sinkhorn normal form for unitary matrices", 2015). An
+attempt is abandoned as stalled when a sweep changes no entry by more
+than HARD_STALL or by more than STALL_RATIO times the spread, the sign of
+creeping towards such a point, and the next attempt starts from a random
+diagonal-phase perturbation. Restart k draws its phases from a seeded
+counter-based generator (numpy Philox), the same ones whatever the earlier
+attempts did, so runs are reproducible.
+
+``iterations`` counts the sweeps plus the Gauss-Newton steps of the
+successful attempt.
 """
 
 from __future__ import annotations
@@ -26,14 +48,23 @@ from .numerics import as_complex_matrix, is_unitary
 
 UNITARY_TOL = 1e-8
 HARD_STALL = 1e-15
+# A sweep whose largest entry change is at most STALL_RATIO times the
+# spread is creeping towards an unstable fixed point: abandon the attempt.
+STALL_RATIO = 1e-3
+# The spread at which an attempt first switches to Gauss-Newton steps,
+# and how many steps that fail to halve the spread end a polish.
+POLISH_SPREAD = 1e-2
+POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
 class ScalingOptions:
-    """Knobs for the alternating phase normalization.
+    """Knobs for the phase scaling.
 
     tol is the target spread: the maximum modulus distance of any of the
-    2n line sums from 1.
+    2n line sums from 1. max_iters caps the sweeps plus Gauss-Newton
+    steps of one attempt; max_restarts is the number of attempts after
+    the first.
     """
 
     tol: float = 1e-10
@@ -57,8 +88,9 @@ class ZXZFactorization:
     """Result of ``zxz_scale``: input = e^(i*alpha) diag(z1) core diag(z2).
 
     z1 and z2 are unit-modulus vectors with first entry 1; core is XU
-    within the achieved spread. iterations counts steps in the successful
-    attempt, restarts how many perturbed attempts preceded it.
+    within the achieved spread. iterations counts the sweeps plus
+    Gauss-Newton steps of the successful attempt, restarts how many
+    attempts preceded it.
     """
 
     alpha: float
@@ -85,18 +117,92 @@ def _phases(v: np.ndarray) -> np.ndarray:
     return np.where(a == 0, 1.0 + 0.0j, v / safe)
 
 
-def _line_sum_spread(v: np.ndarray) -> float:
-    return max(
-        float(np.abs(v.sum(axis=1) - 1.0).max()),
-        float(np.abs(v.sum(axis=0) - 1.0).max()),
-    )
+def _spread(rows: np.ndarray, cols: np.ndarray) -> float:
+    return max(float(np.abs(rows - 1.0).max()), float(np.abs(cols - 1.0).max()))
+
+
+def _cgls(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The real x of least norm that minimizes |b x - c| for complex b and
+    c, by conjugate gradients on the least-squares problem (CGLS).
+
+    Starting from x = 0 keeps every iterate in the row space of b, which
+    is what makes the solution the one of least norm. Only matrix-vector
+    products: no LAPACK routine is loaded, so memory stays flat.
+    """
+    bh = b.conj().T
+    x = np.zeros(b.shape[1])
+    r = c.copy()
+    s = (bh @ r).real
+    p = s.copy()
+    gamma = float(s @ s)
+    stop = gamma * 1e-30
+    for _ in range(2 * len(x)):
+        if gamma <= stop:
+            break
+        q = b @ p
+        alpha = gamma / float(q.real @ q.real + q.imag @ q.imag)
+        x += alpha * p
+        r -= alpha * q
+        s = (bh @ r).real
+        gamma, previous = float(s @ s), gamma
+        p = s + (gamma / previous) * p
+    return x
+
+
+def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton phase corrections (dtheta, dphi) for the residual
+    F = [V 1 - 1; 1^T V - 1] of V -> diag(e^(i dtheta)) V diag(e^(i dphi)).
+
+    The Jacobian with respect to the angles is i B with
+    B = [[diag(rows), V], [V^T, diag(cols)]], so the step minimizes
+    |B d - i F| over real d. B (1, -1) = 0 is the gauge
+    (theta + c, phi - c); the least-norm step leaves it out.
+    """
+    n = len(rows)
+    k = np.arange(n)
+    b = np.zeros((2 * n, 2 * n), dtype=complex)
+    b[k, k] = rows
+    b[n + k, n + k] = cols
+    b[:n, n:] = v
+    b[n:, :n] = v.T
+    d = _cgls(b, 1j * (np.concatenate([rows, cols]) - 1.0))
+    return d[:n], d[n:]
+
+
+def _polish(v, left, right, rows, cols, spread, tol, budget):
+    """Gauss-Newton steps from a sweep iterate until the spread is at most
+    ``tol``, ``budget`` steps are spent, or POLISH_STEPS steps have failed
+    to halve the smallest spread so far.
+
+    Steps that fail to halve it are tolerated because a near-singular
+    Jacobian can send a step far along a flat direction before the next
+    ones converge; steps that halve it are not limited because at a
+    singular solution Gauss-Newton converges only linearly. Returns the
+    iterate with the smallest spread, that spread and the number of steps
+    taken.
+    """
+    best = v, left, right, spread
+    steps = misses = 0
+    while best[3] > tol and misses < POLISH_STEPS and steps < budget:
+        dt, dp = _newton_step(v, rows, cols)
+        steps += 1
+        et, ep = np.exp(1j * dt), np.exp(1j * dp)
+        v, left, right = et[:, None] * v * ep[None, :], left * et, right * ep
+        rows, cols = v.sum(axis=1), v.sum(axis=0)
+        spread = _spread(rows, cols)
+        if not spread <= best[3] / 2:
+            misses += 1
+        if spread < best[3]:
+            best = v, left, right, spread
+    return (*best, steps)
 
 
 def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     """Factor a unitary matrix through the XU subgroup.
 
     Raises MembershipError for non-unitary input and ConvergenceError
-    (carrying the best spread seen) if no attempt reaches opts.tol.
+    (carrying the best spread seen and the history of every attempt) if
+    no attempt reaches opts.tol.
     """
     opts = opts or ScalingOptions()
     a = as_complex_matrix(u)
@@ -106,7 +212,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
         )
     n = a.shape[0]
     rng = np.random.Generator(np.random.Philox(opts.rng_seed))
-    best = np.inf
+    attempts = []
 
     for restart in range(opts.max_restarts + 1):
         if restart == 0:
@@ -116,26 +222,47 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             left = np.exp(2j * np.pi * rng.random(n))
             right = np.exp(2j * np.pi * rng.random(n))
         v = left[:, None] * a * right[None, :]
-
-        for it in range(opts.max_iters):
-            spread = _line_sum_spread(v)
+        polish_at = POLISH_SPREAD
+        best = np.inf
+        it = 0
+        while True:
+            rows = v.sum(axis=1)
+            cols = v.sum(axis=0)
+            spread = _spread(rows, cols)
             best = min(best, spread)
             if spread <= opts.tol:
                 return _assemble(a, left, right, v, spread, it, restart)
-            row_ph = np.conj(_phases(v.sum(axis=1)))
+            if it >= opts.max_iters:
+                reason = "cap"
+                break
+            if spread <= polish_at:
+                v, left, right, spread, steps = _polish(
+                    v, left, right, rows, cols, spread, opts.tol,
+                    opts.max_iters - it,
+                )
+                it += steps
+                polish_at = spread / 100
+                continue
+            it += 1
+            row_ph = np.conj(_phases(rows))
             w = v * row_ph[:, None]
             col_ph = np.conj(_phases(w.sum(axis=0)))
             w = w * col_ph[None, :]
-            if float(np.abs(w - v).max()) <= HARD_STALL:
+            step = float(np.abs(w - v).max())
+            if step <= HARD_STALL or step <= STALL_RATIO * spread:
+                reason = "stall"
                 break
             v = w
             left = left * row_ph
             right = right * col_ph
+        attempts.append((it, reason, best))
 
+    best = min(b for _, _, b in attempts)
     raise ConvergenceError(
         f"no convergence to spread {opts.tol} after "
         f"{opts.max_restarts + 1} attempts; best spread {best:.3e}",
         best_spread=float(best),
+        attempts=attempts,
     )
 
 

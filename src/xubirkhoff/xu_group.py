@@ -59,6 +59,12 @@ def embed_core(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = as_complex_matrix(u)
     if not is_unitary(a, tol):
         raise MembershipError(f"core is not unitary at tolerance {tol}")
+    return fourier_embed(a)
+
+
+def fourier_embed(a: np.ndarray) -> np.ndarray:
+    """``embed_core`` without the unitarity check, for cores an engine
+    built itself."""
     n = a.shape[0] + 1
     f = dft_matrix(n)
     d = np.zeros((n, n), dtype=complex)
@@ -119,6 +125,13 @@ def circulant_xu_decompose(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     mc = classify(a, tol)
     if not mc.is_circulant:
         raise MembershipError(f"input is not circulant at tolerance {tol}")
+    return circulant_sum(a)
+
+
+def circulant_sum(a: np.ndarray) -> WeightedPermSum:
+    """``circulant_xu_decompose`` without the checks, for n >= 2 circulant
+    XU matrices an engine built itself."""
+    n = a.shape[0]
     # Row l is the cyclic shift by l: its first image l puts the rows in
     # lexicographic order.
     k = np.arange(n)

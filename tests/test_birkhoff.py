@@ -7,6 +7,7 @@ from xubirkhoff import (
     DimensionError,
     MembershipError,
     Permutation,
+    ScalingOptions,
     UnsupportedDimensionError,
     WeightedPermSum,
     circulant_xu_decompose,
@@ -31,8 +32,26 @@ from xubirkhoff import (
     supercirculant_perm,
     verify,
 )
-from xubirkhoff.numerics import max_abs_diff
+from xubirkhoff.numerics import dft_matrix, max_abs_diff
 from xubirkhoff.xu_group import extract_core
+
+
+@pytest.fixture
+def require_xu_calls(monkeypatch):
+    """A list that grows by one at every ``require_xu`` call."""
+    import xubirkhoff.birkhoff as birkhoff
+    import xubirkhoff.xu_group as xu_group
+
+    calls = []
+    original = xu_group.require_xu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (birkhoff, xu_group):
+        monkeypatch.setattr(mod, "require_xu", counting)
+    return calls
 
 
 class TestProduct:
@@ -224,23 +243,9 @@ class TestPrime:
                 p = supercirculant_perm(n, SupercirculantLabel(l, xx))
                 assert abs(c_part[p] - want) <= 1e-14
 
-    def test_membership_checked_once(self, monkeypatch):
-        import xubirkhoff.birkhoff as birkhoff
-        import xubirkhoff.xu_group as xu_group
-
-        calls = []
-
-        def counting(original):
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for mod in (birkhoff, xu_group):
-            monkeypatch.setattr(mod, "require_xu", counting(mod.require_xu))
+    def test_membership_checked_once(self, require_xu_calls):
         decompose_prime(random_xu(7, seed=1))
-        assert len(calls) == 1
+        assert len(require_xu_calls) == 1
 
     def test_composite_rejected(self):
         with pytest.raises(UnsupportedDimensionError, match="open|composite"):
@@ -320,6 +325,11 @@ class TestRecursive:
         with pytest.raises(MembershipError):
             decompose_recursive(haar_unitary(4, seed=2))
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_membership_checked_once(self, n, require_xu_calls):
+        decompose_xu(random_xu(n, seed=1), method="recursive")
+        assert len(require_xu_calls) == 1
+
 
 class TestDecomposeXuFrontDoor:
     def test_auto_prefers_guaranteed_engines(self):
@@ -372,6 +382,20 @@ class TestDecomposeUnitary:
             assert np.array_equal(nz.sum(axis=1), np.ones(4, dtype=int))
             mods = np.abs(m[nz])
             assert np.abs(mods - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 11, 13])
+    def test_fourier_matrices(self, n):
+        # composite n >= 9 is left out: the recursive engine gives n! terms
+        f = dft_matrix(n)
+        r = verify(decompose_unitary(f), f, tol=1e-9)
+        assert r.reconstruction_ok and r.weight_sum_ok
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fourier_6_across_seeds(self, seed):
+        # used to fail at seed 0: the nested scaling sat at spread 1.4e-10
+        f = dft_matrix(6)
+        r = verify(decompose_unitary(f, ScalingOptions(rng_seed=seed)), f, tol=1e-9)
+        assert r.reconstruction_ok and r.weight_sum_ok
 
     def test_engine_label(self):
         assert decompose_unitary(haar_unitary(5, seed=1)).engine == "zxz+prime"

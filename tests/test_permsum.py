@@ -1,6 +1,8 @@
 """Property tests for the array-backed permutation sums."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,3 +214,29 @@ def test_arrays_are_read_only():
 def test_from_arrays_rejects_non_bijection():
     with pytest.raises(NotAPermutationError):
         WeightedPermSum.from_arrays(3, [[0, 0, 1]], [1.0])
+
+
+def test_large_product_peak_memory():
+    # all 40 320 permutations of 8 against the 8 cyclic shifts, both ways:
+    # 322 560 pairs onto 40 320 terms, the last product of a recursive XU(8)
+    n = 8
+    rng = np.random.default_rng(0)
+    images = np.array(list(itertools.permutations(range(n))))
+    a = WeightedPermSum.from_arrays(
+        n, images, rng.random(len(images)) + 1j * rng.random(len(images))
+    )
+    k = np.arange(n)
+    b = WeightedPermSum.from_arrays(n, (k[:, None] + k) % n, rng.random(n) + 0j)
+    for x, y in ((a, b), (b, a)):
+        tracemalloc.start()
+        try:
+            xy = product(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(xy) == len(images)
+        # np.unique on the pair keys plus a weight for every pair at once
+        # peaked at 38-42 bytes per pair
+        assert peak < 30 * len(x) * len(y)
+        want = x.reconstruct() @ y.reconstruct()
+        assert max_abs_diff(xy.reconstruct(), want) < 1e-9
