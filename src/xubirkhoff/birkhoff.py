@@ -337,26 +337,39 @@ def decompose_xu(
     'prime', 'recursive'.
     """
     a = as_complex_matrix(x)
-    n = a.shape[0]
     if method == "auto":
-        if n == 4:
-            method = "xu4"
-        elif is_prime(n):
-            method = "prime"
-        else:
-            method = "recursive"
+        method = _auto_method(a.shape[0])
+    if tol is None:
+        tol = RECURSIVE_TOL if method == "recursive" else DEFAULT_TOL
+    return _run_engine(method, a, tol, opts, p)
+
+
+def _auto_method(n: int) -> str:
+    """The engine ``auto`` picks for XU(n)."""
+    if n == 4:
+        return "xu4"
+    return "prime" if is_prime(n) else "recursive"
+
+
+def _run_engine(
+    method: str,
+    a: np.ndarray,
+    tol: float,
+    opts: ScalingOptions | None,
+    p: complex = 1.0,
+) -> WeightedPermSum:
+    # Engines are looked up by name at call time, so that a replaced module
+    # attribute (such as the benchmark tracer's wrappers) is the one run.
     if method == "xu2":
-        return decompose_xu2(a, tol if tol is not None else DEFAULT_TOL)
+        return decompose_xu2(a, tol)
     if method == "xu3":
-        return decompose_xu3(a, p=p, tol=tol if tol is not None else DEFAULT_TOL)
+        return decompose_xu3(a, p=p, tol=tol)
     if method == "xu4":
-        return decompose_xu4(a, tol if tol is not None else DEFAULT_TOL)
+        return decompose_xu4(a, tol)
     if method == "prime":
-        return decompose_prime(a, tol if tol is not None else DEFAULT_TOL)
+        return decompose_prime(a, tol)
     if method == "recursive":
-        return decompose_recursive(
-            a, opts, tol if tol is not None else RECURSIVE_TOL
-        )
+        return decompose_recursive(a, opts, tol)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -379,12 +392,8 @@ def decompose_unitary(
         inner = WeightedPermSum(
             n, [(Permutation.identity(n), 1.0)], engine="identity"
         )
-    elif n == 4:
-        inner = decompose_xu4(fac.core, tol)
-    elif is_prime(n):
-        inner = decompose_prime(fac.core, tol)
     else:
-        inner = decompose_recursive(fac.core, opts, tol)
+        inner = _run_engine(_auto_method(n), fac.core, tol, opts)
     phase = complex(np.exp(1j * fac.alpha))
     kept = inner.pruned(PRUNE_EPS)
     return ComplexPermSum.from_arrays(

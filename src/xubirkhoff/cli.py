@@ -20,6 +20,7 @@ failure, unsupported dimension), 2 for unparsable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,6 +155,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; ``main`` runs the command ``c`` by ``_cmd_c``
+    (dashes as underscores)."""
     parser = argparse.ArgumentParser(
         prog="xubirkhoff",
         description="Decompose unit-line-sum unitaries into weighted "
@@ -166,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=KINDS, default="xu")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=_cmd_sample)
 
     dp = sub.add_parser("decompose", help="decompose an XU matrix")
     dp.add_argument("matrix", help="path to matrix JSON")
@@ -179,45 +181,46 @@ def build_parser() -> argparse.ArgumentParser:
         help="parameter of the six-weight XU(3) family, e.g. '0.5+0.5j'",
     )
     dp.add_argument("--output", default=None)
-    dp.set_defaults(func=_cmd_decompose)
 
     cp = sub.add_parser("scale", help="ZXZ-factor a unitary matrix")
     cp.add_argument("matrix", help="path to matrix JSON")
     cp.add_argument("--tol", type=float, default=None)
     cp.add_argument("--seed", type=int, default=0)
     cp.add_argument("--output", default=None)
-    cp.set_defaults(func=_cmd_scale)
 
     vp = sub.add_parser("verify", help="recheck a decomposition")
     vp.add_argument("decomposition", help="path to decomposition JSON")
     vp.add_argument("matrix", help="path to the target matrix JSON")
     vp.add_argument("--tol", type=float, default=None)
     vp.add_argument("--output", default=None)
-    vp.set_defaults(func=_cmd_verify)
 
     pp = sub.add_parser("pitch-table", help="pitch tables for a prime n")
     pp.add_argument("n", type=int)
     pp.add_argument("--output", default=None)
-    pp.set_defaults(func=_cmd_pitch_table)
 
     tp = sub.add_parser("transfer", help="transfer matrix M[r,s]")
     tp.add_argument("n", type=int)
     tp.add_argument("r", type=int)
     tp.add_argument("s", type=int)
     tp.add_argument("--output", default=None)
-    tp.set_defaults(func=_cmd_transfer)
 
-    kp = sub.add_parser("selfcheck", help="run the built-in reference checks")
-    kp.set_defaults(func=_cmd_selfcheck)
+    sub.add_parser("selfcheck", help="run the built-in reference checks")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up by name at each call, so that a replaced
+    # ``_cmd_*`` function (a test double, a tracing wrapper) takes effect.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

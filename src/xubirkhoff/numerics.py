@@ -10,8 +10,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -161,12 +164,18 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
 def matrix_to_json(m) -> dict:
     """Convert a matrix to the shared JSON-ready schema."""
     a = as_complex_matrix(m)
-    n = a.shape[0]
-    entries = [
-        [[float(a[k, l].real), float(a[k, l].imag)] for l in range(n)]
-        for k in range(n)
-    ]
-    return {"dim": n, "entries": entries}
+    return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
+
+
+def check_json_numbers(values, what: str) -> None:
+    """Raise ValueError if a string or a boolean stands among ``values``.
+
+    ``float`` would read ``"2"`` and ``true`` as numbers; JSON keeps them
+    apart, and so does every schema of the package.
+    """
+    for kind in set(map(type, values)):
+        if issubclass(kind, (str, bool, np.bool_)):
+            raise ValueError(f"{what} must be numbers, got {kind.__name__}")
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -179,6 +188,8 @@ def matrix_from_json(obj) -> np.ndarray:
     entries = obj["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix 'entries' must be an n x n grid")
+    parts = chain.from_iterable(chain.from_iterable(entries))
+    check_json_numbers(parts, "matrix entries")
     a = np.empty((n, n), dtype=complex)
     for k, row in enumerate(entries):
         for l, pair in enumerate(row):
@@ -198,35 +209,102 @@ def _format_number(v) -> str:
     return format(f, ".17g")
 
 
-def dumps_json(value, indent: int = 0) -> str:
-    """Serialize nested dict/list/number/str/bool/None with floats printed
-    to 17 significant digits (lossless for doubles).
+_NUMBERS = (bool, int, float)
+# A JSON string literal, as json.dumps(s, ensure_ascii=False) writes it.
+_quote = json.JSONEncoder(ensure_ascii=False).encode
 
-    The stdlib encoder prints shortest round-trip floats; the fixed 17-digit
-    form is part of the output contract, hence this small emitter.
+
+@lru_cache(maxsize=256)
+def _line_template(spec: str, k: int) -> str:
+    """``[spec, spec, ...]``: the %-template of a one-line list of k numbers."""
+    return "[" + ", ".join([spec] * k) + "]"
+
+
+def _dump_list(value, indent: int) -> str:
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float:
+            line = _line_template("%.17g", len(value)) % tuple(value)
+            # Every finite %.17g form is digits, '.', '-', '+' and 'e'.
+            if "n" in line:
+                raise ValueError("cannot serialize non-finite number")
+            return line
+        if kind is int:
+            return _line_template("%d", len(value)) % tuple(value)
+    items = [_dump(v, indent + 2) for v in value]
+    if all(isinstance(v, _NUMBERS) for v in value):
+        return "[" + ", ".join(items) + "]"
+    return _block(items, indent, "[", "]")
+
+
+def _dump_dict(value, indent: int) -> str:
+    if not value:
+        return "{}"
+    items = [f"{_quote(str(k))}: {_dump(v, indent + 2)}" for k, v in value.items()]
+    return _block(items, indent, "{", "}")
+
+
+def _block(items: list, indent: int, open_: str, close: str) -> str:
+    """``items`` one to a line between ``open_`` and ``close``.
+
+    The brackets go into the first and the last item, so that the join is
+    the one copy of the items: a ``decompose`` document at n = 31 is about
+    200 KB, and each further copy raises the command's peak memory.
     """
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    pad = " " * (indent + 2)
+    items[0] = f"{open_}\n{pad}{items[0]}"
+    items[-1] = f"{items[-1]}\n{' ' * indent}{close}"
+    return (",\n" + pad).join(items)
+
+
+def _dump_any(value, indent: int) -> str:
+    """Leaves, and subclasses of list, tuple and dict, by ``isinstance``."""
     if value is None:
         return "null"
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(value, (bool, int, float)):
+        return _quote(value)
+    if isinstance(value, _NUMBERS):
         return _format_number(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [dumps_json(v, indent + 2) for v in value]
-        if all(isinstance(v, (bool, int, float)) for v in value):
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+        return _dump_list(value, indent)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{inner}"{k}": {dumps_json(v, indent + 2)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _dump_dict(value, indent)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_CONTAINERS = {list: _dump_list, tuple: _dump_list, dict: _dump_dict}
+
+
+def _dump(value, indent: int) -> str:
+    return _CONTAINERS.get(type(value), _dump_any)(value, indent)
+
+
+def dumps_json(value, indent: int = 0) -> str:
+    """Serialize nested dict/list/tuple/number/str/bool/None.
+
+    The layout is fixed, and the tests pin it byte for byte:
+
+    * a list or tuple whose elements are all numbers (bool, int or float)
+      stays on one line, ``[a, b, c]``;
+    * every element of any other non-empty list, and every member of a
+      non-empty dict, goes on a line of its own, indented two spaces
+      deeper than the line of the opening bracket; ``indent`` is the
+      indent of that line;
+    * floats are printed as ``%.17g`` (17 significant digits, lossless
+      for doubles); nan and inf raise ValueError;
+    * strings and dict keys (read with ``str``) are escaped as
+      ``json.dumps(s, ensure_ascii=False)`` escapes them.
+
+    No trailing newline is added; the CLI writes one after the document.
+    Other types, ``np.int64`` among them, raise TypeError; float
+    subclasses such as ``np.float64`` print as floats.
+
+    The stdlib encoder prints shortest round-trip floats; the fixed 17-digit
+    form is part of the output contract, hence this small emitter. A list
+    made only of ``int``s or only of ``float``s is formatted with one
+    %-template.
+    """
+    return _dump(value, indent)

@@ -36,11 +36,13 @@ caller reads ``items()`` or ``terms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
+from .numerics import check_json_numbers
 from .permutations import Permutation, perm_to_json, perm_to_matrix
 
 # Largest n whose base-n keys n**n - 1 fit in int64.
@@ -525,34 +527,47 @@ def perm_sum_to_json(s) -> dict:
     return {"n": s.n, "engine": s.engine, "terms": terms}
 
 
-def _complex_column(pairs) -> np.ndarray:
+def _complex_column(pairs, what: str) -> np.ndarray:
     """[[re, im], ...] -> complex array, each part read with float()."""
+    pairs = list(pairs)
+    check_json_numbers(chain.from_iterable(pairs), what)
     return np.array([complex(float(a), float(b)) for a, b in pairs], dtype=complex)
+
+
+def _check_json_ints(values, what: str) -> None:
+    """Raise ValueError unless every value is an integer (not a bool)."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {kind.__name__}")
 
 
 def perm_sum_from_json(obj):
     """Parse the decomposition schema; returns a WeightedPermSum when no
     term carries phases, otherwise a ComplexPermSum.
 
-    Malformed fields raise ValueError, TypeError or KeyError; a ``perm``
+    Malformed fields raise ValueError, TypeError or KeyError: ``n`` and the
+    ``perm`` entries must be integers, ``weight`` and ``phases`` parts
+    numbers (a string or a boolean is rejected, not converted). A ``perm``
     that is not a bijection on 1..n raises NotAPermutationError.
     """
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError("decomposition JSON must have 'n' and 'terms' fields")
-    n = int(obj["n"])
+    n = obj["n"]
+    _check_json_ints([n], "decomposition 'n'")
     engine = str(obj.get("engine", ""))
     raw = obj["terms"]
-    perms = [[int(v) for v in t["perm"]] for t in raw]
+    perms = [t["perm"] for t in raw]
     if any(len(p) != n for p in perms):
         raise ValueError("term 'perm' length disagrees with 'n'")
+    _check_json_ints(chain.from_iterable(perms), "term 'perm' entries")
     try:
         images = np.array(perms, dtype=np.int64).reshape(len(raw), n)
     except OverflowError as e:
         raise NotAPermutationError(f"a term 'perm' is not a bijection on 1..{n}") from e
     images -= 1
-    weights = _complex_column(t["weight"] for t in raw)
+    weights = _complex_column((t["weight"] for t in raw), "term 'weight' parts")
     if any("phases" in t for t in raw):
-        phases = [_complex_column(t["phases"]) for t in raw]
+        phases = [_complex_column(t["phases"], "term 'phases' parts") for t in raw]
         if any(len(ph) != n for ph in phases):
             raise ValueError("term phases must have length n")
         return ComplexPermSum.from_arrays(

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from xubirkhoff import matrix_from_json, matrix_to_json, random_xu
+from xubirkhoff import (
+    decompose_unitary,
+    matrix_from_json,
+    matrix_to_json,
+    perm_sum_to_json,
+    random_xu,
+)
 from xubirkhoff.cli import main
 from xubirkhoff.numerics import dumps_json, max_abs_diff
 
@@ -142,6 +148,124 @@ class TestVerifyRoundTrip:
         code, out, err = run_cli(capsys, "verify", str(dpath), str(mpath))
         assert code == 2
         assert out == "" and "bijection" in err
+
+
+class TestSchemaTypes:
+    """A string, a boolean or (for ``perm``) a non-integer number in a
+    numeric field is bad input, not a value to convert."""
+
+    def _decomposition(self, capsys, tmp_path):
+        mpath = tmp_path / "m.json"
+        write_matrix(mpath, random_xu(5, seed=9))
+        code, out, _ = run_cli(capsys, "decompose", str(mpath), "--method", "prime")
+        assert code == 0
+        return mpath, json.loads(out)
+
+    def _verify(self, capsys, tmp_path, d, mpath):
+        dpath = tmp_path / "d.json"
+        dpath.write_text(json.dumps(d) + "\n")
+        return run_cli(capsys, "verify", str(dpath), str(mpath))
+
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            [1.5, 2.5, 3.5, 4.5, 5.5],
+            [1.0, 2, 3, 4, 5],
+            ["1", 2, 3, 4, 5],
+            [True, 2, 3, 4, 5],
+        ],
+    )
+    def test_non_integer_perm_entry(self, capsys, tmp_path, perm):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d["terms"][0]["perm"] = perm
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "integers" in err
+
+    @pytest.mark.parametrize("n", [5.0, "5", True])
+    def test_non_integer_n(self, capsys, tmp_path, n):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d["n"] = n
+        code, _, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2 and "integers" in err
+
+    @pytest.mark.parametrize("part", ["0.5", True, False])
+    def test_non_number_weight_part(self, capsys, tmp_path, part):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d["terms"][0]["weight"][1] = part
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "numbers" in err
+
+    @pytest.mark.parametrize("part", ["1", True])
+    def test_non_number_phase_part(self, capsys, tmp_path, part):
+        from xubirkhoff import haar_unitary
+
+        mpath = tmp_path / "u.json"
+        write_matrix(mpath, haar_unitary(3, seed=4))
+        d = perm_sum_to_json(decompose_unitary(haar_unitary(3, seed=4)))
+        # Parsed and rebuilt: verify exits 1 only because a Haar unitary's
+        # line sums are not 1.
+        code, out, _ = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 1 and json.loads(out)["passed"]["reconstruction"]
+        d["terms"][-1]["phases"][2][0] = part
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "numbers" in err
+
+    @pytest.mark.parametrize("part", ["0.5", True])
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_non_number_matrix_entry(self, capsys, tmp_path, part, command):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        m = matrix_to_json(random_xu(5, seed=9))
+        m["entries"][2][3][0] = part
+        mpath.write_text(json.dumps(m))
+        if command == "decompose":
+            code, out, err = run_cli(capsys, "decompose", str(mpath))
+        else:
+            code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "numbers" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; each call still parses afresh and
+    looks its handler up by name."""
+
+    def test_no_state_between_calls(self, capsys, tmp_path):
+        mpath = tmp_path / "m.json"
+        write_matrix(mpath, random_xu(5, seed=9))
+        dpath = tmp_path / "d.json"
+        assert main(["decompose", str(mpath), "--output", str(dpath)]) == 0
+        rpath = tmp_path / "r.json"
+        argv = ["verify", str(dpath), str(mpath), "--tol", "1e-3"]
+        code, out, _ = run_cli(capsys, *argv, "--output", str(rpath))
+        assert code == 0 and out == ""
+        assert json.loads(rpath.read_text())["tol"] == 1e-3
+        rpath.unlink()
+        code, out, _ = run_cli(capsys, "verify", str(dpath), str(mpath))
+        assert code == 0 and not rpath.exists()
+        assert json.loads(out)["tol"] == 1e-9
+        code, out, _ = run_cli(capsys, "sample", "3", "--seed", "2")
+        assert code == 0
+        assert np.array_equal(matrix_from_json(json.loads(out)), random_xu(3, seed=2))
+
+    def test_handler_looked_up_at_call_time(self, capsys, tmp_path, monkeypatch):
+        mpath = tmp_path / "m.json"
+        write_matrix(mpath, random_xu(5, seed=9))
+        dpath = tmp_path / "d.json"
+        assert main(["decompose", str(mpath), "--output", str(dpath)]) == 0
+        assert main(["verify", str(dpath), str(mpath)]) == 0
+        capsys.readouterr()
+        seen = []
+
+        def patched(args):
+            seen.append((args.decomposition, args.matrix, args.tol))
+            return 7
+
+        monkeypatch.setattr("xubirkhoff.cli._cmd_verify", patched)
+        assert main(["verify", str(dpath), str(mpath), "--tol", "0.5"]) == 7
+        assert seen == [(str(dpath), str(mpath), 0.5)]
 
 
 class TestScale:
