@@ -14,8 +14,9 @@ with weight sum 1:
 * ``decompose_xu4``: the explicit 24-weight table for XU(4), the one
   composite dimension with a known squared-moduli-1 construction.
 * ``decompose_recursive``: works for every n by peeling one
-  dimension at a time through the ZXZ factorization; makes no
-  squared-moduli claim.
+  dimension at a time through the ZXZ factorization; the squared moduli
+  sum to 1 up to the scaling and pruning residuals (its weights form a
+  unitary element of the group algebra, see its docstring).
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
   permutation matrices (one unit-modulus phase per row).
 
@@ -289,6 +290,21 @@ def decompose_recursive(
     F leaves the first row and column at (1, 0, ..., 0) because the line
     sums of y are 1 - so a single recursion on ytilde suffices. Terms
     recombine with ``product``; the weight sum is a product of 1s.
+
+    The squared moduli sum to 1 as well. Read the weights as the element
+    m = sum_p m_p p of the group algebra C[S_n], with m* = sum_p
+    conj(m_p) p^-1; m is unitary when m* m = e, whose coefficient at e is
+    sum_p |m_p|^2 = 1. Three steps give it:
+
+    * a circulant unitary's first row is a unitary element of the cyclic
+      group algebra (the Fourier transform diagonalizes both);
+    * lifting an element of C[S_(n-1)] to C[S_n] through 1 (+) sigma is
+      an algebra homomorphism, so it keeps unitarity;
+    * products of unitary elements are unitary, and ``product`` is the
+      group-algebra product.
+
+    Numerically the sum is 1 up to the scaling residual and the mass
+    pruned under PRUNE_EPS.
 
     The default membership tolerance is looser than elsewhere (1e-8)
     because each level re-enters through a scaled core whose line sums

@@ -49,16 +49,20 @@ def root_of_unity(n: int, a: int) -> complex:
     return complex(np.exp(2j * math.pi * (a % n) / n))
 
 
+@lru_cache(maxsize=64)
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary discrete Fourier matrix F with F[k,l] = w^(k*l)/sqrt(n).
 
     Exponents are reduced mod n entrywise (w the primitive n-th root of
-    unity), so F is numerically symmetric and F^-1 = F.conj().
+    unity), so F is numerically symmetric and F^-1 = F.conj(). The matrix
+    is cached per n and returned read-only; copy it to modify it.
     """
     if n < 1:
         raise DimensionError(f"dimension must be positive, got n={n}")
     k = np.arange(n)
-    return np.exp(2j * math.pi * (np.outer(k, k) % n) / n) / math.sqrt(n)
+    f = np.exp(2j * math.pi * (np.outer(k, k) % n) / n) / math.sqrt(n)
+    f.flags.writeable = False
+    return f
 
 
 def line_sums(m) -> tuple[np.ndarray, np.ndarray]:

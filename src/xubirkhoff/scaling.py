@@ -19,9 +19,10 @@ two phases:
   quadratically at a regular solution. The gauge direction
   (theta + c, phi - c), which leaves V unchanged, is taken out by
   solving each linearized least-squares problem for its least-norm step
-  with conjugate gradients (CGLS). If the polish stalls before ``tol``,
-  the attempt sweeps on and polishes again once the spread is 100 times
-  lower.
+  with conjugate gradients (CGLS). A polish that ends above ``tol``
+  (POLISH_STEPS steps without halving the spread) ends the attempt: it
+  is abandoned as stalled, or as capped if the iteration budget ran out,
+  and the next attempt restarts.
 
 Unstable fixed points with positive-real but unequal line sums exist (for
 example the rotation by pi/4, whose second row and column sums vanish;
@@ -31,7 +32,8 @@ than HARD_STALL or by more than STALL_RATIO times the spread, the sign of
 creeping towards such a point, and the next attempt starts from a random
 diagonal-phase perturbation. Restart k draws its phases from a seeded
 counter-based generator (numpy Philox), the same ones whatever the earlier
-attempts did, so runs are reproducible.
+attempts did, so runs are reproducible. The generator is only built
+once a restart is needed.
 
 ``iterations`` counts the sweeps plus the Gauss-Newton steps of the
 successful attempt.
@@ -40,6 +42,7 @@ successful attempt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,7 +67,7 @@ class ScalingOptions:
     tol is the target spread: the maximum modulus distance of any of the
     2n line sums from 1. max_iters caps the sweeps plus Gauss-Newton
     steps of one attempt; max_restarts is the number of attempts after
-    the first.
+    the first; rng_seed (an integer >= 0) seeds the restart phases.
     """
 
     tol: float = 1e-10
@@ -80,6 +83,13 @@ class ScalingOptions:
         if self.max_restarts < 0:
             raise ValueError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
+            )
+        # Checked here because the restart generator is built lazily:
+        # a bad seed must not pass silently when no restart happens.
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ValueError(
+                f"rng_seed must be an integer >= 0, got {seed!r}"
             )
 
 
@@ -110,11 +120,13 @@ class ZXZFactorization:
         )
 
 
-def _phases(v: np.ndarray) -> np.ndarray:
-    """v/|v| entrywise, with phase 1 wherever v is exactly zero."""
+def _conj_phases(v: np.ndarray) -> np.ndarray:
+    """conj(v)/|v| entrywise, with phase 1 wherever v is exactly zero."""
     a = np.abs(v)
-    safe = np.where(a == 0, 1.0, a)
-    return np.where(a == 0, 1.0 + 0.0j, v / safe)
+    if a.all():
+        return np.conj(v) / a
+    zero = a == 0
+    return np.where(zero, 1.0 + 0.0j, np.conj(v) / np.where(zero, 1.0, a))
 
 
 def _spread(rows: np.ndarray, cols: np.ndarray) -> float:
@@ -179,7 +191,9 @@ def _polish(v, left, right, rows, cols, spread, tol, budget):
     ones converge; steps that halve it are not limited because at a
     singular solution Gauss-Newton converges only linearly. Returns the
     iterate with the smallest spread, that spread and the number of steps
-    taken.
+    taken. A polish that ends above ``tol`` abandons its attempt: sweeping
+    on from a missed polish only creeps towards a fixed point that is not
+    a solution, and a restart is cheaper.
     """
     best = v, left, right, spread
     steps = misses = 0
@@ -211,18 +225,20 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             f"scaling needs a unitary input at tolerance {UNITARY_TOL}"
         )
     n = a.shape[0]
-    rng = np.random.Generator(np.random.Philox(opts.rng_seed))
+    rng = None
     attempts = []
 
     for restart in range(opts.max_restarts + 1):
         if restart == 0:
             left = np.ones(n, dtype=complex)
             right = np.ones(n, dtype=complex)
+            v = a.copy()
         else:
+            if rng is None:
+                rng = np.random.Generator(np.random.Philox(opts.rng_seed))
             left = np.exp(2j * np.pi * rng.random(n))
             right = np.exp(2j * np.pi * rng.random(n))
-        v = left[:, None] * a * right[None, :]
-        polish_at = POLISH_SPREAD
+            v = left[:, None] * a * right[None, :]
         best = np.inf
         it = 0
         while True:
@@ -235,19 +251,23 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             if it >= opts.max_iters:
                 reason = "cap"
                 break
-            if spread <= polish_at:
+            if spread <= POLISH_SPREAD:
                 v, left, right, spread, steps = _polish(
                     v, left, right, rows, cols, spread, opts.tol,
                     opts.max_iters - it,
                 )
                 it += steps
-                polish_at = spread / 100
-                continue
+                best = min(best, spread)
+                if spread <= opts.tol:
+                    return _assemble(a, left, right, v, spread, it, restart)
+                # A missed polish ends the attempt (see _polish).
+                reason = "cap" if it >= opts.max_iters else "stall"
+                break
             it += 1
-            row_ph = np.conj(_phases(rows))
+            row_ph = _conj_phases(rows)
             w = v * row_ph[:, None]
-            col_ph = np.conj(_phases(w.sum(axis=0)))
-            w = w * col_ph[None, :]
+            col_ph = _conj_phases(w.sum(axis=0))
+            w *= col_ph[None, :]
             step = float(np.abs(w - v).max())
             if step <= HARD_STALL or step <= STALL_RATIO * spread:
                 reason = "stall"

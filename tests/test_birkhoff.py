@@ -315,6 +315,13 @@ class TestRecursive:
             assert max_abs_diff(s.reconstruct(), x) < 1e-8
             assert abs(s.weight_sum() - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_sq_moduli_sum_is_one(self, n):
+        # the weights form a unitary element of the group algebra C[S_n]
+        for seed in range(3):
+            s = decompose_recursive(random_xu(n, seed))
+            assert abs(s.sq_moduli_sum() - 1.0) <= 1e-9
+
     def test_agrees_with_prime_engine_reconstruction(self):
         x = random_xu(5, seed=21)
         a = decompose_prime(x)

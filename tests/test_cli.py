@@ -289,6 +289,22 @@ class TestScale:
         assert code == 1
 
 
+class TestSeedValidation:
+    # Neither input needs a scaling restart, so the seed is never used;
+    # it is still rejected up front.
+    @pytest.mark.parametrize(
+        "command, matrix",
+        [("decompose", random_xu(6, seed=1)), ("scale", random_xu(4, seed=6))],
+    )
+    def test_negative_seed_is_parse_error(self, capsys, tmp_path, command, matrix):
+        path = tmp_path / "m.json"
+        write_matrix(path, matrix)
+        code, out, err = run_cli(capsys, command, str(path), "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "rng_seed" in err
+
+
 class TestTables:
     def test_pitch_table_n5(self, capsys):
         code, out, _ = run_cli(capsys, "pitch-table", "5")

@@ -55,6 +55,17 @@ class TestDftMatrix:
         want = np.array([[1, 1, 1], [1, w, w**2], [1, w**2, w]]) / math.sqrt(3)
         assert max_abs_diff(dft_matrix(3), want) < 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 13])
+    def test_cached_read_only_formula(self, n):
+        f = dft_matrix(n)
+        k = np.arange(n)
+        want = np.exp(2j * math.pi * (np.outer(k, k) % n) / n) / math.sqrt(n)
+        assert np.array_equal(f, want)
+        assert not f.flags.writeable
+        assert dft_matrix(n) is f
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+
     @pytest.mark.parametrize("n", list(range(1, 33)))
     def test_unitary_up_to_32(self, n):
         f = dft_matrix(n)

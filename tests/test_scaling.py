@@ -100,6 +100,21 @@ class TestZxzScale:
         with pytest.raises(ValueError):
             ScalingOptions(max_iters=0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
+    def test_bad_seed_rejected(self, seed):
+        # checked up front: the restart generator is built only on demand
+        with pytest.raises(ValueError):
+            ScalingOptions(rng_seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert ScalingOptions(rng_seed=np.int64(3)).rng_seed == 3
+
+    def test_core_does_not_alias_input(self):
+        x = random_xu(4, seed=12)
+        fac = zxz_scale(x)
+        assert fac.core is not x
+        assert not np.shares_memory(fac.core, x)
+
     @pytest.mark.parametrize("n", [8, 16])
     def test_larger_haar_samples_converge_fast(self, n):
         # alternating sweeps alone needed up to 9 424 iterations at n = 16
@@ -131,6 +146,30 @@ class TestConvergenceHistory:
         assert [reason for _, reason, _ in attempts] == ["cap"] * 4
         assert all(iterations == 1 for iterations, _, _ in attempts)
         assert info.value.best_spread == min(b for _, _, b in attempts)
+
+    @pytest.mark.parametrize("seed", [266, 253])
+    def test_missed_polish_abandons_attempt(self, seed):
+        # The first attempt's polish misses. Sweeping on from there used to
+        # creep for 4 426 (seed 266) and 1 150 (seed 253) iterations before
+        # the stall rule fired.
+        u = haar_unitary(3, seed)
+        with pytest.raises(ConvergenceError) as info:
+            zxz_scale(u, ScalingOptions(max_restarts=0))
+        ((iterations, reason, best),) = info.value.attempts
+        assert reason == "stall"
+        assert iterations <= 150
+        assert best == info.value.best_spread
+        fac = zxz_scale(u)
+        assert (fac.restarts, fac.iterations) == (1, 6)
+        assert fac.spread <= 1e-10
+        assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
+
+    def test_missed_polish_at_budget_is_cap(self):
+        u = haar_unitary(3, 266)
+        with pytest.raises(ConvergenceError) as info:
+            zxz_scale(u, ScalingOptions(max_iters=74, max_restarts=0))
+        ((iterations, reason, _),) = info.value.attempts
+        assert (iterations, reason) == (74, "cap")
 
     def test_rotation_stalls_without_restarts(self):
         c = np.sqrt(0.5)
