@@ -171,35 +171,62 @@ def matrix_to_json(m) -> dict:
     return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
 
 
-def check_json_numbers(values, what: str) -> None:
-    """Raise ValueError if a string or a boolean stands among ``values``.
+def json_array(nested, shape: tuple, integers: bool, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as an int64 (``integers``) or float64
+    array of ``shape``: the one reader of numbers for every schema.
 
-    ``float`` would read ``"2"`` and ``true`` as numbers; JSON keeps them
-    apart, and so does every schema of the package.
+    Raises ValueError naming the field ``what`` for anything but an int or
+    a float among the numbers (a string, boolean, null, object or too deep
+    a list), a float in an integer field, a wrong shape, a non-finite
+    float, or an integer beyond int64.
     """
-    for kind in set(map(type, values)):
-        if issubclass(kind, (str, bool, np.bool_)):
-            raise ValueError(f"{what} must be numbers, got {kind.__name__}")
+    leaves = [nested]
+    try:
+        for _ in shape:
+            leaves = chain.from_iterable(leaves)
+        kinds = set(map(type, leaves))
+    except TypeError:
+        raise ValueError(f"{what} must have shape {shape}") from None
+    # float() would also read "2" and true, and bool is an int subclass.
+    numbers = (int, np.integer) if integers else (int, float, np.integer, np.floating)
+    for kind in kinds:
+        if kind is bool or not issubclass(kind, numbers):
+            word = "integers" if integers else "numbers"
+            raise ValueError(f"{what} must be {word}, got {kind.__name__}")
+    dtype = np.dtype(np.int64 if integers else np.float64)
+    try:
+        a = np.array(nested, dtype=dtype)
+    except ValueError:
+        raise ValueError(f"{what} must have shape {shape}") from None
+    except OverflowError:
+        raise ValueError(f"{what} must fit in {dtype.name}") from None
+    if a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    if not integers and not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def json_complex(nested, shape: tuple, what: str) -> np.ndarray:
+    """``json_array`` of ``[re, im]`` pairs as a complex array of ``shape``;
+    every bit of each part survives, -0.0 included."""
+    return json_array(nested, (*shape, 2), False, what).view(complex).reshape(shape)
+
+
+def json_size(value, what: str) -> int:
+    """A size field (``dim``, ``n``): a JSON integer of at least 1."""
+    n = int(json_array(value, (), True, what))
+    if n < 1:
+        raise ValueError(f"{what} must be positive, got {n}")
+    return n
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the shared matrix schema back into a complex array."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must have 'dim' and 'entries' fields")
-    n = obj["dim"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix 'dim' must be a positive integer, got {n!r}")
-    entries = obj["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError("matrix 'entries' must be an n x n grid")
-    parts = chain.from_iterable(chain.from_iterable(entries))
-    check_json_numbers(parts, "matrix entries")
-    a = np.empty((n, n), dtype=complex)
-    for k, row in enumerate(entries):
-        for l, pair in enumerate(row):
-            re, im = pair
-            a[k, l] = complex(float(re), float(im))
-    return as_complex_matrix(a)
+    n = json_size(obj["dim"], "matrix 'dim'")
+    return json_complex(obj["entries"], (n, n), "matrix entries")
 
 
 def _format_number(v) -> str:

@@ -21,13 +21,13 @@ the order given and keeps duplicates, since two complex permutation
 matrices on one permutation do not in general add up to a third; it lists
 them in lexicographic order through ``items_sorted`` and in the JSON form.
 
-Merging encodes each row as the base-n integer key
-``sum over r of images[j, r] * n**(n-1-r)``, whose numeric order is the
-lexicographic order of the rows; a sort then groups the keys
-(``_group``) and ``np.bincount`` sums the weights. The product of two sums
-(``birkhoff.product``) builds these keys straight from the factors'
-images, without forming the composed rows. For n >= 16 the key overflows
-int64, and the rows are sorted with ``np.lexsort`` instead.
+Merging and ordering sort the rows with one stable ``np.lexsort``, for
+every n; ``np.bincount`` then sums the weights of equal rows in the order
+they arrived. Only the product of two sums (``birkhoff.product``) encodes
+rows as base-n integer keys ``sum over r of images[j, r] * n**(n-1-r)``,
+whose numeric order is the lexicographic order of the rows: it builds
+them straight from the factors' images, without forming the composed
+rows, for n <= KEY_MAX_N (beyond that the key overflows int64).
 
 ``Permutation`` objects (1-based image tuples) are built only when a
 caller reads ``items()`` or ``terms``.
@@ -36,16 +36,15 @@ caller reads ``items()`` or ``terms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
-from .numerics import check_json_numbers
-from .permutations import Permutation, perm_to_json, perm_to_matrix
+from .numerics import json_array, json_complex, json_size
+from .permutations import Permutation
 
-# Largest n whose base-n keys n**n - 1 fit in int64.
+# Largest n whose base-n keys n**n - 1 fit in int64 (``_product`` only).
 KEY_MAX_N = 15
 
 
@@ -130,45 +129,21 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, inverse
 
 
-def _decode(n: int, keys: np.ndarray) -> np.ndarray:
-    """Image rows of base-n ``keys``."""
-    return ((keys[:, None] // _powers(n)) % n).astype(_image_dtype(n))
+def _row_order(images: np.ndarray) -> np.ndarray:
+    """Stable permutation of the rows that sorts them lexicographically."""
+    return np.lexsort(images.T[::-1])
 
 
-def _merge_keys(n: int, keys: np.ndarray, weights: np.ndarray):
-    """Sorted distinct rows (decoded from base-n ``keys``) and their summed
-    weights."""
-    uniq, inverse = _group(keys)
-    return _decode(n, uniq), _sum_groups(inverse, weights, len(uniq))
-
-
-def _merge_lexsort(images: np.ndarray, weights: np.ndarray):
-    """Sorted distinct rows and their summed weights, for any n."""
-    order = np.lexsort(images.T[::-1])
+def _merge(images: np.ndarray, weights: np.ndarray):
+    """Sorted distinct rows and their weights, each summed in input order."""
+    order = _row_order(images)
     rows = images[order]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     merged = _sum_groups(inverse, weights, int(starts.sum()))
-    return rows[starts].astype(_image_dtype(images.shape[1])), merged
-
-
-def _merge(n: int, images: np.ndarray, weights: np.ndarray):
-    """Sort rows lexicographically and merge duplicates by adding weights."""
-    if n <= KEY_MAX_N:
-        powers = _powers(n)
-        return _merge_keys(n, images.astype(powers.dtype) @ powers, weights)
-    return _merge_lexsort(images, weights)
-
-
-def _row_order(images: np.ndarray) -> np.ndarray:
-    """Stable permutation of the rows that sorts them lexicographically."""
-    n = images.shape[1]
-    if n <= KEY_MAX_N:
-        powers = _powers(n)
-        return np.argsort(images.astype(powers.dtype) @ powers, kind="stable")
-    return np.lexsort(images.T[::-1])
+    return rows[starts], merged
 
 
 def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -219,11 +194,11 @@ def _product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
             inverse.reshape(len(ia), len(ib)), a.weights, b.weights, len(uniq)
         )
         del inverse
-        images = _decode(n, uniq)
+        images = uniq[:, None] // powers % n
     else:
         weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
         composed = b.images[:, ia].transpose(1, 0, 2).reshape(-1, n)
-        images, merged = _merge_lexsort(composed, weights)
+        images, merged = _merge(composed, weights)
     return WeightedPermSum._sorted(n, images, merged, "")
 
 
@@ -287,7 +262,7 @@ class WeightedPermSum(_PermArrays):
                     )
             images = np.array([p.image for p, _ in terms]) - 1
             weights = np.array([complex(w) for _, w in terms], dtype=complex)
-            self._set(*_merge(n, images, weights))
+            self._set(*_merge(images, weights))
 
     @classmethod
     def from_arrays(
@@ -300,7 +275,7 @@ class WeightedPermSum(_PermArrays):
         w = np.asarray(weights, dtype=complex).reshape(-1)
         if len(w) != len(a):
             raise DimensionError(f"{len(a)} image rows but {len(w)} weights")
-        out._set(*_merge(n, a, w))
+        out._set(*_merge(a, w))
         return out
 
     @classmethod
@@ -337,7 +312,7 @@ class WeightedPermSum(_PermArrays):
             )
         images = np.vstack([self._images, np.subtract(p.image, 1)])
         weights = np.append(self._weights, complex(w))
-        self._set(*_merge(self.n, images, weights))
+        self._set(*_merge(images, weights))
 
     def items(self) -> list[tuple[Permutation, complex]]:
         """Terms sorted lexicographically by permutation image."""
@@ -360,11 +335,6 @@ class WeightedPermSum(_PermArrays):
         keep = np.abs(self._weights) > eps
         return WeightedPermSum._sorted(
             self.n, self._images[keep], self._weights[keep], self.engine
-        )
-
-    def scaled(self, c: complex) -> "WeightedPermSum":
-        return WeightedPermSum._sorted(
-            self.n, self._images, c * self._weights, self.engine
         )
 
 
@@ -527,52 +497,29 @@ def perm_sum_to_json(s) -> dict:
     return {"n": s.n, "engine": s.engine, "terms": terms}
 
 
-def _complex_column(pairs, what: str) -> np.ndarray:
-    """[[re, im], ...] -> complex array, each part read with float()."""
-    pairs = list(pairs)
-    check_json_numbers(chain.from_iterable(pairs), what)
-    return np.array([complex(float(a), float(b)) for a, b in pairs], dtype=complex)
-
-
-def _check_json_ints(values, what: str) -> None:
-    """Raise ValueError unless every value is an integer (not a bool)."""
-    for kind in set(map(type, values)):
-        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
-            raise ValueError(f"{what} must be integers, got {kind.__name__}")
-
-
 def perm_sum_from_json(obj):
     """Parse the decomposition schema; returns a WeightedPermSum when no
     term carries phases, otherwise a ComplexPermSum.
 
-    Malformed fields raise ValueError, TypeError or KeyError: ``n`` and the
-    ``perm`` entries must be integers, ``weight`` and ``phases`` parts
-    numbers (a string or a boolean is rejected, not converted). A ``perm``
-    that is not a bijection on 1..n raises NotAPermutationError.
+    Malformed fields raise ValueError, TypeError or KeyError; numbers are
+    read by ``numerics.json_array``, so ``n`` must be a positive integer, a
+    ``perm`` n integers and every part a finite number. A ``perm`` that is
+    not a bijection on 1..n raises NotAPermutationError.
     """
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError("decomposition JSON must have 'n' and 'terms' fields")
-    n = obj["n"]
-    _check_json_ints([n], "decomposition 'n'")
+    n = json_size(obj["n"], "decomposition 'n'")
     engine = str(obj.get("engine", ""))
     raw = obj["terms"]
-    perms = [t["perm"] for t in raw]
-    if any(len(p) != n for p in perms):
-        raise ValueError("term 'perm' length disagrees with 'n'")
-    _check_json_ints(chain.from_iterable(perms), "term 'perm' entries")
-    try:
-        images = np.array(perms, dtype=np.int64).reshape(len(raw), n)
-    except OverflowError as e:
-        raise NotAPermutationError(f"a term 'perm' is not a bijection on 1..{n}") from e
-    images -= 1
-    weights = _complex_column((t["weight"] for t in raw), "term 'weight' parts")
+    k = len(raw)
+    if not k:
+        return WeightedPermSum(n, engine=engine)
+    what = f"term 'perm' entries (bijections on 1..{n})"
+    images = json_array([t["perm"] for t in raw], (k, n), True, what) - 1
+    weights = json_complex([t["weight"] for t in raw], (k,), "term 'weight' parts")
     if any("phases" in t for t in raw):
-        phases = [_complex_column(t["phases"], "term 'phases' parts") for t in raw]
-        if any(len(ph) != n for ph in phases):
-            raise ValueError("term phases must have length n")
-        return ComplexPermSum.from_arrays(
-            n, images, weights, np.array(phases).reshape(len(raw), n), engine
-        )
+        phases = json_complex([t["phases"] for t in raw], (k, n), "term 'phases' parts")
+        return ComplexPermSum.from_arrays(n, images, weights, phases, engine)
     return WeightedPermSum.from_arrays(n, images, weights, engine)
 
 
@@ -582,6 +529,4 @@ __all__ = [
     "ComplexPermSum",
     "perm_sum_to_json",
     "perm_sum_from_json",
-    "perm_to_json",
-    "perm_to_matrix",
 ]

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
-from .numerics import as_complex_matrix, shift_relation_holds
+from .numerics import as_complex_matrix, json_array, json_size, shift_relation_holds
 
 
 @dataclass(frozen=True, order=True)
@@ -193,9 +193,10 @@ def perm_to_json(p: Permutation) -> dict:
 
 
 def perm_from_json(obj) -> Permutation:
+    """Parse the schema above as strictly as ``numerics.json_array``; an
+    image that is not a bijection raises NotAPermutationError."""
     if not isinstance(obj, dict) or "n" not in obj or "image" not in obj:
         raise ValueError("permutation JSON must have 'n' and 'image' fields")
-    image = tuple(int(v) for v in obj["image"])
-    if len(image) != obj["n"]:
-        raise ValueError("permutation 'image' length disagrees with 'n'")
-    return Permutation(image)
+    n = json_size(obj["n"], "permutation 'n'")
+    what = f"permutation 'image' entries (a bijection on 1..{n})"
+    return Permutation(tuple(json_array(obj["image"], (n,), True, what).tolist()))

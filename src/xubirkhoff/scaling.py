@@ -28,9 +28,9 @@ Unstable fixed points with positive-real but unequal line sums exist (for
 example the rotation by pi/4, whose second row and column sums vanish;
 Idel & Wolf, "Sinkhorn normal form for unitary matrices", 2015). An
 attempt is abandoned as stalled when a sweep changes no entry by more
-than HARD_STALL or by more than STALL_RATIO times the spread, the sign of
-creeping towards such a point, and the next attempt starts from a random
-diagonal-phase perturbation. Restart k draws its phases from a seeded
+than STALL_RATIO times the spread, the sign of creeping towards such a
+point, and the next attempt starts from a random diagonal-phase
+perturbation. Restart k draws its phases from a seeded
 counter-based generator (numpy Philox), the same ones whatever the earlier
 attempts did, so runs are reproducible. The generator is only built
 once a restart is needed.
@@ -50,7 +50,6 @@ from .errors import ConvergenceError, MembershipError
 from .numerics import as_complex_matrix, is_unitary
 
 UNITARY_TOL = 1e-8
-HARD_STALL = 1e-15
 # A sweep whose largest entry change is at most STALL_RATIO times the
 # spread is creeping towards an unstable fixed point: abandon the attempt.
 STALL_RATIO = 1e-3
@@ -269,7 +268,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             col_ph = _conj_phases(w.sum(axis=0))
             w *= col_ph[None, :]
             step = float(np.abs(w - v).max())
-            if step <= HARD_STALL or step <= STALL_RATIO * spread:
+            if step <= STALL_RATIO * spread:
                 reason = "stall"
                 break
             v = w

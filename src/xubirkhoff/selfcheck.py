@@ -20,7 +20,6 @@ from .birkhoff import (
     verify,
 )
 from .numerics import classify, dft_matrix, line_sums, max_abs_diff, root_of_unity
-from .permsum import WeightedPermSum
 from .permutations import (
     Permutation,
     SupercirculantLabel,

@@ -25,13 +25,12 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
-    classify,
     dft_matrix,
     is_unitary,
     line_sums,
+    shift_relation_holds,
 )
 from .permsum import WeightedPermSum
-from .permutations import Permutation
 
 
 def require_xu(m, tol: float = DEFAULT_TOL, what: str = "input") -> np.ndarray:
@@ -117,20 +116,14 @@ def circulant_xu_decompose(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     line sum, 1. All n terms are kept, including zero weights.
     """
     a = require_xu(x, tol)
-    n = a.shape[0]
-    if n == 1:
-        return WeightedPermSum(
-            1, [(Permutation.identity(1), complex(a[0, 0]))], engine="circulant"
-        )
-    mc = classify(a, tol)
-    if not mc.is_circulant:
+    if not shift_relation_holds(a, 1, tol):
         raise MembershipError(f"input is not circulant at tolerance {tol}")
     return circulant_sum(a)
 
 
 def circulant_sum(a: np.ndarray) -> WeightedPermSum:
-    """``circulant_xu_decompose`` without the checks, for n >= 2 circulant
-    XU matrices an engine built itself."""
+    """``circulant_xu_decompose`` without the checks, for circulant XU
+    matrices an engine built itself."""
     n = a.shape[0]
     # Row l is the cyclic shift by l: its first image l puts the rows in
     # lexicographic order.

@@ -213,6 +213,59 @@ class TestSchemaTypes:
         assert code == 2
         assert out == "" and "numbers" in err
 
+    @pytest.mark.parametrize("part", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_part(self, capsys, tmp_path, part):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d["terms"][0]["weight"][0] = part
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        # The decomposition is at fault, not the matrix it reconstructs.
+        assert code == 2
+        assert out == "" and "d.json" in err and "finite" in err
+
+    def test_non_finite_phase_part(self, capsys, tmp_path):
+        from xubirkhoff import haar_unitary
+
+        mpath = tmp_path / "u.json"
+        write_matrix(mpath, haar_unitary(3, seed=4))
+        d = perm_sum_to_json(decompose_unitary(haar_unitary(3, seed=4)))
+        d["terms"][0]["phases"][1][1] = float("nan")
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "d.json" in err and "finite" in err
+
+    @pytest.mark.parametrize("n", [-3, 10**30])
+    def test_negative_or_huge_n(self, capsys, tmp_path, n):
+        mpath, _ = self._decomposition(capsys, tmp_path)
+        code, out, err = self._verify(capsys, tmp_path, {"n": n, "terms": []}, mpath)
+        assert code == 2
+        assert out == "" and "d.json" in err
+
+    def test_zero_n_is_bad_input(self, capsys, tmp_path):
+        # Not an engine error (exit 1): the document is malformed.
+        mpath, _ = self._decomposition(capsys, tmp_path)
+        code, out, err = self._verify(capsys, tmp_path, {"n": 0, "terms": []}, mpath)
+        assert code == 2
+        assert out == "" and "d.json" in err and "positive" in err
+
+    def test_empty_terms_parse_to_an_empty_sum(self, capsys, tmp_path):
+        mpath, _ = self._decomposition(capsys, tmp_path)
+        code, out, _ = self._verify(capsys, tmp_path, {"n": 5, "terms": []}, mpath)
+        assert code == 1
+        assert not json.loads(out)["passed"]["reconstruction"]
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_ragged_matrix_entries(self, capsys, tmp_path, command):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        m = matrix_to_json(random_xu(5, seed=9))
+        del m["entries"][3][1]
+        mpath.write_text(json.dumps(m))
+        if command == "decompose":
+            code, out, err = run_cli(capsys, "decompose", str(mpath))
+        else:
+            code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "m.json" in err
+
     @pytest.mark.parametrize("part", ["0.5", True])
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_non_number_matrix_entry(self, capsys, tmp_path, part, command):

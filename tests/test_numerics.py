@@ -181,6 +181,20 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json({"entries": []})
 
+    def test_negative_zero_survives(self):
+        b = matrix_from_json({"dim": 1, "entries": [[[-0.0, -0.0]]]})
+        assert np.signbit(b.real).all() and np.signbit(b.imag).all()
+
+    @pytest.mark.parametrize("dim", [0, -2, 2.0, "2", 10**30])
+    def test_bad_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            matrix_from_json({"dim": dim, "entries": [[[1.0, 0.0]] * 2] * 2})
+
+    @pytest.mark.parametrize("part", [float("nan"), float("inf"), None])
+    def test_non_finite_or_null_entry_rejected(self, part):
+        with pytest.raises(ValueError, match="matrix entries"):
+            matrix_from_json({"dim": 1, "entries": [[[part, 0.0]]]})
+
     def test_bool_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})

@@ -247,3 +247,22 @@ class TestPermJson:
     def test_bad_image(self):
         with pytest.raises(NotAPermutationError):
             perm_from_json({"n": 2, "image": [1, 1]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "image": [1.5, 2.5]},
+            {"n": 2, "image": [1.9, 2.2]},
+            {"n": 2, "image": ["1", 2]},
+            {"n": 2, "image": [True, 2]},
+            {"n": 2.0, "image": [1, 2]},
+            {"n": 0, "image": []},
+            {"n": 2, "image": [1, 2, 3]},
+            {"n": 2, "image": [10**30, 1]},
+        ],
+    )
+    def test_strict_fields(self, obj):
+        # The rules of every JSON schema in the package: sizes are positive
+        # integers, image entries integers, and nothing is converted.
+        with pytest.raises(ValueError):
+            perm_from_json(obj)

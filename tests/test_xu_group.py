@@ -133,11 +133,12 @@ class TestCirculantDecompose:
             assert abs(s[p] - x[0, l - 1]) < 1e-15
         assert abs(s.weight_sum() - 1.0) < 1e-13
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_random_samples(self, n):
         for seed in range(10):
             x = random_circulant_xu(n, seed)
             s = circulant_xu_decompose(x)
+            assert s.engine == "circulant" and s.term_count == n
             assert max_abs_diff(s.reconstruct(), x) < 1e-11
             assert abs(s.weight_sum() - 1.0) < 1e-11
             images = [p.image for p, _ in s.items()]
