@@ -26,6 +26,7 @@ recomputes every claimed invariant from scratch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,12 +36,12 @@ from .errors import DimensionError, UnsupportedDimensionError
 from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
+    json_pairs,
     line_sums,
     max_abs_diff,
     root_of_unity,
 )
-from .permsum import ComplexPermSum, WeightedPermSum, _product
-from .permutations import Permutation, lexicographic_permutations
+from .permsum import ComplexPermSum, WeightedPermSum, _row_order, product
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import (
     circulant_sum,
@@ -56,16 +57,18 @@ PRUNE_EPS = 1e-14
 
 RECURSIVE_TOL = 1e-8
 
+# The names ``decompose_xu`` accepts: ``auto`` and the engines that
+# ``_run_engine`` dispatches on.
+METHODS = ("auto", "xu2", "xu3", "xu4", "prime", "recursive")
 
-def product(a: WeightedPermSum, b: WeightedPermSum) -> WeightedPermSum:
-    """The decomposition of A @ B from decompositions of A and B.
 
-    Pairwise products of weights attach to pairwise compositions of
-    permutations; duplicates merge in pair order. The weight sum
-    multiplies, so sums of 1 stay 1. Sizes that differ raise
-    DimensionError.
-    """
-    return _product(a, b)
+def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:
+    """``weights[j]`` on the j-th permutation of {1..n} in lexicographic
+    order, the order in which ``itertools.permutations`` lists them."""
+    images = np.array(list(itertools.permutations(range(n))))
+    # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
+    weights = np.array(weights, dtype=complex) + 0j
+    return WeightedPermSum._trusted(n, images, weights, engine)
 
 
 def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
@@ -85,12 +88,7 @@ def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
 
 def _xu2(a: np.ndarray) -> WeightedPermSum:
     m1 = complex(a[0, 0])
-    m2 = 1.0 - m1
-    return WeightedPermSum(
-        2,
-        [(Permutation((1, 2)), m1), (Permutation((2, 1)), m2)],
-        engine="xu2",
-    )
+    return _lexicographic(2, [m1, 1.0 - m1], "xu2")
 
 
 def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPermSum:
@@ -118,8 +116,7 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
         (p + w * u[0, 0] + w2 * u[1, 1]) / 3,
         (q + w2 * u[0, 1] + w * u[1, 0]) / 3,
     ]
-    perms = list(lexicographic_permutations(3))
-    return WeightedPermSum(3, zip(perms, weights), engine="xu3")
+    return _lexicographic(3, weights, "xu3")
 
 
 def decompose_prime_parts(
@@ -161,7 +158,7 @@ def decompose_prime_parts(
     xs = (k[None, :] - k[:, None]) % n
     xs = xs[xs != 0].reshape(n, n - 1)
     images = (k[:, None, None] + xs[:, :, None] * k) % n
-    c_part = WeightedPermSum._sorted(
+    c_part = WeightedPermSum._trusted(
         n, images.reshape(-1, n), m[k[:, None], xs - 1].reshape(-1), "prime-c"
     )
     # D_1 is the identity with its last two rows swapped, and row k of
@@ -169,7 +166,7 @@ def decompose_prime_parts(
     # d1[j-1], so taking j-1 in the order d1 sorts the rows.
     d1 = np.arange(n)
     d1[[-2, -1]] = d1[[-1, -2]]
-    d_part = WeightedPermSum._sorted(
+    d_part = WeightedPermSum._trusted(
         n, d1[(d1[:, None] + k) % n], np.full(n, 1.0 / n, dtype=complex), "prime-d"
     )
     return c_part, d_part
@@ -195,12 +192,10 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
         out = decompose_xu3(a, p=1.0, tol=tol)
     else:
         c_part, d_part = decompose_prime_parts(a, tol)
-        out = WeightedPermSum._distinct(
-            n,
-            np.vstack([c_part.images, d_part.images]),
-            np.concatenate([c_part.weights, d_part.weights]),
-            "",
-        )
+        images = np.vstack([c_part.images, d_part.images])
+        weights = np.concatenate([c_part.weights, d_part.weights])
+        order = _row_order(images)
+        out = WeightedPermSum._trusted(n, images[order], weights[order])
     out.engine = "prime"
     return out
 
@@ -260,9 +255,7 @@ def decompose_xu4(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     a = require_xu(x, tol)
     if a.shape[0] != 4:
         raise DimensionError(f"expected a 4x4 matrix, got {a.shape[0]}")
-    u = fourier_core(a, tol)
-    perms = list(lexicographic_permutations(4))
-    return WeightedPermSum(4, zip(perms, _xu4_weights(u)), engine="xu4")
+    return _lexicographic(4, _xu4_weights(fourier_core(a, tol)), "xu4")
 
 
 def _lift(s: WeightedPermSum) -> WeightedPermSum:
@@ -270,7 +263,7 @@ def _lift(s: WeightedPermSum) -> WeightedPermSum:
     permutation p becomes 1 (+) p."""
     images = np.hstack([np.zeros((len(s), 1), dtype=int), s.images + 1])
     # Prepending the smallest image keeps the rows distinct and in order.
-    return WeightedPermSum._sorted(s.n + 1, images, s.weights, s.engine)
+    return WeightedPermSum._trusted(s.n + 1, images, s.weights, s.engine)
 
 
 def decompose_recursive(
@@ -323,7 +316,7 @@ def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> WeightedPermSum
     # that does not split off.
     n = a.shape[0]
     if n == 1:
-        return WeightedPermSum(1, [(Permutation.identity(1), 1.0)])
+        return _lexicographic(1, [1.0])
     if n == 2:
         return _xu2(a)
     u = fourier_core(a, tol)
@@ -405,19 +398,19 @@ def decompose_unitary(
     n = a.shape[0]
     fac = zxz_scale(a, opts)
     if max_abs_diff(fac.core, np.eye(n)) <= opts.tol:
-        inner = WeightedPermSum(
-            n, [(Permutation.identity(n), 1.0)], engine="identity"
+        inner = WeightedPermSum._trusted(
+            n, np.arange(n)[None], np.ones(1, dtype=complex), "identity"
         )
     else:
         inner = _run_engine(_auto_method(n), fac.core, tol, opts)
     phase = complex(np.exp(1j * fac.alpha))
     kept = inner.pruned(PRUNE_EPS)
-    return ComplexPermSum.from_arrays(
+    return ComplexPermSum._trusted(
         n,
         kept.images,
         phase * kept.weights,
+        f"zxz+{inner.engine}",
         fac.z1[None, :] * fac.z2[kept.images],
-        engine=f"zxz+{inner.engine}",
     )
 
 
@@ -447,7 +440,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "reconstruction_error": self.reconstruction_error,
-            "weight_sum": [self.weight_sum.real, self.weight_sum.imag],
+            "weight_sum": json_pairs(self.weight_sum),
             "sq_moduli_sum": self.sq_moduli_sum,
             "term_count": self.term_count,
             "line_sum_deviation": self.line_sum_deviation,

@@ -27,10 +27,11 @@ import sys
 import numpy as np
 
 from . import selfcheck as _selfcheck
-from .birkhoff import decompose_xu, verify
+from .birkhoff import METHODS, decompose_xu, verify
 from .errors import NotAPermutationError, XUBirkhoffError
 from .numerics import (
     dumps_json,
+    json_pairs,
     matrix_from_json,
     matrix_to_json,
     max_abs_diff,
@@ -40,8 +41,6 @@ from .sampling import KINDS, SampleSpec, sample
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import pitch, transfer_block_dims, transfer_matrix
 from .permutations import detect_supercirculant
-
-METHODS = ("auto", "xu2", "xu3", "xu4", "prime", "recursive")
 
 
 class ParseError(Exception):
@@ -98,8 +97,8 @@ def _cmd_scale(args) -> int:
     fac = zxz_scale(a, ScalingOptions(tol=tol, rng_seed=args.seed))
     out = {
         "alpha": fac.alpha,
-        "z1": [[v.real, v.imag] for v in fac.z1],
-        "z2": [[v.real, v.imag] for v in fac.z2],
+        "z1": json_pairs(fac.z1),
+        "z2": json_pairs(fac.z2),
         "core": matrix_to_json(fac.core),
         "spread": fac.spread,
         "iterations": fac.iterations,

@@ -168,7 +168,14 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
 def matrix_to_json(m) -> dict:
     """Convert a matrix to the shared JSON-ready schema."""
     a = as_complex_matrix(m)
-    return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
+    return {"dim": a.shape[0], "entries": json_pairs(a)}
+
+
+def json_pairs(z) -> list:
+    """A complex array (or number) as nested lists of ``[re, im]`` pairs of
+    floats: the writing twin of ``json_complex``."""
+    z = np.asarray(z)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def json_array(nested, shape: tuple, integers: bool, what: str) -> np.ndarray:

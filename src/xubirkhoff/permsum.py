@@ -23,14 +23,20 @@ them in lexicographic order through ``items_sorted`` and in the JSON form.
 
 Merging and ordering sort the rows with one stable ``np.lexsort``, for
 every n; ``np.bincount`` then sums the weights of equal rows in the order
-they arrived. Only the product of two sums (``birkhoff.product``) encodes
+they arrived. Only the product of two sums (``product``) encodes
 rows as base-n integer keys ``sum over r of images[j, r] * n**(n-1-r)``,
 whose numeric order is the lexicographic order of the rows: it builds
 them straight from the factors' images, without forming the composed
 rows, for n <= KEY_MAX_N (beyond that the key overflows int64).
 
-``Permutation`` objects (1-based image tuples) are built only when a
-caller reads ``items()`` or ``terms``.
+Engines build sums from arrays through one trusted constructor,
+``_PermArrays._trusted``, which checks nothing: an engine's rows are valid
+bijections by construction, and a ``WeightedPermSum``'s rows must already
+be distinct and in lexicographic order. Arrays from outside the package
+enter through ``from_arrays``, which validates them first. The
+``Permutation``-object API (``items()``, ``s[p]``, ``p in s``, ``add``,
+``terms``, ``items_sorted``) is for callers; its objects (1-based image
+tuples) are built only when read.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
-from .numerics import json_array, json_complex, json_size
-from .permutations import Permutation
+from .numerics import json_array, json_complex, json_pairs, json_size
+from .permutations import Permutation, perm_to_matrix
 
-# Largest n whose base-n keys n**n - 1 fit in int64 (``_product`` only).
+# Largest n whose base-n keys n**n - 1 fit in int64 (``product`` only).
 KEY_MAX_N = 15
 
 
@@ -64,9 +70,10 @@ def _powers(n: int) -> np.ndarray:
     return n ** np.arange(n - 1, -1, -1, dtype=dtype)
 
 
-def _check_images(n: int, images) -> np.ndarray:
-    """``images`` as a (k, n) array after checking that every row is a
-    bijection on 0..n-1."""
+def _validated(n: int, images, weights, phases=None):
+    """Arrays from outside the package as ``(images, weights, phases)``,
+    after checking that every image row is a bijection on 0..n-1 and that
+    there is one weight per row and, when given, one phase per entry."""
     a = np.asarray(images)
     if a.ndim != 2 or a.shape[1] != n:
         raise DimensionError(f"images must have shape (k, {n}), got {a.shape}")
@@ -78,7 +85,13 @@ def _check_images(n: int, images) -> np.ndarray:
     identity = np.broadcast_to(np.arange(n), a.shape)
     if not in_range or not np.array_equal(np.sort(a.astype(np.int32), axis=1), identity):
         raise NotAPermutationError(f"an image row is not a bijection on 1..{n}")
-    return a.astype(_image_dtype(n))
+    # Views, so that freezing them leaves the caller's arrays writable.
+    w = np.asarray(weights, dtype=complex).reshape(-1)
+    ph = None if phases is None else np.asarray(phases, dtype=complex).view()
+    if len(w) != len(a) or (ph is not None and ph.shape != a.shape):
+        shape = "" if ph is None else f", phases {ph.shape}"
+        raise DimensionError(f"{len(a)} image rows, {len(w)} weights{shape}")
+    return a.astype(_image_dtype(n)), w, ph
 
 
 def _sum_groups(inverse: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -161,18 +174,22 @@ def _perms(images: np.ndarray):
     return map(Permutation, zip(*[(col + 1).tolist() for col in images.T]))
 
 
-def _product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
-    """The sum whose matrix is ``a.reconstruct() @ b.reconstruct()``.
+def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
+    """The decomposition of A @ B from decompositions of A and B.
 
-    Term pairs (i, j), i over ``a`` and j over ``b`` in that nesting,
-    compose to the permutation with image row ``b.images[j, a.images[i]]``
-    and weight w_i * w_j; duplicates merge in that pair order. For
-    n <= KEY_MAX_N the composed rows are never formed: each pair's base-n
-    key is accumulated digit by digit from gathers of ``b``'s images, cast
-    once to the key dtype so that no step depends on numpy's promotion of
-    small integers. To keep the peak memory down, the keys are grouped by
-    ``_group`` and the pair weights are formed only afterwards, a block of
-    pairs at a time (``_sum_pair_groups``).
+    Pairwise products of weights attach to pairwise compositions of
+    permutations: term pairs (i, j), i over ``a`` and j over ``b`` in that
+    nesting, compose to the permutation with image row
+    ``b.images[j, a.images[i]]`` and weight w_i * w_j, and duplicates merge
+    in that pair order. The weight sum multiplies, so sums of 1 stay 1.
+    Sizes that differ raise DimensionError.
+
+    For n <= KEY_MAX_N the composed rows are never formed: each pair's
+    base-n key is accumulated digit by digit from gathers of ``b``'s
+    images, cast once to the key dtype so that no step depends on numpy's
+    promotion of small integers. To keep the peak memory down, the keys are
+    grouped by ``_group`` and the pair weights are formed only afterwards,
+    a block of pairs at a time (``_sum_pair_groups``).
     """
     n = a.n
     if b.n != n:
@@ -199,19 +216,44 @@ def _product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
         weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
         composed = b.images[:, ia].transpose(1, 0, 2).reshape(-1, n)
         images, merged = _merge(composed, weights)
-    return WeightedPermSum._sorted(n, images, merged, "")
+    return WeightedPermSum._trusted(n, images, merged)
 
 
 class _PermArrays:
-    """What both sum types share: size, engine label, images, weights."""
+    """What both sum types share: size, engine label, the image, weight
+    and (``ComplexPermSum`` only) phase arrays, and how they are set,
+    wrapped and pruned."""
+
+    _phases: np.ndarray | None = None
 
     def __init__(self, n: int, engine: str):
         if n < 1:
             raise DimensionError(f"dimension must be positive, got n={n}")
         self.n = n
         self.engine = engine
-        self._images = _frozen(np.empty((0, n), dtype=_image_dtype(n)))
-        self._weights = _frozen(np.empty(0, dtype=complex))
+
+    @classmethod
+    def _trusted(cls, n: int, images, weights, engine: str = "", phases=None):
+        """Wrap arrays an engine built; nothing is checked. Image rows must
+        be bijections on 0..n-1, and a ``WeightedPermSum``'s rows distinct
+        and in lexicographic order."""
+        out = cls.__new__(cls)
+        _PermArrays.__init__(out, n, engine)
+        out._set(images, weights, phases)
+        return out
+
+    def _set(self, images: np.ndarray, weights: np.ndarray, phases=None) -> None:
+        self._images = _frozen(images.astype(_image_dtype(self.n), copy=False))
+        self._weights = _frozen(weights)
+        if phases is not None:
+            self._phases = _frozen(phases)
+
+    def _kept(self, keep: np.ndarray):
+        """A copy with the terms where ``keep`` is true."""
+        phases = None if self._phases is None else self._phases[keep]
+        return type(self)._trusted(
+            self.n, self._images[keep], self._weights[keep], self.engine, phases
+        )
 
     @property
     def images(self) -> np.ndarray:
@@ -243,6 +285,10 @@ class _PermArrays:
         )
 
 
+# Each sum type defines its own ``pruned`` and ``reconstruct``, even where
+# the bodies agree: the benchmark tracer wraps them in each class body.
+
+
 class WeightedPermSum(_PermArrays):
     """A finite map from permutations of {1..n} to complex weights."""
 
@@ -254,15 +300,12 @@ class WeightedPermSum(_PermArrays):
     ):
         super().__init__(n, engine)
         terms = list(terms)
-        if terms:
-            for p, _ in terms:
-                if p.n != n:
-                    raise DimensionError(
-                        f"term size {p.n} does not match sum size {n}"
-                    )
-            images = np.array([p.image for p, _ in terms]) - 1
-            weights = np.array([complex(w) for _, w in terms], dtype=complex)
-            self._set(*_merge(images, weights))
+        for p, _ in terms:
+            if p.n != n:
+                raise DimensionError(f"term size {p.n} does not match sum size {n}")
+        images = np.array([p.image for p, _ in terms], dtype=int).reshape(-1, n) - 1
+        weights = np.array([complex(w) for _, w in terms], dtype=complex)
+        self._set(*_merge(images, weights))
 
     @classmethod
     def from_arrays(
@@ -270,32 +313,8 @@ class WeightedPermSum(_PermArrays):
     ) -> "WeightedPermSum":
         """The sum of ``weights[j]`` times the permutation with 0-based
         image row ``images[j]``; rows in any order, duplicates merge."""
-        out = cls(n, engine=engine)
-        a = _check_images(n, images)
-        w = np.asarray(weights, dtype=complex).reshape(-1)
-        if len(w) != len(a):
-            raise DimensionError(f"{len(a)} image rows but {len(w)} weights")
-        out._set(*_merge(a, w))
-        return out
-
-    @classmethod
-    def _sorted(cls, n, images, weights, engine) -> "WeightedPermSum":
-        """Wrap valid, distinct image rows that already are in
-        lexicographic order; nothing is checked."""
-        out = cls(n, engine=engine)
-        out._set(images, weights)
-        return out
-
-    @classmethod
-    def _distinct(cls, n, images, weights, engine) -> "WeightedPermSum":
-        """Wrap valid, distinct image rows in any order: one sort, no
-        check and no merge."""
-        order = _row_order(images)
-        return cls._sorted(n, images[order], weights[order], engine)
-
-    def _set(self, images: np.ndarray, weights: np.ndarray) -> None:
-        self._images = _frozen(images.astype(_image_dtype(self.n), copy=False))
-        self._weights = _frozen(weights)
+        a, w, _ = _validated(n, images, weights)
+        return cls._trusted(n, *_merge(a, w), engine)
 
     def _row(self, p: Permutation) -> int | None:
         if p.n != self.n:
@@ -332,10 +351,7 @@ class WeightedPermSum(_PermArrays):
 
     def pruned(self, eps: float) -> "WeightedPermSum":
         """Copy without the terms of weight modulus <= eps."""
-        keep = np.abs(self._weights) > eps
-        return WeightedPermSum._sorted(
-            self.n, self._images[keep], self._weights[keep], self.engine
-        )
+        return self._kept(np.abs(self._weights) > eps)
 
 
 @dataclass(frozen=True)
@@ -351,11 +367,7 @@ class ComplexPermTerm:
     weight: complex
 
     def matrix(self) -> np.ndarray:
-        n = self.perm.n
-        m = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            m[k, self.perm.image[k] - 1] = self.phases[k]
-        return m
+        return perm_to_matrix(self.perm) * np.array(self.phases)[:, None]
 
 
 class ComplexPermSum(_PermArrays):
@@ -370,7 +382,6 @@ class ComplexPermSum(_PermArrays):
         self, n: int, terms: Iterable[ComplexPermTerm] = (), engine: str = ""
     ):
         super().__init__(n, engine)
-        self._phases = _frozen(np.empty((0, n), dtype=complex))
         self.terms = terms
 
     @classmethod
@@ -379,21 +390,8 @@ class ComplexPermSum(_PermArrays):
     ) -> "ComplexPermSum":
         """The sum of ``weights[j]`` times the complex permutation matrix
         with 0-based image row ``images[j]`` and row phases ``phases[j]``."""
-        out = cls(n, engine=engine)
-        a = _check_images(n, images)
-        w = np.asarray(weights, dtype=complex).reshape(-1)
-        ph = np.asarray(phases, dtype=complex)
-        if len(w) != len(a) or ph.shape != a.shape:
-            raise DimensionError(
-                f"{len(a)} image rows, {len(w)} weights, phases {ph.shape}"
-            )
-        out._set(a, w, ph)
-        return out
-
-    def _set(self, images, weights, phases) -> None:
-        self._images = _frozen(images.astype(_image_dtype(self.n), copy=False))
-        self._weights = _frozen(weights)
-        self._phases = _frozen(phases)
+        a, w, ph = _validated(n, images, weights, phases)
+        return cls._trusted(n, a, w, engine, ph)
 
     @property
     def phases(self) -> np.ndarray:
@@ -451,10 +449,7 @@ class ComplexPermSum(_PermArrays):
         return _reconstruct(self.n, self._images, entries)
 
     def pruned(self, eps: float) -> "ComplexPermSum":
-        keep = np.abs(self._weights) > eps
-        out = ComplexPermSum(self.n, engine=self.engine)
-        out._set(self._images[keep], self._weights[keep], self._phases[keep])
-        return out
+        return self._kept(np.abs(self._weights) > eps)
 
 
 # ---------------------------------------------------------------------------
@@ -469,31 +464,23 @@ class ComplexPermSum(_PermArrays):
 # ---------------------------------------------------------------------------
 
 
-def _pairs(z: np.ndarray) -> list:
-    """[re, im] pairs of a complex array, as nested lists of floats."""
-    return np.stack([z.real, z.imag], axis=-1).tolist()
-
-
 def perm_sum_to_json(s) -> dict:
     """Serialize a WeightedPermSum or ComplexPermSum (terms in lexicographic
     order, without a report)."""
-    if isinstance(s, WeightedPermSum):
-        terms = [
-            {"perm": perm, "weight": w}
-            for perm, w in zip((s.images + 1).tolist(), _pairs(s.weights))
-        ]
-    elif isinstance(s, ComplexPermSum):
-        order = _row_order(s.images)
-        terms = [
-            {"perm": perm, "phases": ph, "weight": w}
-            for perm, ph, w in zip(
-                (s.images[order] + 1).tolist(),
-                _pairs(s.phases[order]),
-                _pairs(s.weights[order]),
-            )
-        ]
-    else:
+    if not isinstance(s, _PermArrays):
         raise TypeError(f"cannot serialize {type(s).__name__}")
+    # A WeightedPermSum is stored in lexicographic order already.
+    rows = slice(None) if s._phases is None else _row_order(s.images)
+    perms = (s.images[rows] + 1).tolist()
+    weights = json_pairs(s.weights[rows])
+    if s._phases is None:
+        terms = [{"perm": p, "weight": w} for p, w in zip(perms, weights)]
+    else:
+        phases = json_pairs(s._phases[rows])
+        terms = [
+            {"perm": p, "phases": ph, "weight": w}
+            for p, ph, w in zip(perms, phases, weights)
+        ]
     return {"n": s.n, "engine": s.engine, "terms": terms}
 
 
@@ -501,16 +488,22 @@ def perm_sum_from_json(obj):
     """Parse the decomposition schema; returns a WeightedPermSum when no
     term carries phases, otherwise a ComplexPermSum.
 
-    Malformed fields raise ValueError, TypeError or KeyError; numbers are
-    read by ``numerics.json_array``, so ``n`` must be a positive integer, a
-    ``perm`` n integers and every part a finite number. A ``perm`` that is
-    not a bijection on 1..n raises NotAPermutationError.
+    Malformed fields raise ValueError, TypeError or KeyError: ``terms``
+    must be an array of objects and ``engine``, when present, a string.
+    Numbers are read by ``numerics.json_array``, so ``n`` must be a
+    positive integer, a ``perm`` n integers and every part a finite
+    number. A ``perm`` that is not a bijection on 1..n raises
+    NotAPermutationError.
     """
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError("decomposition JSON must have 'n' and 'terms' fields")
     n = json_size(obj["n"], "decomposition 'n'")
-    engine = str(obj.get("engine", ""))
+    engine = obj.get("engine", "")
+    if not isinstance(engine, str):
+        raise ValueError("decomposition 'engine' must be a string")
     raw = obj["terms"]
+    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
+        raise ValueError("decomposition 'terms' must be an array of objects")
     k = len(raw)
     if not k:
         return WeightedPermSum(n, engine=engine)
@@ -529,4 +522,5 @@ __all__ = [
     "ComplexPermSum",
     "perm_sum_to_json",
     "perm_sum_from_json",
+    "product",
 ]

@@ -128,9 +128,7 @@ def circulant_sum(a: np.ndarray) -> WeightedPermSum:
     # Row l is the cyclic shift by l: its first image l puts the rows in
     # lexicographic order.
     k = np.arange(n)
-    return WeightedPermSum._sorted(
-        n, (k[:, None] + k) % n, a[0].copy(), engine="circulant"
-    )
+    return WeightedPermSum._trusted(n, (k[:, None] + k) % n, a[0].copy(), "circulant")
 
 
 def constant_line_sum_check(

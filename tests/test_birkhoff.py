@@ -32,6 +32,8 @@ from xubirkhoff import (
     supercirculant_perm,
     verify,
 )
+from xubirkhoff.birkhoff import METHODS
+from xubirkhoff.cli import build_parser
 from xubirkhoff.numerics import dft_matrix, max_abs_diff
 from xubirkhoff.xu_group import extract_core
 
@@ -352,6 +354,74 @@ class TestDecomposeXuFrontDoor:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             decompose_xu(np.eye(3), method="guess")
+
+
+class TestMethods:
+    SIZES = {"xu2": 2, "xu3": 3, "xu4": 4, "prime": 5, "recursive": 6}
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "auto"])
+    def test_every_named_engine_runs(self, method):
+        x = random_xu(self.SIZES[method], seed=3)
+        s = decompose_xu(x, method=method)
+        assert s.engine == method
+        assert verify(s, x, tol=1e-9).reconstruction_ok
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cli_accepts_every_method(self, method):
+        args = build_parser().parse_args(["decompose", "m.json", "--method", method])
+        assert args.method == method
+
+
+def _prime_part(n, i):
+    return decompose_prime_parts(random_xu(n, seed=1))[i]
+
+
+def _circulant(n, seed):
+    return circulant_xu_decompose(random_circulant_xu(n, seed=seed))
+
+
+# Engines wrap their rows without checking or sorting them, so each must
+# build them distinct and in lexicographic order.
+ENGINE_SUMS = {
+    "xu2": lambda: decompose_xu2(random_xu(2, seed=1)),
+    "xu3": lambda: decompose_xu3(random_xu(3, seed=1), p=0.3 + 0.2j),
+    "xu4": lambda: decompose_xu4(random_xu(4, seed=1)),
+    **{
+        f"prime-{n}": (lambda n=n: decompose_prime(random_xu(n, seed=1)))
+        for n in (5, 7, 31)
+    },
+    "prime-c-7": lambda: _prime_part(7, 0),
+    "prime-d-7": lambda: _prime_part(7, 1),
+    "recursive-1": lambda: decompose_recursive(np.eye(1)),
+    **{
+        f"recursive-{n}": (lambda n=n: decompose_recursive(random_xu(n, seed=1)))
+        for n in range(2, 8)
+    },
+    "circulant": lambda: _circulant(6, 1),
+    "product-keys": lambda: product(
+        decompose_xu4(random_xu(4, seed=1)), decompose_recursive(random_xu(4, seed=2))
+    ),
+    "product-merge": lambda: product(_circulant(17, 1), _circulant(17, 2)),
+    "pruned": lambda: decompose_recursive(random_xu(5, seed=1)).pruned(0.02),
+}
+
+
+@pytest.mark.parametrize("case", ENGINE_SUMS)
+def test_rows_distinct_and_lexicographic(case):
+    s = ENGINE_SUMS[case]()
+    rows = s.images.tolist()
+    assert len(rows) >= 1 and all(len(r) == s.n for r in rows)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert all(sorted(r) == list(range(s.n)) for r in rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_weights_have_no_negative_zero(n):
+    # A -0.0 part would print as -0 in the JSON form; these weights have
+    # always had their zero parts as +0.0.
+    w = decompose_xu(np.eye(n), method=f"xu{n}").weights
+    parts = np.concatenate([w.real, w.imag])
+    assert not np.signbit(parts[parts == 0]).any()
 
 
 class TestDecomposeUnitary:

@@ -253,6 +253,27 @@ class TestSchemaTypes:
         assert code == 1
         assert not json.loads(out)["passed"]["reconstruction"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("terms", ""),
+            ("terms", {}),
+            ("terms", [1]),
+            ("engine", None),
+            ("engine", [1]),
+        ],
+    )
+    def test_terms_not_objects_or_engine_not_string(
+        self, capsys, tmp_path, field, value
+    ):
+        # Only the field is replaced: the other terms (or the engine) are
+        # those of a valid decomposition.
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d[field] = value
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and "d.json" in err and f"'{field}' must be" in err
+
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_ragged_matrix_entries(self, capsys, tmp_path, command):
         mpath, d = self._decomposition(capsys, tmp_path)

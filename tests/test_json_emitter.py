@@ -157,18 +157,22 @@ def test_matrix_to_json_unchanged(n):
 
 
 def test_cli_documents_byte_identical(tmp_path):
-    """The files ``sample``, ``decompose`` and ``verify`` write are what the
-    oracle writes for the same data, with a trailing newline."""
-    m, d, r = (str(tmp_path / f) for f in ("m.json", "d.json", "r.json"))
+    """The files ``sample``, ``decompose``, ``verify`` and ``scale`` write
+    are what the oracle writes for the same data, with a trailing newline."""
+    m, d, r, c = (str(tmp_path / f) for f in ("m.json", "d.json", "r.json", "c.json"))
     for n in (4, 5, 11):
         argv = ["sample", str(n), "--kind", "xu", "--seed", "1", "--output", m]
         assert main(argv) == 0
         assert main(["decompose", m, "--output", d]) == 0
         assert main(["verify", d, m, "--output", r]) == 0
-        for path in (m, d, r):
+        assert main(["scale", m, "--output", c]) == 0
+        for path in (m, d, r, c):
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            assert text == oracle_dumps_json(json.loads(text)) + "\n"
+            # The emitter writes -0.0 as "-0", which json reads as the int 0
+            # (``scale`` writes alpha = -0.0 for these inputs).
+            doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+            assert text == oracle_dumps_json(doc) + "\n"
 
 
 def test_layout():

@@ -16,7 +16,7 @@ from xubirkhoff import (
     root_of_unity,
     van_der_waerden,
 )
-from xubirkhoff.numerics import dumps_json, max_abs_diff
+from xubirkhoff.numerics import dumps_json, json_complex, json_pairs, max_abs_diff
 
 
 class TestRootOfUnity:
@@ -198,3 +198,31 @@ class TestMatrixJson:
     def test_bool_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})
+
+
+class TestJsonPairs:
+    def test_inverts_json_complex(self):
+        from xubirkhoff import haar_unitary
+
+        z = haar_unitary(3, seed=1)
+        z[0, 1] = complex(-0.0, -0.0)
+        pairs = json_pairs(z)
+        assert all(type(x) is float for row in pairs for pair in row for x in pair)
+        back = json_complex(pairs, z.shape, "pairs")
+        assert back.tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize(
+        "z, want",
+        [
+            (complex(0.5, -0.0), [0.5, -0.0]),
+            (np.complex128(complex(-0.0, 2.0)), [-0.0, 2.0]),
+        ],
+    )
+    def test_scalar_is_one_pair(self, z, want):
+        got = json_pairs(z)
+        assert got == want
+        assert [math.copysign(1, x) for x in got] == [math.copysign(1, x) for x in want]
+
+    def test_vector_is_list_of_pairs(self):
+        z = np.array([1 + 2j, -3j])
+        assert json_pairs(z) == [[1.0, 2.0], [0.0, -3.0]]

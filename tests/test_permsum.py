@@ -202,6 +202,18 @@ def test_from_arrays_rejects_non_bijection():
         WeightedPermSum.from_arrays(3, [[0, 0, 1]], [1.0])
 
 
+def test_from_arrays_leaves_caller_arrays_writable():
+    images = np.array([[1, 0, 2]])
+    weights = np.array([0.5 + 0j])
+    phases = np.full((1, 3), 1j)
+    s = ComplexPermSum.from_arrays(3, images, weights, phases)
+    w = WeightedPermSum.from_arrays(3, images, weights)
+    assert images.flags.writeable and weights.flags.writeable
+    assert phases.flags.writeable
+    assert not s.phases.flags.writeable and not s.weights.flags.writeable
+    assert not w.images.flags.writeable and not w.weights.flags.writeable
+
+
 def test_large_product_peak_memory():
     # all 40 320 permutations of 8 against the 8 cyclic shifts, both ways:
     # 322 560 pairs onto 40 320 terms, the last product of a recursive XU(8)
