@@ -85,9 +85,9 @@ def _validated(n: int, images, weights, phases=None):
     identity = np.broadcast_to(np.arange(n), a.shape)
     if not in_range or not np.array_equal(np.sort(a.astype(np.int32), axis=1), identity):
         raise NotAPermutationError(f"an image row is not a bijection on 1..{n}")
-    # Views, so that freezing them leaves the caller's arrays writable.
-    w = np.asarray(weights, dtype=complex).reshape(-1)
-    ph = None if phases is None else np.asarray(phases, dtype=complex).view()
+    # Copies, so that the sum neither freezes nor shares the caller's arrays.
+    w = np.array(weights, dtype=complex).reshape(-1)
+    ph = None if phases is None else np.array(phases, dtype=complex)
     if len(w) != len(a) or (ph is not None and ph.shape != a.shape):
         shape = "" if ph is None else f", phases {ph.shape}"
         raise DimensionError(f"{len(a)} image rows, {len(w)} weights{shape}")

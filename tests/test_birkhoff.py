@@ -33,7 +33,6 @@ from xubirkhoff import (
     verify,
 )
 from xubirkhoff.birkhoff import METHODS
-from xubirkhoff.cli import build_parser
 from xubirkhoff.numerics import dft_matrix, max_abs_diff
 from xubirkhoff.xu_group import extract_core
 
@@ -365,11 +364,6 @@ class TestMethods:
         s = decompose_xu(x, method=method)
         assert s.engine == method
         assert verify(s, x, tol=1e-9).reconstruction_ok
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_cli_accepts_every_method(self, method):
-        args = build_parser().parse_args(["decompose", "m.json", "--method", method])
-        assert args.method == method
 
 
 def _prime_part(n, i):

@@ -202,7 +202,7 @@ def test_from_arrays_rejects_non_bijection():
         WeightedPermSum.from_arrays(3, [[0, 0, 1]], [1.0])
 
 
-def test_from_arrays_leaves_caller_arrays_writable():
+def test_from_arrays_copies_caller_arrays():
     images = np.array([[1, 0, 2]])
     weights = np.array([0.5 + 0j])
     phases = np.full((1, 3), 1j)
@@ -212,6 +212,15 @@ def test_from_arrays_leaves_caller_arrays_writable():
     assert phases.flags.writeable
     assert not s.phases.flags.writeable and not s.weights.flags.writeable
     assert not w.images.flags.writeable and not w.weights.flags.writeable
+    before = (s.images.copy(), s.weights.copy(), s.phases.copy(), s.reconstruct())
+    before_w = (w.images.copy(), w.weights.copy(), w.reconstruct())
+    images[0] = [2, 1, 0]
+    weights[0] = 5.0
+    phases[0, 0] = 5.0
+    after = (s.images, s.weights, s.phases, s.reconstruct())
+    after_w = (w.images, w.weights, w.reconstruct())
+    for old, new in zip(before + before_w, after + after_w):
+        assert np.array_equal(old, new)
 
 
 def test_large_product_peak_memory():
