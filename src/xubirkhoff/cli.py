@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,7 +45,8 @@ from .permutations import detect_supercirculant
 
 
 class ParseError(Exception):
-    """Unreadable or schema-violating input (exit status 2)."""
+    """Unreadable or schema-violating input, or an unusable option value
+    (exit status 2)."""
 
 
 def _load_json(path: str):
@@ -73,6 +75,16 @@ def _emit(obj, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _tol(args, default):
+    """``--tol``, or ``default`` when it is not given. Checked before any
+    work: NaN, an infinity, zero or a negative value is a usage error."""
+    if args.tol is None:
+        return default
+    if not 0 < args.tol < math.inf:
+        raise ParseError(f"--tol must be positive and finite, got {args.tol}")
+    return args.tol
+
+
 def _cmd_sample(args) -> int:
     spec = SampleSpec(n=args.n, kind=args.kind, seed=args.seed)
     _emit(matrix_to_json(sample(spec)), args.output)
@@ -80,11 +92,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    # Unset, --tol leaves the membership tolerance to the engine.
+    report_tol = _tol(args, 1e-9)
+    if args.p is not None and args.method != "xu3":
+        raise ParseError(
+            f"--p applies only to --method xu3, not --method {args.method}"
+        )
     a = _load_matrix(args.matrix)
     opts = ScalingOptions(rng_seed=args.seed)
     p = complex(args.p) if args.p is not None else 1.0
     s = decompose_xu(a, method=args.method, p=p, opts=opts, tol=args.tol)
-    report = verify(s, a, tol=args.tol if args.tol is not None else 1e-9)
+    report = verify(s, a, tol=report_tol)
     out = perm_sum_to_json(s)
     out["report"] = report.to_json()
     _emit(out, args.output)
@@ -92,8 +110,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    tol = _tol(args, 1e-10)
     a = _load_matrix(args.matrix)
-    tol = args.tol if args.tol is not None else 1e-10
     fac = zxz_scale(a, ScalingOptions(tol=tol, rng_seed=args.seed))
     out = {
         "alpha": fac.alpha,
@@ -110,12 +128,12 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = _tol(args, 1e-9)
     try:
         s = perm_sum_from_json(_load_json(args.decomposition))
     except (ValueError, TypeError, KeyError, NotAPermutationError) as e:
         raise ParseError(f"{args.decomposition}: {e}") from e
     a = _load_matrix(args.matrix)
-    tol = args.tol if args.tol is not None else 1e-9
     report = verify(s, a, tol=tol)
     _emit(report.to_json(), args.output)
     ok = report.reconstruction_ok and report.weight_sum_ok and report.line_sums_ok

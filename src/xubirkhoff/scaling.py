@@ -3,26 +3,39 @@
 Z1 and Z2 are diagonal unitaries whose first entry is 1 (the phase freedom
 is absorbed into alpha) and X has all 2n line sums equal to 1. Writing
 V = diag(e^(i theta)) U diag(e^(i phi)), the factors are phase angles
-theta, phi that make every line sum of V equal to 1. Each attempt runs in
-two phases:
+theta, phi that make every line sum of V equal to 1. Each attempt is one
+loop. Every pass measures the row and column sums and the spread (the
+largest distance of a line sum from 1) once, applies the exit rules below,
+then takes one step of one of two kinds. Both kinds give row and column
+phases, and one update applies them to V and to the accumulated factors.
 
-* Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014):
-  left-multiplying by the conjugate phases of the row sums and
-  right-multiplying by the conjugate phases of the column sums
-  monotonically increases the total entry sum, and the fixed points with
-  equal line sums are exactly the XU cores. A sum that is exactly zero has
-  no phase and is left untouched for that half step. This is the global
-  phase: it converges from anywhere, but only linearly.
-* Gauss-Newton polish: once the spread (the largest distance of a line
-  sum from 1) first drops to POLISH_SPREAD, Gauss-Newton steps on the 2n
-  angles drive the 4n real components of [V 1 - 1; 1^T V - 1] to zero,
-  quadratically at a regular solution. The gauge direction
-  (theta + c, phi - c), which leaves V unchanged, is taken out by
-  solving each linearized least-squares problem for its least-norm step
-  with conjugate gradients (CGLS). A polish that ends above ``tol``
-  (POLISH_STEPS steps without halving the spread) ends the attempt: it
-  is abandoned as stalled, or as capped if the iteration budget ran out,
-  and the next attempt restarts.
+* Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014),
+  while the spread is above POLISH_SPREAD: left-multiplying by the
+  conjugate phases of the row sums and right-multiplying by the conjugate
+  phases of the column sums monotonically increases the total entry sum,
+  and the fixed points with equal line sums are exactly the XU cores. A
+  sum that is exactly zero has no phase and is left untouched for that
+  half step. This is the global phase: it converges from anywhere, but
+  only linearly.
+* Gauss-Newton steps, from the first pass whose spread is at or below
+  POLISH_SPREAD to the end of the attempt: steps on the 2n angles drive
+  the 4n real components of [V 1 - 1; 1^T V - 1] to zero, quadratically
+  at a regular solution. The gauge direction (theta + c, phi - c), which
+  leaves V unchanged, is taken out by solving each linearized
+  least-squares problem for its least-norm step with conjugate gradients
+  (CGLS).
+
+The exit rules, checked in this order on each pass:
+
+* the spread is at most ``tol``: the attempt succeeds with this iterate;
+* ``max_iters`` steps are spent: the attempt is abandoned as capped;
+* POLISH_STEPS Gauss-Newton steps have missed, that is failed to halve
+  the smallest spread so far: the attempt is abandoned as stalled. Misses
+  are tolerated because a near-singular Jacobian can send a step far
+  along a flat direction before the next ones converge; steps that halve
+  the spread are not limited because at a singular solution Gauss-Newton
+  converges only linearly. Sweeping on after the misses would only creep
+  towards a fixed point that is not a solution, and a restart is cheaper.
 
 Unstable fixed points with positive-real but unequal line sums exist (for
 example the rotation by pi/4, whose second row and column sums vanish;
@@ -54,7 +67,7 @@ UNITARY_TOL = 1e-8
 # spread is creeping towards an unstable fixed point: abandon the attempt.
 STALL_RATIO = 1e-3
 # The spread at which an attempt first switches to Gauss-Newton steps,
-# and how many steps that fail to halve the spread end a polish.
+# and how many of those steps that fail to halve the spread end it.
 POLISH_SPREAD = 1e-2
 POLISH_STEPS = 8
 
@@ -75,8 +88,8 @@ class ScalingOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.max_restarts < 0:
@@ -180,36 +193,6 @@ def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     return d[:n], d[n:]
 
 
-def _polish(v, left, right, rows, cols, spread, tol, budget):
-    """Gauss-Newton steps from a sweep iterate until the spread is at most
-    ``tol``, ``budget`` steps are spent, or POLISH_STEPS steps have failed
-    to halve the smallest spread so far.
-
-    Steps that fail to halve it are tolerated because a near-singular
-    Jacobian can send a step far along a flat direction before the next
-    ones converge; steps that halve it are not limited because at a
-    singular solution Gauss-Newton converges only linearly. Returns the
-    iterate with the smallest spread, that spread and the number of steps
-    taken. A polish that ends above ``tol`` abandons its attempt: sweeping
-    on from a missed polish only creeps towards a fixed point that is not
-    a solution, and a restart is cheaper.
-    """
-    best = v, left, right, spread
-    steps = misses = 0
-    while best[3] > tol and misses < POLISH_STEPS and steps < budget:
-        dt, dp = _newton_step(v, rows, cols)
-        steps += 1
-        et, ep = np.exp(1j * dt), np.exp(1j * dp)
-        v, left, right = et[:, None] * v * ep[None, :], left * et, right * ep
-        rows, cols = v.sum(axis=1), v.sum(axis=0)
-        spread = _spread(rows, cols)
-        if not spread <= best[3] / 2:
-            misses += 1
-        if spread < best[3]:
-            best = v, left, right, spread
-    return (*best, steps)
-
-
 def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     """Factor a unitary matrix through the XU subgroup.
 
@@ -239,41 +222,42 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             right = np.exp(2j * np.pi * rng.random(n))
             v = left[:, None] * a * right[None, :]
         best = np.inf
-        it = 0
+        it = misses = 0
+        newton = False
         while True:
             rows = v.sum(axis=1)
             cols = v.sum(axis=0)
             spread = _spread(rows, cols)
+            if newton and not spread <= best / 2:
+                misses += 1
             best = min(best, spread)
             if spread <= opts.tol:
                 return _assemble(a, left, right, v, spread, it, restart)
             if it >= opts.max_iters:
                 reason = "cap"
                 break
-            if spread <= POLISH_SPREAD:
-                v, left, right, spread, steps = _polish(
-                    v, left, right, rows, cols, spread, opts.tol,
-                    opts.max_iters - it,
-                )
-                it += steps
-                best = min(best, spread)
-                if spread <= opts.tol:
-                    return _assemble(a, left, right, v, spread, it, restart)
-                # A missed polish ends the attempt (see _polish).
-                reason = "cap" if it >= opts.max_iters else "stall"
-                break
-            it += 1
-            row_ph = _conj_phases(rows)
-            w = v * row_ph[:, None]
-            col_ph = _conj_phases(w.sum(axis=0))
-            w *= col_ph[None, :]
-            step = float(np.abs(w - v).max())
-            if step <= STALL_RATIO * spread:
+            if misses >= POLISH_STEPS:
                 reason = "stall"
                 break
-            v = w
+            newton = newton or spread <= POLISH_SPREAD
+            it += 1
+            # Each step kind gives row and column phases and the
+            # row-scaled iterate w; numpy's complex product is not
+            # bitwise commutative, so the operand orders are fixed.
+            if newton:
+                dt, dp = _newton_step(v, rows, cols)
+                row_ph, col_ph = np.exp(1j * dt), np.exp(1j * dp)
+                w = row_ph[:, None] * v
+            else:
+                row_ph = _conj_phases(rows)
+                w = v * row_ph[:, None]
+                col_ph = _conj_phases(w.sum(axis=0))
+            prev, v = v, w * col_ph[None, :]
             left = left * row_ph
             right = right * col_ph
+            if not newton and np.abs(v - prev).max() <= STALL_RATIO * spread:
+                reason = "stall"
+                break
         attempts.append((it, reason, best))
 
     best = min(b for _, _, b in attempts)

@@ -379,6 +379,50 @@ class TestSeedValidation:
         assert "rng_seed" in err
 
 
+class TestTolValidation:
+    # Never read: the check must come first.
+    INPUTS = {
+        "decompose": ["x.json"],
+        "scale": ["x.json"],
+        "verify": ["d.json", "x.json"],
+    }
+
+    @pytest.mark.parametrize("command", ["decompose", "scale", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_tol_exits_2_before_reading(
+        self, capsys, tmp_path, monkeypatch, command, tol
+    ):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("xubirkhoff.cli._load_json", no_read)
+        dest = tmp_path / "out.json"
+        argv = [command, *self.INPUTS[command], f"--tol={tol}"]
+        code, out, err = run_cli(capsys, *argv, "--output", str(dest))
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+        assert not dest.exists()
+
+
+class TestPOption:
+    @pytest.mark.parametrize(
+        "method, code", [("auto", 2), ("prime", 2), ("xu3", 0)]
+    )
+    def test_p_only_with_xu3(self, capsys, tmp_path, method, code):
+        path = tmp_path / "x3.json"
+        write_matrix(path, random_xu(3, seed=2))
+        dest = tmp_path / "d.json"
+        argv = ["decompose", str(path), "--method", method, "--p", "0.5"]
+        got, _, err = run_cli(capsys, *argv, "--output", str(dest))
+        assert got == code
+        if code:
+            assert "--p" in err
+            assert not dest.exists()
+        else:
+            assert json.loads(dest.read_text())["engine"] == "xu3"
+
+
 class TestTables:
     def test_pitch_table_n5(self, capsys):
         code, out, _ = run_cli(capsys, "pitch-table", "5")

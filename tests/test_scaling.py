@@ -3,7 +3,7 @@ polish and the stall exit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xubirkhoff import (
@@ -100,6 +100,11 @@ class TestZxzScale:
         with pytest.raises(ValueError):
             ScalingOptions(max_iters=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ScalingOptions(tol=tol)
+
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
     def test_bad_seed_rejected(self, seed):
         # checked up front: the restart generator is built only on demand
@@ -180,3 +185,41 @@ class TestConvergenceHistory:
         assert reason == "stall"
         assert iterations == 1
         assert best == info.value.best_spread
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 7),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(0, 2),
+)
+# Stalls are rare among random draws, so these pin one of each: a sweep
+# stall, a Gauss-Newton stall (misses), a Gauss-Newton cap, and failed
+# attempts that a restart recovers from.
+@example(3, 137, 60, 0)
+@example(5, 21, 60, 0)
+@example(5, 71, 60, 0)
+@example(2, 876, 60, 2)
+def test_attempt_bookkeeping(n, seed, max_iters, max_restarts):
+    # Small caps make sweeps and Gauss-Newton steps both meet the cap and
+    # the stall rules; the history must add up either way.
+    opts = ScalingOptions(max_iters=max_iters, max_restarts=max_restarts)
+    try:
+        fac = zxz_scale(haar_unitary(n, seed), opts)
+    except ConvergenceError as e:
+        attempts = e.attempts
+        assert len(attempts) == max_restarts + 1
+        for iterations, reason, best in attempts:
+            assert reason in ("cap", "stall")
+            if reason == "cap":
+                assert iterations == max_iters
+            else:
+                assert iterations <= max_iters
+            assert best > opts.tol
+        assert e.best_spread == min(b for _, _, b in attempts)
+    else:
+        assert fac.spread <= opts.tol
+        assert spread_of(fac.core) <= opts.tol
+        assert fac.iterations <= max_iters
+        assert fac.restarts <= max_restarts
