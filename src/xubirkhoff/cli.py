@@ -29,7 +29,11 @@ import numpy as np
 
 from . import selfcheck as _selfcheck
 from .birkhoff import METHODS, decompose_xu, verify
-from .errors import NotAPermutationError, XUBirkhoffError
+from .errors import (
+    NotAPermutationError,
+    UnsupportedDimensionError,
+    XUBirkhoffError,
+)
 from .numerics import (
     dumps_json,
     json_pairs,
@@ -40,7 +44,7 @@ from .numerics import (
 from .permsum import perm_sum_from_json, perm_sum_to_json
 from .sampling import KINDS, SampleSpec, sample
 from .scaling import ScalingOptions, zxz_scale
-from .xu_group import pitch, transfer_block_dims, transfer_matrix
+from .xu_group import is_prime, pitch, transfer_block_dims, transfer_matrix
 from .permutations import detect_supercirculant
 
 
@@ -83,6 +87,20 @@ def _tol(args, default):
     if not 0 < args.tol < math.inf:
         raise ParseError(f"--tol must be positive and finite, got {args.tol}")
     return args.tol
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a dimension ``n``: an integer >= 1. Anything else
+    is a usage error (exit 2) before any work."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return n
 
 
 def _cmd_sample(args) -> int:
@@ -142,8 +160,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pitch_table(args) -> int:
     n = args.n
-    xs = [[pitch(n, r, s)[0] for s in range(1, n)] for r in range(1, n)]
-    ys = [[pitch(n, r, s)[1] for s in range(1, n)] for r in range(1, n)]
+    # Checked here too, because n = 1 has no cell to run pitch on.
+    if not is_prime(n):
+        raise UnsupportedDimensionError(
+            f"pitch tables need a prime dimension, got n={n}"
+        )
+    cells = [[pitch(n, r, s) for s in range(1, n)] for r in range(1, n)]
+    xs = [[x for x, _ in row] for row in cells]
+    ys = [[y for _, y in row] for row in cells]
     _emit({"n": n, "x": xs, "y": ys}, args.output)
     return 0
 
@@ -182,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", help="emit a seeded random matrix")
-    sp.add_argument("n", type=int, help="matrix dimension")
+    sp.add_argument("n", type=_positive_int, help="matrix dimension")
     sp.add_argument("--kind", choices=KINDS, default="xu")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", default=None)
@@ -212,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--output", default=None)
 
     pp = sub.add_parser("pitch-table", help="pitch tables for a prime n")
-    pp.add_argument("n", type=int)
+    pp.add_argument("n", type=_positive_int)
     pp.add_argument("--output", default=None)
 
     tp = sub.add_parser("transfer", help="transfer matrix M[r,s]")
-    tp.add_argument("n", type=int)
+    tp.add_argument("n", type=_positive_int)
     tp.add_argument("r", type=int)
     tp.add_argument("s", type=int)
     tp.add_argument("--output", default=None)

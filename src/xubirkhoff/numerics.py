@@ -244,7 +244,9 @@ def _format_number(v) -> str:
     f = float(v)
     if not math.isfinite(f):
         raise ValueError("cannot serialize non-finite number")
-    return format(f, ".17g")
+    text = format(f, ".17g")
+    # "-0" would read back as the integer 0.
+    return "-0.0" if text == "-0" else text
 
 
 _NUMBERS = (bool, int, float)
@@ -269,6 +271,10 @@ def _dump_list(value, indent: int) -> str:
             # Every finite %.17g form is digits, '.', '-', '+' and 'e'.
             if "n" in line:
                 raise ValueError("cannot serialize non-finite number")
+            # Only -0.0 prints as "-0" before a separator: exponents have
+            # two digits at least.
+            if "-0," in line or line.endswith("-0]"):
+                line = line.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
             return line
         if kind is int:
             return _line_template("%d", len(value)) % tuple(value)
@@ -332,7 +338,8 @@ def dumps_json(value, indent: int = 0) -> str:
       deeper than the line of the opening bracket; ``indent`` is the
       indent of that line;
     * floats are printed as ``%.17g`` (17 significant digits, lossless
-      for doubles); nan and inf raise ValueError;
+      for doubles), except -0.0, which is printed as ``-0.0`` so that it
+      reads back as a float with its sign; nan and inf raise ValueError;
     * strings and dict keys (read with ``str``) are escaped as
       ``json.dumps(s, ensure_ascii=False)`` escapes them.
 

@@ -22,8 +22,8 @@ phases, and one update applies them to V and to the accumulated factors.
   the 4n real components of [V 1 - 1; 1^T V - 1] to zero, quadratically
   at a regular solution. The gauge direction (theta + c, phi - c), which
   leaves V unchanged, is taken out by solving each linearized
-  least-squares problem for its least-norm step with conjugate gradients
-  (CGLS).
+  least-squares problem for its least-norm step with a least-squares
+  solve (``np.linalg.lstsq``).
 
 The exit rules, checked in this order on each pass:
 
@@ -145,51 +145,24 @@ def _spread(rows: np.ndarray, cols: np.ndarray) -> float:
     return max(float(np.abs(rows - 1.0).max()), float(np.abs(cols - 1.0).max()))
 
 
-def _cgls(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The real x of least norm that minimizes |b x - c| for complex b and
-    c, by conjugate gradients on the least-squares problem (CGLS).
-
-    Starting from x = 0 keeps every iterate in the row space of b, which
-    is what makes the solution the one of least norm. Only matrix-vector
-    products: no LAPACK routine is loaded, so memory stays flat.
-    """
-    bh = b.conj().T
-    x = np.zeros(b.shape[1])
-    r = c.copy()
-    s = (bh @ r).real
-    p = s.copy()
-    gamma = float(s @ s)
-    stop = gamma * 1e-30
-    for _ in range(2 * len(x)):
-        if gamma <= stop:
-            break
-        q = b @ p
-        alpha = gamma / float(q.real @ q.real + q.imag @ q.imag)
-        x += alpha * p
-        r -= alpha * q
-        s = (bh @ r).real
-        gamma, previous = float(s @ s), gamma
-        p = s + (gamma / previous) * p
-    return x
-
-
 def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton phase corrections (dtheta, dphi) for the residual
     F = [V 1 - 1; 1^T V - 1] of V -> diag(e^(i dtheta)) V diag(e^(i dphi)).
 
     The Jacobian with respect to the angles is i B with
     B = [[diag(rows), V], [V^T, diag(cols)]], so the step minimizes
-    |B d - i F| over real d. B (1, -1) = 0 is the gauge
+    |B d - i F| over real d, stacked as real and imaginary parts for a
+    least-squares solve (``np.linalg.lstsq``). B (1, -1) = 0 is the gauge
     (theta + c, phi - c); the least-norm step leaves it out.
     """
     n = len(rows)
-    k = np.arange(n)
-    b = np.zeros((2 * n, 2 * n), dtype=complex)
-    b[k, k] = rows
-    b[n + k, n + k] = cols
-    b[:n, n:] = v
-    b[n:, :n] = v.T
-    d = _cgls(b, 1j * (np.concatenate([rows, cols]) - 1.0))
+    b = np.block([[np.diag(rows), v], [v.T, np.diag(cols)]])
+    f = np.concatenate([rows, cols]) - 1.0
+    d = np.linalg.lstsq(
+        np.vstack([b.real, b.imag]),
+        np.concatenate([-f.imag, f.real]),
+        rcond=None,
+    )[0]
     return d[:n], d[n:]
 
 
@@ -212,15 +185,13 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
 
     for restart in range(opts.max_restarts + 1):
         if restart == 0:
-            left = np.ones(n, dtype=complex)
-            right = np.ones(n, dtype=complex)
-            v = a.copy()
+            left = right = np.ones(n, dtype=complex)
         else:
             if rng is None:
                 rng = np.random.Generator(np.random.Philox(opts.rng_seed))
             left = np.exp(2j * np.pi * rng.random(n))
             right = np.exp(2j * np.pi * rng.random(n))
-            v = left[:, None] * a * right[None, :]
+        v = left[:, None] * a * right[None, :]
         best = np.inf
         it = misses = 0
         newton = False
@@ -241,13 +212,10 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
                 break
             newton = newton or spread <= POLISH_SPREAD
             it += 1
-            # Each step kind gives row and column phases and the
-            # row-scaled iterate w; numpy's complex product is not
-            # bitwise commutative, so the operand orders are fixed.
             if newton:
                 dt, dp = _newton_step(v, rows, cols)
                 row_ph, col_ph = np.exp(1j * dt), np.exp(1j * dp)
-                w = row_ph[:, None] * v
+                w = v * row_ph[:, None]
             else:
                 row_ph = _conj_phases(rows)
                 w = v * row_ph[:, None]

@@ -167,14 +167,18 @@ class TransferMatrix:
     matrix: np.ndarray
 
 
-def transfer_matrix(n: int, r: int, s: int) -> TransferMatrix:
-    """Build M[r,s] for 1 <= r, s <= n-1."""
-    if n < 2:
-        raise DimensionError(f"transfer matrices need n >= 2, got n={n}")
+def _check_indices(n: int, r: int, s: int) -> None:
     if not (1 <= r <= n - 1 and 1 <= s <= n - 1):
         raise DimensionError(
             f"transfer indices must lie in 1..{n - 1}, got r={r}, s={s}"
         )
+
+
+def transfer_matrix(n: int, r: int, s: int) -> TransferMatrix:
+    """Build M[r,s] for 1 <= r, s <= n-1."""
+    if n < 2:
+        raise DimensionError(f"transfer matrices need n >= 2, got n={n}")
+    _check_indices(n, r, s)
     k = np.arange(n)
     expo = (r * k[:, None] - s * k[None, :]) % n
     m = np.exp(2j * math.pi * expo / n)
@@ -198,10 +202,7 @@ def pitch(n: int, r: int, s: int) -> tuple[int, int]:
         raise UnsupportedDimensionError(
             f"pitch equations need a prime dimension, got n={n}"
         )
-    if not (1 <= r <= n - 1 and 1 <= s <= n - 1):
-        raise DimensionError(
-            f"transfer indices must lie in 1..{n - 1}, got r={r}, s={s}"
-        )
+    _check_indices(n, r, s)
     x = (r * pow(s, -1, n)) % n
     y = (s * pow(r, -1, n)) % n
     return (x, y)
@@ -210,8 +211,5 @@ def pitch(n: int, r: int, s: int) -> tuple[int, int]:
 def transfer_block_dims(n: int, r: int, s: int) -> tuple[int, int]:
     """Size (b, c) of the repeating block of M[r,s]: b = n/gcd(n,r),
     c = n/gcd(n,s). For prime n this is always (n, n)."""
-    if not (1 <= r <= n - 1 and 1 <= s <= n - 1):
-        raise DimensionError(
-            f"transfer indices must lie in 1..{n - 1}, got r={r}, s={s}"
-        )
+    _check_indices(n, r, s)
     return (n // math.gcd(n, r), n // math.gcd(n, s))

@@ -220,6 +220,15 @@ class TestPrime:
             assert r.sq_moduli_ok
             assert r.term_count == n * n
 
+    def test_above_n127(self):
+        # n = 131: the image rows are int32, not int8
+        x = random_xu(131, 1)
+        s = decompose_prime(x)
+        assert s.images.dtype == np.int32
+        r = verify(s, x, tol=1e-9)
+        assert r.reconstruction_ok and r.weight_sum_ok and r.sq_moduli_ok
+        assert r.term_count == 131 * 131
+
     @pytest.mark.parametrize("n", [5, 7, 11, 13, 31])
     def test_weights_match_scalar_formula(self, n):
         # m[l,x] = (1/n) sum_s w^(-(l-1)s) U[r,s], r = s*x mod n, summed

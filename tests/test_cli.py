@@ -453,7 +453,59 @@ class TestTables:
         assert code == 1
 
 
+class TestDimensionArgs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "0"],
+            ["sample", "-3"],
+            ["sample", "five"],
+            ["transfer", "0", "1", "1"],
+            ["pitch-table", "0"],
+            ["pitch-table", "-5"],
+        ],
+    )
+    def test_non_positive_size_exits_2_before_work(self, capsys, tmp_path, argv):
+        dest = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--output", str(dest)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument n: must be a positive integer" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("n", ["1", "4"])
+    def test_pitch_table_non_prime_is_engine_error(self, capsys, tmp_path, n):
+        dest = tmp_path / "out.json"
+        code, _, err = run_cli(capsys, "pitch-table", n, "--output", str(dest))
+        assert code == 1
+        assert "prime" in err
+        assert not dest.exists()
+
+    def test_smallest_sizes_still_work(self, capsys):
+        assert run_cli(capsys, "sample", "1", "--kind", "unitary")[0] == 0
+        code, out, _ = run_cli(capsys, "pitch-table", "2")
+        assert code == 0
+        assert json.loads(out) == {"n": 2, "x": [[1]], "y": [[1]]}
+        assert run_cli(capsys, "transfer", "1", "1", "1")[0] == 1
+
+
 class TestSelfcheck:
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        from xubirkhoff import selfcheck
+
+        def broken():
+            raise AssertionError("deliberately broken")
+
+        checks = list(selfcheck.CHECKS)
+        name = checks[3][0]
+        checks[3] = (name, broken)
+        monkeypatch.setattr(selfcheck, "CHECKS", checks)
+        code, out, _ = run_cli(capsys, "selfcheck")
+        assert code == 1
+        assert f"FAIL {name}: deliberately broken" in out.splitlines()
+        assert out.splitlines()[-1] == "16/17 checks passed"
+
     def test_all_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck")
         assert code == 0

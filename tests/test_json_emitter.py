@@ -1,10 +1,10 @@
 """Byte-for-byte tests of the 17-digit JSON emitter.
 
 ``oracle_dumps_json`` is the emitter as it was before lists of numbers were
-formatted with one %-template: one recursive call per value. The new
-``dumps_json`` must write the same bytes for every document whose strings
-and keys hold no control characters (the oracle wrote those unescaped,
-which is not JSON).
+formatted with one %-template: one recursive call per value, with the
+later rule that -0.0 is written as ``-0.0``. The new ``dumps_json`` must
+write the same bytes for every document whose strings and keys hold no
+control characters (the oracle wrote those unescaped, which is not JSON).
 """
 
 import json
@@ -24,7 +24,7 @@ from xubirkhoff import (
     verify,
 )
 from xubirkhoff.cli import main
-from xubirkhoff.numerics import dumps_json, matrix_to_json
+from xubirkhoff.numerics import dumps_json, matrix_from_json, matrix_to_json
 from xubirkhoff.permsum import perm_sum_to_json
 
 
@@ -36,7 +36,8 @@ def _oracle_format_number(v) -> str:
     f = float(v)
     if not math.isfinite(f):
         raise ValueError("cannot serialize non-finite number")
-    return format(f, ".17g")
+    text = format(f, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def oracle_dumps_json(value, indent: int = 0) -> str:
@@ -166,17 +167,10 @@ def test_cli_documents_byte_identical(tmp_path):
         assert main(["decompose", m, "--output", d]) == 0
         assert main(["verify", d, m, "--output", r]) == 0
         assert main(["scale", m, "--output", c]) == 0
-        for path in (m, d, r):
+        for path in (m, d, r, c):
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             assert text == oracle_dumps_json(json.loads(text)) + "\n"
-        with open(c, encoding="utf-8") as fh:
-            text = fh.read()
-        # ``scale`` writes alpha = -0.0 for these inputs, which the emitter
-        # writes as "-0" and json reads back as the int 0 (see the -0 FOUND
-        # in CHANGES.md); read "-0" as -0.0 for this file only.
-        doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
-        assert text == oracle_dumps_json(doc) + "\n"
 
 
 def test_layout():
@@ -196,7 +190,7 @@ def test_layout():
         '  "terms": [\n'
         "    {\n"
         '      "perm": [1, 2],\n'
-        '      "weight": [0.75, -0]\n'
+        '      "weight": [0.75, -0.0]\n'
         "    }\n"
         "  ],\n"
         '  "flags": {\n'
@@ -213,6 +207,25 @@ def test_layout():
     assert dumps_json([0.1, 1e308, 5e-324]) == (
         "[0.10000000000000001, 1e+308, 4.9406564584124654e-324]"
     )
+
+
+def test_negative_zero_round_trips(tmp_path):
+    """-0.0 is written as ``-0.0``, which json reads back as a float with
+    its sign, on the template path, the one-number path and the CLI."""
+    assert dumps_json([-0.0, 1.5]) == "[-0.0, 1.5]"
+    assert dumps_json([1.5, -0.0]) == "[1.5, -0.0]"
+    assert dumps_json({"a": -0.0}) == '{\n  "a": -0.0\n}'
+    for doc in ([-0.0, 1.5], [1.5, -0.0], {"a": -0.0}, [1, -0.0]):
+        back = json.loads(dumps_json(doc))
+        assert repr(back) == repr(doc)
+    a = np.array([[complex(-0.0, 1.0)]])
+    b = matrix_from_json(json.loads(dumps_json(matrix_to_json(a))))
+    assert np.signbit(b.real).all() and b[0, 0] == 1j
+    m, c = str(tmp_path / "m.json"), str(tmp_path / "c.json")
+    assert main(["sample", "5", "--kind", "xu", "--seed", "3", "--output", m]) == 0
+    assert main(["scale", m, "--output", c]) == 0
+    with open(c, encoding="utf-8") as fh:
+        assert repr(json.load(fh)["alpha"]) == "-0.0"
 
 
 @pytest.mark.parametrize(

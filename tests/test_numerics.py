@@ -195,6 +195,11 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="matrix entries"):
             matrix_from_json({"dim": 1, "entries": [[[part, 0.0]]]})
 
+    def test_non_nested_entries_rejected(self):
+        shape = r"matrix entries must have shape \(2, 2, 2\)"
+        with pytest.raises(ValueError, match=shape):
+            matrix_from_json({"dim": 2, "entries": 5})
+
     def test_bool_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})

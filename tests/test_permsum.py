@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from xubirkhoff import (
     ComplexPermSum,
     ComplexPermTerm,
+    DimensionError,
     NotAPermutationError,
     Permutation,
     WeightedPermSum,
@@ -200,6 +201,60 @@ def test_arrays_are_read_only():
 def test_from_arrays_rejects_non_bijection():
     with pytest.raises(NotAPermutationError):
         WeightedPermSum.from_arrays(3, [[0, 0, 1]], [1.0])
+
+
+@pytest.mark.parametrize(
+    "images, weights, phases, error, match",
+    [
+        ([0, 1, 2], [1.0], None, DimensionError, r"shape \(k, 3\)"),
+        ([[0, 1, 2, 3]], [1.0], None, DimensionError, r"shape \(k, 3\)"),
+        (np.array([[0.0, 1.0, 2.0]]), [1.0], None, TypeError, "integers"),
+        ([[0, 1, 2]], [1.0, 2.0], None, DimensionError, "1 image rows, 2 weights"),
+        ([[0, 1, 2]], [1.0], np.ones((1, 2)), DimensionError, r"phases \(1, 2\)"),
+    ],
+)
+def test_from_arrays_rejects_bad_arrays(images, weights, phases, error, match):
+    with pytest.raises(error, match=match):
+        if phases is None:
+            WeightedPermSum.from_arrays(3, images, weights)
+        else:
+            ComplexPermSum.from_arrays(3, images, weights, phases)
+
+
+def test_complex_pruned_keeps_phases_and_order():
+    images = [[2, 0, 1], [0, 1, 2], [1, 0, 2]]
+    phases = np.exp(1j * np.arange(9).reshape(3, 3))
+    s = ComplexPermSum.from_arrays(3, images, [0.5, 1e-12, -0.25j], phases, "e")
+    p = s.pruned(1e-9)
+    assert p.engine == "e" and len(p) == 2
+    assert np.array_equal(p.images, s.images[[0, 2]])
+    assert np.array_equal(p.weights, s.weights[[0, 2]])
+    assert np.array_equal(p.phases, s.phases[[0, 2]])
+    assert max_abs_diff(p.reconstruct(), s.reconstruct()) < 1e-11
+
+
+def test_sums_above_n127_use_int32_images():
+    n = 128
+    rng = np.random.default_rng(5)
+    k = np.arange(n)
+    a = WeightedPermSum.from_arrays(
+        n, [np.roll(k, 1), rng.permutation(n)], [0.5 + 0.5j, -0.25]
+    )
+    b = WeightedPermSum.from_arrays(
+        n, [k, rng.permutation(n), np.roll(k, -3)], [1.0, 2j, 0.5]
+    )
+    assert a.images.dtype == np.int32
+    ab = product(a, b)
+    assert ab.images.dtype == np.int32 and len(ab) == 6
+    want = a.reconstruct() @ b.reconstruct()
+    assert max_abs_diff(ab.reconstruct(), want) < 1e-12
+    back = perm_sum_from_json(json.loads(dumps_json(perm_sum_to_json(ab))))
+    assert back.images.dtype == np.int32
+    assert np.array_equal(back.images, ab.images)
+    assert np.array_equal(back.weights, ab.weights)
+    c = ComplexPermSum.from_arrays(n, b.images, b.weights, np.full((3, n), 1j))
+    back = perm_sum_from_json(json.loads(dumps_json(perm_sum_to_json(c))))
+    assert back == c and back.images.dtype == np.int32
 
 
 def test_from_arrays_copies_caller_arrays():
