@@ -37,6 +37,7 @@ from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
     json_pairs,
+    line_sum_spread,
     line_sums,
     max_abs_diff,
     root_of_unity,
@@ -422,8 +423,15 @@ class VerificationReport:
     sums and the weight-sum modulus to 1 for complex ones (the global
     phase sits in the weights there). ``line_sums_ok`` checks that all 2n
     line sums of the reconstruction equal the weight sum, the signature of
-    a permutation sum. ``sq_moduli_ok`` is informational for engines that
-    make no squared-moduli claim.
+    a plain permutation sum. ``phases_ok`` checks that every row phase of
+    a complex sum has modulus 1 (``phase_deviation`` is 0.0 for plain
+    sums). ``sq_moduli_ok`` is informational for engines that make no
+    squared-moduli claim.
+
+    ``ok`` is the verdict. A plain sum passes on reconstruction, weight
+    sum and line sums. A complex sum passes on reconstruction, weight sum
+    and phases; its row phases move its line sums off the weight sum, so
+    ``line_sums_ok`` is informational there.
     """
 
     reconstruction_error: float
@@ -431,11 +439,14 @@ class VerificationReport:
     sq_moduli_sum: float
     term_count: int
     line_sum_deviation: float
+    phase_deviation: float
     tol: float
     reconstruction_ok: bool
     weight_sum_ok: bool
     sq_moduli_ok: bool
     line_sums_ok: bool
+    phases_ok: bool
+    ok: bool
 
     def to_json(self) -> dict:
         return {
@@ -444,12 +455,14 @@ class VerificationReport:
             "sq_moduli_sum": self.sq_moduli_sum,
             "term_count": self.term_count,
             "line_sum_deviation": self.line_sum_deviation,
+            "phase_deviation": self.phase_deviation,
             "tol": self.tol,
             "passed": {
                 "reconstruction": self.reconstruction_ok,
                 "weight_sum": self.weight_sum_ok,
                 "sq_moduli": self.sq_moduli_ok,
                 "line_sums": self.line_sums_ok,
+                "phases": self.phases_ok,
             },
         }
 
@@ -469,20 +482,28 @@ def verify(s, target, tol: float = 1e-9) -> VerificationReport:
     err = max_abs_diff(recon, a)
     wsum = s.weight_sum()
     sq = s.sq_moduli_sum()
-    rows, cols = line_sums(recon)
-    sums = np.concatenate([rows, cols])
-    ls_dev = float(np.abs(sums - wsum).max())
+    ls_dev = line_sum_spread(*line_sums(recon), wsum)
     complex_terms = isinstance(s, ComplexPermSum)
-    wsum_dev = abs(abs(wsum) - 1.0) if complex_terms else abs(wsum - 1.0)
+    if complex_terms:
+        wsum_dev = abs(abs(wsum) - 1.0)
+        ph_dev = float(np.abs(np.abs(s.phases) - 1.0).max(initial=0.0))
+    else:
+        wsum_dev, ph_dev = abs(wsum - 1.0), 0.0
+    rec_ok, wsum_ok, ls_ok, ph_ok = (
+        d <= tol for d in (err, wsum_dev, ls_dev, ph_dev)
+    )
     return VerificationReport(
         reconstruction_error=err,
         weight_sum=wsum,
         sq_moduli_sum=sq,
         term_count=s.term_count,
         line_sum_deviation=ls_dev,
+        phase_deviation=ph_dev,
         tol=tol,
-        reconstruction_ok=err <= tol,
-        weight_sum_ok=wsum_dev <= tol,
+        reconstruction_ok=rec_ok,
+        weight_sum_ok=wsum_ok,
         sq_moduli_ok=abs(sq - 1.0) <= tol,
-        line_sums_ok=ls_dev <= tol,
+        line_sums_ok=ls_ok,
+        phases_ok=ph_ok,
+        ok=rec_ok and wsum_ok and (ph_ok if complex_terms else ls_ok),
     )

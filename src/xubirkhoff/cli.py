@@ -30,6 +30,7 @@ import numpy as np
 from . import selfcheck as _selfcheck
 from .birkhoff import METHODS, decompose_xu, verify
 from .errors import (
+    DimensionError,
     NotAPermutationError,
     UnsupportedDimensionError,
     XUBirkhoffError,
@@ -37,6 +38,8 @@ from .errors import (
 from .numerics import (
     dumps_json,
     json_pairs,
+    line_sum_spread,
+    line_sums,
     matrix_from_json,
     matrix_to_json,
     max_abs_diff,
@@ -154,8 +157,7 @@ def _cmd_verify(args) -> int:
     a = _load_matrix(args.matrix)
     report = verify(s, a, tol=tol)
     _emit(report.to_json(), args.output)
-    ok = report.reconstruction_ok and report.weight_sum_ok and report.line_sums_ok
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_pitch_table(args) -> int:
@@ -173,10 +175,10 @@ def _cmd_pitch_table(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    tm = transfer_matrix(args.n, args.r, args.s)
-    rows = tm.matrix.sum(axis=1)
-    cols = tm.matrix.sum(axis=0)
-    worst = float(max(np.abs(rows).max(), np.abs(cols).max()))
+    try:
+        tm = transfer_matrix(args.n, args.r, args.s)
+    except DimensionError as e:
+        raise ParseError(str(e)) from e
     pitches = detect_supercirculant(tm.matrix, 1e-10)
     out = {
         "n": tm.n,
@@ -184,7 +186,7 @@ def _cmd_transfer(args) -> int:
         "s": tm.s,
         "block_dims": list(transfer_block_dims(tm.n, tm.r, tm.s)),
         "pitches": list(pitches) if pitches is not None else None,
-        "max_line_sum": worst,
+        "max_line_sum": line_sum_spread(*line_sums(tm.matrix), 0.0),
         "matrix": matrix_to_json(tm.matrix),
     }
     _emit(out, args.output)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, MembershipError
 
 DEFAULT_TOL = 1e-10
 
@@ -71,6 +71,12 @@ def line_sums(m) -> tuple[np.ndarray, np.ndarray]:
     return a.sum(axis=1), a.sum(axis=0)
 
 
+def line_sum_spread(rows, cols, value: complex = 1.0) -> float:
+    """The largest |sum - value| over the row sums ``rows`` and the column
+    sums ``cols``: the package's one measure of line sums."""
+    return max(float(np.abs(rows - value).max()), float(np.abs(cols - value).max()))
+
+
 def max_abs_diff(a, b) -> float:
     """Maximum entrywise modulus of the difference of two matrices."""
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
@@ -80,6 +86,15 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     a = as_complex_matrix(m)
     n = a.shape[0]
     return max_abs_diff(a.conj().T @ a, np.eye(n)) <= tol
+
+
+def require_unitary(m, tol: float, what: str) -> np.ndarray:
+    """Return ``m`` as a square complex array after checking that it is
+    unitary at ``tol``; raise MembershipError naming ``what`` otherwise."""
+    a = as_complex_matrix(m)
+    if not is_unitary(a, tol):
+        raise MembershipError(f"{what} is not unitary at tolerance {tol}")
+    return a
 
 
 def shift_relation_holds(a: np.ndarray, x: int, tol: float) -> bool:
@@ -98,8 +113,9 @@ def shift_relation_holds(a: np.ndarray, x: int, tol: float) -> bool:
 class MatrixClass:
     """Outcome of the numeric class tests run by ``classify``.
 
-    ``line_sum`` is present exactly when all 2n line sums agree with their
-    mean within the tolerance; its value is that mean.
+    ``is_xu`` is ``require_xu``'s rule. ``line_sum`` is present exactly
+    when all 2n line sums agree with their mean within the tolerance; its
+    value is that mean.
     """
 
     is_unitary: bool
@@ -113,9 +129,10 @@ class MatrixClass:
 def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
     """Run all matrix-class predicates on ``m`` at tolerance ``tol``.
 
-    XU(n) membership means unitary with all line sums equal to 1; ZU(n)
-    means diagonal, unit-modulus entries, and entry (1,1) equal to 1.
-    A 1x1 matrix is circulant and anticirculant by convention.
+    XU(n) membership means unitary with every line sum within ``tol`` of 1,
+    the rule of ``xu_group.require_xu``; ZU(n) means diagonal, unit-modulus
+    entries, and entry (1,1) equal to 1. A 1x1 matrix is circulant and
+    anticirculant by convention.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -125,12 +142,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
     unitary = is_unitary(a, tol)
 
     rows, cols = line_sums(a)
-    sums = np.concatenate([rows, cols])
-    mean = complex(sums.mean())
-    constant = bool(np.abs(sums - mean).max() <= tol)
-    ls = mean if constant else None
+    mean = complex(np.concatenate([rows, cols]).mean())
+    ls = mean if line_sum_spread(rows, cols, mean) <= tol else None
 
-    xu = unitary and constant and abs(mean - 1.0) <= tol
+    xu = unitary and line_sum_spread(rows, cols) <= tol
 
     off_diag = a - np.diag(np.diag(a))
     zu = (

@@ -221,8 +221,10 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
 
 class _PermArrays:
     """What both sum types share: size, engine label, the image, weight
-    and (``ComplexPermSum`` only) phase arrays, and how they are set,
-    wrapped and pruned."""
+    and (``ComplexPermSum`` only) phase arrays, how they are set, wrapped
+    and pruned, and equality. Two sums are equal when type, size, engine
+    and every stored array agree, so a plain and a complex sum never are;
+    sums are mutable, hence unhashable."""
 
     _phases: np.ndarray | None = None
 
@@ -277,6 +279,20 @@ class _PermArrays:
 
     def sq_moduli_sum(self) -> float:
         return float(np.vdot(self._weights, self._weights).real)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.engine) == (other.n, other.engine) and all(
+            x is y or np.array_equal(x, y)
+            for x, y in (
+                (self._images, other._images),
+                (self._weights, other._weights),
+                (self._phases, other._phases),
+            )
+        )
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return (
@@ -374,8 +390,8 @@ class ComplexPermSum(_PermArrays):
     """A weighted sum of complex permutation matrices.
 
     Terms keep the order they were given in; ``items_sorted`` and the JSON
-    form list them in stable lexicographic order of their permutations.
-    Two sums are equal when size, engine and every term agree in order.
+    form list them in stable lexicographic order of their permutations,
+    and two sums are equal only when every term agrees in order.
     """
 
     def __init__(
@@ -429,20 +445,6 @@ class ComplexPermSum(_PermArrays):
                 self._weights[rows].tolist(),
             )
         ]
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ComplexPermSum:
-            return NotImplemented
-        return (self.n, self.engine) == (other.n, other.engine) and all(
-            np.array_equal(x, y)
-            for x, y in (
-                (self._images, other._images),
-                (self._weights, other._weights),
-                (self._phases, other._phases),
-            )
-        )
-
-    __hash__ = None
 
     def reconstruct(self) -> np.ndarray:
         entries = self._weights[:, None] * self._phases

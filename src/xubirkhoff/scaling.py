@@ -59,8 +59,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConvergenceError, MembershipError
-from .numerics import as_complex_matrix, is_unitary
+from .errors import ConvergenceError
+from .numerics import line_sum_spread, require_unitary
 
 UNITARY_TOL = 1e-8
 # A sweep whose largest entry change is at most STALL_RATIO times the
@@ -141,10 +141,6 @@ def _conj_phases(v: np.ndarray) -> np.ndarray:
     return np.where(zero, 1.0 + 0.0j, np.conj(v) / np.where(zero, 1.0, a))
 
 
-def _spread(rows: np.ndarray, cols: np.ndarray) -> float:
-    return max(float(np.abs(rows - 1.0).max()), float(np.abs(cols - 1.0).max()))
-
-
 def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton phase corrections (dtheta, dphi) for the residual
     F = [V 1 - 1; 1^T V - 1] of V -> diag(e^(i dtheta)) V diag(e^(i dphi)).
@@ -174,11 +170,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     no attempt reaches opts.tol.
     """
     opts = opts or ScalingOptions()
-    a = as_complex_matrix(u)
-    if not is_unitary(a, UNITARY_TOL):
-        raise MembershipError(
-            f"scaling needs a unitary input at tolerance {UNITARY_TOL}"
-        )
+    a = require_unitary(u, UNITARY_TOL, "scaling input")
     n = a.shape[0]
     rng = None
     attempts = []
@@ -198,7 +190,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
         while True:
             rows = v.sum(axis=1)
             cols = v.sum(axis=0)
-            spread = _spread(rows, cols)
+            spread = line_sum_spread(rows, cols)
             if newton and not spread <= best / 2:
                 misses += 1
             best = min(best, spread)

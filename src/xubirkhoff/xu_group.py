@@ -24,10 +24,11 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
-    as_complex_matrix,
+    classify,
     dft_matrix,
-    is_unitary,
+    line_sum_spread,
     line_sums,
+    require_unitary,
     shift_relation_holds,
 )
 from .permsum import WeightedPermSum
@@ -35,30 +36,23 @@ from .permsum import WeightedPermSum
 
 def require_xu(m, tol: float = DEFAULT_TOL, what: str = "input") -> np.ndarray:
     """Return ``m`` as an array after checking XU membership at ``tol``."""
-    a = as_complex_matrix(m)
-    if not is_unitary(a, tol):
-        raise MembershipError(f"{what} is not unitary at tolerance {tol}")
+    a = require_unitary(m, tol, what)
     rows, cols = line_sums(a)
-    sums = np.concatenate([rows, cols])
-    worst = int(np.argmax(np.abs(sums - 1.0)))
-    dev = float(np.abs(sums - 1.0).max())
-    if dev > tol:
+    if line_sum_spread(rows, cols) > tol:
+        sums = np.concatenate([rows, cols])
+        worst = int(np.argmax(np.abs(sums - 1.0)))
         n = a.shape[0]
         kind = "row" if worst < n else "column"
-        idx = worst % n + 1
         raise MembershipError(
-            f"{what} is not XU at tolerance {tol}: {kind} {idx} sums to "
-            f"{complex(sums[worst])}"
+            f"{what} is not XU at tolerance {tol}: {kind} {worst % n + 1} "
+            f"sums to {complex(sums[worst])}"
         )
     return a
 
 
 def embed_core(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Embed a unitary U of size n-1 as the XU(n) matrix F (1 (+) U) F^-1."""
-    a = as_complex_matrix(u)
-    if not is_unitary(a, tol):
-        raise MembershipError(f"core is not unitary at tolerance {tol}")
-    return fourier_embed(a)
+    return fourier_embed(require_unitary(u, tol, "core"))
 
 
 def fourier_embed(a: np.ndarray) -> np.ndarray:
@@ -140,17 +134,11 @@ def constant_line_sum_check(
     the weight sum; when the reconstructed matrix is additionally unitary,
     that common value has modulus 1 and the matrix is a global phase times
     an XU member. Returns the common line sum if the reconstruction is
-    unitary and its 2n line sums agree within ``tol``; None otherwise.
+    unitary and its 2n line sums agree within ``tol`` (``classify``'s
+    ``line_sum``); None otherwise.
     """
-    a = s.reconstruct()
-    if not is_unitary(a, tol):
-        return None
-    rows, cols = line_sums(a)
-    sums = np.concatenate([rows, cols])
-    mean = complex(sums.mean())
-    if float(np.abs(sums - mean).max()) > tol:
-        return None
-    return mean
+    c = classify(s.reconstruct(), tol)
+    return c.line_sum if c.is_unitary else None
 
 
 @dataclass(frozen=True)

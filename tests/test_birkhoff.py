@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xubirkhoff import (
+    ComplexPermSum,
     DimensionError,
     MembershipError,
     Permutation,
@@ -28,6 +29,7 @@ from xubirkhoff import (
     random_circulant_xu,
     random_xu,
     root_of_unity,
+    StructureError,
     SupercirculantLabel,
     supercirculant_perm,
     verify,
@@ -116,6 +118,17 @@ class TestXu2:
     def test_wrong_size(self):
         with pytest.raises(DimensionError):
             decompose_xu2(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "engine, n",
+    [(decompose_xu3, 4), (decompose_xu4, 5), (decompose_prime_parts, 3)],
+)
+def test_engines_reject_other_sizes(engine, n):
+    # XU(4) and XU(3) pass the membership check first; the size check
+    # comes after it.
+    with pytest.raises(DimensionError):
+        engine(random_xu(n, 0))
 
 
 class TestXu3:
@@ -347,6 +360,12 @@ class TestRecursive:
         decompose_xu(random_xu(n, seed=1), method="recursive")
         assert len(require_xu_calls) == 1
 
+    def test_loose_scaling_leaks_past_the_block_check(self):
+        # A core scaled only to 1e-5 re-enters the next level with a
+        # Fourier leakage of about 1e-6, above the 1e-8 block tolerance.
+        with pytest.raises(StructureError, match="leakage"):
+            decompose_recursive(random_xu(6, 2), ScalingOptions(tol=1e-5))
+
 
 class TestDecomposeXuFrontDoor:
     def test_auto_prefers_guaranteed_engines(self):
@@ -529,6 +548,42 @@ class TestVerify:
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             verify(WeightedPermSum(2), np.eye(3))
+
+    def test_verdict_of_plain_sums(self):
+        x = random_xu(5, seed=6)
+        r = verify(decompose_prime(x), x, tol=1e-9)
+        assert r.phase_deviation == 0.0 and r.phases_ok
+        assert r.ok
+        rep = r.to_json()
+        assert rep["phase_deviation"] == 0.0 and rep["passed"]["phases"]
+        assert not verify(decompose_prime(x), random_xu(5, seed=7)).ok
+
+    def test_complex_sum_passes_on_its_own_invariants(self):
+        # Row phases move the line sums of a complex sum off its weight
+        # sum, so the line-sum flag is informational there.
+        u = haar_unitary(5, seed=1)
+        r = verify(decompose_unitary(u), u, tol=1e-9)
+        assert r.phase_deviation <= 1e-12 and r.phases_ok
+        assert r.line_sum_deviation > 1.0 and not r.line_sums_ok
+        assert r.ok
+
+    def test_complex_sum_phase_modulus_checked(self):
+        # A zero-weight term changes neither the reconstruction nor the
+        # weight sum: only the phase check sees its modulus-2 phases.
+        u = haar_unitary(5, seed=1)
+        cs = decompose_unitary(u)
+        bad = ComplexPermSum.from_arrays(
+            5,
+            np.vstack([np.arange(5), cs.images]),
+            np.append(0.0, cs.weights),
+            np.vstack([np.full(5, 2.0), cs.phases]),
+            cs.engine,
+        )
+        r = verify(bad, u, tol=1e-9)
+        assert r.reconstruction_ok and r.weight_sum_ok
+        assert r.phase_deviation == 1.0
+        assert not r.phases_ok and not r.ok
+        assert not r.to_json()["passed"]["phases"]
 
 
 class TestMergingAndJson:

@@ -136,6 +136,40 @@ class TestVerifyRoundTrip:
         assert code == 1
         assert not json.loads(out)["passed"]["reconstruction"]
 
+    def test_complex_decomposition_checked_by_its_phases(self, capsys, tmp_path):
+        # The complex decomposition of an XU matrix: its line sums do equal
+        # its weight sum, so before phases were checked, a zero-weight term
+        # with phases of modulus 2 passed every check.
+        mpath = tmp_path / "x.json"
+        x = random_xu(5, seed=2)
+        write_matrix(mpath, x)
+        d = perm_sum_to_json(decompose_unitary(x))
+        dpath = tmp_path / "d.json"
+        dpath.write_text(dumps_json(d) + "\n")
+        code, out, _ = run_cli(capsys, "verify", str(dpath), str(mpath))
+        assert code == 0 and json.loads(out)["passed"]["phases"]
+        d["terms"].insert(
+            0, {"perm": [1, 2, 3, 4, 5], "phases": [[2.0, 0.0]] * 5, "weight": [0.0, 0.0]}
+        )
+        dpath.write_text(dumps_json(d) + "\n")
+        code, out, _ = run_cli(capsys, "verify", str(dpath), str(mpath))
+        rep = json.loads(out)
+        assert code == 1
+        assert rep["phase_deviation"] == 1.0 and not rep["passed"]["phases"]
+        assert rep["passed"]["reconstruction"] and rep["passed"]["line_sums"]
+
+    def test_doubled_phase_fails(self, capsys, tmp_path):
+        from xubirkhoff import haar_unitary
+
+        mpath = tmp_path / "u.json"
+        write_matrix(mpath, haar_unitary(5, seed=1))
+        d = perm_sum_to_json(decompose_unitary(haar_unitary(5, seed=1)))
+        d["terms"][0]["phases"][0] = [2 * v for v in d["terms"][0]["phases"][0]]
+        dpath = tmp_path / "d.json"
+        dpath.write_text(dumps_json(d) + "\n")
+        code, out, _ = run_cli(capsys, "verify", str(dpath), str(mpath))
+        assert code == 1 and not json.loads(out)["passed"]["phases"]
+
     @pytest.mark.parametrize("perm", [[1, 1, 2, 3, 4], [10**30, 2, 3, 4, 5]])
     def test_non_bijective_perm_is_parse_error(self, capsys, tmp_path, perm):
         mpath = tmp_path / "m.json"
@@ -204,10 +238,10 @@ class TestSchemaTypes:
         mpath = tmp_path / "u.json"
         write_matrix(mpath, haar_unitary(3, seed=4))
         d = perm_sum_to_json(decompose_unitary(haar_unitary(3, seed=4)))
-        # Parsed and rebuilt: verify exits 1 only because a Haar unitary's
-        # line sums are not 1.
+        # Parsed and rebuilt: a complex sum passes on its own invariants,
+        # although a Haar unitary's line sums are not 1.
         code, out, _ = self._verify(capsys, tmp_path, d, mpath)
-        assert code == 1 and json.loads(out)["passed"]["reconstruction"]
+        assert code == 0 and json.loads(out)["passed"]["reconstruction"]
         d["terms"][-1]["phases"][2][0] = part
         code, out, err = self._verify(capsys, tmp_path, d, mpath)
         assert code == 2
@@ -246,6 +280,12 @@ class TestSchemaTypes:
         code, out, err = self._verify(capsys, tmp_path, {"n": 0, "terms": []}, mpath)
         assert code == 2
         assert out == "" and "d.json" in err and "positive" in err
+
+    def test_missing_n_is_bad_input(self, capsys, tmp_path):
+        mpath, _ = self._decomposition(capsys, tmp_path)
+        code, out, err = self._verify(capsys, tmp_path, {"terms": []}, mpath)
+        assert code == 2
+        assert out == "" and "d.json" in err and "'n' and 'terms'" in err
 
     def test_empty_terms_parse_to_an_empty_sum(self, capsys, tmp_path):
         mpath, _ = self._decomposition(capsys, tmp_path)
@@ -449,8 +489,17 @@ class TestTables:
         assert json.loads(out)["pitches"] == [3, 2]
 
     def test_transfer_out_of_range(self, capsys):
+        # A bad index is bad input (exit 2), not an engine error.
         code, _, _ = run_cli(capsys, "transfer", "4", "5", "1")
-        assert code == 1
+        assert code == 2
+
+    @pytest.mark.parametrize("n, r, s", [("5", "0", "1"), ("5", "1", "5"), ("1", "1", "1")])
+    def test_transfer_bad_index_writes_nothing(self, capsys, tmp_path, n, r, s):
+        dest = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "transfer", n, r, s, "--output", str(dest))
+        assert code == 2
+        assert out == "" and "error:" in err
+        assert not dest.exists()
 
 
 class TestDimensionArgs:
@@ -487,7 +536,8 @@ class TestDimensionArgs:
         code, out, _ = run_cli(capsys, "pitch-table", "2")
         assert code == 0
         assert json.loads(out) == {"n": 2, "x": [[1]], "y": [[1]]}
-        assert run_cli(capsys, "transfer", "1", "1", "1")[0] == 1
+        # n = 1 has no transfer index: bad input.
+        assert run_cli(capsys, "transfer", "1", "1", "1")[0] == 2
 
 
 class TestSelfcheck:

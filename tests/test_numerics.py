@@ -5,18 +5,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xubirkhoff import (
     DimensionError,
+    MembershipError,
     classify,
     dft_matrix,
     line_sums,
     matrix_from_json,
     matrix_to_json,
+    random_xu,
     root_of_unity,
     van_der_waerden,
 )
-from xubirkhoff.numerics import dumps_json, json_complex, json_pairs, max_abs_diff
+from xubirkhoff.numerics import (
+    dumps_json,
+    json_complex,
+    json_pairs,
+    line_sum_spread,
+    max_abs_diff,
+    require_unitary,
+)
+from xubirkhoff.xu_group import require_xu
 
 
 class TestRootOfUnity:
@@ -98,6 +110,40 @@ class TestLineSums:
             line_sums(np.ones((2, 3)))
 
 
+class TestLineSumSpread:
+    def test_largest_distance_over_rows_and_columns(self):
+        rows = np.array([1.0, 1.0 + 2e-3j, 0.999])
+        cols = np.array([1.0, 1.0, 1.0 - 3e-3])
+        got = line_sum_spread(rows, cols)
+        assert isinstance(got, float)
+        assert got == pytest.approx(3e-3, rel=1e-12)
+        # Each side is measured: the largest distance may sit in either.
+        assert line_sum_spread(cols, rows) == got
+
+    def test_value(self):
+        rows, cols = line_sums(2j * np.eye(3))
+        assert line_sum_spread(rows, cols, 2j) == 0.0
+        assert line_sum_spread(rows, cols, 0.0) == 2.0
+        assert line_sum_spread(rows, cols) == abs(2j - 1.0)
+
+
+class TestRequireUnitary:
+    def test_returns_complex_array(self):
+        a = require_unitary([[0, 1], [1, 0]], 1e-12, "swap")
+        assert a.dtype == complex
+        assert np.array_equal(a, [[0, 1], [1, 0]])
+
+    def test_names_the_input(self):
+        with pytest.raises(MembershipError, match="^thing is not unitary at tolerance 1e-08$"):
+            require_unitary(np.full((2, 2), 0.5), 1e-8, "thing")
+
+    def test_tolerance_applies(self):
+        a = np.diag([1.0, 1.0 + 1e-6])
+        with pytest.raises(MembershipError):
+            require_unitary(a, 1e-8, "input")
+        assert require_unitary(a, 1e-5, "input") is not None
+
+
 class TestClassify:
     def test_identity_flags(self):
         c = classify(np.eye(4))
@@ -134,6 +180,17 @@ class TestClassify:
             assert c.is_unitary
             assert abs(c.line_sum - 1.0) <= 1e-10
 
+    def test_xu_needs_every_line_sum_within_tol_of_one(self):
+        # Row phases of up to 1.9e-10 move a row sum 1.9e-10 from 1, while
+        # every sum stays within 1e-10 of the mean and the mean within
+        # 1e-10 of 1: a rule through the mean admits sums 2 * tol from 1.
+        t = np.array([0, 0.45, 0.9, 1.35, 1.9]) * 1e-10
+        v = np.exp(1j * t)[:, None] * random_xu(5, 3)
+        c = classify(v, 1e-10)
+        assert c.is_unitary and not c.is_xu
+        with pytest.raises(MembershipError):
+            require_xu(v, 1e-10)
+
     def test_anticirculant_flag(self):
         a = np.array([[1, 2, 3], [2, 3, 1], [3, 1, 2]], dtype=complex)
         c = classify(a)
@@ -151,6 +208,34 @@ class TestClassify:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             classify(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 7),
+    st.integers(0, 2**16),
+    st.lists(st.floats(-1.0, 1.0), min_size=14, max_size=14),
+    st.floats(-1.5, 1.5),
+)
+def test_classify_is_xu_iff_require_xu_passes(n, seed, angles, stretch):
+    """Row and column phases of up to tol each, and a stretch that moves
+    the Gram matrix up to 1.5 tol off the identity, put both the line sums
+    and unitarity at the edge: in a sample of this input, about 13% are
+    XU, 47% unitary but not XU, and 40% not unitary."""
+    tol = 1e-10
+    x = random_xu(n, seed)
+    v = (
+        np.exp(1j * tol * np.array(angles[:n]))[:, None]
+        * x
+        * np.exp(1j * tol * np.array(angles[7 : 7 + n]))
+        * (1.0 + tol * stretch / 2)
+    )
+    try:
+        require_xu(v, tol)
+        passed = True
+    except MembershipError:
+        passed = False
+    assert classify(v, tol).is_xu == passed
 
 
 class TestMatrixJson:

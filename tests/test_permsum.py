@@ -155,6 +155,38 @@ def test_complex_sum_equality_sees_order():
     assert ComplexPermSum(2, terms) != ComplexPermSum(2, terms[::-1])
 
 
+@pytest.mark.parametrize("kind", ["plain", "complex"])
+def test_json_round_trip_compares_equal(kind):
+    from xubirkhoff import decompose_unitary, decompose_xu, haar_unitary, random_xu
+
+    if kind == "plain":
+        s = decompose_xu(random_xu(5, 1))
+    else:
+        s = decompose_unitary(haar_unitary(5, 1))
+    t = perm_sum_from_json(json.loads(dumps_json(perm_sum_to_json(s))))
+    assert t is not s
+    assert t == s and not t != s
+    t.engine = "other"
+    assert t != s
+
+
+@pytest.mark.parametrize("obj", [{"terms": []}, {"n": 2}, [], None])
+def test_from_json_needs_n_and_terms(obj):
+    with pytest.raises(ValueError, match="'n' and 'terms'"):
+        perm_sum_from_json(obj)
+
+
+def test_plain_and_complex_sums_never_equal():
+    s = WeightedPermSum(2, [(Permutation((1, 2)), 1.0)])
+    cs = ComplexPermSum(2, [ComplexPermTerm(Permutation((1, 2)), (1.0, 1.0), 1.0)])
+    assert np.array_equal(s.reconstruct(), cs.reconstruct())
+    assert s != cs and cs != s
+    assert s == WeightedPermSum(2, [(Permutation((1, 2)), 1.0)])
+    for x in (s, cs):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
 def test_complex_terms_assignment_replaces_terms():
     t = ComplexPermTerm(Permutation((2, 1)), (1.0, -1.0), 0.5)
     cs = ComplexPermSum(2)

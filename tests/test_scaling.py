@@ -100,6 +100,10 @@ class TestZxzScale:
         with pytest.raises(ValueError):
             ScalingOptions(max_iters=0)
 
+    def test_negative_max_restarts_rejected(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            ScalingOptions(max_restarts=-1)
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
