@@ -16,19 +16,24 @@ with weight sum 1:
 * ``decompose_recursive``: works for every n by peeling one
   dimension at a time through the ZXZ factorization; the squared moduli
   sum to 1 up to the scaling and pruning residuals (its weights form a
-  unitary element of the group algebra, see its docstring).
+  unitary element of the group algebra, see its docstring). Each level
+  is one dense step on the weights of all n! permutations in
+  lexicographic order: every permutation is, exactly once, a cyclic
+  shift followed by a permutation fixing 0, and, exactly once, a
+  permutation fixing 0 followed by a cyclic shift.
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
   permutation matrices (one unit-modulus phase per row).
 
-``product`` combines decompositions multiplicatively and ``verify``
-recomputes every claimed invariant from scratch.
+``product`` (re-exported from ``permsum``) combines decompositions
+multiplicatively and ``verify`` recomputes every claimed invariant from
+scratch.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,10 +47,9 @@ from .numerics import (
     max_abs_diff,
     root_of_unity,
 )
-from .permsum import ComplexPermSum, WeightedPermSum, _row_order, product
+from .permsum import ComplexPermSum, WeightedPermSum, _frozen, _row_order, product
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import (
-    circulant_sum,
     fourier_core,
     fourier_embed,
     is_prime,
@@ -63,13 +67,62 @@ RECURSIVE_TOL = 1e-8
 METHODS = ("auto", "xu2", "xu3", "xu4", "prime", "recursive")
 
 
+@lru_cache(maxsize=None)
+def _lex_images(n: int) -> np.ndarray:
+    """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
+    the order in which ``itertools.permutations(range(n))`` lists them.
+
+    The rows that start with f are f followed by the rows of S_(n-1) with
+    every image >= f raised by one, which keeps them in order.
+    """
+    if n == 1:
+        return _frozen(np.zeros((1, 1), dtype=np.int8))
+    prev = _lex_images(n - 1)
+    blocks = [
+        np.hstack([np.full((len(prev), 1), f, dtype=np.int8), prev + (prev >= f)])
+        for f in range(n)
+    ]
+    return _frozen(np.vstack(blocks))
+
+
+def _lex_rank(images: np.ndarray) -> np.ndarray:
+    """The int32 lexicographic index of each image row among all rows of
+    S_n: the Lehmer code, digit r counting the later images below image r
+    and weighing (n-1-r)!. Exact for n <= 12, where n! fits in int32."""
+    m, n = images.shape
+    rank = np.zeros(m, dtype=np.int32)
+    for r in range(n - 1):
+        digit = (images[:, r + 1 :] < images[:, r : r + 1]).sum(axis=1, dtype=np.int32)
+        digit *= np.int32(math.factorial(n - 1 - r))
+        rank += digit
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (n, (n-1)!) int32 index tables of one recursion level.
+
+    With c_k the cyclic shift r -> r + k mod n and sigma_j the j-th
+    permutation of S_(n-1) in lexicographic order, ``left[k, j]`` is the
+    lexicographic index of "apply c_k, then 1 (+) sigma_j" and
+    ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
+    lists every permutation of S_n exactly once: the first form is fixed by
+    the point sent to 0, the second by the image of 0 (which is a).
+    """
+    prev = _lex_images(n - 1)
+    lifted = np.hstack([np.zeros((len(prev), 1), dtype=np.int8), prev + 1])
+    shift = np.arange(n)
+    left = [_lex_rank(lifted[:, (shift + k) % n]) for k in range(n)]
+    coset = [_lex_rank((lifted + a) % n) for a in range(n)]
+    return _frozen(np.array(left)), _frozen(np.array(coset))
+
+
 def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:
     """``weights[j]`` on the j-th permutation of {1..n} in lexicographic
-    order, the order in which ``itertools.permutations`` lists them."""
-    images = np.array(list(itertools.permutations(range(n))))
+    order (``_lex_images``)."""
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
     weights = np.array(weights, dtype=complex) + 0j
-    return WeightedPermSum._trusted(n, images, weights, engine)
+    return WeightedPermSum._trusted(n, _lex_images(n), weights, engine)
 
 
 def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
@@ -259,14 +312,6 @@ def decompose_xu4(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     return _lexicographic(4, _xu4_weights(fourier_core(a, tol)), "xu4")
 
 
-def _lift(s: WeightedPermSum) -> WeightedPermSum:
-    """Embed a sum on {1..n-1} as a sum on {1..n} fixing 1: each
-    permutation p becomes 1 (+) p."""
-    images = np.hstack([np.zeros((len(s), 1), dtype=int), s.images + 1])
-    # Prepending the smallest image keeps the rows distinct and in order.
-    return WeightedPermSum._trusted(s.n + 1, images, s.weights, s.engine)
-
-
 def decompose_recursive(
     x, opts: ScalingOptions | None = None, tol: float = RECURSIVE_TOL
 ) -> WeightedPermSum:
@@ -278,12 +323,24 @@ def decompose_recursive(
         X = [F (1 (+) e^(i*alpha) Z1) F^-1] [F (1 (+) y) F^-1] [F (1 (+) Z2) F^-1].
 
     The outer factors conjugate diagonal matrices with leading entry 1,
-    so they are circulant and decompose over the n cyclic permutations
+    so they are circulant and decompose over the n cyclic shifts c_k
     (weights = first row). The middle factor is block diagonal
     1 (+) ytilde with ytilde again XU of size n-1 - conjugating 1 (+) y by
     F leaves the first row and column at (1, 0, ..., 0) because the line
-    sums of y are 1 - so a single recursion on ytilde suffices. Terms
-    recombine with ``product``; the weight sum is a product of 1s.
+    sums of y are 1 - so a single recursion on ytilde suffices.
+
+    The three sums multiply in two coset forms of S_n, with no merging
+    and no sort. Every permutation is exactly once "apply c_k, then
+    1 (+) sigma" (k is fixed by the point sent to 0), so the first
+    product is the outer product of the two weight vectors, scattered to
+    lexicographic indices. Every permutation is also exactly once "apply
+    1 (+) rho, then c_a" with a its image of 0, and a further shift c_l
+    only moves a to a + l mod n; so the second product is one n x n
+    circulant matrix times the weights arranged by (a, rho). Each level
+    keeps the weights of all n! permutations in lexicographic order and
+    zeroes those of modulus <= PRUNE_EPS after each product, as pruning
+    the sums would; the result keeps the nonzero terms. The weight sum is
+    a product of 1s.
 
     The squared moduli sum to 1 as well. Read the weights as the element
     m = sum_p m_p p of the group algebra C[S_n], with m* = sum_p
@@ -294,42 +351,64 @@ def decompose_recursive(
       group algebra (the Fourier transform diagonalizes both);
     * lifting an element of C[S_(n-1)] to C[S_n] through 1 (+) sigma is
       an algebra homomorphism, so it keeps unitarity;
-    * products of unitary elements are unitary, and ``product`` is the
-      group-algebra product.
+    * products of unitary elements are unitary, and both coset forms
+      above compute the group-algebra product.
 
     Numerically the sum is 1 up to the scaling residual and the mass
     pruned under PRUNE_EPS.
 
     The default membership tolerance is looser than elsewhere (1e-8)
     because each level re-enters through a scaled core whose line sums
-    carry the scaling residual. XU(1) = {[1]} is the single identity term.
+    carry the scaling residual. XU(1) = {[1]} is the single identity term,
+    and XU(2) keeps both terms of its closed form, zero weights included.
     """
     opts = opts or ScalingOptions()
     a = require_xu(x, tol)
-    out = _recurse(a, opts, tol)
-    out.engine = "recursive"
-    return out
+    n = a.shape[0]
+    weights = _recurse(a, opts, tol)
+    keep = np.abs(weights) > PRUNE_EPS if n > 2 else slice(None)
+    return WeightedPermSum._trusted(
+        n, _lex_images(n)[keep], weights[keep], "recursive"
+    )
 
 
-def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> WeightedPermSum:
+def _pruned(w: np.ndarray) -> np.ndarray:
+    """``w`` with the entries of modulus <= PRUNE_EPS set to zero, in place."""
+    w[np.abs(w) <= PRUNE_EPS] = 0
+    return w
+
+
+def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> np.ndarray:
+    """The weights of all n! permutations of XU(n) member ``a``, in
+    lexicographic order (``decompose_recursive``)."""
     # ``a`` is the checked input or a block this function built, so no
     # level re-checks membership; ``fourier_core`` still rejects a core
     # that does not split off.
     n = a.shape[0]
     if n == 1:
-        return _lexicographic(1, [1.0])
+        return np.ones(1, dtype=complex)
     if n == 2:
-        return _xu2(a)
+        return _xu2(a).weights
     u = fourier_core(a, tol)
     fac = zxz_scale(u, opts)
-    x1 = fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))
-    x2 = fourier_embed(np.diag(fac.z2))
-    middle = fourier_embed(fac.core)
-    ytilde = middle[1:, 1:]
-    s1 = circulant_sum(x1).pruned(PRUNE_EPS)
-    s2 = circulant_sum(x2).pruned(PRUNE_EPS)
-    sy = _lift(_recurse(ytilde, opts, tol))
-    return product(product(s1, sy).pruned(PRUNE_EPS), s2).pruned(PRUNE_EPS)
+    w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
+    w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
+    inner = _recurse(fourier_embed(fac.core)[1:, 1:], opts, tol)
+    left, coset = _level_tables(n)
+    q = np.empty(n * len(inner), dtype=complex)
+    q[left] = np.multiply.outer(w1, inner)
+    _pruned(q)
+    # out[coset[b]] = sum over c of w2[b - c] q[coset[c]]. The terms add
+    # from 0 in the order of c, the lexicographic order of q, and each
+    # product takes q's weight first: the arithmetic of ``product(q, s2)``.
+    k = np.arange(n)
+    circ = w2[(k[:, None] - k) % n]
+    acc = np.zeros((n, len(inner)), dtype=complex)
+    for c in range(n):
+        acc += q[coset[c]] * circ[:, c, None]
+    out = np.empty_like(q)
+    out[coset] = acc
+    return _pruned(out)
 
 
 def decompose_xu(

@@ -161,10 +161,12 @@ def _merge(images: np.ndarray, weights: np.ndarray):
 
 def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """sum over terms j of the matrix with ``entries[j, r]`` at
-    (r, images[j, r]), added in term order."""
-    out = np.zeros((n, n), dtype=complex)
-    rows = np.broadcast_to(np.arange(n), images.shape)
-    np.add.at(out, (rows, images), entries)
+    (r, images[j, r]), added in term order: one ``np.bincount`` per row
+    and part, each adding its entries in term order from 0."""
+    out = np.empty((n, n), dtype=complex)
+    for r in range(n):
+        out[r].real = np.bincount(images[:, r], entries[:, r].real, n)
+        out[r].imag = np.bincount(images[:, r], entries[:, r].imag, n)
     return out
 
 

@@ -330,6 +330,12 @@ class TestRecursive:
         assert s.term_count == 2
         assert abs(s[Permutation((1, 2))] - (1 + e) / 2) < 1e-14
 
+    def test_eye2_keeps_both_closed_form_terms(self):
+        # n <= 2 returns the closed form unpruned, zero weight included
+        s = decompose_recursive(np.eye(2))
+        assert s.term_count == 2
+        assert s.weights.tolist() == [1, 0]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_random_samples(self, n):
         for seed in range(5):
@@ -415,6 +421,7 @@ ENGINE_SUMS = {
     "prime-c-7": lambda: _prime_part(7, 0),
     "prime-d-7": lambda: _prime_part(7, 1),
     "recursive-1": lambda: decompose_recursive(np.eye(1)),
+    "recursive-eye-2": lambda: decompose_recursive(np.eye(2)),
     **{
         f"recursive-{n}": (lambda n=n: decompose_recursive(random_xu(n, seed=1)))
         for n in range(2, 8)

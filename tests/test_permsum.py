@@ -334,3 +334,28 @@ def test_large_product_peak_memory():
         assert peak < 30 * len(x) * len(y)
         want = x.reconstruct() @ y.reconstruct()
         assert max_abs_diff(xy.reconstruct(), want) < 1e-9
+
+
+def _random_rows(rng, n, k):
+    if n == 8:  # every permutation of 8
+        return np.array(list(itertools.permutations(range(n))))
+    return np.argsort(rng.random((k, n)), axis=1)
+
+
+@pytest.mark.parametrize("kind", ["plain", "complex"])
+@pytest.mark.parametrize("n", [2, 5, 8, 13, 31])
+def test_reconstruct_byte_identical_to_add_at(kind, n):
+    rng = np.random.default_rng(n)
+    images = _random_rows(rng, n, 200)
+    w = rng.standard_normal(len(images)) + 1j * rng.standard_normal(len(images))
+    if kind == "plain":
+        s = WeightedPermSum.from_arrays(n, images, w)
+        entries = np.broadcast_to(s.weights[:, None], s.images.shape)
+    else:
+        phases = np.exp(2j * np.pi * rng.random(images.shape))
+        s = ComplexPermSum.from_arrays(n, images, w, phases)
+        entries = s.weights[:, None] * s.phases
+    want = np.zeros((n, n), dtype=complex)
+    rows = np.broadcast_to(np.arange(n), s.images.shape)
+    np.add.at(want, (rows, s.images), entries)
+    assert s.reconstruct().tobytes() == want.tobytes()
