@@ -17,10 +17,11 @@ with weight sum 1:
   dimension at a time through the ZXZ factorization; the squared moduli
   sum to 1 up to the scaling and pruning residuals (its weights form a
   unitary element of the group algebra, see its docstring). Each level
-  is one dense step on the weights of all n! permutations in
-  lexicographic order: every permutation is, exactly once, a cyclic
-  shift followed by a permutation fixing 0, and, exactly once, a
-  permutation fixing 0 followed by a cyclic shift.
+  up to n = DENSE_MAX_N is one dense step on the weights of all n!
+  permutations in lexicographic order: every permutation is, exactly
+  once, a cyclic shift followed by a permutation fixing 0, and, exactly
+  once, a permutation fixing 0 followed by a cyclic shift. Larger
+  levels multiply the sums of their nonzero terms with ``product``.
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
   permutation matrices (one unit-modulus phase per row).
 
@@ -61,6 +62,13 @@ from .xu_group import (
 PRUNE_EPS = 1e-14
 
 RECURSIVE_TOL = 1e-8
+
+# The recursive engine holds a level of size n <= DENSE_MAX_N as the weights
+# of all n! permutations and a larger level as a sum of its nonzero terms. A
+# dense level costs n! whatever the input's support: at n = 9 its weight
+# arrays take 5.8 MB each and a random XU(9) decomposes about ten times
+# faster than through ``product``; at n = 10 they take 58 MB each.
+DENSE_MAX_N = 9
 
 # The names ``decompose_xu`` accepts: ``auto`` and the engines that
 # ``_run_engine`` dispatches on.
@@ -108,6 +116,7 @@ def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
     lists every permutation of S_n exactly once: the first form is fixed by
     the point sent to 0, the second by the image of 0 (which is a).
+    Only the dense levels, n <= DENSE_MAX_N, build them.
     """
     prev = _lex_images(n - 1)
     lifted = np.hstack([np.zeros((len(prev), 1), dtype=np.int8), prev + 1])
@@ -336,11 +345,13 @@ def decompose_recursive(
     lexicographic indices. Every permutation is also exactly once "apply
     1 (+) rho, then c_a" with a its image of 0, and a further shift c_l
     only moves a to a + l mod n; so the second product is one n x n
-    circulant matrix times the weights arranged by (a, rho). Each level
-    keeps the weights of all n! permutations in lexicographic order and
-    zeroes those of modulus <= PRUNE_EPS after each product, as pruning
-    the sums would; the result keeps the nonzero terms. The weight sum is
-    a product of 1s.
+    circulant matrix times the weights arranged by (a, rho). A level of
+    size n <= DENSE_MAX_N keeps the weights of all n! permutations in
+    lexicographic order this way and zeroes those of modulus <= PRUNE_EPS
+    at its end. A larger level multiplies the sums of nonzero terms with
+    ``product`` and prunes after each product, so that an input with few
+    terms (a permutation matrix, a circulant) stays cheap at any n. The
+    weight sum is a product of 1s.
 
     The squared moduli sum to 1 as well. Read the weights as the element
     m = sum_p m_p p of the group algebra C[S_n], with m* = sum_p
@@ -352,7 +363,7 @@ def decompose_recursive(
     * lifting an element of C[S_(n-1)] to C[S_n] through 1 (+) sigma is
       an algebra homomorphism, so it keeps unitarity;
     * products of unitary elements are unitary, and both coset forms
-      above compute the group-algebra product.
+      above, like ``product``, compute the group-algebra product.
 
     Numerically the sum is 1 up to the scaling residual and the mass
     pruned under PRUNE_EPS.
@@ -363,44 +374,45 @@ def decompose_recursive(
     and XU(2) keeps both terms of its closed form, zero weights included.
     """
     opts = opts or ScalingOptions()
-    a = require_xu(x, tol)
+    out = _recurse(require_xu(x, tol), opts, tol)
+    out.engine = "recursive"
+    return out
+
+
+def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> WeightedPermSum:
+    """The terms of XU(n) member ``a`` of nonzero weight
+    (``decompose_recursive``); n <= 2 keeps both closed-form terms."""
+    # ``a`` is the checked input or a block this module built, so no level
+    # re-checks membership; ``fourier_core`` still rejects a core that does
+    # not split off.
     n = a.shape[0]
-    weights = _recurse(a, opts, tol)
-    keep = np.abs(weights) > PRUNE_EPS if n > 2 else slice(None)
-    return WeightedPermSum._trusted(
-        n, _lex_images(n)[keep], weights[keep], "recursive"
-    )
+    if n <= DENSE_MAX_N:
+        weights = _dense(a, opts, tol)
+        keep = weights != 0 if n > 2 else slice(None)
+        return WeightedPermSum._trusted(n, _lex_images(n)[keep], weights[keep])
+    w1, w2, ytilde = _level(a, opts, tol)
+    sy = _lift(_recurse(ytilde, opts, tol))
+    out = product(product(_cyclic(w1), sy).pruned(PRUNE_EPS), _cyclic(w2))
+    return out.pruned(PRUNE_EPS)
 
 
-def _pruned(w: np.ndarray) -> np.ndarray:
-    """``w`` with the entries of modulus <= PRUNE_EPS set to zero, in place."""
-    w[np.abs(w) <= PRUNE_EPS] = 0
-    return w
-
-
-def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> np.ndarray:
+def _dense(a: np.ndarray, opts: ScalingOptions, tol: float) -> np.ndarray:
     """The weights of all n! permutations of XU(n) member ``a``, in
-    lexicographic order (``decompose_recursive``)."""
-    # ``a`` is the checked input or a block this function built, so no
-    # level re-checks membership; ``fourier_core`` still rejects a core
-    # that does not split off.
+    lexicographic order, with those of modulus <= PRUNE_EPS zeroed for
+    n > 2."""
     n = a.shape[0]
     if n == 1:
         return np.ones(1, dtype=complex)
     if n == 2:
         return _xu2(a).weights
-    u = fourier_core(a, tol)
-    fac = zxz_scale(u, opts)
-    w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
-    w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
-    inner = _recurse(fourier_embed(fac.core)[1:, 1:], opts, tol)
+    w1, w2, ytilde = _level(a, opts, tol)
+    inner = _dense(ytilde, opts, tol)
     left, coset = _level_tables(n)
     q = np.empty(n * len(inner), dtype=complex)
     q[left] = np.multiply.outer(w1, inner)
-    _pruned(q)
     # out[coset[b]] = sum over c of w2[b - c] q[coset[c]]. The terms add
     # from 0 in the order of c, the lexicographic order of q, and each
-    # product takes q's weight first: the arithmetic of ``product(q, s2)``.
+    # product takes q's weight first, as in ``product(q, s2)``.
     k = np.arange(n)
     circ = w2[(k[:, None] - k) % n]
     acc = np.zeros((n, len(inner)), dtype=complex)
@@ -409,6 +421,39 @@ def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> np.ndarray:
     out = np.empty_like(q)
     out[coset] = acc
     return _pruned(out)
+
+
+def _level(a: np.ndarray, opts: ScalingOptions, tol: float):
+    """One recursion level of XU(n) member ``a``: the first rows of its two
+    circulant factors, pruned, and the XU(n-1) block ytilde of its middle
+    factor."""
+    fac = zxz_scale(fourier_core(a, tol), opts)
+    w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
+    w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
+    return w1, w2, fourier_embed(fac.core)[1:, 1:]
+
+
+def _pruned(w: np.ndarray) -> np.ndarray:
+    """``w`` with the entries of modulus <= PRUNE_EPS set to zero, in place."""
+    w[np.abs(w) <= PRUNE_EPS] = 0
+    return w
+
+
+def _cyclic(w: np.ndarray) -> WeightedPermSum:
+    """The sum of w[k] c_k over the nonzero w[k]."""
+    n = len(w)
+    k = np.flatnonzero(w)
+    # The shift by k has first image k, so the rows are in lexicographic
+    # order.
+    return WeightedPermSum._trusted(n, (k[:, None] + np.arange(n)) % n, w[k])
+
+
+def _lift(s: WeightedPermSum) -> WeightedPermSum:
+    """Embed a sum on {1..n-1} as a sum on {1..n} fixing 1: each
+    permutation p becomes 1 (+) p."""
+    images = np.hstack([np.zeros((len(s), 1), dtype=int), s.images + 1])
+    # Prepending the smallest image keeps the rows distinct and in order.
+    return WeightedPermSum._trusted(s.n + 1, images, s.weights, s.engine)
 
 
 def decompose_xu(

@@ -3,6 +3,7 @@ formula it replaces, and the lexicographic tables it indexes."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,17 @@ from hypothesis import strategies as st
 from xubirkhoff import (
     Permutation,
     WeightedPermSum,
+    circulant_xu_decompose,
     compose,
     decompose_recursive,
+    decompose_unitary,
+    decompose_xu,
     product,
+    random_circulant_xu,
     random_xu,
 )
 from xubirkhoff.birkhoff import (
+    DENSE_MAX_N,
     PRUNE_EPS,
     RECURSIVE_TOL,
     _level_tables,
@@ -64,6 +70,47 @@ def test_matches_sum_product_reference(n, seed):
     want = _reference(x.astype(complex), ScalingOptions())
     assert np.array_equal(got.images, want.images)
     assert np.abs(got.weights - want.weights).max() <= 1e-15
+
+
+def _few_term_inputs(n):
+    rng = np.random.default_rng(n)
+    return [np.eye(n), np.eye(n)[rng.permutation(n)], random_circulant_xu(n, n)]
+
+
+@pytest.mark.parametrize("n", [DENSE_MAX_N, DENSE_MAX_N + 1])
+def test_both_sides_of_the_dense_bound_match_reference(n):
+    # n = DENSE_MAX_N is one dense recursion; n = DENSE_MAX_N + 1 is a
+    # sparse level over it.
+    for x in _few_term_inputs(n):
+        got = decompose_recursive(x)
+        want = _reference(x.astype(complex), ScalingOptions())
+        assert np.array_equal(got.images, want.images)
+        assert np.abs(got.weights - want.weights).max() <= 1e-15
+        assert len(got) <= n
+        assert np.abs(got.reconstruct() - x).max() <= 1e-12
+
+
+def test_few_term_inputs_at_n12_stay_small():
+    # Dense levels above DENSE_MAX_N would hold 12! complex weights
+    # (7.7 GB); even one at n = 10 holds 58 MB.
+    x = random_circulant_xu(12, 0)
+    tracemalloc.start()
+    try:
+        eye = decompose_recursive(np.eye(12))
+        circulant = decompose_xu(x)
+        unitary = decompose_unitary(x * np.exp(0.3j))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert np.array_equal(eye.images, [np.arange(12)])
+    assert abs(eye.weights[0] - 1) <= 1e-12
+    want = circulant_xu_decompose(x)
+    assert circulant.engine == "recursive"
+    assert np.array_equal(circulant.images, want.images)
+    assert np.abs(circulant.weights - want.weights).max() <= 1e-12
+    assert len(unitary) == 12
+    assert np.abs(unitary.reconstruct() - x * np.exp(0.3j)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))
