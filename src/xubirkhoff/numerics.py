@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,14 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def check_seed(seed, what: str = "seed"):
+    """``seed`` when it is an integer >= 0 (numpy integers included, bool
+    not); anything else raises ValueError naming ``what``."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def root_of_unity(n: int, a: int) -> complex:

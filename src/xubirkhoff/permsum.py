@@ -21,13 +21,11 @@ the order given and keeps duplicates, since two complex permutation
 matrices on one permutation do not in general add up to a third; it lists
 them in lexicographic order through ``items_sorted`` and in the JSON form.
 
-Merging and ordering sort the rows with one stable ``np.lexsort``, for
-every n; ``np.bincount`` then sums the weights of equal rows in the order
-they arrived. Only the product of two sums (``product``) encodes
-rows as base-n integer keys ``sum over r of images[j, r] * n**(n-1-r)``,
-whose numeric order is the lexicographic order of the rows: it builds
-them straight from the factors' images, without forming the composed
-rows, for n <= KEY_MAX_N (beyond that the key overflows int64).
+Merging, ordering and the product of two sums (``product``) sort the
+rows with one stable ``np.lexsort``, for every n; ``np.bincount`` then
+sums the weights of equal rows in the order they arrived. ``product``
+composes the rows of every pair of terms, groups them as merging does,
+and forms the pair weights only afterwards, a block at a time.
 
 Engines build sums from arrays through one trusted constructor,
 ``_PermArrays._trusted``, which checks nothing: an engine's rows are valid
@@ -50,10 +48,6 @@ from .errors import DimensionError, NotAPermutationError
 from .numerics import json_array, json_complex, json_pairs, json_size
 from .permutations import Permutation, perm_to_matrix
 
-# Largest n whose base-n keys n**n - 1 fit in int64 (``product`` only).
-KEY_MAX_N = 15
-
-
 def _image_dtype(n: int):
     return np.int8 if n <= 127 else np.int32
 
@@ -61,13 +55,6 @@ def _image_dtype(n: int):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _powers(n: int) -> np.ndarray:
-    """Place values n**(n-1), ..., n, 1 of the base-n row key, in the
-    narrowest of int32 and int64 that holds every key."""
-    dtype = np.int32 if n**n <= np.iinfo(np.int32).max else np.int64
-    return n ** np.arange(n - 1, -1, -1, dtype=dtype)
 
 
 def _validated(n: int, images, weights, phases=None):
@@ -123,40 +110,36 @@ def _sum_pair_groups(
     return out
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct ``keys`` and, for each key, the index of its
-    value among them: ``np.unique(keys, return_inverse=True)`` without its
-    copy of the keys and its second index array, which set the peak
-    memory of a large product."""
-    order = np.argsort(keys)
-    s = keys[order]
-    starts = np.ones(len(s), dtype=bool)
-    starts[1:] = s[1:] != s[:-1]
-    uniq = s[starts]
-    del s
-    dtype = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.intp
-    group = np.cumsum(starts, dtype=dtype)
-    group -= 1
-    inverse = np.empty_like(group)
-    inverse[order] = group
-    return uniq, inverse
-
-
 def _row_order(images: np.ndarray) -> np.ndarray:
     """Stable permutation of the rows that sorts them lexicographically."""
     return np.lexsort(images.T[::-1])
 
 
+def _group_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``images`` in lexicographic order and, for each
+    row, the index of its value among them. Group starts are found one
+    column at a time through the sort order, so no sorted copy of the rows
+    is made; the index is int32 where it fits."""
+    order = _row_order(images)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for col in images.T:
+        c = col[order]
+        starts[1:] |= c[1:] != c[:-1]
+    del c
+    rows = images[order[starts]]
+    dtype = np.int32 if len(order) <= np.iinfo(np.int32).max else np.intp
+    group = np.cumsum(starts, dtype=dtype)
+    group -= 1
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    return rows, inverse
+
+
 def _merge(images: np.ndarray, weights: np.ndarray):
     """Sorted distinct rows and their weights, each summed in input order."""
-    order = _row_order(images)
-    rows = images[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    merged = _sum_groups(inverse, weights, int(starts.sum()))
-    return rows[starts], merged
+    rows, inverse = _group_rows(images)
+    return rows, _sum_groups(inverse, weights, len(rows))
 
 
 def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -186,38 +169,19 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     in that pair order. The weight sum multiplies, so sums of 1 stay 1.
     Sizes that differ raise DimensionError.
 
-    For n <= KEY_MAX_N the composed rows are never formed: each pair's
-    base-n key is accumulated digit by digit from gathers of ``b``'s
-    images, cast once to the key dtype so that no step depends on numpy's
-    promotion of small integers. To keep the peak memory down, the keys are
-    grouped by ``_group`` and the pair weights are formed only afterwards,
-    a block of pairs at a time (``_sum_pair_groups``).
+    The composed rows are grouped as ``_merge`` groups rows
+    (``_group_rows``) and freed before any pair weight exists; the pair
+    weights are then formed and summed a block of pairs at a time
+    (``_sum_pair_groups``), which keeps the peak memory down.
     """
     n = a.n
     if b.n != n:
         raise DimensionError(f"product of sizes {n} and {b.n}")
-    ia = a.images
-    if n <= KEY_MAX_N:
-        powers = _powers(n)
-        ib = b.images.astype(powers.dtype)
-        keys = np.zeros((len(ia), len(ib)), dtype=powers.dtype)
-        digit = np.empty((len(ib), len(ia)), dtype=powers.dtype)
-        for r, place in enumerate(powers):
-            np.take(ib, ia[:, r], axis=1, out=digit)
-            digit *= place
-            keys.T[...] += digit
-        del digit
-        uniq, inverse = _group(keys.reshape(-1))
-        del keys
-        merged = _sum_pair_groups(
-            inverse.reshape(len(ia), len(ib)), a.weights, b.weights, len(uniq)
-        )
-        del inverse
-        images = uniq[:, None] // powers % n
-    else:
-        weights = np.multiply.outer(a.weights, b.weights).reshape(-1)
-        composed = b.images[:, ia].transpose(1, 0, 2).reshape(-1, n)
-        images, merged = _merge(composed, weights)
+    composed = b.images[:, a.images].transpose(1, 0, 2).reshape(-1, n)
+    images, inverse = _group_rows(composed)
+    del composed
+    inverse = inverse.reshape(len(a), len(b))
+    merged = _sum_pair_groups(inverse, a.weights, b.weights, len(images))
     return WeightedPermSum._trusted(n, images, merged)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import dft_matrix
+from .numerics import check_seed, dft_matrix
 from .xu_group import embed_core
 
 KINDS = ("unitary", "xu", "circulant_xu", "zu")
@@ -32,10 +32,12 @@ class SampleSpec:
             raise DimensionError(f"dimension must be positive, got n={self.n}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_seed(self.seed)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+    """The generator of every sampler; ``seed`` must be an integer >= 0."""
+    return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:

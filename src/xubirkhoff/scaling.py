@@ -55,12 +55,11 @@ successful attempt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .numerics import line_sum_spread, require_unitary
+from .numerics import check_seed, line_sum_spread, require_unitary
 
 UNITARY_TOL = 1e-8
 # A sweep whose largest entry change is at most STALL_RATIO times the
@@ -98,11 +97,7 @@ class ScalingOptions:
             )
         # Checked here because the restart generator is built lazily:
         # a bad seed must not pass silently when no restart happens.
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-            raise ValueError(
-                f"rng_seed must be an integer >= 0, got {seed!r}"
-            )
+        check_seed(self.rng_seed, "rng_seed")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,11 @@ class TestSample:
         a = matrix_from_json(json.loads(out))
         assert np.array_equal(a, random_xu(4, seed=3))
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "3", "--seed", "-5")
+        assert code == 2 and not out
+        assert "seed" in err
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "m.json"
         code, out, _ = run_cli(

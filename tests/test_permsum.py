@@ -336,6 +336,32 @@ def test_large_product_peak_memory():
         assert max_abs_diff(xy.reconstruct(), want) < 1e-9
 
 
+def test_product_peak_memory_above_former_key_range():
+    # 20 000 random permutations of 16 against the 16 cyclic shifts, both
+    # ways: 320 000 pairs onto as many distinct terms
+    n = 16
+    rng = np.random.default_rng(0)
+    images = np.argsort(rng.random((20000, n)), axis=1)
+    a = WeightedPermSum.from_arrays(
+        n, images, rng.random(len(images)) + 1j * rng.random(len(images))
+    )
+    k = np.arange(n)
+    b = WeightedPermSum.from_arrays(n, (k[:, None] + k) % n, rng.random(n) + 0j)
+    for x, y in ((a, b), (b, a)):
+        tracemalloc.start()
+        try:
+            xy = product(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(xy) == len(x) * len(y)
+        # merging the composed rows with a weight for every pair at once
+        # peaked at 105 bytes per pair
+        assert peak < 90 * len(x) * len(y)
+        want = x.reconstruct() @ y.reconstruct()
+        assert max_abs_diff(xy.reconstruct(), want) < 1e-9
+
+
 def _random_rows(rng, n, k):
     if n == 8:  # every permutation of 8
         return np.array(list(itertools.permutations(range(n))))

@@ -107,3 +107,34 @@ class TestSampleSpec:
     def test_bad_dim(self):
         with pytest.raises(DimensionError):
             SampleSpec(n=0, kind="xu", seed=0)
+
+
+class TestSeeds:
+    SAMPLERS = (haar_unitary, random_xu, random_zu, random_circulant_xu)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_bad_seed_rejected_by_samplers(self, sampler, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sampler(3, seed)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_bad_seed_rejected_by_spec(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SampleSpec(n=3, kind="xu", seed=seed)
+
+    @pytest.mark.parametrize("kind", ["unitary", "xu", "circulant_xu", "zu"])
+    def test_numpy_integer_seed_accepted(self, kind):
+        a = sample(SampleSpec(n=4, kind=kind, seed=np.int64(3)))
+        assert a.tobytes() == sample(SampleSpec(n=4, kind=kind, seed=3)).tobytes()
+
+    def test_samples_draw_from_philox_of_the_seed(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        phases = np.exp(2j * np.pi * rng.random(5))
+        phases[0] = 1.0
+        assert random_zu(5, 7).tobytes() == np.diag(phases).tobytes()
+        rng = np.random.Generator(np.random.Philox(7))
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        d = np.diag(r)
+        assert haar_unitary(4, 7).tobytes() == (q * (d / np.abs(d))).tobytes()
