@@ -70,11 +70,6 @@ RECURSIVE_TOL = 1e-8
 # faster than through ``product``; at n = 10 they take 58 MB each.
 DENSE_MAX_N = 9
 
-# The names ``decompose_xu`` accepts: ``auto`` and the engines that
-# ``_run_engine`` dispatches on.
-METHODS = ("auto", "xu2", "xu3", "xu4", "prime", "recursive")
-
-
 @lru_cache(maxsize=None)
 def _lex_images(n: int) -> np.ndarray:
     """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
@@ -456,6 +451,23 @@ def _lift(s: WeightedPermSum) -> WeightedPermSum:
     return WeightedPermSum._trusted(s.n + 1, images, s.weights, s.engine)
 
 
+# Method name -> engine call ``(a, p, opts, **kw)``. ``kw`` holds ``tol``
+# only when it is set, so that each engine keeps its own default. The
+# engines are looked up as module attributes at call time, so that a
+# replaced attribute (such as the benchmark tracer's wrappers) is the one
+# run.
+_ENGINES = {
+    "xu2": lambda a, p, opts, **kw: decompose_xu2(a, **kw),
+    "xu3": lambda a, p, opts, **kw: decompose_xu3(a, p, **kw),
+    "xu4": lambda a, p, opts, **kw: decompose_xu4(a, **kw),
+    "prime": lambda a, p, opts, **kw: decompose_prime(a, **kw),
+    "recursive": lambda a, p, opts, **kw: decompose_recursive(a, opts, **kw),
+}
+
+# The names ``decompose_xu`` accepts.
+METHODS = ("auto", *_ENGINES)
+
+
 def decompose_xu(
     x,
     method: str = "auto",
@@ -465,17 +477,21 @@ def decompose_xu(
 ) -> WeightedPermSum:
     """Front door for XU decompositions.
 
-    method 'auto' picks the engine with the squared-moduli-1 guarantee
-    when one exists (prime n or n = 4) and falls back to the recursive
-    engine for n = 1 and composite n > 4. Explicit methods: 'xu2', 'xu3', 'xu4',
-    'prime', 'recursive'.
+    ``method`` is one of ``METHODS``. 'auto' picks the engine with the
+    squared-moduli-1 guarantee when one exists (prime n or n = 4) and falls
+    back to the recursive engine for n = 1 and composite n > 4; any other
+    name runs that engine. ``p`` reaches only 'xu3' and ``opts`` only
+    'recursive'. An unset ``tol`` leaves each engine its own membership
+    tolerance: RECURSIVE_TOL for 'recursive', DEFAULT_TOL for the others.
+    An unknown method raises ValueError.
     """
     a = as_complex_matrix(x)
     if method == "auto":
         method = _auto_method(a.shape[0])
-    if tol is None:
-        tol = RECURSIVE_TOL if method == "recursive" else DEFAULT_TOL
-    return _run_engine(method, a, tol, opts, p)
+    if method not in _ENGINES:
+        raise ValueError(f"unknown method {method!r}")
+    kw = {} if tol is None else {"tol": tol}
+    return _ENGINES[method](a, p, opts, **kw)
 
 
 def _auto_method(n: int) -> str:
@@ -483,28 +499,6 @@ def _auto_method(n: int) -> str:
     if n == 4:
         return "xu4"
     return "prime" if is_prime(n) else "recursive"
-
-
-def _run_engine(
-    method: str,
-    a: np.ndarray,
-    tol: float,
-    opts: ScalingOptions | None,
-    p: complex = 1.0,
-) -> WeightedPermSum:
-    # Engines are looked up by name at call time, so that a replaced module
-    # attribute (such as the benchmark tracer's wrappers) is the one run.
-    if method == "xu2":
-        return decompose_xu2(a, tol)
-    if method == "xu3":
-        return decompose_xu3(a, p=p, tol=tol)
-    if method == "xu4":
-        return decompose_xu4(a, tol)
-    if method == "prime":
-        return decompose_prime(a, tol)
-    if method == "recursive":
-        return decompose_recursive(a, opts, tol)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def decompose_unitary(
@@ -527,7 +521,7 @@ def decompose_unitary(
             n, np.arange(n)[None], np.ones(1, dtype=complex), "identity"
         )
     else:
-        inner = _run_engine(_auto_method(n), fac.core, tol, opts)
+        inner = _ENGINES[_auto_method(n)](fac.core, 1.0, opts, tol=tol)
     phase = complex(np.exp(1j * fac.alpha))
     kept = inner.pruned(PRUNE_EPS)
     return ComplexPermSum._trusted(

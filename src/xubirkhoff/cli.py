@@ -36,6 +36,7 @@ from .errors import (
     XUBirkhoffError,
 )
 from .numerics import (
+    check_int,
     dumps_json,
     json_pairs,
     line_sum_spread,
@@ -93,17 +94,15 @@ def _tol(args, default):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a dimension ``n``: an integer >= 1. Anything else
-    is a usage error (exit 2) before any work."""
+    """argparse type of a dimension ``n``: an integer >= 1 by
+    ``check_int``. Anything else is a usage error (exit 2) before any
+    work."""
     try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
+        return check_int(int(text), 1, "n")
+    except (ValueError, DimensionError):
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
-        )
-    return n
+        ) from None
 
 
 def _cmd_sample(args) -> int:

@@ -39,12 +39,15 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def check_seed(seed, what: str = "seed"):
-    """``seed`` when it is an integer >= 0 (numpy integers included, bool
-    not); anything else raises ValueError naming ``what``."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"{what} must be an integer >= 0, got {seed!r}")
-    return seed
+def check_int(value, least: int, what: str, error=DimensionError) -> int:
+    """``value`` as an int when it is an integer >= ``least`` (numpy
+    integers included, bool not); anything else raises ``error`` naming
+    ``what``. Sizes and indices raise DimensionError, seeds and counts
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise error(f"{what} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def root_of_unity(n: int, a: int) -> complex:
@@ -53,12 +56,10 @@ def root_of_unity(n: int, a: int) -> complex:
     Reduction keeps large exponents exact instead of accumulating argument
     error, and repeated multiplication is never used.
     """
-    if n < 1:
-        raise DimensionError(f"root order must be positive, got n={n}")
+    n = check_int(n, 1, "root order n")
     return complex(np.exp(2j * math.pi * (a % n) / n))
 
 
-@lru_cache(maxsize=64)
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary discrete Fourier matrix F with F[k,l] = w^(k*l)/sqrt(n).
 
@@ -66,8 +67,13 @@ def dft_matrix(n: int) -> np.ndarray:
     unity), so F is numerically symmetric and F^-1 = F.conj(). The matrix
     is cached per n and returned read-only; copy it to modify it.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got n={n}")
+    # Checked before the cache, where 3.0 and True would find the entries
+    # of 3 and 1.
+    return _dft_matrix(check_int(n, 1, "dimension n"))
+
+
+@lru_cache(maxsize=64)
+def _dft_matrix(n: int) -> np.ndarray:
     k = np.arange(n)
     f = np.exp(2j * math.pi * (np.outer(k, k) % n) / n) / math.sqrt(n)
     f.flags.writeable = False
@@ -246,10 +252,7 @@ def json_complex(nested, shape: tuple, what: str) -> np.ndarray:
 
 def json_size(value, what: str) -> int:
     """A size field (``dim``, ``n``): a JSON integer of at least 1."""
-    n = int(json_array(value, (), True, what))
-    if n < 1:
-        raise ValueError(f"{what} must be positive, got {n}")
-    return n
+    return check_int(int(json_array(value, (), True, what)), 1, what, ValueError)
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -45,8 +45,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
-from .numerics import json_array, json_complex, json_pairs, json_size
+from .numerics import check_int, json_array, json_complex, json_pairs, json_size
 from .permutations import Permutation, perm_to_matrix
+
+# How many sorted rows ``_group_rows`` compares with their predecessors at
+# a time.
+_GROUP_BLOCK = 1 << 12
+
 
 def _image_dtype(n: int):
     return np.int8 if n <= 127 else np.int32
@@ -81,12 +86,13 @@ def _validated(n: int, images, weights, phases=None):
     return a.astype(_image_dtype(n)), w, ph
 
 
-def _sum_groups(inverse: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Weights summed per group ``inverse``, each group in input order."""
-    out = np.empty(k, dtype=complex)
-    out.real = np.bincount(inverse, weights.real, k)
-    out.imag = np.bincount(inverse, weights.imag, k)
-    return out
+def _add_groups(out: np.ndarray, groups: np.ndarray, weights: np.ndarray) -> None:
+    """Add the complex ``weights`` to ``out`` per group, in place: one
+    ``np.bincount`` of the real parts, then one of the imaginary parts,
+    each summing its group in input order from 0. A bincount sum is never
+    -0.0, so adding it to zeros stores it bit for bit."""
+    out.real += np.bincount(groups, weights.real, len(out))
+    out.imag += np.bincount(groups, weights.imag, len(out))
 
 
 def _sum_pair_groups(
@@ -104,9 +110,7 @@ def _sum_pair_groups(
     rows = max(1, k // max(1, len(wb)))
     for start in range(0, len(wa), rows):
         w = np.multiply.outer(wa[start : start + rows], wb).reshape(-1)
-        g = inverse[start : start + rows].reshape(-1)
-        out.real += np.bincount(g, w.real, k)
-        out.imag += np.bincount(g, w.imag, k)
+        _add_groups(out, inverse[start : start + rows].reshape(-1), w)
     return out
 
 
@@ -117,16 +121,15 @@ def _row_order(images: np.ndarray) -> np.ndarray:
 
 def _group_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``images`` in lexicographic order and, for each
-    row, the index of its value among them. Group starts are found one
-    column at a time through the sort order, so no sorted copy of the rows
-    is made; the index is int32 where it fits."""
+    row, the index of its value among them. Group starts are found by
+    comparing neighbouring sorted rows, _GROUP_BLOCK rows at a time, so no
+    sorted copy of all the rows is made; the index is int32 where it
+    fits."""
     order = _row_order(images)
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for col in images.T:
-        c = col[order]
-        starts[1:] |= c[1:] != c[:-1]
-    del c
+    starts = np.ones(len(order), dtype=bool)
+    for lo in range(1, len(order), _GROUP_BLOCK):
+        block = images[order[lo - 1 : lo + _GROUP_BLOCK]]
+        starts[lo : lo + _GROUP_BLOCK] = (block[1:] != block[:-1]).any(axis=1)
     rows = images[order[starts]]
     dtype = np.int32 if len(order) <= np.iinfo(np.int32).max else np.intp
     group = np.cumsum(starts, dtype=dtype)
@@ -139,17 +142,18 @@ def _group_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _merge(images: np.ndarray, weights: np.ndarray):
     """Sorted distinct rows and their weights, each summed in input order."""
     rows, inverse = _group_rows(images)
-    return rows, _sum_groups(inverse, weights, len(rows))
+    out = np.zeros(len(rows), dtype=complex)
+    _add_groups(out, inverse, weights)
+    return rows, out
 
 
 def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """sum over terms j of the matrix with ``entries[j, r]`` at
     (r, images[j, r]), added in term order: one ``np.bincount`` per row
     and part, each adding its entries in term order from 0."""
-    out = np.empty((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
     for r in range(n):
-        out[r].real = np.bincount(images[:, r], entries[:, r].real, n)
-        out[r].imag = np.bincount(images[:, r], entries[:, r].imag, n)
+        _add_groups(out[r], images[:, r], entries[:, r])
     return out
 
 
@@ -195,9 +199,7 @@ class _PermArrays:
     _phases: np.ndarray | None = None
 
     def __init__(self, n: int, engine: str):
-        if n < 1:
-            raise DimensionError(f"dimension must be positive, got n={n}")
-        self.n = n
+        self.n = check_int(n, 1, "dimension n")
         self.engine = engine
 
     @classmethod

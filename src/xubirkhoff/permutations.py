@@ -21,7 +21,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
-from .numerics import as_complex_matrix, json_array, json_size, shift_relation_holds
+from .numerics import (
+    as_complex_matrix,
+    check_int,
+    json_array,
+    json_size,
+    shift_relation_holds,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -50,8 +56,7 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        if n < 1:
-            raise DimensionError(f"dimension must be positive, got n={n}")
+        n = check_int(n, 1, "dimension n")
         return Permutation(tuple(range(1, n + 1)))
 
 
@@ -76,8 +81,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def lexicographic_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of {1..n} in lexicographic image order."""
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got n={n}")
+    n = check_int(n, 1, "dimension n")
     for image in itertools.permutations(range(1, n + 1)):
         yield Permutation(image)
 
@@ -111,9 +115,8 @@ def supercirculant_perm(n: int, label: SupercirculantLabel) -> Permutation:
 
     C[l,x] is a permutation if and only if gcd(x, n) = 1.
     """
+    n = check_int(n, 2, "supercirculant dimension n")
     l, x = label.l, label.x
-    if n < 2:
-        raise DimensionError(f"supercirculant labels need n >= 2, got n={n}")
     if not (1 <= l <= n and 1 <= x <= n - 1):
         raise NotAPermutationError(f"label (l={l}, x={x}) out of range for n={n}")
     if math.gcd(x, n) != 1:
@@ -126,8 +129,7 @@ def supercirculant_perm(n: int, label: SupercirculantLabel) -> Permutation:
 
 def shift_matrix(n: int) -> Permutation:
     """The cyclic shift Q with unit entries at (k, k+1 mod n)."""
-    if n < 2:
-        raise DimensionError(f"the cyclic shift needs n >= 2, got n={n}")
+    n = check_int(n, 2, "cyclic shift dimension n")
     return Permutation(tuple(k % n + 1 for k in range(1, n + 1)))
 
 
@@ -137,8 +139,7 @@ def d_family(n: int) -> list[Permutation]:
 
     Their matrices have pairwise disjoint support and sum to n * W_n.
     """
-    if n < 3:
-        raise DimensionError(f"the D family needs n >= 3, got n={n}")
+    n = check_int(n, 3, "D family dimension n")
     d1 = list(range(1, n + 1))
     d1[n - 2], d1[n - 1] = d1[n - 1], d1[n - 2]
     family = [Permutation(tuple(d1))]
@@ -150,8 +151,7 @@ def d_family(n: int) -> list[Permutation]:
 
 def van_der_waerden(n: int) -> np.ndarray:
     """The n x n matrix with every entry exactly 1/n."""
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got n={n}")
+    n = check_int(n, 1, "dimension n")
     return np.full((n, n), 1.0 / n, dtype=complex)
 
 

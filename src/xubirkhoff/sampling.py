@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .numerics import check_seed, dft_matrix
+from .numerics import check_int, dft_matrix
 from .xu_group import embed_core
 
 KINDS = ("unitary", "xu", "circulant_xu", "zu")
@@ -28,16 +27,16 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError(f"dimension must be positive, got n={self.n}")
+        check_int(self.n, 1, "dimension n")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        check_seed(self.seed)
+        check_int(self.seed, 0, "seed", ValueError)
 
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator of every sampler; ``seed`` must be an integer >= 0."""
-    return np.random.Generator(np.random.Philox(check_seed(seed)))
+    seed = check_int(seed, 0, "seed", ValueError)
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
@@ -48,8 +47,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     each Q column by the phase of the corresponding diagonal entry), which
     makes the factorization unique and the distribution exactly Haar.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got n={n}")
+    n = check_int(n, 1, "dimension n")
     rng = _rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     z /= np.sqrt(2.0)
@@ -60,15 +58,13 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 
 def random_xu(n: int, seed: int) -> np.ndarray:
     """A random XU(n) matrix: the embedding of a Haar unitary of size n-1."""
-    if n < 2:
-        raise DimensionError(f"XU sampling needs n >= 2, got n={n}")
+    n = check_int(n, 2, "XU sampling dimension n")
     return embed_core(haar_unitary(n - 1, seed))
 
 
 def random_zu(n: int, seed: int) -> np.ndarray:
     """A random ZU(n) matrix: diagonal phases with entry (1,1) = 1."""
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got n={n}")
+    n = check_int(n, 1, "dimension n")
     rng = _rng(seed)
     phases = np.exp(2j * np.pi * rng.random(n))
     phases[0] = 1.0
@@ -82,8 +78,7 @@ def random_circulant_xu(n: int, seed: int) -> np.ndarray:
     matrix always lands in the circulant XU matrices, and every circulant
     XU matrix is of this form.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got n={n}")
+    n = check_int(n, 1, "dimension n")
     f = dft_matrix(n)
     return f @ random_zu(n, seed) @ f.conj().T
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .numerics import check_seed, line_sum_spread, require_unitary
+from .numerics import check_int, line_sum_spread, require_unitary
 
 UNITARY_TOL = 1e-8
 # A sweep whose largest entry change is at most STALL_RATIO times the
@@ -89,15 +89,11 @@ class ScalingOptions:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
+        check_int(self.max_iters, 1, "max_iters", ValueError)
+        check_int(self.max_restarts, 0, "max_restarts", ValueError)
         # Checked here because the restart generator is built lazily:
         # a bad seed must not pass silently when no restart happens.
-        check_seed(self.rng_seed, "rng_seed")
+        check_int(self.rng_seed, 0, "rng_seed", ValueError)
 
 
 @dataclass(frozen=True)

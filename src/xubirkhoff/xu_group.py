@@ -24,6 +24,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    check_int,
     classify,
     dft_matrix,
     line_sum_spread,
@@ -82,9 +83,7 @@ def fourier_core(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     Engines that validated their input call this directly, so that one
     public call checks membership once.
     """
-    n = a.shape[0]
-    if n < 2:
-        raise DimensionError(f"extraction needs n >= 2, got n={n}")
+    n = check_int(a.shape[0], 2, "extraction dimension n")
     f = dft_matrix(n)
     b = f.conj().T @ a @ f
     leak = max(
@@ -155,18 +154,20 @@ class TransferMatrix:
     matrix: np.ndarray
 
 
-def _check_indices(n: int, r: int, s: int) -> None:
-    if not (1 <= r <= n - 1 and 1 <= s <= n - 1):
+def _check_indices(n: int, r: int, s: int) -> tuple[int, int]:
+    """``(r, s)`` as ints when both lie in 1..n-1."""
+    r, s = check_int(r, 1, "transfer index r"), check_int(s, 1, "transfer index s")
+    if max(r, s) > n - 1:
         raise DimensionError(
             f"transfer indices must lie in 1..{n - 1}, got r={r}, s={s}"
         )
+    return r, s
 
 
 def transfer_matrix(n: int, r: int, s: int) -> TransferMatrix:
     """Build M[r,s] for 1 <= r, s <= n-1."""
-    if n < 2:
-        raise DimensionError(f"transfer matrices need n >= 2, got n={n}")
-    _check_indices(n, r, s)
+    n = check_int(n, 2, "transfer dimension n")
+    r, s = _check_indices(n, r, s)
     k = np.arange(n)
     expo = (r * k[:, None] - s * k[None, :]) % n
     m = np.exp(2j * math.pi * expo / n)
@@ -190,7 +191,7 @@ def pitch(n: int, r: int, s: int) -> tuple[int, int]:
         raise UnsupportedDimensionError(
             f"pitch equations need a prime dimension, got n={n}"
         )
-    _check_indices(n, r, s)
+    r, s = _check_indices(n, r, s)
     x = (r * pow(s, -1, n)) % n
     y = (s * pow(r, -1, n)) % n
     return (x, y)
@@ -199,5 +200,5 @@ def pitch(n: int, r: int, s: int) -> tuple[int, int]:
 def transfer_block_dims(n: int, r: int, s: int) -> tuple[int, int]:
     """Size (b, c) of the repeating block of M[r,s]: b = n/gcd(n,r),
     c = n/gcd(n,s). For prime n this is always (n, n)."""
-    _check_indices(n, r, s)
+    r, s = _check_indices(n, r, s)
     return (n // math.gcd(n, r), n // math.gcd(n, s))
