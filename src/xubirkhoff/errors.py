@@ -34,8 +34,9 @@ class ConvergenceError(XUBirkhoffError):
     Carries the best line-sum spread achieved so callers can report how
     close the run came, and ``attempts``: one ``(iterations, stop_reason,
     best_spread)`` tuple per attempt, in order, where the reason is
-    ``"cap"`` (the iteration limit) or ``"stall"`` (the attempt stopped
-    moving towards equal line sums).
+    ``"cap"`` (the iteration limit) or ``"stall"`` (its Gauss-Newton
+    steps missed: ``scaling.POLISH_STEPS`` of them failed to halve the
+    best spread).
     """
 
     def __init__(self, message, best_spread=None, attempts=()):

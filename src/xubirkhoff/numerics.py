@@ -39,13 +39,20 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def check_int(value, least: int, what: str, error=DimensionError) -> int:
+def check_int(value, least: int | None, what: str, error=DimensionError) -> int:
     """``value`` as an int when it is an integer >= ``least`` (numpy
-    integers included, bool not); anything else raises ``error`` naming
-    ``what``. Sizes and indices raise DimensionError, seeds and counts
-    ValueError."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+    integers included, bool not; any integer when ``least`` is None);
+    anything else raises ``error`` naming ``what``. Sizes and indices
+    raise DimensionError, seeds and counts ValueError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Integral)
+        or (least is not None and value < least)
+    ):
+        if least is None:
+            kind = "an integer"
+        else:
+            kind = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise error(f"{what} must be {kind}, got {value!r}")
     return int(value)
 
@@ -57,6 +64,7 @@ def root_of_unity(n: int, a: int) -> complex:
     error, and repeated multiplication is never used.
     """
     n = check_int(n, 1, "root order n")
+    a = check_int(a, None, "root exponent a")
     return complex(np.exp(2j * math.pi * (a % n) / n))
 
 

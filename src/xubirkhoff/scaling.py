@@ -10,20 +10,30 @@ then takes one step of one of two kinds. Both kinds give row and column
 phases, and one update applies them to V and to the accumulated factors.
 
 * Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014),
-  while the spread is above POLISH_SPREAD: left-multiplying by the
-  conjugate phases of the row sums and right-multiplying by the conjugate
-  phases of the column sums monotonically increases the total entry sum,
-  and the fixed points with equal line sums are exactly the XU cores. A
-  sum that is exactly zero has no phase and is left untouched for that
-  half step. This is the global phase: it converges from anywhere, but
-  only linearly.
+  while the spread is above POLISH_SPREAD and still falling: left-
+  multiplying by the conjugate phases of the row sums and right-
+  multiplying by the conjugate phases of the column sums monotonically
+  increases the total entry sum, and the fixed points with equal line
+  sums are exactly the XU cores. A sum that is exactly zero has no phase
+  and is left untouched for that half step. This is the global phase: it
+  converges from anywhere, but only linearly.
 * Gauss-Newton steps, from the first pass whose spread is at or below
-  POLISH_SPREAD to the end of the attempt: steps on the 2n angles drive
-  the 4n real components of [V 1 - 1; 1^T V - 1] to zero, quadratically
-  at a regular solution. The gauge direction (theta + c, phi - c), which
-  leaves V unchanged, is taken out by solving each linearized
-  least-squares problem for its least-norm step with a least-squares
-  solve (``np.linalg.lstsq``).
+  POLISH_SPREAD, or at which the sweeps have stopped making progress, to
+  the end of the attempt: steps on the 2n angles drive the 4n real
+  components of [V 1 - 1; 1^T V - 1] to zero, quadratically at a regular
+  solution. The gauge direction (theta + c, phi - c), which leaves V
+  unchanged, is taken out by solving each linearized least-squares
+  problem for its least-norm step with a least-squares solve
+  (``np.linalg.lstsq``).
+
+The sweeps have stopped making progress when, on a pass whose number is
+a multiple of PROGRESS_SWEEPS, the spread is above 1 - PROGRESS_RATE
+times its value PROGRESS_SWEEPS passes before. Unstable fixed points with
+positive-real but unequal line sums exist (for example the rotation by
+pi/4, whose second row and column sums vanish; Idel & Wolf, "Sinkhorn
+normal form for unitary matrices", 2015), and sweeps near one creep
+towards it for hundreds or thousands of passes. Gauss-Newton either finds
+a nearby solution or misses, and a restart is cheaper than creeping.
 
 The exit rules, checked in this order on each pass:
 
@@ -34,16 +44,10 @@ The exit rules, checked in this order on each pass:
   are tolerated because a near-singular Jacobian can send a step far
   along a flat direction before the next ones converge; steps that halve
   the spread are not limited because at a singular solution Gauss-Newton
-  converges only linearly. Sweeping on after the misses would only creep
-  towards a fixed point that is not a solution, and a restart is cheaper.
+  converges only linearly.
 
-Unstable fixed points with positive-real but unequal line sums exist (for
-example the rotation by pi/4, whose second row and column sums vanish;
-Idel & Wolf, "Sinkhorn normal form for unitary matrices", 2015). An
-attempt is abandoned as stalled when a sweep changes no entry by more
-than STALL_RATIO times the spread, the sign of creeping towards such a
-point, and the next attempt starts from a random diagonal-phase
-perturbation. Restart k draws its phases from a seeded
+After an abandoned attempt the next one starts from a random
+diagonal-phase perturbation. Restart k draws its phases from a seeded
 counter-based generator (numpy Philox), the same ones whatever the earlier
 attempts did, so runs are reproducible. The generator is only built
 once a restart is needed.
@@ -62,9 +66,11 @@ from .errors import ConvergenceError
 from .numerics import check_int, line_sum_spread, require_unitary
 
 UNITARY_TOL = 1e-8
-# A sweep whose largest entry change is at most STALL_RATIO times the
-# spread is creeping towards an unstable fixed point: abandon the attempt.
-STALL_RATIO = 1e-3
+# Sweeps that cut the spread by less than the fraction PROGRESS_RATE over
+# PROGRESS_SWEEPS passes are creeping: the attempt hands over to
+# Gauss-Newton.
+PROGRESS_RATE = 1e-2
+PROGRESS_SWEEPS = 10
 # The spread at which an attempt first switches to Gauss-Newton steps,
 # and how many of those steps that fail to halve the spread end it.
 POLISH_SPREAD = 1e-2
@@ -175,7 +181,9 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             left = np.exp(2j * np.pi * rng.random(n))
             right = np.exp(2j * np.pi * rng.random(n))
         v = left[:, None] * a * right[None, :]
-        best = np.inf
+        # mark: the spread at the last pass whose number is a multiple
+        # of PROGRESS_SWEEPS.
+        best = mark = np.inf
         it = misses = 0
         newton = False
         while True:
@@ -193,6 +201,9 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             if misses >= POLISH_STEPS:
                 reason = "stall"
                 break
+            if not newton and it % PROGRESS_SWEEPS == 0:
+                newton = spread > (1 - PROGRESS_RATE) * mark
+                mark = spread
             newton = newton or spread <= POLISH_SPREAD
             it += 1
             if newton:
@@ -203,12 +214,9 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
                 row_ph = _conj_phases(rows)
                 w = v * row_ph[:, None]
                 col_ph = _conj_phases(w.sum(axis=0))
-            prev, v = v, w * col_ph[None, :]
+            v = w * col_ph[None, :]
             left = left * row_ph
             right = right * col_ph
-            if not newton and np.abs(v - prev).max() <= STALL_RATIO * spread:
-                reason = "stall"
-                break
         attempts.append((it, reason, best))
 
     best = min(b for _, _, b in attempts)

@@ -175,7 +175,9 @@ def transfer_matrix(n: int, r: int, s: int) -> TransferMatrix:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality, ample for desk-scale dimensions."""
+    """Trial-division primality, ample for desk-scale dimensions; False
+    for integers below 2."""
+    n = check_int(n, None, "dimension n")
     if n < 2:
         return False
     return all(n % d != 0 for d in range(2, int(math.isqrt(n)) + 1))
@@ -187,6 +189,7 @@ def pitch(n: int, r: int, s: int) -> tuple[int, int]:
     They solve s*x = r mod n and r*y = s mod n, so x = r/s and y = s/r in
     modular arithmetic, with x*y = 1 mod n.
     """
+    n = check_int(n, None, "dimension n")
     if not is_prime(n):
         raise UnsupportedDimensionError(
             f"pitch equations need a prime dimension, got n={n}"
@@ -200,5 +203,6 @@ def pitch(n: int, r: int, s: int) -> tuple[int, int]:
 def transfer_block_dims(n: int, r: int, s: int) -> tuple[int, int]:
     """Size (b, c) of the repeating block of M[r,s]: b = n/gcd(n,r),
     c = n/gcd(n,s). For prime n this is always (n, n)."""
+    n = check_int(n, 2, "transfer dimension n")
     r, s = _check_indices(n, r, s)
     return (n // math.gcd(n, r), n // math.gcd(n, s))

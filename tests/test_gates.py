@@ -15,11 +15,13 @@ from xubirkhoff import (
     SampleSpec,
     ScalingOptions,
     SupercirculantLabel,
+    UnsupportedDimensionError,
     WeightedPermSum,
     d_family,
     decompose_unitary,
     decompose_xu,
     haar_unitary,
+    is_prime,
     lexicographic_permutations,
     pitch,
     random_circulant_xu,
@@ -76,6 +78,7 @@ GATES = [
     ("transfer index s", lambda s: transfer_matrix(5, 2, s), 1, DimensionError),
     ("pitch index r", lambda r: pitch(5, r, 2), 1, DimensionError),
     ("block index s", lambda s: transfer_block_dims(6, 1, s), 1, DimensionError),
+    ("transfer_block_dims", lambda n: transfer_block_dims(n, 1, 1), 2, DimensionError),
     ("sample seed", lambda seed: sample(SampleSpec(3, "xu", seed)), 0, ValueError),
     ("haar_unitary seed", lambda seed: haar_unitary(3, seed), 0, ValueError),
     ("max_iters", lambda k: _scaled(max_iters=k), 1, ValueError),
@@ -119,10 +122,13 @@ def test_gate_rejects_anything_but_an_integer_at_least(data):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(value=st.integers(-(10**20), 10**20), least=st.integers(0, 3))
+@given(
+    value=st.integers(-(10**20), 10**20),
+    least=st.one_of(st.none(), st.integers(0, 3)),
+)
 def test_check_int_accepts_exactly_the_integers_at_least(value, least):
     for v in (value, np.int64(value) if abs(value) < 2**62 else value):
-        if v >= least:
+        if least is None or v >= least:
             got = check_int(v, least, "v")
             assert type(got) is int and got == value
         else:
@@ -149,6 +155,34 @@ def test_transfer_index_must_be_an_integer():
         transfer_matrix(5, 1.5, 2)
     with pytest.raises(DimensionError, match=r"1\.\.4"):
         transfer_matrix(5, 1, 5)
+
+
+# Integer arguments with no least value: the prime test's n and the
+# exponent of a root of unity.
+UNBOUNDED = [
+    ("is_prime", is_prime),
+    ("pitch", lambda n: pitch(n, 1, 2)),
+    ("root exponent", lambda a: root_of_unity(5, a)),
+]
+
+
+@pytest.mark.parametrize("name, call", UNBOUNDED, ids=[u[0] for u in UNBOUNDED])
+@pytest.mark.parametrize("bad", [2.5, 7.0, 1.5, True, "7", None, np.float64(7.0)])
+def test_unbounded_gate_rejects(name, call, bad):
+    with pytest.raises(DimensionError, match="must be an integer, got"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", UNBOUNDED, ids=[u[0] for u in UNBOUNDED])
+def test_unbounded_gate_takes_numpy_integers(name, call):
+    assert pickle.dumps(call(np.int64(7))) == pickle.dumps(call(7))
+
+
+def test_pitch_needs_a_prime_integer():
+    # Integers below 2 are not prime, not a gate error.
+    for n in (-5, 0, 1, 4, np.int64(6)):
+        with pytest.raises(UnsupportedDimensionError, match="prime"):
+            pitch(n, 1, 1)
 
 
 def test_scaling_counts_must_be_integers():

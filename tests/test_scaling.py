@@ -1,5 +1,5 @@
 """Tests for the ZXZ factorization: alternating sweeps, Gauss-Newton
-polish and the stall exit."""
+polish, the hand-over from creeping sweeps and the stall exit."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from xubirkhoff import (
     zxz_scale,
 )
 from xubirkhoff.numerics import max_abs_diff
+from xubirkhoff.scaling import POLISH_SPREAD, POLISH_STEPS, PROGRESS_SWEEPS
 from xubirkhoff.xu_group import require_xu
 
 
@@ -187,8 +188,45 @@ class TestConvergenceHistory:
             zxz_scale(u, ScalingOptions(max_restarts=0))
         ((iterations, reason, best),) = info.value.attempts
         assert reason == "stall"
-        assert iterations == 1
+        # The sweeps do not move it: they hand over to Gauss-Newton at the
+        # first progress check, whose steps all miss (18 iterations).
+        assert iterations <= PROGRESS_SWEEPS + POLISH_STEPS
         assert best == info.value.best_spread
+
+    @pytest.mark.parametrize(
+        "n, seed, restarts, iterations",
+        [(3, 60, 2, 9), (4, 107, 1, 7), (5, 309, 1, 16)],
+    )
+    def test_creeping_sweeps_hand_over(self, n, seed, restarts, iterations):
+        # The first attempt's sweeps creep above POLISH_SPREAD. Sweeping on
+        # until a sweep barely moved took 463 (n = 3), 748 (n = 4) and
+        # 1 278 (n = 5) iterations; the hand-over ends it after 178, 238
+        # and 28, when its Gauss-Newton steps miss.
+        u = haar_unitary(n, seed)
+        with pytest.raises(ConvergenceError) as info:
+            zxz_scale(u, ScalingOptions(max_restarts=0))
+        ((first, reason, best),) = info.value.attempts
+        assert reason == "stall"
+        assert first <= 250
+        # Never at POLISH_SPREAD, so the progress check started Gauss-Newton.
+        assert best > POLISH_SPREAD
+        fac = zxz_scale(u)
+        assert (fac.restarts, fac.iterations) == (restarts, iterations)
+        assert fac.spread <= 1e-10
+        assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
+
+    def test_hand_over_can_converge(self):
+        # The sweeps creep at spread 0.068 and hand over after 20; the
+        # Gauss-Newton steps from there reach the target without a restart.
+        u = haar_unitary(2, 876)
+        with pytest.raises(ConvergenceError) as info:
+            zxz_scale(u, ScalingOptions(max_iters=20, max_restarts=0))
+        ((_, _, best),) = info.value.attempts
+        assert best > POLISH_SPREAD
+        fac = zxz_scale(u)
+        assert (fac.restarts, fac.iterations) == (0, 24)
+        assert fac.spread <= 1e-10
+        assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -198,13 +236,15 @@ class TestConvergenceHistory:
     st.integers(1, 60),
     st.integers(0, 2),
 )
-# Stalls are rare among random draws, so these pin one of each: a sweep
-# stall, a Gauss-Newton stall (misses), a Gauss-Newton cap, and failed
-# attempts that a restart recovers from.
+# Stalls are rare among random draws, so these pin one of each: a stall
+# after creeping sweeps hand over, a Gauss-Newton stall from POLISH_SPREAD,
+# a Gauss-Newton cap, a hand-over that converges, and a failed attempt
+# that a restart recovers from.
 @example(3, 137, 60, 0)
 @example(5, 21, 60, 0)
 @example(5, 71, 60, 0)
 @example(2, 876, 60, 2)
+@example(5, 309, 60, 1)
 def test_attempt_bookkeeping(n, seed, max_iters, max_restarts):
     # Small caps make sweeps and Gauss-Newton steps both meet the cap and
     # the stall rules; the history must add up either way.

@@ -323,5 +323,5 @@ class TestBlockDims:
 class TestIsPrime:
     def test_values(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61}
-        for n in range(65):
+        for n in range(-5, 65):
             assert is_prime(n) == (n in primes)
