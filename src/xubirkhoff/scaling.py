@@ -147,15 +147,24 @@ def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     |B d - i F| over real d, stacked as real and imaginary parts for a
     least-squares solve (``np.linalg.lstsq``). B (1, -1) = 0 is the gauge
     (theta + c, phi - c); the least-norm step leaves it out.
+
+    The real system [Re B; Im B] is filled into one preallocated array:
+    the off-diagonal blocks of B are V and V^T, its diagonal the 2n line
+    sums.
     """
     n = len(rows)
-    b = np.block([[np.diag(rows), v], [v.T, np.diag(cols)]])
-    f = np.concatenate([rows, cols]) - 1.0
-    d = np.linalg.lstsq(
-        np.vstack([b.real, b.imag]),
-        np.concatenate([-f.imag, f.real]),
-        rcond=None,
-    )[0]
+    lines = np.concatenate([rows, cols])
+    m = np.zeros((4 * n, 2 * n))
+    re, im = m[: 2 * n], m[2 * n :]
+    re[:n, n:] = v.real
+    re[n:, :n] = v.real.T
+    im[:n, n:] = v.imag
+    im[n:, :n] = v.imag.T
+    diag = np.arange(2 * n)
+    re[diag, diag] = lines.real
+    im[diag, diag] = lines.imag
+    f = lines - 1.0
+    d = np.linalg.lstsq(m, np.concatenate([-f.imag, f.real]), rcond=None)[0]
     return d[:n], d[n:]
 
 
