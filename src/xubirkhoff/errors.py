@@ -36,7 +36,10 @@ class ConvergenceError(XUBirkhoffError):
     best_spread)`` tuple per attempt, in order, where the reason is
     ``"cap"`` (the iteration limit) or ``"stall"`` (its Gauss-Newton
     steps missed: ``scaling.POLISH_STEPS`` of them failed to halve the
-    best spread).
+    best spread). An attempt hands over from sweeps to Gauss-Newton steps
+    at spread ``scaling.POLISH_SPREAD`` (0.3), or earlier when its sweeps
+    stop making progress, so a stalled attempt ends after a few dozen
+    iterations, not after hundreds of sweeps.
     """
 
     def __init__(self, message, best_spread=None, attempts=()):

@@ -44,13 +44,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError, NotAPermutationError
+from .errors import DimensionError, NotAPermutationError, UnsupportedDimensionError
 from .numerics import check_int, json_array, json_complex, json_pairs, json_size
 from .permutations import Permutation, perm_to_matrix
 
 # How many sorted rows ``_group_rows`` compares with their predecessors at
 # a time.
 _GROUP_BLOCK = 1 << 12
+# The most term pairs one ``product`` takes. A pair peaks at 76-91 bytes
+# (n = 16 and 31), so this is 3.0-3.6 GB; the largest product of a
+# full-support recursive decomposition at n = 10 has 10! * 10 = 36.3 M.
+_PRODUCT_MAX_PAIRS = 40_000_000
 
 
 def _image_dtype(n: int):
@@ -171,7 +175,9 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     nesting, compose to the permutation with image row
     ``b.images[j, a.images[i]]`` and weight w_i * w_j, and duplicates merge
     in that pair order. The weight sum multiplies, so sums of 1 stay 1.
-    Sizes that differ raise DimensionError.
+    Sizes that differ raise DimensionError, and more than
+    ``_PRODUCT_MAX_PAIRS`` pairs raise UnsupportedDimensionError before any
+    work.
 
     The composed rows are grouped as ``_merge`` groups rows
     (``_group_rows``) and freed before any pair weight exists; the pair
@@ -181,6 +187,12 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     n = a.n
     if b.n != n:
         raise DimensionError(f"product of sizes {n} and {b.n}")
+    pairs = len(a) * len(b)
+    if pairs > _PRODUCT_MAX_PAIRS:
+        raise UnsupportedDimensionError(
+            f"product of {len(a)} and {len(b)} terms at n = {n}: {pairs} "
+            f"pairs, more than the {_PRODUCT_MAX_PAIRS} one product may take"
+        )
     composed = b.images[:, a.images].transpose(1, 0, 2).reshape(-1, n)
     images, inverse = _group_rows(composed)
     del composed

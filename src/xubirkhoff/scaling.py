@@ -16,12 +16,13 @@ phases, and one update applies them to V and to the accumulated factors.
   increases the total entry sum, and the fixed points with equal line
   sums are exactly the XU cores. A sum that is exactly zero has no phase
   and is left untouched for that half step. This is the global phase: it
-  converges from anywhere, but only linearly.
+  converges from anywhere, but only linearly, so it only brings the
+  attempt within reach of Gauss-Newton.
 * Gauss-Newton steps, from the first pass whose spread is at or below
-  POLISH_SPREAD, or at which the sweeps have stopped making progress, to
-  the end of the attempt: steps on the 2n angles drive the 4n real
-  components of [V 1 - 1; 1^T V - 1] to zero, quadratically at a regular
-  solution. The gauge direction (theta + c, phi - c), which leaves V
+  POLISH_SPREAD = 0.3, or at which the sweeps have stopped making
+  progress, to the end of the attempt: steps on the 2n angles drive the
+  4n real components of [V 1 - 1; 1^T V - 1] to zero, quadratically at a
+  regular solution. The gauge direction (theta + c, phi - c), which leaves V
   unchanged, is taken out by solving each linearized least-squares
   problem for its least-norm step with a least-squares solve
   (``np.linalg.lstsq``).
@@ -34,6 +35,13 @@ pi/4, whose second row and column sums vanish; Idel & Wolf, "Sinkhorn
 normal form for unitary matrices", 2015), and sweeps near one creep
 towards it for hundreds or thousands of passes. Gauss-Newton either finds
 a nearby solution or misses, and a restart is cheaper than creeping.
+
+POLISH_SPREAD is 0.3 because sweeps converge only linearly: from there
+the Gauss-Newton steps converge, or miss within a few dozen iterations
+and restart. With a lower hand-over (10^-2, 10^-1) most passes are
+sweeps, and sweeps that fall steadily but slowly escape the progress rule
+and run for hundreds of passes before their steps miss; a higher one
+(0.5, 1) misses from further out and restarts more often.
 
 The exit rules, checked in this order on each pass:
 
@@ -73,7 +81,7 @@ PROGRESS_RATE = 1e-2
 PROGRESS_SWEEPS = 10
 # The spread at which an attempt first switches to Gauss-Newton steps,
 # and how many of those steps that fail to halve the spread end it.
-POLISH_SPREAD = 1e-2
+POLISH_SPREAD = 3e-1
 POLISH_STEPS = 8
 
 

@@ -15,6 +15,7 @@ from xubirkhoff import (
     DimensionError,
     NotAPermutationError,
     Permutation,
+    UnsupportedDimensionError,
     WeightedPermSum,
     compose,
     perm_sum_from_json,
@@ -360,6 +361,28 @@ def test_product_peak_memory_above_former_key_range():
         assert peak < 90 * len(x) * len(y)
         want = x.reconstruct() @ y.reconstruct()
         assert max_abs_diff(xy.reconstruct(), want) < 1e-9
+
+
+def test_product_too_large_is_refused_up_front():
+    # 10**8 pairs would peak near 8 GB; the refusal allocates nothing.
+    n = 10
+    rng = np.random.default_rng(0)
+    a, b = (
+        WeightedPermSum.from_arrays(
+            n, np.argsort(rng.random((10_000, n)), axis=1), np.ones(10_000) + 0j
+        )
+        for _ in range(2)
+    )
+    pairs = len(a) * len(b)
+    assert pairs > 9 * 10**7
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedDimensionError, match=f"{pairs} pairs"):
+            product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def _random_rows(rng, n, k):

@@ -8,13 +8,17 @@ for n = 2..32 and seeds 0..16, and ``dft_matrix(n)`` for n = 2..13 with
 
 * every ``ConvergenceError``, with its attempt history;
 * the total number of restarts;
+* the scaling iterations of all attempts, abandoned ones included, split
+  into sweeps and Gauss-Newton steps (counted by wrapping
+  ``scaling._newton_step``);
 * the longest abandoned attempt, found by running each call that restarted
   again with one restart fewer (the restart draws do not depend on the
   earlier attempts, so that run repeats the abandoned attempts exactly);
 * the median and maximum wall time of the Haar calls at n = 16 and 32.
 
-Exits 1 if any call raised ``ConvergenceError``. Outside Tier-1: the sweep
-takes several seconds and its times depend on the host.
+Exits 1 if any call raised ``ConvergenceError`` or an abandoned attempt
+took more than ABANDON_MAX iterations. Outside Tier-1: the sweep takes
+several seconds and its times depend on the host.
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ import time
 from dataclasses import replace
 
 from xubirkhoff import ConvergenceError, ScalingOptions, dft_matrix, haar_unitary, zxz_scale
+from xubirkhoff import scaling
 
 HAAR_SIZES = range(2, 33)
 HAAR_SEEDS = range(17)
 DFT_SIZES = range(2, 14)
 DFT_RNG_SEEDS = range(4)
 TIMED_SIZES = (16, 32)
+# The most iterations an abandoned attempt may cost.
+ABANDON_MAX = 150
 
 
 def _calls():
@@ -54,29 +61,53 @@ def _abandoned(u, opts: ScalingOptions, restarts: int) -> tuple:
     raise AssertionError("a call that restarted converged with fewer restarts")
 
 
+def _count_newton_steps() -> list[int]:
+    """Make every later Gauss-Newton step add 1 to the returned counter."""
+    count = [0]
+    step = scaling._newton_step
+
+    def counted(*args):
+        count[0] += 1
+        return step(*args)
+
+    scaling._newton_step = counted
+    return count
+
+
 def main() -> int:
-    calls = errors = restarts = 0
+    calls = errors = restarts = iterations = newton = 0
     longest = (0, "none")
     times = {n: [] for n in TIMED_SIZES}
+    steps = _count_newton_steps()
     for label, n, u, opts in _calls():
         calls += 1
+        before = steps[0]
         t0 = time.perf_counter()
         try:
             fac = zxz_scale(u, opts)
         except ConvergenceError as e:
             errors += 1
+            iterations += sum(i for i, _, _ in e.attempts)
             print(f"ConvergenceError: {label}: {e} attempts={e.attempts}")
             continue
+        finally:
+            newton += steps[0] - before
         elapsed = time.perf_counter() - t0
         if n in times:
             times[n].append(elapsed)
         restarts += fac.restarts
+        iterations += fac.iterations
         if fac.restarts:
-            for iterations, _, _ in _abandoned(u, opts, fac.restarts):
-                longest = max(longest, (iterations, label))
+            for abandoned, _, _ in _abandoned(u, opts, fac.restarts):
+                iterations += abandoned
+                longest = max(longest, (abandoned, label))
     print(f"calls: {calls}")
     print(f"ConvergenceErrors: {errors}")
     print(f"restarts: {restarts}")
+    print(
+        f"scaling iterations: {iterations} "
+        f"({iterations - newton} sweeps, {newton} Gauss-Newton steps)"
+    )
     print(f"longest abandoned attempt: {longest[0]} iterations ({longest[1]})")
     for n, ts in times.items():
         if not ts:
@@ -85,7 +116,9 @@ def main() -> int:
             f"Haar n={n}: median {statistics.median(ts) * 1e3:.1f} ms, "
             f"max {max(ts) * 1e3:.1f} ms over {len(ts)} calls"
         )
-    return 1 if errors else 0
+    if longest[0] > ABANDON_MAX:
+        print(f"an abandoned attempt took more than {ABANDON_MAX} iterations")
+    return 1 if errors or longest[0] > ABANDON_MAX else 0
 
 
 if __name__ == "__main__":
