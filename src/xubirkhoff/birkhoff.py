@@ -16,12 +16,15 @@ with weight sum 1:
 * ``decompose_recursive``: works for every n by peeling one
   dimension at a time through the ZXZ factorization; the squared moduli
   sum to 1 up to the scaling and pruning residuals (its weights form a
-  unitary element of the group algebra, see its docstring). Each level
-  up to n = DENSE_MAX_N is one dense step on the weights of all n!
+  unitary element of the group algebra, see its docstring). It scales
+  every level top down, then folds the levels bottom up. Each level up
+  to n = DENSE_MAX_N is one dense step on the weights of all n!
   permutations in lexicographic order: every permutation is, exactly
   once, a cyclic shift followed by a permutation fixing 0, and, exactly
   once, a permutation fixing 0 followed by a cyclic shift. Larger
-  levels multiply the sums of their nonzero terms with ``product``.
+  levels multiply the sums of their nonzero terms with ``product``; an
+  input whose products could exceed ``product``'s pair cap is refused
+  before the first of them.
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
   permutation matrices (one unit-modulus phase per row).
 
@@ -48,7 +51,14 @@ from .numerics import (
     max_abs_diff,
     root_of_unity,
 )
-from .permsum import ComplexPermSum, WeightedPermSum, _frozen, _row_order, product
+from .permsum import (
+    ComplexPermSum,
+    WeightedPermSum,
+    _frozen,
+    _row_order,
+    check_pairs,
+    product,
+)
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import (
     fourier_core,
@@ -333,8 +343,13 @@ def decompose_recursive(
     F leaves the first row and column at (1, 0, ..., 0) because the line
     sums of y are 1 - so a single recursion on ytilde suffices.
 
-    The three sums multiply in two coset forms of S_n, with no merging
-    and no sort. Every permutation is exactly once "apply c_k, then
+    The engine makes two passes over the levels. The first scales them
+    top down (``_levels``): level n yields w1, w2 and ytilde, ytilde is
+    level n-1, and so on down to an XU(1) or XU(2) block. The second
+    folds them bottom up, starting from that block's weights.
+
+    The three sums of a level multiply in two coset forms of S_n, with no
+    merging and no sort. Every permutation is exactly once "apply c_k, then
     1 (+) sigma" (k is fixed by the point sent to 0), so the first
     product is the outer product of the two weight vectors, scattered to
     lexicographic indices. Every permutation is also exactly once "apply
@@ -342,10 +357,16 @@ def decompose_recursive(
     only moves a to a + l mod n; so the second product is one n x n
     circulant matrix times the weights arranged by (a, rho). A level of
     size n <= DENSE_MAX_N keeps the weights of all n! permutations in
-    lexicographic order this way and zeroes those of modulus <= PRUNE_EPS
-    at its end. A larger level multiplies the sums of nonzero terms with
-    ``product`` and prunes after each product, so that an input with few
-    terms (a permutation matrix, a circulant) stays cheap at any n. The
+    lexicographic order this way (``_dense``) and zeroes those of modulus
+    <= PRUNE_EPS at its end. The top dense level's nonzero weights then
+    become a sum once, and each larger level multiplies sums of nonzero
+    terms with ``product`` and prunes after each of its two products, so
+    that an input with few terms (a permutation matrix, a circulant)
+    stays cheap at any n. Before the first of these products, the term
+    count of that sum bounds the pairs of every product above it
+    (``_refuse_oversized``), and a bound over ``permsum``'s cap of 40 M
+    pairs raises UnsupportedDimensionError: a full-support input at
+    n >= 11 is refused after its scaling, before any product runs. The
     weight sum is a product of 1s.
 
     The squared moduli sum to 1 as well. Read the weights as the element
@@ -369,39 +390,48 @@ def decompose_recursive(
     and XU(2) keeps both terms of its closed form, zero weights included.
     """
     opts = opts or ScalingOptions()
-    out = _recurse(require_xu(x, tol), opts, tol)
+    a = require_xu(x, tol)
+    n = a.shape[0]
+    levels, weights = _levels(a, opts, tol)
+    # The levels are listed top down, sizes n, n - 1, ..., 3, so the first
+    # ``cut`` are the ones above DENSE_MAX_N.
+    cut = max(0, n - DENSE_MAX_N)
+    for w1, w2 in reversed(levels[cut:]):
+        weights = _dense(w1, w2, weights)
+    m = n - cut
+    keep = weights != 0 if m > 2 else slice(None)
+    out = WeightedPermSum._trusted(m, _lex_images(m)[keep], weights[keep])
+    _refuse_oversized(levels[:cut], len(out))
+    for w1, w2 in reversed(levels[:cut]):
+        out = product(_cyclic(w1), _lift(out)).pruned(PRUNE_EPS)
+        out = product(out, _cyclic(w2)).pruned(PRUNE_EPS)
     out.engine = "recursive"
     return out
 
 
-def _recurse(a: np.ndarray, opts: ScalingOptions, tol: float) -> WeightedPermSum:
-    """The terms of XU(n) member ``a`` of nonzero weight
-    (``decompose_recursive``); n <= 2 keeps both closed-form terms."""
-    # ``a`` is the checked input or a block this module built, so no level
-    # re-checks membership; ``fourier_core`` still rejects a core that does
-    # not split off.
-    n = a.shape[0]
-    if n <= DENSE_MAX_N:
-        weights = _dense(a, opts, tol)
-        keep = weights != 0 if n > 2 else slice(None)
-        return WeightedPermSum._trusted(n, _lex_images(n)[keep], weights[keep])
-    w1, w2, ytilde = _level(a, opts, tol)
-    sy = _lift(_recurse(ytilde, opts, tol))
-    out = product(product(_cyclic(w1), sy).pruned(PRUNE_EPS), _cyclic(w2))
-    return out.pruned(PRUNE_EPS)
+def _levels(a: np.ndarray, opts: ScalingOptions, tol: float):
+    """The scaled levels of XU(n) member ``a``, top down: the list of the
+    (w1, w2) of every level of size n, n - 1, ..., 3 (``_level``), and the
+    weights of the XU(1) or XU(2) block left at the bottom, in
+    lexicographic order (for XU(2) both closed-form terms, zeros kept)."""
+    # ``a`` is the checked input and every later block one this module
+    # built, so no level re-checks membership; ``fourier_core`` still
+    # rejects a core that does not split off.
+    levels = []
+    while a.shape[0] > 2:
+        w1, w2, a = _level(a, opts, tol)
+        levels.append((w1, w2))
+    if a.shape[0] == 1:
+        return levels, np.ones(1, dtype=complex)
+    return levels, _xu2(a).weights
 
 
-def _dense(a: np.ndarray, opts: ScalingOptions, tol: float) -> np.ndarray:
-    """The weights of all n! permutations of XU(n) member ``a``, in
-    lexicographic order, with those of modulus <= PRUNE_EPS zeroed for
-    n > 2."""
-    n = a.shape[0]
-    if n == 1:
-        return np.ones(1, dtype=complex)
-    if n == 2:
-        return _xu2(a).weights
-    w1, w2, ytilde = _level(a, opts, tol)
-    inner = _dense(ytilde, opts, tol)
+def _dense(w1: np.ndarray, w2: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The weights of all n! permutations of one level of size n, in
+    lexicographic order, from its circulant first rows ``w1`` and ``w2``
+    and the (n-1)! weights ``inner`` of the level below, with those of
+    modulus <= PRUNE_EPS zeroed."""
+    n = len(w1)
     left, coset = _level_tables(n)
     q = np.empty(n * len(inner), dtype=complex)
     q[left] = np.multiply.outer(w1, inner)
@@ -416,6 +446,27 @@ def _dense(a: np.ndarray, opts: ScalingOptions, tol: float) -> np.ndarray:
     out = np.empty_like(q)
     out[coset] = acc
     return _pruned(out)
+
+
+def _refuse_oversized(levels, terms: int) -> None:
+    """Raise UnsupportedDimensionError (``check_pairs``) before any
+    product if a sparse level could need a product of more pairs than
+    ``permsum`` allows.
+
+    ``levels`` lists the sparse levels top down and ``terms`` counts the
+    terms of the sum below the lowest. A level of size m multiplies the
+    nnz(w1) shifts of w1 with the T terms below, nnz(w1) * T pairs, into at
+    most min(m!, nnz(w1) * T) terms, and those with the nnz(w2) shifts of
+    w2 into at most m! terms again. Pruning only lowers the true counts.
+    """
+    for w1, w2 in reversed(levels):
+        m = len(w1)
+        k1, k2 = np.count_nonzero(w1), np.count_nonzero(w2)
+        what = f"recursive level {m} may need a product"
+        check_pairs(m, k1, terms, what)
+        terms = min(math.factorial(m), k1 * terms)
+        check_pairs(m, terms, k2, what)
+        terms = min(math.factorial(m), terms * k2)
 
 
 def _level(a: np.ndarray, opts: ScalingOptions, tol: float):

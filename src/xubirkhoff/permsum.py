@@ -167,6 +167,20 @@ def _perms(images: np.ndarray):
     return map(Permutation, zip(*[(col + 1).tolist() for col in images.T]))
 
 
+def check_pairs(n: int, terms_a: int, terms_b: int, what: str = "product") -> None:
+    """Raise UnsupportedDimensionError, naming the pair count, when a
+    product of sums of ``terms_a`` and ``terms_b`` terms at size n would
+    take more than ``_PRODUCT_MAX_PAIRS`` pairs. ``what`` names the product
+    in the message. ``product`` calls it before any work, and the
+    recursive engine on its bounds before its first product."""
+    pairs = terms_a * terms_b
+    if pairs > _PRODUCT_MAX_PAIRS:
+        raise UnsupportedDimensionError(
+            f"{what} of {terms_a} and {terms_b} terms at n = {n}: {pairs} "
+            f"pairs, more than the {_PRODUCT_MAX_PAIRS} one product may take"
+        )
+
+
 def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     """The decomposition of A @ B from decompositions of A and B.
 
@@ -177,7 +191,7 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     in that pair order. The weight sum multiplies, so sums of 1 stay 1.
     Sizes that differ raise DimensionError, and more than
     ``_PRODUCT_MAX_PAIRS`` pairs raise UnsupportedDimensionError before any
-    work.
+    work (``check_pairs``).
 
     The composed rows are grouped as ``_merge`` groups rows
     (``_group_rows``) and freed before any pair weight exists; the pair
@@ -187,12 +201,7 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     n = a.n
     if b.n != n:
         raise DimensionError(f"product of sizes {n} and {b.n}")
-    pairs = len(a) * len(b)
-    if pairs > _PRODUCT_MAX_PAIRS:
-        raise UnsupportedDimensionError(
-            f"product of {len(a)} and {len(b)} terms at n = {n}: {pairs} "
-            f"pairs, more than the {_PRODUCT_MAX_PAIRS} one product may take"
-        )
+    check_pairs(n, len(a), len(b))
     composed = b.images[:, a.images].transpose(1, 0, 2).reshape(-1, n)
     images, inverse = _group_rows(composed)
     del composed

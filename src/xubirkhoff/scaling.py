@@ -61,7 +61,7 @@ attempts did, so runs are reproducible. The generator is only built
 once a restart is needed.
 
 ``iterations`` counts the sweeps plus the Gauss-Newton steps of the
-successful attempt.
+successful attempt; ``attempts`` keeps the history of the abandoned ones.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ class ZXZFactorization:
     z1 and z2 are unit-modulus vectors with first entry 1; core is XU
     within the achieved spread. iterations counts the sweeps plus
     Gauss-Newton steps of the successful attempt, restarts how many
-    attempts preceded it.
+    attempts preceded it. attempts holds one ``(iterations, stop_reason,
+    best_spread)`` tuple per abandoned attempt, in order, the same tuples
+    as ``ConvergenceError.attempts``.
     """
 
     alpha: float
@@ -127,6 +129,7 @@ class ZXZFactorization:
     spread: float
     iterations: int
     restarts: int
+    attempts: tuple
 
     def reconstruct(self) -> np.ndarray:
         return (
@@ -211,7 +214,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
                 misses += 1
             best = min(best, spread)
             if spread <= opts.tol:
-                return _assemble(a, left, right, v, spread, it, restart)
+                return _assemble(a, left, right, v, spread, it, attempts)
             if it >= opts.max_iters:
                 reason = "cap"
                 break
@@ -245,7 +248,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     )
 
 
-def _assemble(a, left, right, core, spread, iterations, restarts):
+def _assemble(a, left, right, core, spread, iterations, attempts):
     # a = diag(conj(left)) core diag(conj(right)); normalize the leading
     # entries of both diagonals to 1 and absorb their product into alpha.
     z1 = np.conj(left)
@@ -263,5 +266,6 @@ def _assemble(a, left, right, core, spread, iterations, restarts):
         core=core,
         spread=float(spread),
         iterations=iterations,
-        restarts=restarts,
+        restarts=len(attempts),
+        attempts=tuple(attempts),
     )

@@ -99,6 +99,19 @@ class TestDecompose:
         assert code == 1
         assert "prime" in err or "composite" in err
 
+    def test_oversized_recursive_input_is_engine_error(self, capsys, tmp_path):
+        # A full-support XU(12) is refused before its first product, which
+        # would take several GB; the message names the level and pairs.
+        path = tmp_path / "x12.json"
+        code, _, _ = run_cli(
+            capsys, "sample", "12", "--kind", "xu", "--seed", "0", "--output", str(path)
+        )
+        assert code == 0
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert "level 11" in err and "439084800 pairs" in err
+
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -3,6 +3,7 @@ formula it replaces, and the lexicographic tables it indexes."""
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 from xubirkhoff import (
     Permutation,
+    UnsupportedDimensionError,
     WeightedPermSum,
     circulant_xu_decompose,
     compose,
     decompose_recursive,
     decompose_unitary,
     decompose_xu,
+    haar_unitary,
     product,
     random_circulant_xu,
     random_xu,
@@ -111,6 +114,31 @@ def test_few_term_inputs_at_n12_stay_small():
     assert np.abs(circulant.weights - want.weights).max() <= 1e-12
     assert len(unitary) == 12
     assert np.abs(unitary.reconstruct() - x * np.exp(0.3j)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "decompose",
+    [
+        lambda: decompose_unitary(haar_unitary(12, 0)),
+        lambda: decompose_xu(random_xu(12, 0)),
+    ],
+    ids=["unitary", "xu-auto"],
+)
+def test_full_support_n12_refused_before_any_product(decompose):
+    # Level 11's second product would take 11! * 11 pairs (over 30 GB):
+    # the bound refuses it after the scaling and the dense levels, which
+    # stay under 30 MB traced, before the 36.3 M-pair products of level 10.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(UnsupportedDimensionError, match="level 11.*439084800 pairs"):
+            decompose()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 64e6
 
 
 @pytest.mark.parametrize("n", range(1, 9))

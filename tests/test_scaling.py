@@ -38,6 +38,7 @@ class TestZxzScale:
         assert np.array_equal(fac.z1, np.ones(3))
         assert np.array_equal(fac.z2, np.ones(3))
         assert max_abs_diff(fac.core, np.eye(3)) == 0.0
+        assert (fac.restarts, fac.attempts) == (0, ())
         assert fac.iterations == 0
 
     def test_diagonal_input(self):
@@ -159,6 +160,17 @@ class TestConvergenceHistory:
         assert [reason for _, reason, _ in attempts] == ["cap"] * 4
         assert all(iterations == 1 for iterations, _, _ in attempts)
         assert info.value.best_spread == min(b for _, _, b in attempts)
+
+    @pytest.mark.parametrize("n, seed", [(4, 16), (7, 11), (11, 10)])
+    def test_success_keeps_history_of_abandoned_attempts(self, n, seed):
+        # The restart draws do not depend on the earlier attempts, so the
+        # same call with one restart fewer abandons the same attempts.
+        u = haar_unitary(n, seed)
+        fac = zxz_scale(u)
+        assert fac.restarts == len(fac.attempts) >= 1
+        with pytest.raises(ConvergenceError) as info:
+            zxz_scale(u, ScalingOptions(max_restarts=fac.restarts - 1))
+        assert fac.attempts == info.value.attempts
 
     @pytest.mark.parametrize("seed", [266, 253])
     def test_missed_polish_abandons_attempt(self, seed):

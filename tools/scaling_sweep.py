@@ -11,9 +11,7 @@ for n = 2..32 and seeds 0..16, and ``dft_matrix(n)`` for n = 2..13 with
 * the scaling iterations of all attempts, abandoned ones included, split
   into sweeps and Gauss-Newton steps (counted by wrapping
   ``scaling._newton_step``);
-* the longest abandoned attempt, found by running each call that restarted
-  again with one restart fewer (the restart draws do not depend on the
-  earlier attempts, so that run repeats the abandoned attempts exactly);
+* the longest abandoned attempt, read from ``ZXZFactorization.attempts``;
 * the median and maximum wall time of the Haar calls at n = 16 and 32.
 
 Exits 1 if any call raised ``ConvergenceError`` or an abandoned attempt
@@ -26,7 +24,6 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from dataclasses import replace
 
 from xubirkhoff import ConvergenceError, ScalingOptions, dft_matrix, haar_unitary, zxz_scale
 from xubirkhoff import scaling
@@ -49,16 +46,6 @@ def _calls():
         for rng_seed in DFT_RNG_SEEDS:
             label = f"dft_matrix({n}), rng_seed={rng_seed}"
             yield label, None, dft_matrix(n), ScalingOptions(rng_seed=rng_seed)
-
-
-def _abandoned(u, opts: ScalingOptions, restarts: int) -> tuple:
-    """The (iterations, reason, best) history of the attempts before the
-    successful one."""
-    try:
-        zxz_scale(u, replace(opts, max_restarts=restarts - 1))
-    except ConvergenceError as e:
-        return e.attempts
-    raise AssertionError("a call that restarted converged with fewer restarts")
 
 
 def _count_newton_steps() -> list[int]:
@@ -97,10 +84,9 @@ def main() -> int:
             times[n].append(elapsed)
         restarts += fac.restarts
         iterations += fac.iterations
-        if fac.restarts:
-            for abandoned, _, _ in _abandoned(u, opts, fac.restarts):
-                iterations += abandoned
-                longest = max(longest, (abandoned, label))
+        for abandoned, _, _ in fac.attempts:
+            iterations += abandoned
+            longest = max(longest, (abandoned, label))
     print(f"calls: {calls}")
     print(f"ConvergenceErrors: {errors}")
     print(f"restarts: {restarts}")
