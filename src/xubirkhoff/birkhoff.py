@@ -80,6 +80,7 @@ RECURSIVE_TOL = 1e-8
 # faster than through ``product``; at n = 10 they take 58 MB each.
 DENSE_MAX_N = 9
 
+
 @lru_cache(maxsize=None)
 def _lex_images(n: int) -> np.ndarray:
     """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
@@ -98,19 +99,6 @@ def _lex_images(n: int) -> np.ndarray:
     return _frozen(np.vstack(blocks))
 
 
-def _lex_rank(images: np.ndarray) -> np.ndarray:
-    """The int32 lexicographic index of each image row among all rows of
-    S_n: the Lehmer code, digit r counting the later images below image r
-    and weighing (n-1-r)!. Exact for n <= 12, where n! fits in int32."""
-    m, n = images.shape
-    rank = np.zeros(m, dtype=np.int32)
-    for r in range(n - 1):
-        digit = (images[:, r + 1 :] < images[:, r : r + 1]).sum(axis=1, dtype=np.int32)
-        digit *= np.int32(math.factorial(n - 1 - r))
-        rank += digit
-    return rank
-
-
 @lru_cache(maxsize=None)
 def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The two (n, (n-1)!) int32 index tables of one recursion level.
@@ -120,15 +108,25 @@ def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     lexicographic index of "apply c_k, then 1 (+) sigma_j" and
     ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
     lists every permutation of S_n exactly once: the first form is fixed by
-    the point sent to 0, the second by the image of 0 (which is a).
+    the point sent to 0, the second by the image of 0 (which is a). So the
+    lexicographic index of a row is its place in the table's sorted rows.
     Only the dense levels, n <= DENSE_MAX_N, build them.
     """
     prev = _lex_images(n - 1)
     lifted = np.hstack([np.zeros((len(prev), 1), dtype=np.int8), prev + 1])
     shift = np.arange(n)
-    left = [_lex_rank(lifted[:, (shift + k) % n]) for k in range(n)]
-    coset = [_lex_rank((lifted + a) % n) for a in range(n)]
-    return _frozen(np.array(left)), _frozen(np.array(coset))
+    left = [lifted[:, (shift + k) % n] for k in range(n)]
+    coset = [(lifted + a) % n for a in range(n)]
+    return _lex_indices(left), _lex_indices(coset)
+
+
+def _lex_indices(blocks) -> np.ndarray:
+    """The int32 place of each image row among all rows of ``blocks`` in
+    lexicographic order, one table row per block."""
+    order = _row_order(np.vstack(blocks))
+    index = np.empty(len(order), dtype=np.int32)
+    index[order] = np.arange(len(order), dtype=np.int32)
+    return _frozen(index.reshape(len(blocks), -1))
 
 
 def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:

@@ -37,9 +37,10 @@ class ConvergenceError(XUBirkhoffError):
     ``"cap"`` (the iteration limit) or ``"stall"`` (its Gauss-Newton
     steps missed: ``scaling.POLISH_STEPS`` of them failed to halve the
     best spread). An attempt hands over from sweeps to Gauss-Newton steps
-    at spread ``scaling.POLISH_SPREAD`` (0.3), or earlier when its sweeps
-    stop making progress, so a stalled attempt ends after a few dozen
-    iterations, not after hundreds of sweeps.
+    at spread ``scaling.POLISH_SPREAD`` (0.3), or after 10 sweeps
+    (``scaling.MAX_SWEEPS``), so every attempt ends within
+    ``scaling.attempt_bound(n, tol)`` iterations, not after hundreds of
+    sweeps.
     """
 
     def __init__(self, message, best_spread=None, attempts=()):

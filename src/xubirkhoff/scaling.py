@@ -10,38 +10,31 @@ then takes one step of one of two kinds. Both kinds give row and column
 phases, and one update applies them to V and to the accumulated factors.
 
 * Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014),
-  while the spread is above POLISH_SPREAD and still falling: left-
-  multiplying by the conjugate phases of the row sums and right-
-  multiplying by the conjugate phases of the column sums monotonically
-  increases the total entry sum, and the fixed points with equal line
-  sums are exactly the XU cores. A sum that is exactly zero has no phase
-  and is left untouched for that half step. This is the global phase: it
-  converges from anywhere, but only linearly, so it only brings the
-  attempt within reach of Gauss-Newton.
+  for at most MAX_SWEEPS = 10 passes while the spread is above
+  POLISH_SPREAD: left-multiplying by the conjugate phases of the row sums
+  and right-multiplying by the conjugate phases of the column sums
+  monotonically increases the total entry sum, and the fixed points with
+  equal line sums are exactly the XU cores. A sum that is exactly zero
+  has no phase and is left untouched for that half step. This is the
+  global phase: it converges from anywhere, but only linearly, so it only
+  brings the attempt within reach of Gauss-Newton.
 * Gauss-Newton steps, from the first pass whose spread is at or below
-  POLISH_SPREAD = 0.3, or at which the sweeps have stopped making
-  progress, to the end of the attempt: steps on the 2n angles drive the
-  4n real components of [V 1 - 1; 1^T V - 1] to zero, quadratically at a
-  regular solution. The gauge direction (theta + c, phi - c), which leaves V
-  unchanged, is taken out by solving each linearized least-squares
-  problem for its least-norm step with a least-squares solve
-  (``np.linalg.lstsq``).
+  POLISH_SPREAD = 0.3, or after MAX_SWEEPS sweeps, to the end of the
+  attempt: steps on the 2n angles drive the 4n real components of
+  [V 1 - 1; 1^T V - 1] to zero, quadratically at a regular solution. The
+  gauge direction (theta + c, phi - c), which leaves V unchanged, is
+  taken out by solving each linearized least-squares problem for its
+  least-norm step with a least-squares solve (``np.linalg.lstsq``).
 
-The sweeps have stopped making progress when, on a pass whose number is
-a multiple of PROGRESS_SWEEPS, the spread is above 1 - PROGRESS_RATE
-times its value PROGRESS_SWEEPS passes before. Unstable fixed points with
-positive-real but unequal line sums exist (for example the rotation by
-pi/4, whose second row and column sums vanish; Idel & Wolf, "Sinkhorn
-normal form for unitary matrices", 2015), and sweeps near one creep
-towards it for hundreds or thousands of passes. Gauss-Newton either finds
-a nearby solution or misses, and a restart is cheaper than creeping.
-
-POLISH_SPREAD is 0.3 because sweeps converge only linearly: from there
-the Gauss-Newton steps converge, or miss within a few dozen iterations
-and restart. With a lower hand-over (10^-2, 10^-1) most passes are
-sweeps, and sweeps that fall steadily but slowly escape the progress rule
-and run for hundreds of passes before their steps miss; a higher one
-(0.5, 1) misses from further out and restarts more often.
+The sweeps are capped because unstable fixed points with positive-real
+but unequal line sums exist (for example the rotation by pi/4, whose
+second row and column sums vanish; Idel & Wolf, "Sinkhorn normal form for
+unitary matrices", 2015), and sweeps near one creep towards it for
+hundreds or thousands of passes. Gauss-Newton either finds a nearby
+solution or misses, and a restart is cheaper than creeping. POLISH_SPREAD
+is 0.3 because from there the Gauss-Newton steps converge, or miss within
+a few iterations and restart; a higher one (0.5, 1) misses from further
+out and restarts more often.
 
 The exit rules, checked in this order on each pass:
 
@@ -53,6 +46,13 @@ The exit rules, checked in this order on each pass:
   along a flat direction before the next ones converge; steps that halve
   the spread are not limited because at a singular solution Gauss-Newton
   converges only linearly.
+
+So every attempt ends within ``attempt_bound(n, tol)`` iterations, by
+construction: at most MAX_SWEEPS sweeps, at most POLISH_STEPS missed
+Gauss-Newton steps, and at most ceil(log2((sqrt(n) + 1) / tol)) steps
+that halve the smallest spread, since no line sum of a unitary is
+further than sqrt(n) + 1 from 1. The default ``max_iters`` is above that
+bound, so it only limits attempts when set lower.
 
 After an abandoned attempt the next one starts from a random
 diagonal-phase perturbation. Restart k draws its phases from a seeded
@@ -66,6 +66,7 @@ successful attempt; ``attempts`` keeps the history of the abandoned ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +75,11 @@ from .errors import ConvergenceError
 from .numerics import check_int, line_sum_spread, require_unitary
 
 UNITARY_TOL = 1e-8
-# Sweeps that cut the spread by less than the fraction PROGRESS_RATE over
-# PROGRESS_SWEEPS passes are creeping: the attempt hands over to
-# Gauss-Newton.
-PROGRESS_RATE = 1e-2
-PROGRESS_SWEEPS = 10
-# The spread at which an attempt first switches to Gauss-Newton steps,
-# and how many of those steps that fail to halve the spread end it.
+# An attempt switches to Gauss-Newton steps at the first pass whose
+# spread is at most POLISH_SPREAD or after MAX_SWEEPS sweeps; POLISH_STEPS
+# of those steps that fail to halve the spread end it.
 POLISH_SPREAD = 3e-1
+MAX_SWEEPS = 10
 POLISH_STEPS = 8
 
 
@@ -179,6 +177,13 @@ def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     return d[:n], d[n:]
 
 
+def attempt_bound(n: int, tol: float) -> int:
+    """The most iterations one attempt of ``zxz_scale`` can take at size n
+    and target spread tol, whatever ``max_iters`` is (module docstring)."""
+    halvings = math.ceil(math.log2((math.sqrt(n) + 1) / tol))
+    return MAX_SWEEPS + POLISH_STEPS + max(0, halvings)
+
+
 def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     """Factor a unitary matrix through the XU subgroup.
 
@@ -201,9 +206,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             left = np.exp(2j * np.pi * rng.random(n))
             right = np.exp(2j * np.pi * rng.random(n))
         v = left[:, None] * a * right[None, :]
-        # mark: the spread at the last pass whose number is a multiple
-        # of PROGRESS_SWEEPS.
-        best = mark = np.inf
+        best = np.inf
         it = misses = 0
         newton = False
         while True:
@@ -221,10 +224,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             if misses >= POLISH_STEPS:
                 reason = "stall"
                 break
-            if not newton and it % PROGRESS_SWEEPS == 0:
-                newton = spread > (1 - PROGRESS_RATE) * mark
-                mark = spread
-            newton = newton or spread <= POLISH_SPREAD
+            newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
             it += 1
             if newton:
                 dt, dp = _newton_step(v, rows, cols)

@@ -1,5 +1,6 @@
 """Tests for the ZXZ factorization: alternating sweeps, Gauss-Newton
-polish, the hand-over from creeping sweeps and the stall exit."""
+polish, the hand-over after MAX_SWEEPS sweeps, the stall exit and the
+bound on every attempt."""
 
 from unittest import mock
 
@@ -13,6 +14,7 @@ from xubirkhoff import (
     MembershipError,
     ScalingOptions,
     classify,
+    dft_matrix,
     extract_core,
     haar_unitary,
     random_xu,
@@ -20,7 +22,7 @@ from xubirkhoff import (
 )
 from xubirkhoff import scaling
 from xubirkhoff.numerics import line_sum_spread, max_abs_diff
-from xubirkhoff.scaling import POLISH_SPREAD, POLISH_STEPS, PROGRESS_SWEEPS
+from xubirkhoff.scaling import MAX_SWEEPS, POLISH_SPREAD, POLISH_STEPS, attempt_bound
 from xubirkhoff.xu_group import require_xu
 
 
@@ -199,9 +201,10 @@ class TestConvergenceHistory:
         assert (iterations, reason) == (13, "cap")
 
     def test_slow_sweeps_end_within_150_iterations(self):
-        # Sweeps that fall steadily, but slowly, are not caught by the
-        # progress rule: this first attempt once fell from spread 0.088 to
-        # 0.012 over 550 sweeps and then missed, 558 iterations in all.
+        # Sweeps that fall steadily, but slowly, escaped an earlier rule
+        # that handed over only when they stopped making progress: this
+        # first attempt once fell from spread 0.088 to 0.012 over 550
+        # sweeps and then missed, 558 iterations in all.
         u = haar_unitary(17, 15)
         try:
             fac = zxz_scale(u, ScalingOptions(max_restarts=0))
@@ -221,53 +224,59 @@ class TestConvergenceHistory:
             zxz_scale(u, ScalingOptions(max_restarts=0))
         ((iterations, reason, best),) = info.value.attempts
         assert reason == "stall"
-        # The sweeps do not move it: they hand over to Gauss-Newton at the
-        # first progress check, whose steps all miss (18 iterations).
-        assert iterations <= PROGRESS_SWEEPS + POLISH_STEPS
+        # The sweeps do not move it: they hand over to Gauss-Newton after
+        # MAX_SWEEPS sweeps, and the steps all miss (18 iterations).
+        assert iterations <= MAX_SWEEPS + POLISH_STEPS
         assert best == info.value.best_spread
 
     @pytest.mark.parametrize(
         "n, seed, restarts, iterations",
-        [(3, 2767, 1, 4), (4, 1236, 1, 6), (5, 300, 1, 28)],
+        [(3, 2767, 1, 4), (4, 7632, 1, 5), (5, 2141, 1, 6)],
     )
     def test_creeping_sweeps_hand_over(self, n, seed, restarts, iterations):
         # The first attempt's sweeps creep above POLISH_SPREAD, at spreads
-        # 0.34, 0.31 and 0.39. The hand-over ends it after 28, 28 and 38
-        # iterations, when its Gauss-Newton steps miss.
+        # 0.34, 0.37 and 0.35. They hand over after MAX_SWEEPS sweeps, and
+        # the attempt ends when its Gauss-Newton steps miss.
         u = haar_unitary(n, seed)
         with pytest.raises(ConvergenceError) as info:
             zxz_scale(u, ScalingOptions(max_restarts=0))
         ((first, reason, best),) = info.value.attempts
         assert reason == "stall"
-        assert first <= 150
-        # Never at POLISH_SPREAD, so the progress check started Gauss-Newton.
+        # Never at POLISH_SPREAD, so the sweep cap started Gauss-Newton and
+        # no step halved the spread.
         assert best > POLISH_SPREAD
+        assert first == MAX_SWEEPS + POLISH_STEPS
         fac = zxz_scale(u)
         assert (fac.restarts, fac.iterations) == (restarts, iterations)
         assert fac.spread <= 1e-10
         assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
 
     def test_hand_over_can_converge(self):
-        # The sweeps creep at spread 0.34 and hand over after 20; the
-        # Gauss-Newton steps from there reach the target without a restart.
-        u = haar_unitary(3, 1380)
-        with pytest.raises(ConvergenceError) as info:
-            zxz_scale(u, ScalingOptions(max_iters=20, max_restarts=0))
-        ((_, _, best),) = info.value.attempts
-        assert best > POLISH_SPREAD
-        fac = zxz_scale(u)
-        assert (fac.restarts, fac.iterations) == (0, 26)
-        assert fac.spread <= 1e-10
-        assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
+        # The sweeps creep at spreads 0.34, 0.31 and 0.39 and hand over
+        # after MAX_SWEEPS; the Gauss-Newton steps from there reach the
+        # target without a restart. The last two inputs used to stall and
+        # restart when the sweeps handed over on a progress test.
+        for n, seed, iterations in [(3, 1380, 17), (4, 1236, 20), (5, 300, 20)]:
+            u = haar_unitary(n, seed)
+            with pytest.raises(ConvergenceError) as info:
+                zxz_scale(u, ScalingOptions(max_iters=MAX_SWEEPS, max_restarts=0))
+            ((_, _, best),) = info.value.attempts
+            assert best > POLISH_SPREAD
+            fac = zxz_scale(u)
+            assert (fac.restarts, fac.iterations) == (0, iterations)
+            assert fac.spread <= 1e-10
+            assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
 
 
 # Stalls are rare among random draws, so test_attempt_bookkeeping pins one
 # input of each outcome kind.
 BOOKKEEPING_KINDS = {
-    (3, 2767, 60, 0): "stall after hand-over",
+    (3, 2767, 60, 0): "stall after MAX_SWEEPS",
     (5, 21, 60, 0): "stall from POLISH_SPREAD",
+    (3, 1380, 5, 0): "cap in sweeps",
     (3, 266, 12, 0): "cap in Gauss-Newton",
-    (3, 1380, 60, 0): "converged after hand-over",
+    (4, 0, 60, 0): "converged",
+    (3, 1380, 60, 0): "converged after MAX_SWEEPS",
     (5, 309, 60, 1): "converged after restart",
 }
 
@@ -275,16 +284,16 @@ BOOKKEEPING_KINDS = {
 def _outcome_kind(outcome, newton_spreads):
     """The kind of a ``zxz_scale`` outcome (its factorization or its
     ConvergenceError), given the spread before each Gauss-Newton step. The
-    first step tells whether creeping sweeps handed over, above
-    POLISH_SPREAD."""
-    handed_over = bool(newton_spreads) and newton_spreads[0] > POLISH_SPREAD
+    first step tells whether the sweeps handed over after MAX_SWEEPS,
+    above POLISH_SPREAD."""
+    capped = bool(newton_spreads) and newton_spreads[0] > POLISH_SPREAD
     if isinstance(outcome, ConvergenceError):
         if outcome.attempts[-1][1] == "cap":
             return "cap in Gauss-Newton" if newton_spreads else "cap in sweeps"
-        return "stall after hand-over" if handed_over else "stall from POLISH_SPREAD"
+        return "stall after MAX_SWEEPS" if capped else "stall from POLISH_SPREAD"
     if outcome.restarts:
         return "converged after restart"
-    return "converged after hand-over" if handed_over else "converged"
+    return "converged after MAX_SWEEPS" if capped else "converged"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -296,7 +305,9 @@ def _outcome_kind(outcome, newton_spreads):
 )
 @example(3, 2767, 60, 0)
 @example(5, 21, 60, 0)
+@example(3, 1380, 5, 0)
 @example(3, 266, 12, 0)
+@example(4, 0, 60, 0)
 @example(3, 1380, 60, 0)
 @example(5, 309, 60, 1)
 def test_attempt_bookkeeping(n, seed, max_iters, max_restarts):
@@ -328,3 +339,43 @@ def test_attempt_bookkeeping(n, seed, max_iters, max_restarts):
     if kind is not None:
         spreads = [line_sum_spread(*c.args[1:]) for c in newton.call_args_list]
         assert _outcome_kind(outcome, spreads) == kind
+
+
+def _attempt_lengths(u, opts):
+    """The iterations of every attempt of ``zxz_scale(u, opts)``: the
+    abandoned ones, then the successful one if there is one."""
+    try:
+        fac = zxz_scale(u, opts)
+    except ConvergenceError as e:
+        return [iterations for iterations, _, _ in e.attempts]
+    return [iterations for iterations, _, _ in fac.attempts] + [fac.iterations]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_every_attempt_ends_within_bound(n, seed, tol):
+    # At most MAX_SWEEPS sweeps, POLISH_STEPS missed Gauss-Newton steps and
+    # the steps that halve the spread from sqrt(n) + 1 to tol.
+    bound = attempt_bound(n, tol)
+    assert max(_attempt_lengths(haar_unitary(n, seed), ScalingOptions(tol=tol))) <= bound
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+@pytest.mark.parametrize("n", range(2, 14))
+def test_fourier_attempts_end_within_bound(n, rng_seed):
+    # DFT_8 once took 77 iterations in one successful attempt, against a
+    # bound of 54.
+    opts = ScalingOptions(rng_seed=rng_seed)
+    assert max(_attempt_lengths(dft_matrix(n), opts)) <= attempt_bound(n, opts.tol)
+
+
+def test_attempt_bound_values():
+    assert attempt_bound(32, 1e-10) == 54
+    assert attempt_bound(8, 1e-10) == 54
+    assert attempt_bound(2, 1e-6) == 40
+    # A target above every possible spread needs no halving step.
+    assert attempt_bound(4, 10.0) == MAX_SWEEPS + POLISH_STEPS

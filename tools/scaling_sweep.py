@@ -11,11 +11,14 @@ for n = 2..32 and seeds 0..16, and ``dft_matrix(n)`` for n = 2..13 with
 * the scaling iterations of all attempts, abandoned ones included, split
   into sweeps and Gauss-Newton steps (counted by wrapping
   ``scaling._newton_step``);
-* the longest abandoned attempt, read from ``ZXZFactorization.attempts``;
+* the longest abandoned attempt, read from ``ZXZFactorization.attempts``,
+  and the longest attempt of any kind;
+* every attempt, successful or abandoned, that took more iterations than
+  ``scaling.attempt_bound(n, tol)``;
 * the median and maximum wall time of the Haar calls at n = 16 and 32.
 
-Exits 1 if any call raised ``ConvergenceError`` or an abandoned attempt
-took more than ABANDON_MAX iterations. Outside Tier-1: the sweep takes
+Exits 1 if any call raised ``ConvergenceError`` or any attempt took more
+than ``attempt_bound(n, tol)`` iterations. Outside Tier-1: the sweep takes
 several seconds and its times depend on the host.
 """
 
@@ -33,8 +36,6 @@ HAAR_SEEDS = range(17)
 DFT_SIZES = range(2, 14)
 DFT_RNG_SEEDS = range(4)
 TIMED_SIZES = (16, 32)
-# The most iterations an abandoned attempt may cost.
-ABANDON_MAX = 150
 
 
 def _calls():
@@ -63,30 +64,36 @@ def _count_newton_steps() -> list[int]:
 
 def main() -> int:
     calls = errors = restarts = iterations = newton = 0
-    longest = (0, "none")
+    longest = longest_any = (0, "none")
+    over = []
     times = {n: [] for n in TIMED_SIZES}
     steps = _count_newton_steps()
     for label, n, u, opts in _calls():
         calls += 1
+        bound = scaling.attempt_bound(len(u), opts.tol)
         before = steps[0]
         t0 = time.perf_counter()
         try:
             fac = zxz_scale(u, opts)
         except ConvergenceError as e:
             errors += 1
-            iterations += sum(i for i, _, _ in e.attempts)
             print(f"ConvergenceError: {label}: {e} attempts={e.attempts}")
-            continue
+            abandoned, succeeded = e.attempts, []
+        else:
+            elapsed = time.perf_counter() - t0
+            if n in times:
+                times[n].append(elapsed)
+            restarts += fac.restarts
+            abandoned, succeeded = fac.attempts, [fac.iterations]
         finally:
             newton += steps[0] - before
-        elapsed = time.perf_counter() - t0
-        if n in times:
-            times[n].append(elapsed)
-        restarts += fac.restarts
-        iterations += fac.iterations
-        for abandoned, _, _ in fac.attempts:
-            iterations += abandoned
-            longest = max(longest, (abandoned, label))
+        lengths = [i for i, _, _ in abandoned] + succeeded
+        iterations += sum(lengths)
+        for i, _, _ in abandoned:
+            longest = max(longest, (i, label))
+        longest_any = max(longest_any, (max(lengths), label))
+        if max(lengths) > bound:
+            over.append(f"{label}: attempts of {lengths} iterations, bound {bound}")
     print(f"calls: {calls}")
     print(f"ConvergenceErrors: {errors}")
     print(f"restarts: {restarts}")
@@ -95,6 +102,9 @@ def main() -> int:
         f"({iterations - newton} sweeps, {newton} Gauss-Newton steps)"
     )
     print(f"longest abandoned attempt: {longest[0]} iterations ({longest[1]})")
+    print(f"longest attempt: {longest_any[0]} iterations ({longest_any[1]})")
+    for line in over:
+        print(f"over attempt_bound: {line}")
     for n, ts in times.items():
         if not ts:
             continue
@@ -102,9 +112,7 @@ def main() -> int:
             f"Haar n={n}: median {statistics.median(ts) * 1e3:.1f} ms, "
             f"max {max(ts) * 1e3:.1f} ms over {len(ts)} calls"
         )
-    if longest[0] > ABANDON_MAX:
-        print(f"an abandoned attempt took more than {ABANDON_MAX} iterations")
-    return 1 if errors or longest[0] > ABANDON_MAX else 0
+    return 1 if errors or over else 0
 
 
 if __name__ == "__main__":
