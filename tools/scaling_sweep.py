@@ -1,16 +1,21 @@
-"""Sweep ``zxz_scale`` over Haar and Fourier inputs and report its failures.
+"""Sweep ``zxz_scale`` over Haar, Fourier and reducible inputs and report
+its failures.
 
     PYTHONPATH=src python3 tools/scaling_sweep.py
 
-Runs 575 calls with the default ``ScalingOptions``: ``haar_unitary(n, seed)``
-for n = 2..32 and seeds 0..16, and ``dft_matrix(n)`` for n = 2..13 with
-``rng_seed`` 0..3. Prints
+Runs 767 calls with the default ``ScalingOptions``: ``haar_unitary(n, seed)``
+for n = 2..32 and seeds 0..16; ``dft_matrix(n)`` for n = 2..13 with
+``rng_seed`` 0..3; and 192 reducible or nearly reducible inputs, a
+permuted block-diagonal unitary with Haar blocks for each of 12 block
+splits of n = 4..12 and seeds 0..3, alone and times e^(i eps H) for a
+random Hermitian H and eps = 1e-12, 1e-8, 1e-4. Prints
 
 * every ``ConvergenceError``, with its attempt history;
 * the total number of restarts;
 * the scaling iterations of all attempts, abandoned ones included, split
   into sweeps and Gauss-Newton steps (counted by wrapping
-  ``scaling._newton_step``);
+  ``scaling._newton_step``), and how many of those steps took the
+  ``lstsq`` path (counted by wrapping ``scaling._lstsq_step``);
 * the longest abandoned attempt, read from ``ZXZFactorization.attempts``,
   and the longest attempt of any kind;
 * every attempt, successful or abandoned, that took more iterations than
@@ -28,6 +33,8 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from xubirkhoff import ConvergenceError, ScalingOptions, dft_matrix, haar_unitary, zxz_scale
 from xubirkhoff import scaling
 
@@ -36,6 +43,33 @@ HAAR_SEEDS = range(17)
 DFT_SIZES = range(2, 14)
 DFT_RNG_SEEDS = range(4)
 TIMED_SIZES = (16, 32)
+BLOCK_SPLITS = (
+    (2, 2), (1, 4), (2, 3), (3, 3), (2, 5), (3, 4),
+    (2, 2, 3), (4, 4), (3, 6), (5, 5), (4, 7), (3, 4, 5),
+)
+BLOCK_SEEDS = range(4)
+COUPLINGS = (0.0, 1e-12, 1e-8, 1e-4)
+
+
+def _block_unitary(blocks, seed):
+    """Haar blocks of the given sizes on the diagonal, rows and columns
+    permuted: a reducible unitary."""
+    n = sum(blocks)
+    u = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k, size in enumerate(blocks):
+        u[start : start + size, start : start + size] = haar_unitary(size, 100 * seed + k)
+        start += size
+    rng = np.random.Generator(np.random.Philox(seed))
+    return u[rng.permutation(n)][:, rng.permutation(n)]
+
+
+def _coupling(n, eps, seed):
+    """e^(i eps H) for a random Hermitian H with entries of order 1."""
+    rng = np.random.Generator(np.random.Philox(1000 + seed))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, q = np.linalg.eigh((z + z.conj().T) / 2)
+    return (q * np.exp(1j * eps * w)) @ q.conj().T
 
 
 def _calls():
@@ -47,18 +81,26 @@ def _calls():
         for rng_seed in DFT_RNG_SEEDS:
             label = f"dft_matrix({n}), rng_seed={rng_seed}"
             yield label, None, dft_matrix(n), ScalingOptions(rng_seed=rng_seed)
+    for blocks in BLOCK_SPLITS:
+        for seed in BLOCK_SEEDS:
+            u = _block_unitary(blocks, seed)
+            for eps in COUPLINGS:
+                coupled = u @ _coupling(len(u), eps, seed) if eps else u
+                label = f"blocks {blocks}, seed {seed}, eps {eps:g}"
+                yield label, None, coupled, ScalingOptions()
 
 
-def _count_newton_steps() -> list[int]:
-    """Make every later Gauss-Newton step add 1 to the returned counter."""
+def _count_calls(name: str) -> list[int]:
+    """Make every later call of ``scaling.<name>`` add 1 to the returned
+    counter."""
     count = [0]
-    step = scaling._newton_step
+    func = getattr(scaling, name)
 
     def counted(*args):
         count[0] += 1
-        return step(*args)
+        return func(*args)
 
-    scaling._newton_step = counted
+    setattr(scaling, name, counted)
     return count
 
 
@@ -67,7 +109,8 @@ def main() -> int:
     longest = longest_any = (0, "none")
     over = []
     times = {n: [] for n in TIMED_SIZES}
-    steps = _count_newton_steps()
+    steps = _count_calls("_newton_step")
+    lstsq_steps = _count_calls("_lstsq_step")
     for label, n, u, opts in _calls():
         calls += 1
         bound = scaling.attempt_bound(len(u), opts.tol)
@@ -101,6 +144,7 @@ def main() -> int:
         f"scaling iterations: {iterations} "
         f"({iterations - newton} sweeps, {newton} Gauss-Newton steps)"
     )
+    print(f"Gauss-Newton steps on the lstsq path: {lstsq_steps[0]}")
     print(f"longest abandoned attempt: {longest[0]} iterations ({longest[1]})")
     print(f"longest attempt: {longest_any[0]} iterations ({longest_any[1]})")
     for line in over:
