@@ -166,11 +166,13 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
     moduli sum to 1 + (2*p*conj(p) - p - conj(p))/3, which is 1 exactly on
     the circle |p - 1/2| = 1/2 (e.g. p = 0 and p = 1).
     """
+    p = complex(p)
+    if not np.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     a = require_xu(x, tol)
     if a.shape[0] != 3:
         raise DimensionError(f"expected a 3x3 matrix, got {a.shape[0]}")
     u = fourier_core(a, tol)
-    p = complex(p)
     q = 1.0 - p
     w = root_of_unity(3, 1)
     w2 = root_of_unity(3, 2)

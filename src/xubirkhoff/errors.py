@@ -32,15 +32,10 @@ class ConvergenceError(XUBirkhoffError):
     """Iterative scaling failed to converge.
 
     Carries the best line-sum spread achieved so callers can report how
-    close the run came, and ``attempts``: one ``(iterations, stop_reason,
-    best_spread)`` tuple per attempt, in order, where the reason is
-    ``"cap"`` (the iteration limit) or ``"stall"`` (its Gauss-Newton
-    steps missed: ``scaling.POLISH_STEPS`` of them failed to halve the
-    best spread). An attempt hands over from sweeps to Gauss-Newton steps
-    at spread ``scaling.POLISH_SPREAD`` (0.3), or after 10 sweeps
-    (``scaling.MAX_SWEEPS``), so every attempt ends within
-    ``scaling.attempt_bound(n, tol)`` iterations, not after hundreds of
-    sweeps.
+    close the run came, and ``attempts``: one ``(iterations,
+    best_spread)`` tuple per attempt, in order. Each attempt ended when
+    ``scaling.POLISH_STEPS`` of its Gauss-Newton steps failed to halve the
+    best spread, within ``scaling.attempt_bound(n, tol)`` iterations.
     """
 
     def __init__(self, message, best_spread=None, attempts=()):

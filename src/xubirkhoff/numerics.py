@@ -157,8 +157,8 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
     entries, and entry (1,1) equal to 1. A 1x1 matrix is circulant and
     anticirculant by convention.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     a = as_complex_matrix(m)
     n = a.shape[0]
 

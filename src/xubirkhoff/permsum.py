@@ -189,15 +189,21 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     nesting, compose to the permutation with image row
     ``b.images[j, a.images[i]]`` and weight w_i * w_j, and duplicates merge
     in that pair order. The weight sum multiplies, so sums of 1 stay 1.
-    Sizes that differ raise DimensionError, and more than
-    ``_PRODUCT_MAX_PAIRS`` pairs raise UnsupportedDimensionError before any
-    work (``check_pairs``).
+    An operand that is not a WeightedPermSum, such as a ComplexPermSum
+    whose phases the product would drop, raises TypeError. Sizes that
+    differ raise DimensionError, and more than ``_PRODUCT_MAX_PAIRS`` pairs
+    raise UnsupportedDimensionError before any work (``check_pairs``).
 
     The composed rows are grouped as ``_merge`` groups rows
     (``_group_rows``) and freed before any pair weight exists; the pair
     weights are then formed and summed a block of pairs at a time
     (``_sum_pair_groups``), which keeps the peak memory down.
     """
+    for operand in (a, b):
+        if not isinstance(operand, WeightedPermSum):
+            raise TypeError(
+                f"product takes WeightedPermSum operands, got {type(operand).__name__}"
+            )
     n = a.n
     if b.n != n:
         raise DimensionError(f"product of sizes {n} and {b.n}")

@@ -35,15 +35,26 @@ class Permutation:
     """A bijection on {1..n} in one-line notation.
 
     Ordering (and therefore sorting) compares image tuples
-    lexicographically.
+    lexicographically. The images must be integers by ``check_int``'s
+    rule: numpy integers are stored as int, a bool or a float raises
+    NotAPermutationError.
     """
 
     image: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
+        image = self.image
+        # A tuple of exact ints, as every constructor in the package
+        # passes, needs no conversion.
+        if type(image) is not tuple or not set(map(type, image)) <= {int}:
+            image = tuple(
+                check_int(k, None, "permutation image entry", NotAPermutationError)
+                for k in image
+            )
+            object.__setattr__(self, "image", image)
+        if sorted(image) != list(range(1, len(image) + 1)):
             raise NotAPermutationError(
-                f"image {self.image} is not a bijection on 1..{len(self.image)}"
+                f"image {image} is not a bijection on 1..{len(image)}"
             )
 
     @property

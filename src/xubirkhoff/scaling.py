@@ -41,29 +41,27 @@ is 0.3 because from there the Gauss-Newton steps converge, or miss within
 a few iterations and restart; a higher one (0.5, 1) misses from further
 out and restarts more often.
 
-The exit rules, checked in this order on each pass:
+An attempt ends in one of two ways, checked in this order on each pass:
 
 * the spread is at most ``tol``: the attempt succeeds with this iterate;
-* ``max_iters`` steps are spent: the attempt is abandoned as capped;
 * POLISH_STEPS Gauss-Newton steps have missed, that is failed to halve
-  the smallest spread so far: the attempt is abandoned as stalled. Misses
-  are tolerated because a near-singular Jacobian can send a step far
-  along a flat direction before the next ones converge; steps that halve
-  the spread are not limited because at a singular solution Gauss-Newton
+  the smallest spread so far: the attempt is abandoned. Misses are
+  tolerated because a near-singular Jacobian can send a step far along a
+  flat direction before the next ones converge; steps that halve the
+  spread are not limited because at a singular solution Gauss-Newton
   converges only linearly.
 
 So every attempt ends within ``attempt_bound(n, tol)`` iterations, by
 construction: at most MAX_SWEEPS sweeps, at most POLISH_STEPS missed
-Gauss-Newton steps, and at most ceil(log2((sqrt(n) + 1) / tol)) steps
+Gauss-Newton steps, and at most ceil(log2(sqrt(n) + 1) - log2(tol)) steps
 that halve the smallest spread, since no line sum of a unitary is
-further than sqrt(n) + 1 from 1. The default ``max_iters`` is above that
-bound, so it only limits attempts when set lower.
+further than sqrt(n) + 1 from 1.
 
 After an abandoned attempt the next one starts from a random
-diagonal-phase perturbation. Restart k draws its phases from a seeded
-counter-based generator (numpy Philox), the same ones whatever the earlier
-attempts did, so runs are reproducible. The generator is only built
-once a restart is needed.
+diagonal-phase perturbation, for at most MAX_RESTARTS = 8 restarts.
+Restart k draws its phases from a seeded counter-based generator (numpy
+Philox), the same ones whatever the earlier attempts did, so runs are
+reproducible. The generator is only built once a restart is needed.
 
 ``iterations`` counts the sweeps plus the Gauss-Newton steps of the
 successful attempt; ``attempts`` keeps the history of the abandoned ones.
@@ -83,10 +81,12 @@ from .numerics import check_int, line_sum_spread, require_unitary
 UNITARY_TOL = 1e-8
 # An attempt switches to Gauss-Newton steps at the first pass whose
 # spread is at most POLISH_SPREAD or after MAX_SWEEPS sweeps; POLISH_STEPS
-# of those steps that fail to halve the spread end it.
+# of those steps that fail to halve the spread end it. At most
+# MAX_RESTARTS attempts follow the first.
 POLISH_SPREAD = 3e-1
 MAX_SWEEPS = 10
 POLISH_STEPS = 8
+MAX_RESTARTS = 8
 # A Gauss-Newton step from the normal equations is kept while
 # max|A^-1 p| * max|A| < NORMAL_COND * 2n for the generic probe p, an
 # estimate of the condition number of A that can fall short of it by a
@@ -99,24 +99,19 @@ NORMAL_COND = 1e4
 
 @dataclass(frozen=True)
 class ScalingOptions:
-    """Knobs for the phase scaling.
+    """Options of the phase scaling.
 
     tol is the target spread: the maximum modulus distance of any of the
-    2n line sums from 1. max_iters caps the sweeps plus Gauss-Newton
-    steps of one attempt; max_restarts is the number of attempts after
-    the first; rng_seed (an integer >= 0) seeds the restart phases.
+    2n line sums from 1. rng_seed (an integer >= 0) seeds the restart
+    phases.
     """
 
     tol: float = 1e-10
-    max_iters: int = 10_000
-    max_restarts: int = 8
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        check_int(self.max_iters, 1, "max_iters", ValueError)
-        check_int(self.max_restarts, 0, "max_restarts", ValueError)
         # Checked here because the restart generator is built lazily:
         # a bad seed must not pass silently when no restart happens.
         check_int(self.rng_seed, 0, "rng_seed", ValueError)
@@ -128,10 +123,10 @@ class ZXZFactorization:
 
     z1 and z2 are unit-modulus vectors with first entry 1; core is XU
     within the achieved spread. iterations counts the sweeps plus
-    Gauss-Newton steps of the successful attempt, restarts how many
-    attempts preceded it. attempts holds one ``(iterations, stop_reason,
-    best_spread)`` tuple per abandoned attempt, in order, the same tuples
-    as ``ConvergenceError.attempts``.
+    Gauss-Newton steps of the successful attempt. attempts holds one
+    ``(iterations, best_spread)`` tuple per abandoned attempt, in order,
+    the same tuples as ``ConvergenceError.attempts``; restarts is their
+    number.
     """
 
     alpha: float
@@ -140,8 +135,11 @@ class ZXZFactorization:
     core: np.ndarray
     spread: float
     iterations: int
-    restarts: int
     attempts: tuple
+
+    @property
+    def restarts(self) -> int:
+        return len(self.attempts)
 
     def reconstruct(self) -> np.ndarray:
         return (
@@ -238,8 +236,9 @@ def _lstsq_step(b: np.ndarray) -> np.ndarray:
 
 def attempt_bound(n: int, tol: float) -> int:
     """The most iterations one attempt of ``zxz_scale`` can take at size n
-    and target spread tol, whatever ``max_iters`` is (module docstring)."""
-    halvings = math.ceil(math.log2((math.sqrt(n) + 1) / tol))
+    and target spread tol (module docstring). Computed as a difference of
+    logarithms, which stays finite for a subnormal tol."""
+    halvings = math.ceil(math.log2(math.sqrt(n) + 1) - math.log2(tol))
     return MAX_SWEEPS + POLISH_STEPS + max(0, halvings)
 
 
@@ -256,7 +255,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     rng = None
     attempts = []
 
-    for restart in range(opts.max_restarts + 1):
+    for restart in range(MAX_RESTARTS + 1):
         if restart == 0:
             left = right = np.ones(n, dtype=complex)
         else:
@@ -277,11 +276,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             best = min(best, spread)
             if spread <= opts.tol:
                 return _assemble(a, left, right, v, spread, it, attempts)
-            if it >= opts.max_iters:
-                reason = "cap"
-                break
             if misses >= POLISH_STEPS:
-                reason = "stall"
                 break
             newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
             it += 1
@@ -296,12 +291,12 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             v = w * col_ph[None, :]
             left = left * row_ph
             right = right * col_ph
-        attempts.append((it, reason, best))
+        attempts.append((it, best))
 
-    best = min(b for _, _, b in attempts)
+    best = min(b for _, b in attempts)
     raise ConvergenceError(
         f"no convergence to spread {opts.tol} after "
-        f"{opts.max_restarts + 1} attempts; best spread {best:.3e}",
+        f"{MAX_RESTARTS + 1} attempts; best spread {best:.3e}",
         best_spread=float(best),
         attempts=attempts,
     )
@@ -325,6 +320,5 @@ def _assemble(a, left, right, core, spread, iterations, attempts):
         core=core,
         spread=float(spread),
         iterations=iterations,
-        restarts=len(attempts),
         attempts=tuple(attempts),
     )

@@ -85,6 +85,15 @@ class TestProduct:
         with pytest.raises(DimensionError):
             product(WeightedPermSum(2), WeightedPermSum(3))
 
+    def test_complex_operand_rejected(self):
+        # The product rule has no place for a ComplexPermSum's phases:
+        # dropping them reconstructed to a matrix 1.64 away from U @ X.
+        c = decompose_unitary(haar_unitary(3, 1))
+        s = decompose_xu(random_xu(3, 1))
+        for a, b in [(c, s), (s, c)]:
+            with pytest.raises(TypeError, match="ComplexPermSum"):
+                product(a, b)
+
 
 class TestXu2:
     def test_alpha_zero(self):
@@ -172,6 +181,11 @@ class TestXu3:
         assert max_abs_diff(s0.reconstruct(), s1.reconstruct()) < 1e-13
         diffs = [abs(s0[p] - s1[p]) for p, _ in s0.items()]
         assert max(diffs) > 0.1
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            decompose_xu3(random_xu(3, seed=3), p=p)
 
     def test_sq_moduli_circle_law(self):
         x = random_xu(3, seed=5)

@@ -7,6 +7,7 @@ import pytest
 
 from xubirkhoff import (
     decompose_unitary,
+    haar_unitary,
     matrix_from_json,
     matrix_to_json,
     perm_sum_to_json,
@@ -177,8 +178,6 @@ class TestVerifyRoundTrip:
         assert rep["passed"]["reconstruction"] and rep["passed"]["line_sums"]
 
     def test_doubled_phase_fails(self, capsys, tmp_path):
-        from xubirkhoff import haar_unitary
-
         mpath = tmp_path / "u.json"
         write_matrix(mpath, haar_unitary(5, seed=1))
         d = perm_sum_to_json(decompose_unitary(haar_unitary(5, seed=1)))
@@ -251,8 +250,6 @@ class TestSchemaTypes:
 
     @pytest.mark.parametrize("part", ["1", True])
     def test_non_number_phase_part(self, capsys, tmp_path, part):
-        from xubirkhoff import haar_unitary
-
         mpath = tmp_path / "u.json"
         write_matrix(mpath, haar_unitary(3, seed=4))
         d = perm_sum_to_json(decompose_unitary(haar_unitary(3, seed=4)))
@@ -275,8 +272,6 @@ class TestSchemaTypes:
         assert out == "" and "d.json" in err and "finite" in err
 
     def test_non_finite_phase_part(self, capsys, tmp_path):
-        from xubirkhoff import haar_unitary
-
         mpath = tmp_path / "u.json"
         write_matrix(mpath, haar_unitary(3, seed=4))
         d = perm_sum_to_json(decompose_unitary(haar_unitary(3, seed=4)))
@@ -402,8 +397,6 @@ class TestParserReuse:
 
 class TestScale:
     def test_haar_input(self, capsys, tmp_path):
-        from xubirkhoff import haar_unitary
-
         path = tmp_path / "u.json"
         write_matrix(path, haar_unitary(4, seed=6))
         code, out, _ = run_cli(capsys, "scale", str(path))
@@ -419,6 +412,15 @@ class TestScale:
         write_matrix(path, np.ones((2, 2), dtype=complex))
         code, _, _ = run_cli(capsys, "scale", str(path))
         assert code == 1
+
+    def test_unreachable_tol_is_engine_error(self, capsys, tmp_path):
+        # No attempt reaches a spread of 1e-320: ConvergenceError, exit 1.
+        path = tmp_path / "u.json"
+        write_matrix(path, haar_unitary(5, 1))
+        code, out, err = run_cli(capsys, "scale", str(path), "--tol", "1e-320")
+        assert code == 1 and out == ""
+        assert err.startswith("error: no convergence to spread 1e-320 after 9 attempts")
+        assert "Traceback" not in err
 
 
 class TestSeedValidation:
@@ -479,6 +481,19 @@ class TestPOption:
             assert not dest.exists()
         else:
             assert json.loads(dest.read_text())["engine"] == "xu3"
+
+    def test_non_finite_p_is_usage_error(self, capsys, tmp_path):
+        # The error names p, not the matrix that verify would blame for
+        # the NaN weights.
+        path = tmp_path / "x3.json"
+        write_matrix(path, random_xu(3, seed=2))
+        dest = tmp_path / "d.json"
+        argv = ["decompose", str(path), "--method", "xu3", "--p", "nan"]
+        code, out, err = run_cli(capsys, *argv, "--output", str(dest))
+        assert code == 2 and out == ""
+        assert "p must be finite" in err
+        assert "matrix" not in err
+        assert not dest.exists()
 
 
 class TestTables:

@@ -81,8 +81,6 @@ GATES = [
     ("transfer_block_dims", lambda n: transfer_block_dims(n, 1, 1), 2, DimensionError),
     ("sample seed", lambda seed: sample(SampleSpec(3, "xu", seed)), 0, ValueError),
     ("haar_unitary seed", lambda seed: haar_unitary(3, seed), 0, ValueError),
-    ("max_iters", lambda k: _scaled(max_iters=k), 1, ValueError),
-    ("max_restarts", lambda k: _scaled(max_restarts=k), 0, ValueError),
     ("rng_seed", lambda k: _scaled(rng_seed=k), 0, ValueError),
 ]
 IDS = [g[0] for g in GATES]
@@ -183,13 +181,6 @@ def test_pitch_needs_a_prime_integer():
     for n in (-5, 0, 1, 4, np.int64(6)):
         with pytest.raises(UnsupportedDimensionError, match="prime"):
             pitch(n, 1, 1)
-
-
-def test_scaling_counts_must_be_integers():
-    with pytest.raises(ValueError, match="max_restarts"):
-        ScalingOptions(max_restarts=1.5)
-    with pytest.raises(ValueError, match="max_iters"):
-        ScalingOptions(max_iters=True)
 
 
 class TestEngineTable:

@@ -205,6 +205,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_tolerance_must_be_finite(self, tol):
+        # A NaN tolerance used to pass and report every class as False.
+        with pytest.raises(ValueError, match="tolerance"):
+            classify(np.eye(2), tol=tol)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             classify(np.array([[np.nan, 0], [0, 1]], dtype=complex))

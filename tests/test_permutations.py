@@ -1,6 +1,8 @@
 """Tests for permutations, composition, the structured families, and
 supercirculant detection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from xubirkhoff import (
     transfer_matrix,
     van_der_waerden,
 )
-from xubirkhoff.numerics import max_abs_diff
+from xubirkhoff.numerics import dumps_json, max_abs_diff
 
 
 class TestPermutation:
@@ -37,6 +39,18 @@ class TestPermutation:
             Permutation((1, 1, 3))
         with pytest.raises(NotAPermutationError):
             Permutation((0, 1, 2))
+
+    @pytest.mark.parametrize("image", [(1.0, 2.0), (True, 2), (1, np.float64(2))])
+    def test_rejects_non_integer_images(self, image):
+        with pytest.raises(NotAPermutationError, match="integer"):
+            Permutation(image)
+
+    def test_numpy_integer_images_become_int(self):
+        p = Permutation(tuple(np.array([3, 1, 2])))
+        assert p == Permutation((3, 1, 2))
+        assert all(type(k) is int for k in p.image)
+        assert hash(p) == hash(Permutation((3, 1, 2)))
+        assert perm_from_json(json.loads(dumps_json(perm_to_json(p)))) == p
 
     def test_matrix_convention(self):
         # row k carries its unit entry at column sigma(k)

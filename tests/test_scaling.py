@@ -24,7 +24,13 @@ from xubirkhoff import (
 )
 from xubirkhoff import scaling
 from xubirkhoff.numerics import line_sum_spread, max_abs_diff
-from xubirkhoff.scaling import MAX_SWEEPS, POLISH_SPREAD, POLISH_STEPS, attempt_bound
+from xubirkhoff.scaling import (
+    MAX_RESTARTS,
+    MAX_SWEEPS,
+    POLISH_SPREAD,
+    POLISH_STEPS,
+    attempt_bound,
+)
 from xubirkhoff.xu_group import require_xu
 
 
@@ -106,12 +112,13 @@ class TestZxzScale:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             ScalingOptions(tol=0.0)
-        with pytest.raises(ValueError):
-            ScalingOptions(max_iters=0)
 
-    def test_negative_max_restarts_rejected(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            ScalingOptions(max_restarts=-1)
+    @pytest.mark.parametrize("name", ["max_iters", "max_restarts"])
+    def test_attempt_policy_is_not_an_option(self, name):
+        # Every attempt ends within attempt_bound(n, tol) iterations, and
+        # MAX_RESTARTS is a module constant: neither is set per call.
+        with pytest.raises(TypeError):
+            ScalingOptions(**{name: 1})
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_bad_tol_rejected(self, tol):
@@ -154,16 +161,24 @@ def test_core_is_xu_and_factors_reconstruct(n, seed):
     assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
 
 
+def _first_attempt(u):
+    """The (iterations, best_spread) of the first attempt of
+    ``zxz_scale(u)``, with best_spread None when it succeeded."""
+    fac = zxz_scale(u)
+    return fac.attempts[0] if fac.attempts else (fac.iterations, None)
+
+
 class TestConvergenceHistory:
-    def test_iteration_cap_on_every_attempt(self):
-        opts = ScalingOptions(max_iters=1, max_restarts=3)
+    def test_unreachable_tol_abandons_every_attempt(self):
+        # No line sum of a Haar unitary lands within 1e-320 of 1, so all
+        # MAX_RESTARTS + 1 attempts are abandoned, each within its bound.
+        opts = ScalingOptions(tol=1e-320)
         with pytest.raises(ConvergenceError) as info:
             zxz_scale(haar_unitary(5, seed=0), opts)
         attempts = info.value.attempts
-        assert len(attempts) == opts.max_restarts + 1
-        assert [reason for _, reason, _ in attempts] == ["cap"] * 4
-        assert all(iterations == 1 for iterations, _, _ in attempts)
-        assert info.value.best_spread == min(b for _, _, b in attempts)
+        assert len(attempts) == MAX_RESTARTS + 1
+        assert all(it <= attempt_bound(5, opts.tol) for it, _ in attempts)
+        assert info.value.best_spread == min(b for _, b in attempts)
 
     @pytest.mark.parametrize("n, seed", [(4, 16), (7, 11), (11, 10)])
     def test_success_keeps_history_of_abandoned_attempts(self, n, seed):
@@ -172,8 +187,9 @@ class TestConvergenceHistory:
         u = haar_unitary(n, seed)
         fac = zxz_scale(u)
         assert fac.restarts == len(fac.attempts) >= 1
-        with pytest.raises(ConvergenceError) as info:
-            zxz_scale(u, ScalingOptions(max_restarts=fac.restarts - 1))
+        fewer = mock.patch.object(scaling, "MAX_RESTARTS", fac.restarts - 1)
+        with fewer, pytest.raises(ConvergenceError) as info:
+            zxz_scale(u)
         assert fac.attempts == info.value.attempts
 
     @pytest.mark.parametrize("seed", [266, 253])
@@ -183,24 +199,13 @@ class TestConvergenceHistory:
         # used to creep for 4 426 (seed 266) and 1 150 (seed 253)
         # iterations before the stall rule fired.
         u = haar_unitary(3, seed)
-        with pytest.raises(ConvergenceError) as info:
-            zxz_scale(u, ScalingOptions(max_restarts=0))
-        ((iterations, reason, best),) = info.value.attempts
-        assert reason == "stall"
-        assert iterations <= 150
-        assert best == info.value.best_spread
         fac = zxz_scale(u)
+        ((iterations, best),) = fac.attempts
+        assert iterations <= 150
+        assert best > ScalingOptions().tol
         assert (fac.restarts, fac.iterations) == (1, 4)
         assert fac.spread <= 1e-10
         assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
-
-    def test_missed_polish_at_budget_is_cap(self):
-        # The budget runs out on the pass at which the attempt would stall.
-        u = haar_unitary(3, 266)
-        with pytest.raises(ConvergenceError) as info:
-            zxz_scale(u, ScalingOptions(max_iters=13, max_restarts=0))
-        ((iterations, reason, _),) = info.value.attempts
-        assert (iterations, reason) == (13, "cap")
 
     def test_slow_sweeps_end_within_150_iterations(self):
         # Sweeps that fall steadily, but slowly, escaped an earlier rule
@@ -208,12 +213,7 @@ class TestConvergenceHistory:
         # first attempt once fell from spread 0.088 to 0.012 over 550
         # sweeps and then missed, 558 iterations in all.
         u = haar_unitary(17, 15)
-        try:
-            fac = zxz_scale(u, ScalingOptions(max_restarts=0))
-        except ConvergenceError as e:
-            ((iterations, _, _),) = e.attempts
-        else:
-            iterations = fac.iterations
+        iterations, _ = _first_attempt(u)
         assert iterations <= 150
         fac = zxz_scale(u)
         assert fac.spread <= 1e-10
@@ -222,14 +222,11 @@ class TestConvergenceHistory:
     def test_rotation_stalls_without_restarts(self):
         c = np.sqrt(0.5)
         u = np.array([[c, -c], [c, c]], dtype=complex)
-        with pytest.raises(ConvergenceError) as info:
-            zxz_scale(u, ScalingOptions(max_restarts=0))
-        ((iterations, reason, best),) = info.value.attempts
-        assert reason == "stall"
+        iterations, best = _first_attempt(u)
         # The sweeps do not move it: they hand over to Gauss-Newton after
         # MAX_SWEEPS sweeps, and the steps all miss (18 iterations).
         assert iterations <= MAX_SWEEPS + POLISH_STEPS
-        assert best == info.value.best_spread
+        assert best > ScalingOptions().tol
 
     @pytest.mark.parametrize(
         "n, seed, restarts, iterations",
@@ -240,15 +237,12 @@ class TestConvergenceHistory:
         # 0.34, 0.37 and 0.35. They hand over after MAX_SWEEPS sweeps, and
         # the attempt ends when its Gauss-Newton steps miss.
         u = haar_unitary(n, seed)
-        with pytest.raises(ConvergenceError) as info:
-            zxz_scale(u, ScalingOptions(max_restarts=0))
-        ((first, reason, best),) = info.value.attempts
-        assert reason == "stall"
+        fac = zxz_scale(u)
+        ((first, best),) = fac.attempts
         # Never at POLISH_SPREAD, so the sweep cap started Gauss-Newton and
         # no step halved the spread.
         assert best > POLISH_SPREAD
         assert first == MAX_SWEEPS + POLISH_STEPS
-        fac = zxz_scale(u)
         assert (fac.restarts, fac.iterations) == (restarts, iterations)
         assert fac.spread <= 1e-10
         assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
@@ -260,11 +254,11 @@ class TestConvergenceHistory:
         # restart when the sweeps handed over on a progress test.
         for n, seed, iterations in [(3, 1380, 17), (4, 1236, 20), (5, 300, 20)]:
             u = haar_unitary(n, seed)
-            with pytest.raises(ConvergenceError) as info:
-                zxz_scale(u, ScalingOptions(max_iters=MAX_SWEEPS, max_restarts=0))
-            ((_, _, best),) = info.value.attempts
-            assert best > POLISH_SPREAD
-            fac = zxz_scale(u)
+            step = mock.patch.object(scaling, "_newton_step", wraps=scaling._newton_step)
+            with step as newton:
+                fac = zxz_scale(u)
+            assert line_sum_spread(*newton.call_args_list[0].args[1:]) > POLISH_SPREAD
+            assert fac.iterations - newton.call_count == MAX_SWEEPS
             assert (fac.restarts, fac.iterations) == (0, iterations)
             assert fac.spread <= 1e-10
             assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
@@ -273,13 +267,11 @@ class TestConvergenceHistory:
 # Stalls are rare among random draws, so test_attempt_bookkeeping pins one
 # input of each outcome kind.
 BOOKKEEPING_KINDS = {
-    (3, 2767, 60, 0): "stall after MAX_SWEEPS",
-    (5, 21, 60, 0): "stall from POLISH_SPREAD",
-    (3, 1380, 5, 0): "cap in sweeps",
-    (3, 266, 12, 0): "cap in Gauss-Newton",
-    (4, 0, 60, 0): "converged",
-    (3, 1380, 60, 0): "converged after MAX_SWEEPS",
-    (5, 309, 60, 1): "converged after restart",
+    (3, 2767, 0): "stall after MAX_SWEEPS",
+    (5, 21, 0): "stall from POLISH_SPREAD",
+    (4, 0, 0): "converged",
+    (3, 1380, 0): "converged after MAX_SWEEPS",
+    (5, 309, 1): "converged after restart",
 }
 
 
@@ -290,8 +282,6 @@ def _outcome_kind(outcome, newton_spreads):
     above POLISH_SPREAD."""
     capped = bool(newton_spreads) and newton_spreads[0] > POLISH_SPREAD
     if isinstance(outcome, ConvergenceError):
-        if outcome.attempts[-1][1] == "cap":
-            return "cap in Gauss-Newton" if newton_spreads else "cap in sweeps"
         return "stall after MAX_SWEEPS" if capped else "stall from POLISH_SPREAD"
     if outcome.restarts:
         return "converged after restart"
@@ -299,45 +289,36 @@ def _outcome_kind(outcome, newton_spreads):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.integers(2, 7),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 60),
-    st.integers(0, 2),
-)
-@example(3, 2767, 60, 0)
-@example(5, 21, 60, 0)
-@example(3, 1380, 5, 0)
-@example(3, 266, 12, 0)
-@example(4, 0, 60, 0)
-@example(3, 1380, 60, 0)
-@example(5, 309, 60, 1)
-def test_attempt_bookkeeping(n, seed, max_iters, max_restarts):
-    # Small caps make sweeps and Gauss-Newton steps both meet the cap and
-    # the stall rules; the history must add up either way.
-    opts = ScalingOptions(max_iters=max_iters, max_restarts=max_restarts)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(0, 2))
+@example(3, 2767, 0)
+@example(5, 21, 0)
+@example(4, 0, 0)
+@example(3, 1380, 0)
+@example(5, 309, 1)
+def test_attempt_bookkeeping(n, seed, max_restarts):
+    # Few restarts make stalls end some calls in ConvergenceError; the
+    # history must add up either way.
+    tol = ScalingOptions().tol
+    bound = attempt_bound(n, tol)
     step = mock.patch.object(scaling, "_newton_step", wraps=scaling._newton_step)
-    with step as newton:
+    restarts = mock.patch.object(scaling, "MAX_RESTARTS", max_restarts)
+    with step as newton, restarts:
         try:
-            outcome = fac = zxz_scale(haar_unitary(n, seed), opts)
+            outcome = fac = zxz_scale(haar_unitary(n, seed))
         except ConvergenceError as e:
             outcome = e
             attempts = e.attempts
             assert len(attempts) == max_restarts + 1
-            for iterations, reason, best in attempts:
-                assert reason in ("cap", "stall")
-                if reason == "cap":
-                    assert iterations == max_iters
-                else:
-                    assert iterations <= max_iters
-                assert best > opts.tol
-            assert e.best_spread == min(b for _, _, b in attempts)
+            for iterations, best in attempts:
+                assert iterations <= bound
+                assert best > tol
+            assert e.best_spread == min(b for _, b in attempts)
         else:
-            assert fac.spread <= opts.tol
-            assert spread_of(fac.core) <= opts.tol
-            assert fac.iterations <= max_iters
-            assert fac.restarts <= max_restarts
-    kind = BOOKKEEPING_KINDS.get((n, seed, max_iters, max_restarts))
+            assert fac.spread <= tol
+            assert spread_of(fac.core) <= tol
+            assert fac.iterations <= bound
+            assert fac.restarts == len(fac.attempts) <= max_restarts
+    kind = BOOKKEEPING_KINDS.get((n, seed, max_restarts))
     if kind is not None:
         spreads = [line_sum_spread(*c.args[1:]) for c in newton.call_args_list]
         assert _outcome_kind(outcome, spreads) == kind
@@ -349,19 +330,20 @@ def _attempt_lengths(u, opts):
     try:
         fac = zxz_scale(u, opts)
     except ConvergenceError as e:
-        return [iterations for iterations, _, _ in e.attempts]
-    return [iterations for iterations, _, _ in fac.attempts] + [fac.iterations]
+        return [iterations for iterations, _ in e.attempts]
+    return [iterations for iterations, _ in fac.attempts] + [fac.iterations]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.integers(2, 12),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1e-6, 1e-10, 1e-12]),
+    st.sampled_from([1e-6, 1e-10, 1e-12, 1e-300, 5e-324]),
 )
 def test_every_attempt_ends_within_bound(n, seed, tol):
     # At most MAX_SWEEPS sweeps, POLISH_STEPS missed Gauss-Newton steps and
-    # the steps that halve the spread from sqrt(n) + 1 to tol.
+    # the steps that halve the spread from sqrt(n) + 1 to tol. No attempt
+    # reaches 1e-300 or the subnormal 5e-324; they all end by missing.
     bound = attempt_bound(n, tol)
     assert max(_attempt_lengths(haar_unitary(n, seed), ScalingOptions(tol=tol))) <= bound
 
@@ -379,6 +361,8 @@ def test_attempt_bound_values():
     assert attempt_bound(32, 1e-10) == 54
     assert attempt_bound(8, 1e-10) == 54
     assert attempt_bound(2, 1e-6) == 40
+    # (sqrt(2) + 1) / 5e-324 overflows; the difference of logarithms does not.
+    assert attempt_bound(2, 5e-324) == 1094
     # A target above every possible spread needs no halving step.
     assert attempt_bound(4, 10.0) == MAX_SWEEPS + POLISH_STEPS
 

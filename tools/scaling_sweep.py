@@ -130,9 +130,9 @@ def main() -> int:
             abandoned, succeeded = fac.attempts, [fac.iterations]
         finally:
             newton += steps[0] - before
-        lengths = [i for i, _, _ in abandoned] + succeeded
+        lengths = [i for i, _ in abandoned] + succeeded
         iterations += sum(lengths)
-        for i, _, _ in abandoned:
+        for i, _ in abandoned:
             longest = max(longest, (i, label))
         longest_any = max(longest_any, (max(lengths), label))
         if max(lengths) > bound:
