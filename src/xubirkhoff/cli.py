@@ -14,7 +14,8 @@ Matrices, permutations, and decompositions travel as JSON (schemas in the
 module docstrings of ``numerics`` and ``permsum``); numbers are emitted
 with 17 significant digits so round-trips preserve every double. Exit
 status: 0 on success, 1 for engine errors (non-XU input, convergence
-failure, unsupported dimension), 2 for unparsable input.
+failure, unsupported dimension), 2 for unparsable input, an unusable
+option value or an ``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .permutations import detect_supercirculant
 
 
 class ParseError(Exception):
-    """Unreadable or schema-violating input, or an unusable option value
-    (exit status 2)."""
+    """Unreadable or schema-violating input, an unusable option value, or
+    an output file that cannot be written (exit status 2)."""
 
 
 def _load_json(path: str):
@@ -75,12 +76,18 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _emit(obj, output: str | None) -> None:
+    """Write ``obj`` to the file ``output``, or to stdout when it is unset;
+    a file that cannot be written is a usage error, as one that cannot be
+    read is."""
     text = dumps_json(obj) + "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ParseError(f"cannot write {output}: {e}") from e
 
 
 def _tol(args, default):

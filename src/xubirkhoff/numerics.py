@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -285,6 +286,11 @@ def _format_number(v) -> str:
 
 
 _NUMBERS = (bool, int, float)
+_SPECS = {int: "%d", float: "%.17g"}
+# Elements of a uniform block formatted by one %, which bounds the size of
+# a chunk's template and of its tuple of numbers.
+_CHUNK = 64
+_NEGATIVE_ZERO = re.compile(r"-0(?=[,\]])")
 # A JSON string literal, as json.dumps(s, ensure_ascii=False) writes it.
 _quote = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -295,24 +301,84 @@ def _line_template(spec: str, k: int) -> str:
     return "[" + ", ".join([spec] * k) + "]"
 
 
+def _rows_template(rows) -> str | None:
+    """The line template of each of ``rows`` when they are lists or tuples
+    of one length whose numbers are all ints or all floats, else None."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    lengths = set(map(len, rows))
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if len(lengths) != 1 or len(kinds) != 1 or kinds - _SPECS.keys():
+        return None
+    return _line_template(_SPECS[kinds.pop()], lengths.pop())
+
+
+def _dicts_template(dicts, indent: int) -> str | None:
+    """The %-template of each of ``dicts``, at ``indent``, when they have
+    the same str keys in the same order and each key's values pass
+    ``_rows_template``, else None.
+
+    A key whose quoted form holds ``%``, ``-0``, ``nan`` or ``inf`` gives
+    None: it would be read as a format, or by ``_checked`` as a number.
+    """
+    if set(map(type, dicts)) != {dict}:
+        return None
+    if set(map(type, chain.from_iterable(dicts))) != {str}:
+        return None
+    keys = set(map(tuple, dicts))
+    if len(keys) != 1:
+        return None
+    members = []
+    for key in keys.pop():
+        quoted = _quote(key)
+        if any(s in quoted for s in ("%", "-0", "nan", "inf")):
+            return None
+        line = _rows_template([d[key] for d in dicts])
+        if line is None:
+            return None
+        members.append(f"{quoted}: {line}")
+    return _block(members, indent, "{", "}") if members else None
+
+
+def _checked(text: str) -> str:
+    """%-formatted ``text`` with nan and inf refused and -0.0 written as
+    ``-0.0``: every finite %.17g form is digits, '.', '-', '+' and 'e', and
+    only -0.0 prints as "-0" before a separator, since exponents have two
+    digits at least."""
+    # The search for one character is the fast one.
+    if "n" in text and ("nan" in text or "inf" in text):
+        raise ValueError("cannot serialize non-finite number")
+    return _NEGATIVE_ZERO.sub("-0.0", text)
+
+
+def _dump_block(value, template: str, dicts: bool, indent: int) -> str:
+    """The uniform block ``value``, one element a line: each chunk of up to
+    ``_CHUNK`` elements is one % of ``template`` repeated, over the numbers
+    of the chunk's rows (of its dicts' values, with ``dicts``)."""
+    sep = ",\n" + " " * (indent + 2)
+    chunks = []
+    count = 0
+    for start in range(0, len(value), _CHUNK):
+        part = value[start : start + _CHUNK]
+        if len(part) != count:
+            count = len(part)
+            chunk_template = sep.join([template] * count)
+        rows = chain.from_iterable(map(dict.values, part)) if dicts else part
+        chunks.append(_checked(chunk_template % tuple(chain.from_iterable(rows))))
+    return _block(chunks, indent, "[", "]")
+
+
 def _dump_list(value, indent: int) -> str:
     if not value:
         return "[]"
     kinds = set(map(type, value))
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        if kind is float:
-            line = _line_template("%.17g", len(value)) % tuple(value)
-            # Every finite %.17g form is digits, '.', '-', '+' and 'e'.
-            if "n" in line:
-                raise ValueError("cannot serialize non-finite number")
-            # Only -0.0 prints as "-0" before a separator: exponents have
-            # two digits at least.
-            if "-0," in line or line.endswith("-0]"):
-                line = line.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
-            return line
-        if kind is int:
-            return _line_template("%d", len(value)) % tuple(value)
+    if len(kinds) == 1 and (spec := _SPECS.get(next(iter(kinds)))):
+        return _checked(_line_template(spec, len(value)) % tuple(value))
+    if len(value) > 1:
+        if (template := _rows_template(value)) is not None:
+            return _dump_block(value, template, False, indent)
+        if (template := _dicts_template(value, indent + 2)) is not None:
+            return _dump_block(value, template, True, indent)
     items = [_dump(v, indent + 2) for v in value]
     if all(isinstance(v, _NUMBERS) for v in value):
         return "[" + ", ".join(items) + "]"
@@ -385,6 +451,12 @@ def dumps_json(value, indent: int = 0) -> str:
     The stdlib encoder prints shortest round-trip floats; the fixed 17-digit
     form is part of the output contract, hence this small emitter. A list
     made only of ``int``s or only of ``float``s is formatted with one
-    %-template.
+    %-template. So is each chunk of up to 64 elements of a uniform block:
+    two or more equal-length lists (or tuples) of only ints or only floats,
+    such as the ``[re, im]`` pairs of a matrix row, or dicts with the same
+    str keys in the same order whose values are such lists, such as the
+    ``{"perm", "weight"}`` terms of a decomposition. Anything else, and a
+    key that a template cannot hold, takes one call per element. Both
+    paths write the same bytes.
     """
     return _dump(value, indent)

@@ -229,7 +229,13 @@ def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
 def _lstsq_step(b: np.ndarray) -> np.ndarray:
     """The least-norm real d that minimizes |B d - iF|, given [B | iF]:
     the (4n, 2n) real system [Re B; Im B] d = [Re iF; Im iF], solved by
-    ``np.linalg.lstsq``, whatever the rank of B."""
+    ``np.linalg.lstsq``, whatever the rank of B.
+
+    On an exactly reducible V each block past the first adds a gauge of
+    its own, whose singular value lies at rounding level, at the
+    ``rcond`` cutoff: rounding decides d's component along it. The
+    scaled V agrees whatever that component is, but Z1 and Z2 of such an
+    input may differ by per-block phases between BLAS builds."""
     real = np.concatenate([b.real, b.imag])
     return np.linalg.lstsq(real[:, :-1], real[:, -1], rcond=None)[0]
 

@@ -201,6 +201,26 @@ class TestVerifyRoundTrip:
         assert out == "" and "bijection" in err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["sample", "decompose", "verify"])
+    @pytest.mark.parametrize("dest", ["missing/x.json", "."])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, command, dest):
+        mpath, dpath = tmp_path / "m.json", tmp_path / "d.json"
+        write_matrix(mpath, random_xu(5, seed=9))
+        assert main(["decompose", str(mpath), "--output", str(dpath)]) == 0
+        argv = {
+            "sample": ["sample", "5"],
+            "decompose": ["decompose", str(mpath)],
+            "verify": ["verify", str(dpath), str(mpath)],
+        }[command]
+        out_path = tmp_path / dest
+        code, out, err = run_cli(capsys, *argv, "--output", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+
 class TestSchemaTypes:
     """A string, a boolean or (for ``perm``) a non-integer number in a
     numeric field is bad input, not a value to convert."""

@@ -1,14 +1,18 @@
 """Byte-for-byte tests of the 17-digit JSON emitter.
 
-``oracle_dumps_json`` is the emitter as it was before lists of numbers were
-formatted with one %-template: one recursive call per value, with the
-later rule that -0.0 is written as ``-0.0``. The new ``dumps_json`` must
-write the same bytes for every document whose strings and keys hold no
+``oracle_dumps_json`` is the emitter as it was before lists of numbers, and
+uniform blocks of such lists or of dicts of them, were formatted with
+%-templates: one recursive call per value, with the later rule that -0.0
+is written as ``-0.0``. ``dumps_json`` must write the same bytes, and
+raise the same error, for every document whose strings and keys hold no
 control characters (the oracle wrote those unescaped, which is not JSON).
+The block strategies below reach every fallback of the template path: an
+odd leaf or shape, nan and inf, and keys a template cannot hold.
 """
 
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -121,6 +125,127 @@ def test_float_lists_byte_identical(values, indent):
     assert dumps_json(doc, indent) == oracle_dumps_json(doc, indent)
 
 
+# Uniform blocks: two or more equal-length rows of only ints or only floats,
+# or dicts with the same keys whose values are such rows, up to three
+# 64-element chunks long; and the same shapes of bools, which are not. Each
+# test case makes one change of a kind below, after which the block may
+# still be uniform ("none", "-0.0", "nan", "inf") or not.
+CHUNK = 64
+ODD_LEAVES = {
+    "bool": lambda v: True,
+    "np.int64": lambda v: np.int64(3),
+    "np.float64": lambda v: np.float64(0.5),
+    "other number": lambda v: 0.5 if isinstance(v, int) else 3,
+    "nan": lambda v: math.nan,
+    "inf": lambda v: -math.inf,
+    "-0.0": lambda v: -0.0,
+    "None": lambda v: None,
+    "row": lambda v: [v],
+}
+ROW_CHANGES = ["none", *ODD_LEAVES, "length", "container", "range"]
+# Keys a template cannot hold, and two it can.
+SPECIAL_KEYS = ["%", "a%d", "-0,", "x-0]", "-0", "nan", "inf", "perm", "weight"]
+DICT_CHANGES = [
+    *ROW_CHANGES,
+    "key order",
+    "missing key",
+    "int keys",
+    *(f"key {k}" for k in SPECIAL_KEYS),
+]
+
+
+@st.composite
+def rows(draw, count, k):
+    """``count`` rows of ``k`` ints, floats or bools, drawn from a small
+    pool, so that blocks of several chunks stay cheap to draw."""
+    leaf = draw(st.sampled_from([finite, ints, st.booleans()]))
+    pool = draw(st.lists(leaf, min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [[rng.choice(pool) for _ in range(k)] for _ in range(count)]
+
+
+@st.composite
+def positions(draw, count, k):
+    """A row and a place in it: often the first or the last number of a
+    chunk, or of the block."""
+    edges = [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, count - 1]
+    row = draw(st.sampled_from(edges) | st.integers(0, count - 1))
+    place = draw(st.sampled_from([0, k - 1]) | st.integers(0, k - 1))
+    return min(row, count - 1), place
+
+
+def _changed(block, pos, change, as_tuple):
+    """``block`` of rows, as tuples with ``as_tuple``, with ``change`` made
+    at ``pos`` (a row and a place in it)."""
+    if as_tuple:
+        block = list(map(tuple, block))
+    row, place = pos
+    if change in ODD_LEAVES:
+        line = list(block[row])
+        line[place] = ODD_LEAVES[change](line[place])
+        block[row] = type(block[row])(line)
+    elif change == "length":
+        block[row] = block[row] + block[row][:1]
+    elif change == "container":
+        block[row] = list(block[row]) if as_tuple else tuple(block[row])
+    elif change == "range":
+        block[row] = range(len(block[row]))
+    return block
+
+
+@st.composite
+def blocks(draw, change, dicts):
+    count = draw(st.integers(2, 3 * CHUNK + 2))
+    as_tuple = draw(st.booleans())
+    if not dicts:
+        k = draw(st.integers(1, 4))
+        pos = draw(positions(count, k))
+        block = _changed(draw(rows(count, k)), pos, change, as_tuple)
+        return tuple(block) if draw(st.booleans()) else block
+    plain = keys.filter(lambda key: key not in SPECIAL_KEYS)
+    names = draw(st.lists(plain, min_size=1, max_size=3, unique=True))
+    where = draw(st.integers(0, len(names) - 1))
+    if change.startswith("key "):
+        names[where] = change[len("key ") :]
+    columns = [draw(rows(count, draw(st.integers(1, 4)))) for _ in names]
+    pos = draw(positions(count, len(columns[where][0])))
+    columns = [
+        _changed(c, pos, change if i == where else "none", as_tuple)
+        for i, c in enumerate(columns)
+    ]
+    block = [dict(zip(names, values)) for values in zip(*columns)]
+    d = block[pos[0]]
+    if change == "key order":
+        block[pos[0]] = dict(reversed(d.items()))
+    elif change == "missing key":
+        del d[names[where]]
+    elif change == "int keys":
+        # Equal keys, 1 and True, that are not strs and print unlike.
+        for e in block:
+            e[True if e is d else 1] = e.pop(names[where])
+    return tuple(block) if draw(st.booleans()) else block
+
+
+def _outcome(dump, doc, indent):
+    """The text ``dump`` writes, or the type of the error it raises."""
+    try:
+        return dump(doc, indent)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize(
+    "dicts, change",
+    [(False, c) for c in ROW_CHANGES] + [(True, c) for c in DICT_CHANGES],
+)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), indent=st.sampled_from([0, 2]), nested=st.booleans())
+def test_blocks_byte_identical_to_oracle(dicts, change, data, indent, nested):
+    block = data.draw(blocks(change, dicts))
+    doc = {"block": block, "tail": [block[0]]} if nested else block
+    assert _outcome(dumps_json, doc, indent) == _outcome(oracle_dumps_json, doc, indent)
+
+
 def _documents():
     """Every kind of document the CLI writes, at sizes 2..13 (decompositions
     only where the closed-form or recursive engines are fast)."""
@@ -161,7 +286,7 @@ def test_cli_documents_byte_identical(tmp_path):
     """The files ``sample``, ``decompose``, ``verify`` and ``scale`` write
     are what the oracle writes for the same data, with a trailing newline."""
     m, d, r, c = (str(tmp_path / f) for f in ("m.json", "d.json", "r.json", "c.json"))
-    for n in (4, 5, 11):
+    for n in (4, 5, 11, 17, 31):
         argv = ["sample", str(n), "--kind", "xu", "--seed", "1", "--output", m]
         assert main(argv) == 0
         assert main(["decompose", m, "--output", d]) == 0
