@@ -59,7 +59,7 @@ from .permsum import (
     check_pairs,
     product,
 )
-from .scaling import ScalingOptions, zxz_scale
+from .scaling import UNITARY_TOL, ScalingOptions, zxz_scale
 from .xu_group import (
     fourier_core,
     fourier_embed,
@@ -70,8 +70,6 @@ from .xu_group import (
 # Weights below this modulus are dropped between recursion steps; the
 # removed mass is orders of magnitude under every verification tolerance.
 PRUNE_EPS = 1e-14
-
-RECURSIVE_TOL = 1e-8
 
 # The recursive engine holds a level of size n <= DENSE_MAX_N as the weights
 # of all n! permutations and a larger level as a sum of its nonzero terms. A
@@ -172,7 +170,7 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
     a = require_xu(x, tol)
     if a.shape[0] != 3:
         raise DimensionError(f"expected a 3x3 matrix, got {a.shape[0]}")
-    u = fourier_core(a, tol)
+    u = fourier_core(a)
     q = 1.0 - p
     w = root_of_unity(3, 1)
     w2 = root_of_unity(3, 2)
@@ -211,7 +209,7 @@ def decompose_prime_parts(
             f"the generic construction starts at n=5; use the closed forms "
             f"for n={n}"
         )
-    u = fourier_core(a, tol)
+    u = fourier_core(a)
     s = np.arange(1, n)
     # g[s-1, x-1] = U[r, s] with r = s*x mod n (never 0 for prime n), and
     # e[l-1, s-1] = w^(-(l-1)s) with the exponent reduced mod n.
@@ -323,11 +321,11 @@ def decompose_xu4(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     a = require_xu(x, tol)
     if a.shape[0] != 4:
         raise DimensionError(f"expected a 4x4 matrix, got {a.shape[0]}")
-    return _lexicographic(4, _xu4_weights(fourier_core(a, tol)), "xu4")
+    return _lexicographic(4, _xu4_weights(fourier_core(a)), "xu4")
 
 
 def decompose_recursive(
-    x, opts: ScalingOptions | None = None, tol: float = RECURSIVE_TOL
+    x, opts: ScalingOptions | None = None, tol: float = DEFAULT_TOL
 ) -> WeightedPermSum:
     """Decompose any XU(n) by recursion on the dimension.
 
@@ -384,15 +382,15 @@ def decompose_recursive(
     Numerically the sum is 1 up to the scaling residual and the mass
     pruned under PRUNE_EPS.
 
-    The default membership tolerance is looser than elsewhere (1e-8)
-    because each level re-enters through a scaled core whose line sums
-    carry the scaling residual. XU(1) = {[1]} is the single identity term,
-    and XU(2) keeps both terms of its closed form, zero weights included.
+    ``tol`` gates the membership of ``x`` only. Every block below it is
+    one the engine built, XU to within ``opts.tol`` by scaling, and is not
+    checked again. XU(1) = {[1]} is the single identity term, and XU(2)
+    keeps both terms of its closed form, zero weights included.
     """
     opts = opts or ScalingOptions()
     a = require_xu(x, tol)
     n = a.shape[0]
-    levels, weights = _levels(a, opts, tol)
+    levels, weights = _levels(a, opts)
     # The levels are listed top down, sizes n, n - 1, ..., 3, so the first
     # ``cut`` are the ones above DENSE_MAX_N.
     cut = max(0, n - DENSE_MAX_N)
@@ -409,17 +407,14 @@ def decompose_recursive(
     return out
 
 
-def _levels(a: np.ndarray, opts: ScalingOptions, tol: float):
+def _levels(a: np.ndarray, opts: ScalingOptions):
     """The scaled levels of XU(n) member ``a``, top down: the list of the
     (w1, w2) of every level of size n, n - 1, ..., 3 (``_level``), and the
     weights of the XU(1) or XU(2) block left at the bottom, in
     lexicographic order (for XU(2) both closed-form terms, zeros kept)."""
-    # ``a`` is the checked input and every later block one this module
-    # built, so no level re-checks membership; ``fourier_core`` still
-    # rejects a core that does not split off.
     levels = []
     while a.shape[0] > 2:
-        w1, w2, a = _level(a, opts, tol)
+        w1, w2, a = _level(a, opts)
         levels.append((w1, w2))
     if a.shape[0] == 1:
         return levels, np.ones(1, dtype=complex)
@@ -469,11 +464,11 @@ def _refuse_oversized(levels, terms: int) -> None:
         terms = min(math.factorial(m), terms * k2)
 
 
-def _level(a: np.ndarray, opts: ScalingOptions, tol: float):
+def _level(a: np.ndarray, opts: ScalingOptions):
     """One recursion level of XU(n) member ``a``: the first rows of its two
     circulant factors, pruned, and the XU(n-1) block ytilde of its middle
     factor."""
-    fac = zxz_scale(fourier_core(a, tol), opts)
+    fac = zxz_scale(fourier_core(a), opts)
     w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
     w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
     return w1, w2, fourier_embed(fac.core)[1:, 1:]
@@ -502,17 +497,15 @@ def _lift(s: WeightedPermSum) -> WeightedPermSum:
     return WeightedPermSum._trusted(s.n + 1, images, s.weights, s.engine)
 
 
-# Method name -> engine call ``(a, p, opts, **kw)``. ``kw`` holds ``tol``
-# only when it is set, so that each engine keeps its own default. The
-# engines are looked up as module attributes at call time, so that a
-# replaced attribute (such as the benchmark tracer's wrappers) is the one
-# run.
+# Method name -> engine call ``(a, p, opts, tol)``. The engines are looked
+# up as module attributes at call time, so that a replaced attribute (such
+# as the benchmark tracer's wrappers) is the one run.
 _ENGINES = {
-    "xu2": lambda a, p, opts, **kw: decompose_xu2(a, **kw),
-    "xu3": lambda a, p, opts, **kw: decompose_xu3(a, p, **kw),
-    "xu4": lambda a, p, opts, **kw: decompose_xu4(a, **kw),
-    "prime": lambda a, p, opts, **kw: decompose_prime(a, **kw),
-    "recursive": lambda a, p, opts, **kw: decompose_recursive(a, opts, **kw),
+    "xu2": lambda a, p, opts, tol: decompose_xu2(a, tol),
+    "xu3": lambda a, p, opts, tol: decompose_xu3(a, p, tol),
+    "xu4": lambda a, p, opts, tol: decompose_xu4(a, tol),
+    "prime": lambda a, p, opts, tol: decompose_prime(a, tol),
+    "recursive": lambda a, p, opts, tol: decompose_recursive(a, opts, tol),
 }
 
 # The names ``decompose_xu`` accepts.
@@ -524,7 +517,7 @@ def decompose_xu(
     method: str = "auto",
     p: complex = 1.0,
     opts: ScalingOptions | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> WeightedPermSum:
     """Front door for XU decompositions.
 
@@ -532,17 +525,15 @@ def decompose_xu(
     squared-moduli-1 guarantee when one exists (prime n or n = 4) and falls
     back to the recursive engine for n = 1 and composite n > 4; any other
     name runs that engine. ``p`` reaches only 'xu3' and ``opts`` only
-    'recursive'. An unset ``tol`` leaves each engine its own membership
-    tolerance: RECURSIVE_TOL for 'recursive', DEFAULT_TOL for the others.
-    An unknown method raises ValueError.
+    'recursive'. ``tol`` is the membership tolerance of ``x``, the same
+    for every engine. An unknown method raises ValueError.
     """
     a = as_complex_matrix(x)
     if method == "auto":
         method = _auto_method(a.shape[0])
     if method not in _ENGINES:
         raise ValueError(f"unknown method {method!r}")
-    kw = {} if tol is None else {"tol": tol}
-    return _ENGINES[method](a, p, opts, **kw)
+    return _ENGINES[method](a, p, opts, tol)
 
 
 def _auto_method(n: int) -> str:
@@ -552,9 +543,7 @@ def _auto_method(n: int) -> str:
     return "prime" if is_prime(n) else "recursive"
 
 
-def decompose_unitary(
-    u, opts: ScalingOptions | None = None, tol: float = RECURSIVE_TOL
-) -> ComplexPermSum:
+def decompose_unitary(u, opts: ScalingOptions | None = None) -> ComplexPermSum:
     """Write any unitary as a weighted sum of complex permutation matrices.
 
     Scale U = e^(i*alpha) Z1 X Z2, decompose the XU core X = sum of
@@ -562,6 +551,9 @@ def decompose_unitary(
     complex permutation with row-k phase z1[k] * z2[sigma(k)], and its
     weight is e^(i*alpha) m_j. A core within the scaling tolerance of the
     identity skips the engine and yields the single term Z1 Z2.
+
+    The engine takes the core at max(UNITARY_TOL, opts.tol): the unitarity
+    ``zxz_scale`` checked on the input and the spread it reached.
     """
     opts = opts or ScalingOptions()
     a = as_complex_matrix(u)
@@ -572,7 +564,8 @@ def decompose_unitary(
             n, np.arange(n)[None], np.ones(1, dtype=complex), "identity"
         )
     else:
-        inner = _ENGINES[_auto_method(n)](fac.core, 1.0, opts, tol=tol)
+        tol = max(UNITARY_TOL, opts.tol)
+        inner = _ENGINES[_auto_method(n)](fac.core, 1.0, opts, tol)
     phase = complex(np.exp(1j * fac.alpha))
     kept = inner.pruned(PRUNE_EPS)
     return ComplexPermSum._trusted(

@@ -37,6 +37,7 @@ from .errors import (
     XUBirkhoffError,
 )
 from .numerics import (
+    DEFAULT_TOL,
     check_int,
     dumps_json,
     json_pairs,
@@ -119,8 +120,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    # Unset, --tol leaves the membership tolerance to the engine.
-    report_tol = _tol(args, 1e-9)
+    # --tol gates the input's membership and the report, 1e-10 and 1e-9 unset.
+    tol, report_tol = _tol(args, DEFAULT_TOL), _tol(args, 1e-9)
     if args.p is not None and args.method != "xu3":
         raise ParseError(
             f"--p applies only to --method xu3, not --method {args.method}"
@@ -128,7 +129,7 @@ def _cmd_decompose(args) -> int:
     a = _load_matrix(args.matrix)
     opts = ScalingOptions(rng_seed=args.seed)
     p = complex(args.p) if args.p is not None else 1.0
-    s = decompose_xu(a, method=args.method, p=p, opts=opts, tol=args.tol)
+    s = decompose_xu(a, method=args.method, p=p, opts=opts, tol=tol)
     report = verify(s, a, tol=report_tol)
     out = perm_sum_to_json(s)
     out["report"] = report.to_json()

@@ -24,8 +24,9 @@ class MembershipError(XUBirkhoffError):
 
 
 class StructureError(XUBirkhoffError):
-    """A structural identity that should hold numerically does not, e.g.
-    off-block leakage after Fourier conjugation exceeds tolerance."""
+    """A structural identity that should hold numerically does not. The
+    package no longer raises it: XU membership bounds the Fourier block
+    leakage it reported. It stays for callers that catch it."""
 
 
 class ConvergenceError(XUBirkhoffError):

@@ -104,6 +104,10 @@ class ScalingOptions:
     tol is the target spread: the maximum modulus distance of any of the
     2n line sums from 1. rng_seed (an integer >= 0) seeds the restart
     phases.
+
+    For composite n, a tol of about 1e-4 or more lets the recursive
+    engine's inner blocks, unitary only to about tol**2, fail the fixed
+    UNITARY_TOL gate of ``zxz_scale`` ("scaling input is not unitary").
     """
 
     tol: float = 1e-10

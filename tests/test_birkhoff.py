@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xubirkhoff import (
     ComplexPermSum,
@@ -29,7 +31,6 @@ from xubirkhoff import (
     random_circulant_xu,
     random_xu,
     root_of_unity,
-    StructureError,
     SupercirculantLabel,
     supercirculant_perm,
     verify,
@@ -380,11 +381,33 @@ class TestRecursive:
         decompose_xu(random_xu(n, seed=1), method="recursive")
         assert len(require_xu_calls) == 1
 
-    def test_loose_scaling_leaks_past_the_block_check(self):
-        # A core scaled only to 1e-5 re-enters the next level with a
-        # Fourier leakage of about 1e-6, above the 1e-8 block tolerance.
-        with pytest.raises(StructureError, match="leakage"):
-            decompose_recursive(random_xu(6, 2), ScalingOptions(tol=1e-5))
+    def test_default_tol_is_the_package_default(self):
+        # XU only to about 2e-9: refused at the default 1e-10, which is
+        # every engine's, and accepted at an explicit 1e-8.
+        x = random_xu(6, 1) * np.exp(4e-10j * np.arange(6))
+        with pytest.raises(MembershipError, match="1e-10"):
+            decompose_recursive(x)
+        assert verify(decompose_recursive(x, tol=1e-8), x, tol=1e-8).ok
+
+    def test_loose_scaling_is_as_accurate_as_its_tol(self):
+        # Every level below the input is XU only to 1e-5, and none is
+        # checked again.
+        x = random_xu(6, 2)
+        s = decompose_recursive(x, ScalingOptions(tol=1e-5))
+        assert verify(s, x, tol=1e-5).reconstruction_ok
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([6, 8, 9]),
+    seed=st.integers(0, 999),
+    tol=st.floats(-12, -9).map(lambda e: 10.0**e),
+)
+def test_tol_gates_the_input_not_the_blocks(n, seed, tol):
+    # The caller's tol checks the caller's matrix, even below the 1e-10
+    # residual that the levels the recursive engine scales carry.
+    x = random_xu(n, seed)
+    assert verify(decompose_xu(x, tol=tol), x, tol=1e-9).ok
 
 
 class TestDecomposeXuFrontDoor:
@@ -516,6 +539,18 @@ class TestDecomposeUnitary:
         f = dft_matrix(6)
         r = verify(decompose_unitary(f, ScalingOptions(rng_seed=seed)), f, tol=1e-9)
         assert r.reconstruction_ok and r.weight_sum_ok
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 999),
+        tol=st.floats(-8, -5).map(lambda e: 10.0**e),
+    )
+    def test_scaling_tol_bounds_the_error(self, n, seed, tol):
+        # The engine takes the core at the tolerance the scaling reached.
+        u = haar_unitary(n, seed)
+        s = decompose_unitary(u, ScalingOptions(tol=tol))
+        assert verify(s, u, tol=tol).reconstruction_ok
 
     def test_engine_label(self):
         assert decompose_unitary(haar_unitary(5, seed=1)).engine == "zxz+prime"

@@ -113,6 +113,16 @@ class TestDecompose:
         assert err.startswith("error:")
         assert "level 11" in err and "439084800 pairs" in err
 
+    def test_tight_tol_gates_only_the_input(self, capsys, tmp_path):
+        # The recursive engine's inner levels are XU to the scaling's 1e-10,
+        # and a --tol of 1e-12 checks the input alone.
+        m, d = str(tmp_path / "x6.json"), str(tmp_path / "d6.json")
+        assert main(["sample", "6", "--kind", "xu", "--seed", "3", "--output", m]) == 0
+        argv = ["decompose", m, "--method", "recursive", "--tol", "1e-12"]
+        assert main([*argv, "--output", d]) == 0
+        code, _, _ = run_cli(capsys, "verify", d, m)
+        assert code == 0
+
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

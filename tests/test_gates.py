@@ -1,6 +1,7 @@
 """Tests for the integer gate on sizes, indices, seeds and counts, and for
 the engine table behind ``decompose_xu`` and ``decompose_unitary``."""
 
+import inspect
 import pickle
 
 import numpy as np
@@ -37,8 +38,8 @@ from xubirkhoff import (
     zxz_scale,
 )
 from xubirkhoff import birkhoff
-from xubirkhoff.birkhoff import METHODS, RECURSIVE_TOL
-from xubirkhoff.numerics import check_int, dft_matrix
+from xubirkhoff.birkhoff import METHODS
+from xubirkhoff.numerics import DEFAULT_TOL, check_int, dft_matrix
 from xubirkhoff.xu_group import fourier_core
 
 
@@ -191,9 +192,9 @@ class TestEngineTable:
         calls = []
         real = birkhoff.decompose_xu4
 
-        def spy(a, **kw):
-            calls.append(kw)
-            return real(a, **kw)
+        def spy(a, tol):
+            calls.append(tol)
+            return real(a, tol)
 
         monkeypatch.setattr(birkhoff, "decompose_xu4", spy)
         return calls
@@ -203,12 +204,12 @@ class TestEngineTable:
         x = random_xu(4, 3)
         decompose_xu(x)
         decompose_xu(x, "xu4", tol=1e-9)
-        assert calls == [{}, {"tol": 1e-9}]
+        assert calls == [DEFAULT_TOL, 1e-9]
 
     def test_decompose_unitary_looks_the_engine_up_at_call_time(self, monkeypatch):
         calls = self._spy(monkeypatch)
         s = decompose_unitary(haar_unitary(4, 3))
-        assert calls == [{"tol": RECURSIVE_TOL}]
+        assert calls == [1e-8]
         assert s.engine == "zxz+xu4"
 
     @pytest.mark.parametrize(
@@ -216,19 +217,22 @@ class TestEngineTable:
         [("xu2", 2), ("xu3", 3), ("xu4", 4), ("prime", 5), ("recursive", 6)],
     )
     def test_unset_tol_leaves_the_engine_default(self, monkeypatch, method, n):
+        # The default is DEFAULT_TOL for every engine, and ``decompose_xu``
+        # hands its ``tol`` to the engine, the last positional argument.
         engine = "decompose_" + method
         real = getattr(birkhoff, engine)
+        assert inspect.signature(real).parameters["tol"].default == DEFAULT_TOL
         calls = []
 
-        def spy(*args, **kw):
-            calls.append(kw)
-            return real(*args, **kw)
+        def spy(*args):
+            calls.append(args[-1])
+            return real(*args)
 
         monkeypatch.setattr(birkhoff, engine, spy)
         x = random_xu(n, 1)
         assert decompose_xu(x, method).engine == method
         assert decompose_xu(x, method, tol=1e-9).engine == method
-        assert calls == [{}, {"tol": 1e-9}]
+        assert calls == [DEFAULT_TOL, 1e-9]
 
     def test_unknown_method_is_value_error(self):
         with pytest.raises(ValueError, match="unknown method"):

@@ -28,7 +28,6 @@ from xubirkhoff import (
 from xubirkhoff.birkhoff import (
     DENSE_MAX_N,
     PRUNE_EPS,
-    RECURSIVE_TOL,
     _level_tables,
     _lex_images,
     _lexicographic,
@@ -44,7 +43,7 @@ def _lift(s):
     return WeightedPermSum._trusted(s.n + 1, images, s.weights)
 
 
-def _reference(a, opts, tol=RECURSIVE_TOL):
+def _reference(a, opts):
     """One recursion level per call, multiplied out with ``product`` and
     pruned after each product."""
     n = a.shape[0]
@@ -52,12 +51,12 @@ def _reference(a, opts, tol=RECURSIVE_TOL):
         return _lexicographic(1, [1.0])
     if n == 2:
         return _xu2(a)
-    fac = zxz_scale(fourier_core(a, tol), opts)
+    fac = zxz_scale(fourier_core(a), opts)
     x1 = fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))
     x2 = fourier_embed(np.diag(fac.z2))
     s1 = circulant_sum(x1).pruned(PRUNE_EPS)
     s2 = circulant_sum(x2).pruned(PRUNE_EPS)
-    sy = _lift(_reference(fourier_embed(fac.core)[1:, 1:], opts, tol))
+    sy = _lift(_reference(fourier_embed(fac.core)[1:, 1:], opts))
     return product(product(s1, sy).pruned(PRUNE_EPS), s2).pruned(PRUNE_EPS)
 
 
