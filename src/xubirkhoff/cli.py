@@ -120,8 +120,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    # --tol gates the input's membership and the report, 1e-10 and 1e-9 unset.
-    tol, report_tol = _tol(args, DEFAULT_TOL), _tol(args, 1e-9)
+    # --tol gates the input's membership, 1e-10 unset. The report checks at
+    # no less than 1e-9: the engines that scale carry the scaling residual.
+    tol = _tol(args, DEFAULT_TOL)
+    report_tol = max(tol, 1e-9)
     if args.p is not None and args.method != "xu3":
         raise ParseError(
             f"--p applies only to --method xu3, not --method {args.method}"

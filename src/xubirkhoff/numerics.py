@@ -107,16 +107,21 @@ def max_abs_diff(a, b) -> float:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    a = as_complex_matrix(m)
-    n = a.shape[0]
-    return max_abs_diff(a.conj().T @ a, np.eye(n)) <= tol
+    return _unitarity_deviation(as_complex_matrix(m)) <= tol
+
+
+def _unitarity_deviation(a: np.ndarray) -> float:
+    """max |A^H A - I| entrywise, of a square complex array."""
+    g = a.conj().T @ a
+    g.flat[:: len(a) + 1] -= 1
+    return float(np.abs(g).max())
 
 
 def require_unitary(m, tol: float, what: str) -> np.ndarray:
     """Return ``m`` as a square complex array after checking that it is
     unitary at ``tol``; raise MembershipError naming ``what`` otherwise."""
     a = as_complex_matrix(m)
-    if not is_unitary(a, tol):
+    if not _unitarity_deviation(a) <= tol:
         raise MembershipError(f"{what} is not unitary at tolerance {tol}")
     return a
 

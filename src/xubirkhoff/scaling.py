@@ -3,11 +3,24 @@
 Z1 and Z2 are diagonal unitaries whose first entry is 1 (the phase freedom
 is absorbed into alpha) and X has all 2n line sums equal to 1. Writing
 V = diag(e^(i theta)) U diag(e^(i phi)), the factors are phase angles
-theta, phi that make every line sum of V equal to 1. Each attempt is one
-loop. Every pass measures the row and column sums and the spread (the
-largest distance of a line sum from 1) once, applies the exit rules below,
-then takes one step of one of two kinds. Both kinds give row and column
-phases, and one update applies them to V and to the accumulated factors.
+theta, phi that make every line sum of V equal to 1.
+
+At n = 2 the factors have a closed form (``_scale_2x2``): one choice of
+right phases makes the row sums of U diag(e^(i phi)) unimodular, and the
+left phases are their conjugate phases. A 2x2 unitary whose entries are
+all nonzero has two cores, conjugates of each other; this one picks the
+one with Im X[0, 0] >= 0. It is taken whenever its spread is at most
+``tol``, with ``iterations`` 0 and no attempt. A 2x2 input that is
+unitary only loosely misses that and is scaled by the loop below, as
+every larger n is.
+
+Each attempt is one loop. Every pass measures the row and column sums
+once, into one workspace the call reuses, and their residual from 1,
+which gives both the spread (the largest distance of a line sum from 1)
+and the right-hand side of a Gauss-Newton step. It applies the exit rules
+below, then takes one step of one of two kinds. Both kinds give row and
+column phases, and one update applies them in place to V and to the
+accumulated factors.
 
 * Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014),
   for at most MAX_SWEEPS = 10 passes while the spread is above
@@ -29,17 +42,21 @@ phases, and one update applies them to V and to the accumulated factors.
   support of V is connected. Where they are singular or ill-conditioned,
   as on a (nearly) reducible V whose support (nearly) splits into blocks
   that each carry a gauge of their own, the step falls back to a
-  least-squares solve of the full system (``np.linalg.lstsq``).
+  least-squares solve of the full system (``np.linalg.lstsq``), and so do
+  the attempt's remaining steps, without forming the normal equations
+  again: every iterate of an attempt has the entry moduli of its first,
+  so the (near) split persists. The system [B | iF] is rewritten in place
+  for each step.
 
 The sweeps are capped because unstable fixed points with positive-real
-but unequal line sums exist (for example the rotation by pi/4, whose
-second row and column sums vanish; Idel & Wolf, "Sinkhorn normal form for
-unitary matrices", 2015), and sweeps near one creep towards it for
-hundreds or thousands of passes. Gauss-Newton either finds a nearby
-solution or misses, and a restart is cheaper than creeping. POLISH_SPREAD
-is 0.3 because from there the Gauss-Newton steps converge, or miss within
-a few iterations and restart; a higher one (0.5, 1) misses from further
-out and restarts more often.
+but unequal line sums exist (for example the rotation by pi/4 (+) 1,
+whose first row sum and second column sum vanish; Idel & Wolf, "Sinkhorn
+normal form for unitary matrices", 2015), and sweeps near one creep
+towards it for hundreds or thousands of passes. Gauss-Newton either finds
+a nearby solution or misses, and a restart is cheaper than creeping.
+POLISH_SPREAD is 0.3 because from there the Gauss-Newton steps converge,
+or miss within a few iterations and restart; a higher one (0.5, 1) misses
+from further out and restarts more often.
 
 An attempt ends in one of two ways, checked in this order on each pass:
 
@@ -64,7 +81,8 @@ Philox), the same ones whatever the earlier attempts did, so runs are
 reproducible. The generator is only built once a restart is needed.
 
 ``iterations`` counts the sweeps plus the Gauss-Newton steps of the
-successful attempt; ``attempts`` keeps the history of the abandoned ones.
+successful attempt, 0 for the closed form; ``attempts`` keeps the history
+of the abandoned ones.
 """
 
 from __future__ import annotations
@@ -127,7 +145,9 @@ class ZXZFactorization:
 
     z1 and z2 are unit-modulus vectors with first entry 1; core is XU
     within the achieved spread. iterations counts the sweeps plus
-    Gauss-Newton steps of the successful attempt. attempts holds one
+    Gauss-Newton steps of the successful attempt; it is 0 where the
+    closed form at n = 2 reaches the target spread, and for an input that
+    is already XU within it. attempts holds one
     ``(iterations, best_spread)`` tuple per abandoned attempt, in order,
     the same tuples as ``ConvergenceError.attempts``; restarts is their
     number.
@@ -181,53 +201,71 @@ def _normal_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gauge, probe
 
 
-def _newton_step(v, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton phase corrections (dtheta, dphi) for the residual
-    F = [V 1 - 1; 1^T V - 1] of V -> diag(e^(i dtheta)) V diag(e^(i dphi)).
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers one ``zxz_scale`` call reuses at size n: the 2n line
+    sums (rows, then columns); [B | iF] of ``_newton_step``, zero outside
+    the entries each step writes; and the step's two right-hand sides, the
+    second of them the probe."""
+    lines = np.empty(2 * n, dtype=complex)
+    b = np.zeros((2 * n, 2 * n + 1), dtype=complex)
+    rhs = np.empty((2 * n, 2))
+    rhs[:, 1] = _normal_constants(n)[1]
+    return lines, b, rhs
+
+
+def _newton_step(v, lines, res, b, rhs, normal):
+    """Gauss-Newton phase corrections d = (dtheta, dphi) for the residual
+    F = [V 1 - 1; 1^T V - 1] of V -> diag(e^(i dtheta)) V diag(e^(i dphi)),
+    given the 2n line sums (rows, then columns) and their residual
+    res = lines - 1, in the caller's workspace. Returns d and whether the
+    normal equations may serve the attempt's next step.
 
     The Jacobian with respect to the angles is i B with
     B = [[diag(rows), V], [V^T, diag(cols)]], so the step is the real d
     that minimizes |B d - i F|, of least norm. B g = 0 for the gauge
     g = (1, ..., 1, -1, ..., -1), the direction (theta + c, phi - c) that
-    leaves V unchanged.
+    leaves V unchanged. [B | iF] is written into b, of shape (2n, 2n + 1),
+    whose other entries stay zero: V, V^T, the diagonal and the last
+    column.
 
-    The step solves the 2n x 2n normal equations
+    While ``normal`` is true, the step solves the 2n x 2n normal equations
     (Re(B^H B) + g g^T / 2n) d = Re(B^H i F). Where g spans the null space
     of B, which holds when the support of V is connected, the gauge term
     makes the matrix A regular and leaves d the least-norm step. One
-    ``np.linalg.solve`` also solves A y = p for the fixed generic probe p;
-    the step is kept when max|y| * max|A| < NORMAL_COND * 2n.
+    ``np.linalg.solve`` also solves A y = p for the fixed generic probe p,
+    held in the second column of rhs; the step is kept when
+    max|y| * max|A| < NORMAL_COND * 2n.
 
     A (nearly) reducible V, whose support (nearly) splits into blocks, has
     one more (near) null direction per extra block, a gauge of one block
     alone, and g does not cover it. There A is (nearly) singular: solve
     raises or the check fails, and the step is the least-norm solution of
     the (4n, 2n) real system [Re B; Im B] d = [Re iF; Im iF] by
-    ``np.linalg.lstsq`` instead, which handles any rank.
+    ``np.linalg.lstsq`` instead, which handles any rank. The iterates of
+    an attempt share their entry moduli, so once the check has failed the
+    caller passes ``normal`` false and the steps go straight to ``lstsq``.
     """
-    n = len(rows)
-    lines = np.concatenate([rows, cols])
-    # [B | iF], filled into one array: the off-diagonal blocks of B are V
-    # and V^T, its diagonal the 2n line sums.
-    b = np.zeros((2 * n, 2 * n + 1), dtype=complex)
+    n = len(v)
     b[:n, n:-1] = v
     b[n:, :n] = v.T
     b.flat[:: 2 * n + 2] = lines
-    b[:, -1] = 1j * (lines - 1.0)
-    # [Re(B^H B) | Re(B^H iF)] in one product.
-    normal = (b[:, :-1].conj().T @ b).real
-    gauge, probe = _normal_constants(n)
-    a = normal[:, :-1] + gauge
-    try:
-        x = np.linalg.solve(a, np.column_stack([normal[:, -1], probe]))
-    except np.linalg.LinAlgError:
-        regular = False
-    else:
-        # A is positive semidefinite, so its largest entry is on its
-        # diagonal. A NaN fails the check.
-        regular = np.abs(x[:, 1]).max() * a.diagonal().max() < NORMAL_COND * 2 * n
-    d = x[:, 0] if regular else _lstsq_step(b)
-    return d[:n], d[n:]
+    b[:, -1] = 1j * res
+    if normal:
+        # [Re(B^H B) | Re(B^H iF)] in one product.
+        prod = (b[:, :-1].conj().T @ b).real
+        a = prod[:, :-1] + _normal_constants(n)[0]
+        rhs[:, 0] = prod[:, -1]
+        try:
+            x = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            normal = False
+        else:
+            # A is positive semidefinite, so its largest entry is on its
+            # diagonal. A NaN fails the check.
+            normal = np.abs(x[:, 1]).max() * a.diagonal().max() < NORMAL_COND * 2 * n
+        if normal:
+            return x[:, 0], True
+    return _lstsq_step(b), False
 
 
 def _lstsq_step(b: np.ndarray) -> np.ndarray:
@@ -262,12 +300,19 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     opts = opts or ScalingOptions()
     a = require_unitary(u, UNITARY_TOL, "scaling input")
     n = a.shape[0]
+    if n == 2:
+        left, right, v = _scale_2x2(a)
+        spread = line_sum_spread(v.sum(axis=1), v.sum(axis=0))
+        if spread <= opts.tol:
+            return _assemble(a, left, right, v, spread, 0, [])
+    lines, b, rhs = _workspace(n)
+    rows, cols = lines[:n], lines[n:]
     rng = None
     attempts = []
 
     for restart in range(MAX_RESTARTS + 1):
         if restart == 0:
-            left = right = np.ones(n, dtype=complex)
+            left, right = np.ones(n, dtype=complex), np.ones(n, dtype=complex)
         else:
             if rng is None:
                 rng = np.random.Generator(np.random.Philox(opts.rng_seed))
@@ -277,10 +322,12 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
         best = np.inf
         it = misses = 0
         newton = False
+        normal = True
         while True:
-            rows = v.sum(axis=1)
-            cols = v.sum(axis=0)
-            spread = line_sum_spread(rows, cols)
+            v.sum(axis=1, out=rows)
+            v.sum(axis=0, out=cols)
+            res = lines - 1.0
+            spread = float(np.abs(res).max())
             if newton and not spread <= best / 2:
                 misses += 1
             best = min(best, spread)
@@ -291,25 +338,43 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
             it += 1
             if newton:
-                dt, dp = _newton_step(v, rows, cols)
-                row_ph, col_ph = np.exp(1j * dt), np.exp(1j * dp)
-                w = v * row_ph[:, None]
+                d, normal = _newton_step(v, lines, res, b, rhs, normal)
+                row_ph, col_ph = np.exp(1j * d[:n]), np.exp(1j * d[n:])
+                v *= row_ph[:, None]
             else:
                 row_ph = _conj_phases(rows)
-                w = v * row_ph[:, None]
-                col_ph = _conj_phases(w.sum(axis=0))
-            v = w * col_ph[None, :]
-            left = left * row_ph
-            right = right * col_ph
+                v *= row_ph[:, None]
+                col_ph = _conj_phases(v.sum(axis=0))
+            v *= col_ph[None, :]
+            left *= row_ph
+            right *= col_ph
         attempts.append((it, best))
 
-    best = min(b for _, b in attempts)
+    best = min(s for _, s in attempts)
     raise ConvergenceError(
         f"no convergence to spread {opts.tol} after "
         f"{MAX_RESTARTS + 1} attempts; best spread {best:.3e}",
         best_spread=float(best),
         attempts=attempts,
     )
+
+
+def _scale_2x2(a):
+    """The phases (left, right) and the scaled core diag(left) a diag(right)
+    of a 2x2 unitary a = [[a0, b0], [c0, d0]], in closed form.
+
+    With p = a0 conj(b0), the right phases are r = (1, -i p/|p|), or (1, 1)
+    when p = 0, and the left phases conj(a r)/|a r|. The core is then
+    [[x, 1 - x], [1 - x, x]] with x = |a0|^2 + i |a0| |b0|. A 2x2 unitary
+    with a0 b0 != 0 has exactly two cores, x and its conjugate, both on the
+    circle |x - 1/2| = 1/2 with |x| = |a0|; this rule always picks the one
+    with Im x >= 0. Where a0 b0 = 0 the two coincide, as the identity or
+    the swap, and the sign of Im x is rounding.
+    """
+    p = a[0, 0] * np.conj(a[0, 1])
+    right = np.array([1.0, -1j * p / abs(p) if p else 1.0], dtype=complex)
+    left = _conj_phases(a @ right)
+    return left, right, left[:, None] * a * right[None, :]
 
 
 def _assemble(a, left, right, core, spread, iterations, attempts):

@@ -123,6 +123,21 @@ class TestDecompose:
         code, _, _ = run_cli(capsys, "verify", d, m)
         assert code == 0
 
+    @pytest.mark.parametrize("tol, report_tol", [("1e-12", 1e-9), ("1e-3", 1e-3)])
+    def test_report_tol_is_at_least_1e_9(self, capsys, tmp_path, tol, report_tol):
+        # The reconstruction error of this input is 1.5e-11, the scaling
+        # residual: a report at --tol 1e-12 used to fail inside a run that
+        # exited 0.
+        m = str(tmp_path / "x6.json")
+        assert main(["sample", "6", "--kind", "xu", "--seed", "3", "--output", m]) == 0
+        code, out, _ = run_cli(
+            capsys, "decompose", m, "--method", "recursive", "--tol", tol
+        )
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["tol"] == report_tol
+        assert all(report["passed"].values())
+
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

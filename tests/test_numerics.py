@@ -22,6 +22,7 @@ from xubirkhoff import (
 )
 from xubirkhoff.numerics import (
     dumps_json,
+    is_unitary,
     json_complex,
     json_pairs,
     line_sum_spread,
@@ -142,6 +143,19 @@ class TestRequireUnitary:
         with pytest.raises(MembershipError):
             require_unitary(a, 1e-8, "input")
         assert require_unitary(a, 1e-5, "input") is not None
+
+    def test_tolerance_edge(self):
+        # |A^H A - I| is exactly 2^-19 + 2^-40 here (s^2 needs 41 bits):
+        # the check passes at that tolerance and fails one ulp below it.
+        s = 1 + 2.0**-20
+        a = np.diag([1.0, s])
+        deviation = 2.0**-19 + 2.0**-40
+        assert is_unitary(a, deviation)
+        assert require_unitary(a, deviation, "input") is not None
+        below = np.nextafter(deviation, 0)
+        assert not is_unitary(a, below)
+        with pytest.raises(MembershipError):
+            require_unitary(a, below, "input")
 
 
 class TestClassify:

@@ -1,7 +1,10 @@
-"""Tests for the ZXZ factorization: alternating sweeps, Gauss-Newton
-polish, the hand-over after MAX_SWEEPS sweeps, the stall exit, the bound
-on every attempt, and the Gauss-Newton step on reducible inputs."""
+"""Tests for the ZXZ factorization: the 2x2 closed form, alternating
+sweeps, Gauss-Newton polish, the hand-over after MAX_SWEEPS sweeps, the
+stall exit, the bound on every attempt, the Gauss-Newton step on
+reducible inputs, and a reference loop that the iterative path must match
+bit for bit."""
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -65,12 +68,12 @@ class TestZxzScale:
         assert fac.z2[0] == 1.0
 
     def test_rotation_needs_restart(self):
-        # the rotation by pi/4 has a vanishing row and column sum, a fixed
-        # point of the bare iteration; the seeded restart escapes it
-        c = np.sqrt(0.5)
-        u = np.array([[c, -c], [c, c]], dtype=complex)
+        # the rotation by pi/4 (+) 1 has a vanishing row and column sum, a
+        # fixed point of the bare iteration; the seeded restart escapes it.
+        # (The rotation alone is 2x2, scaled in closed form.)
+        u = _rotation_plus_one()
         fac = zxz_scale(u)
-        assert fac.restarts >= 1
+        assert fac.attempts == ((MAX_SWEEPS + POLISH_STEPS, 1.0),)
         assert fac.spread <= 1e-10
         assert max_abs_diff(fac.reconstruct(), u) < 1e-9
 
@@ -161,6 +164,58 @@ def test_core_is_xu_and_factors_reconstruct(n, seed):
     assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
 
 
+@contextmanager
+def _step_spreads():
+    """Spy on ``scaling._newton_step``: the list of the spreads of the
+    iterates V that the Gauss-Newton steps inside start from, one per
+    step, read when each step is called (the line sums live in a
+    workspace that later passes overwrite)."""
+    spreads = []
+    step = scaling._newton_step
+
+    def spy(v, *rest):
+        spreads.append(spread_of(v))
+        return step(v, *rest)
+
+    with mock.patch.object(scaling, "_newton_step", spy):
+        yield spreads
+
+
+def _two_by_two(kind, seed, angles):
+    """A 2x2 unitary: Haar, or exactly diagonal or antidiagonal with the
+    given phase angles."""
+    if kind == "haar":
+        return haar_unitary(2, seed)
+    u = np.diag(np.exp(1j * np.array(angles)))
+    return u if kind == "diagonal" else u[::-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["haar", "diagonal", "antidiagonal"]),
+    st.integers(0, 2**32 - 1),
+    st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
+)
+@example("diagonal", 0, (0.0, 0.0))
+@example("antidiagonal", 0, (0.0, 0.0))
+def test_two_by_two_in_closed_form(kind, seed, angles):
+    # No iteration and no attempt: the core is exact to rounding, and of
+    # its two possible values the one with Im X[0, 0] >= 0. A diagonal or
+    # antidiagonal input has one, the identity or the swap, whose
+    # imaginary parts are rounding.
+    u = _two_by_two(kind, seed, angles)
+    fac = zxz_scale(u)
+    assert fac.spread <= 1e-14
+    assert spread_of(fac.core) <= 1e-14
+    assert (fac.iterations, fac.attempts) == (0, ())
+    assert max_abs_diff(fac.reconstruct(), u) <= 1e-14
+    if kind == "haar":
+        assert fac.core[0, 0].imag >= 0
+    else:
+        expected = np.eye(2) if kind == "diagonal" else np.eye(2)[::-1]
+        assert max_abs_diff(fac.core, expected) <= 1e-15
+
+
 def _first_attempt(u):
     """The (iterations, best_spread) of the first attempt of
     ``zxz_scale(u)``, with best_spread None when it succeeded."""
@@ -220,9 +275,7 @@ class TestConvergenceHistory:
         assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
 
     def test_rotation_stalls_without_restarts(self):
-        c = np.sqrt(0.5)
-        u = np.array([[c, -c], [c, c]], dtype=complex)
-        iterations, best = _first_attempt(u)
+        iterations, best = _first_attempt(_rotation_plus_one())
         # The sweeps do not move it: they hand over to Gauss-Newton after
         # MAX_SWEEPS sweeps, and the steps all miss (18 iterations).
         assert iterations <= MAX_SWEEPS + POLISH_STEPS
@@ -254,11 +307,10 @@ class TestConvergenceHistory:
         # restart when the sweeps handed over on a progress test.
         for n, seed, iterations in [(3, 1380, 17), (4, 1236, 20), (5, 300, 20)]:
             u = haar_unitary(n, seed)
-            step = mock.patch.object(scaling, "_newton_step", wraps=scaling._newton_step)
-            with step as newton:
+            with _step_spreads() as spreads:
                 fac = zxz_scale(u)
-            assert line_sum_spread(*newton.call_args_list[0].args[1:]) > POLISH_SPREAD
-            assert fac.iterations - newton.call_count == MAX_SWEEPS
+            assert spreads[0] > POLISH_SPREAD
+            assert fac.iterations - len(spreads) == MAX_SWEEPS
             assert (fac.restarts, fac.iterations) == (0, iterations)
             assert fac.spread <= 1e-10
             assert max_abs_diff(fac.reconstruct(), u) <= 1e-9
@@ -300,9 +352,8 @@ def test_attempt_bookkeeping(n, seed, max_restarts):
     # history must add up either way.
     tol = ScalingOptions().tol
     bound = attempt_bound(n, tol)
-    step = mock.patch.object(scaling, "_newton_step", wraps=scaling._newton_step)
     restarts = mock.patch.object(scaling, "MAX_RESTARTS", max_restarts)
-    with step as newton, restarts:
+    with _step_spreads() as spreads, restarts:
         try:
             outcome = fac = zxz_scale(haar_unitary(n, seed))
         except ConvergenceError as e:
@@ -320,7 +371,6 @@ def test_attempt_bookkeeping(n, seed, max_restarts):
             assert fac.restarts == len(fac.attempts) <= max_restarts
     kind = BOOKKEEPING_KINDS.get((n, seed, max_restarts))
     if kind is not None:
-        spreads = [line_sum_spread(*c.args[1:]) for c in newton.call_args_list]
         assert _outcome_kind(outcome, spreads) == kind
 
 
@@ -397,7 +447,8 @@ def _coupling(n, eps, seed):
 
 
 def _rotation_plus_one():
-    """The rotation by pi/4 (+) 1: its second row and column sums vanish."""
+    """The rotation by pi/4 (+) 1: its first row sum and second column sum
+    vanish."""
     c = np.sqrt(0.5)
     return np.array([[c, -c, 0], [c, c, 0], [0, 0, 1]], dtype=complex)
 
@@ -462,9 +513,18 @@ def _sweeps(v, count):
 
 def _check_step(v):
     rows, cols = v.sum(axis=1), v.sum(axis=0)
-    step = np.concatenate(scaling._newton_step(v, rows, cols))
+    lines, b, rhs = scaling._workspace(len(v))
+    lines[:] = np.concatenate([rows, cols])
+    res = lines - 1.0
+    # Once an attempt's normal equations have failed, its steps are the
+    # lstsq steps of the oracle.
+    lstsq, normal = scaling._newton_step(v, lines, res, b, rhs, False)
+    assert not normal
+    step, normal = scaling._newton_step(v, lines, res, b, rhs, True)
     ref, kappa = _reference_step(v, rows, cols)
+    assert np.array_equal(lstsq, ref)
     if kappa > LSTSQ_ONLY_COND:
+        assert not normal
         assert np.array_equal(step, ref)
     else:
         bound = STEP_ERR_PER_COND * kappa * np.finfo(float).eps
@@ -489,3 +549,121 @@ def test_step_matches_lstsq_on_reducible_iterates(blocks, seed, sweeps, eps):
     if eps:
         u = u @ _coupling(len(u), eps, seed)
     _check_step(_sweeps(u, sweeps))
+
+
+# The bit-identity oracle: zxz_scale's loop with the arithmetic it had
+# before each call reused one workspace, the Gauss-Newton system was
+# rewritten in place and the phases were applied in place. Every step
+# forms and solves the normal equations and falls back to lstsq step by
+# step, so the two agree bit for bit wherever no step's conditioning check
+# fails, and where every step's check fails.
+
+
+def _oracle_step(v, rows, cols):
+    n = len(rows)
+    lines = np.concatenate([rows, cols])
+    b = np.zeros((2 * n, 2 * n + 1), dtype=complex)
+    b[:n, n:-1] = v
+    b[n:, :n] = v.T
+    b.flat[:: 2 * n + 2] = lines
+    b[:, -1] = 1j * (lines - 1.0)
+    normal = (b[:, :-1].conj().T @ b).real
+    gauge, probe = scaling._normal_constants(n)
+    a = normal[:, :-1] + gauge
+    try:
+        x = np.linalg.solve(a, np.column_stack([normal[:, -1], probe]))
+    except np.linalg.LinAlgError:
+        regular = False
+    else:
+        regular = np.abs(x[:, 1]).max() * a.diagonal().max() < scaling.NORMAL_COND * 2 * n
+    if regular:
+        d = x[:, 0]
+    else:
+        real = np.concatenate([b.real, b.imag])
+        d = np.linalg.lstsq(real[:, :-1], real[:, -1], rcond=None)[0]
+    return d[:n], d[n:]
+
+
+def _oracle_scale(a, opts):
+    """(alpha, z1, z2, core, spread, iterations, attempts) of the oracle's
+    factorization of ``a``, or (None, attempts) where it fails."""
+    n = len(a)
+    rng = None
+    attempts = []
+    for restart in range(MAX_RESTARTS + 1):
+        if restart == 0:
+            left = right = np.ones(n, dtype=complex)
+        else:
+            if rng is None:
+                rng = np.random.Generator(np.random.Philox(opts.rng_seed))
+            left = np.exp(2j * np.pi * rng.random(n))
+            right = np.exp(2j * np.pi * rng.random(n))
+        v = left[:, None] * a * right[None, :]
+        best = np.inf
+        it = misses = 0
+        newton = False
+        while True:
+            rows = v.sum(axis=1)
+            cols = v.sum(axis=0)
+            spread = line_sum_spread(rows, cols)
+            if newton and not spread <= best / 2:
+                misses += 1
+            best = min(best, spread)
+            if spread <= opts.tol:
+                z1, z2 = np.conj(left), np.conj(right)
+                alpha = float(np.angle(z1[0] * z2[0]))
+                return alpha, z1 / z1[0], z2 / z2[0], v, spread, it, tuple(attempts)
+            if misses >= POLISH_STEPS:
+                break
+            newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
+            it += 1
+            if newton:
+                dt, dp = _oracle_step(v, rows, cols)
+                row_ph, col_ph = np.exp(1j * dt), np.exp(1j * dp)
+                w = v * row_ph[:, None]
+            else:
+                row_ph = scaling._conj_phases(rows)
+                w = v * row_ph[:, None]
+                col_ph = scaling._conj_phases(w.sum(axis=0))
+            v = w * col_ph[None, :]
+            left = left * row_ph
+            right = right * col_ph
+        attempts.append((it, best))
+    return None, tuple(attempts)
+
+
+def _bits(outcome):
+    """``outcome`` with each array replaced by its bytes, for comparison."""
+    return tuple(x.tobytes() if isinstance(x, np.ndarray) else x for x in outcome)
+
+
+def _assert_matches_oracle(u, opts=ScalingOptions()):
+    try:
+        fac = zxz_scale(u, opts)
+    except ConvergenceError as e:
+        got = (None, tuple(e.attempts))
+    else:
+        got = (fac.alpha, fac.z1, fac.z2, fac.core, fac.spread, fac.iterations, fac.attempts)
+    assert _bits(got) == _bits(_oracle_scale(np.asarray(u, dtype=complex), opts))
+
+
+# Seeds 266 and 253 (n = 3), 16 (n = 4), 11 (n = 7) and 10 (n = 11)
+# restart.
+@pytest.mark.parametrize("n", range(3, 17))
+def test_haar_matches_oracle_bit_for_bit(n):
+    for seed in [*range(6), 266, 253, 16, 11, 10]:
+        _assert_matches_oracle(haar_unitary(n, seed))
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_fourier_matches_oracle_bit_for_bit(n):
+    for rng_seed in range(4):
+        _assert_matches_oracle(dft_matrix(n), ScalingOptions(rng_seed=rng_seed))
+
+
+@pytest.mark.parametrize("blocks", [None, (3, 4)])
+def test_reducible_matches_oracle_bit_for_bit(blocks):
+    # Every conditioning check of these inputs fails, so going straight to
+    # lstsq after the first failure changes no bit. The rotation by
+    # pi/4 (+) 1 abandons its first attempt.
+    _assert_matches_oracle(_rotation_plus_one() if blocks is None else _block_unitary(blocks, 1))
