@@ -45,11 +45,11 @@ from .errors import DimensionError, UnsupportedDimensionError
 from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
+    check_tol,
     json_pairs,
     line_sum_spread,
     line_sums,
     max_abs_diff,
-    root_of_unity,
 )
 from .permsum import (
     ComplexPermSum,
@@ -59,7 +59,7 @@ from .permsum import (
     check_pairs,
     product,
 )
-from .scaling import UNITARY_TOL, ScalingOptions, zxz_scale
+from .scaling import ScalingOptions, _input_tol, zxz_scale
 from .xu_group import (
     fourier_core,
     fourier_embed,
@@ -158,11 +158,13 @@ def _xu2(a: np.ndarray) -> WeightedPermSum:
 def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     """The six-weight family for XU(3), parametrized by p.
 
-    The flat matrix W3 (every entry 1/3) splits as p(P1+P4+P5)/3 +
-    (1-p)(P2+P3+P6)/3 for any p, and the core entries distribute over the
-    same six permutations. The weight sum is 1 for every p; the squared
-    moduli sum to 1 + (2*p*conj(p) - p - conj(p))/3, which is 1 exactly on
-    the circle |p - 1/2| = 1/2 (e.g. p = 0 and p = 1).
+    The prime construction at n = 3, whose six supercirculants C[l,x] are
+    S_3: each weighs m[l,x] (``decompose_prime_parts``) plus its share of
+    the flat matrix W3 (every entry 1/3), split as p(P1+P4+P5)/3 +
+    (1-p)(P2+P3+P6)/3 over the even permutations, the cyclic shifts x = 1,
+    and the odd ones. The weight sum is 1 for every p; the squared moduli
+    sum to 1 + (2*p*conj(p) - p - conj(p))/3, which is 1 exactly on the
+    circle |p - 1/2| = 1/2 (e.g. p = 0 and p = 1).
     """
     p = complex(p)
     if not np.isfinite(p):
@@ -170,19 +172,25 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
     a = require_xu(x, tol)
     if a.shape[0] != 3:
         raise DimensionError(f"expected a 3x3 matrix, got {a.shape[0]}")
-    u = fourier_core(a)
-    q = 1.0 - p
-    w = root_of_unity(3, 1)
-    w2 = root_of_unity(3, 2)
-    weights = [
-        (p + u[0, 0] + u[1, 1]) / 3,
-        (q + u[0, 1] + u[1, 0]) / 3,
-        (q + w * u[0, 1] + w2 * u[1, 0]) / 3,
-        (p + w2 * u[0, 0] + w * u[1, 1]) / 3,
-        (p + w * u[0, 0] + w2 * u[1, 1]) / 3,
-        (q + w2 * u[0, 1] + w * u[1, 0]) / 3,
-    ]
-    return _lexicographic(3, weights, "xu3")
+    images, m = _supercirculants(a)
+    cyclic = (images[:, 1] - images[:, 0]) % 3 == 1
+    return _lexicographic(3, m + np.where(cyclic, p, 1.0 - p) / 3, "xu3")
+
+
+def _supercirculants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image rows of the supercirculants C[l,x] of XU(n) member ``a``,
+    n prime, in lexicographic order, and their weights
+    m[l,x] = (<C[l,x], X> - 1)/n (``decompose_prime_parts``)."""
+    # C[l,x] puts the unit of row k at column (l-1) + (k-1)x mod n, so its
+    # image row starts l-1, l-1+x. Listing l, then the second image v != l-1
+    # in increasing order (x = v-(l-1) mod n), lists the rows in
+    # lexicographic order.
+    n = a.shape[0]
+    k = np.arange(n, dtype=np.int32)
+    xs = (k[None, :] - k[:, None]) % n
+    xs = xs[xs != 0].reshape(n, n - 1)
+    images = ((k[:, None, None] + xs[:, :, None] * k) % n).reshape(-1, n)
+    return images, (a.ravel()[images + n * k].sum(axis=1) - 1) / n
 
 
 def decompose_prime_parts(
@@ -191,11 +199,18 @@ def decompose_prime_parts(
     """The two halves of the prime construction for n >= 5.
 
     The first part carries the n(n-1) supercirculant permutations C[l,x]
-    with weights m[l,x] = (1/n) sum over s of w^(-(l-1)s) U[r,s], where
-    U is the extracted core and r = s*x mod n; its weights sum to 0 and
-    their squared moduli to (n-1)/n. The second part puts weight 1/n on
-    each of the n disjoint permutations D_j; it reconstructs the flat
-    matrix W_n, its weights sum to 1, and their squared moduli to 1/n.
+    with weights m[l,x] = (1/n) sum over s of w^(-(l-1)s) U[sx, s], where
+    U is the core of X = F (1 (+) U) F^-1; its weights sum to 0 and their
+    squared moduli to (n-1)/n. They are read off X as (<C, X> - 1)/n, with
+    <C, X> = sum over k of X[k, C(k)]. With 0-based indices, C(k) = (l-1) + kx:
+
+        <C, W_n> = 1 for the flat matrix W_n, and X - W_n = F (0 (+) U) F^-1,
+        so <C, X> - 1 = (1/n) sum over r, s of U[r,s] w^(-(l-1)s) sum over k
+        of w^(k(r - sx)), and the last sum is n if r = sx mod n, else 0.
+
+    The second part puts weight 1/n on each of the n disjoint permutations
+    D_j; it reconstructs W_n, its weights sum to 1, and their squared
+    moduli to 1/n.
     """
     a = require_xu(x, tol)
     n = a.shape[0]
@@ -209,27 +224,11 @@ def decompose_prime_parts(
             f"the generic construction starts at n=5; use the closed forms "
             f"for n={n}"
         )
-    u = fourier_core(a)
-    s = np.arange(1, n)
-    # g[s-1, x-1] = U[r, s] with r = s*x mod n (never 0 for prime n), and
-    # e[l-1, s-1] = w^(-(l-1)s) with the exponent reduced mod n.
-    g = u[np.outer(s, s) % n - 1, s[:, None] - 1]
-    e = np.exp(2j * math.pi * (-np.outer(np.arange(n), s) % n) / n)
-    m = e @ g / n
-    # C[l,x] puts the unit of row k at column (l-1) + (k-1)x mod n, so its
-    # image row starts l-1, l-1+x. Listing l, then the second image v != l-1
-    # in increasing order (x = v-(l-1) mod n), lists the rows in
-    # lexicographic order.
-    k = np.arange(n)
-    xs = (k[None, :] - k[:, None]) % n
-    xs = xs[xs != 0].reshape(n, n - 1)
-    images = (k[:, None, None] + xs[:, :, None] * k) % n
-    c_part = WeightedPermSum._trusted(
-        n, images.reshape(-1, n), m[k[:, None], xs - 1].reshape(-1), "prime-c"
-    )
+    c_part = WeightedPermSum._trusted(n, *_supercirculants(a), "prime-c")
     # D_1 is the identity with its last two rows swapped, and row k of
     # D_j = Q^(j-1) D_1 (``d_family``) is row k+j-1 of D_1. D_j starts with
     # d1[j-1], so taking j-1 in the order d1 sorts the rows.
+    k = np.arange(n)
     d1 = np.arange(n)
     d1[[-2, -1]] = d1[[-1, -2]]
     d_part = WeightedPermSum._trusted(
@@ -552,8 +551,8 @@ def decompose_unitary(u, opts: ScalingOptions | None = None) -> ComplexPermSum:
     weight is e^(i*alpha) m_j. A core within the scaling tolerance of the
     identity skips the engine and yields the single term Z1 Z2.
 
-    The engine takes the core at max(UNITARY_TOL, opts.tol): the unitarity
-    ``zxz_scale`` checked on the input and the spread it reached.
+    The engine takes the core at ``_input_tol(opts)``, the larger of the
+    unitarity ``zxz_scale`` checked on the input and the spread it reached.
     """
     opts = opts or ScalingOptions()
     a = as_complex_matrix(u)
@@ -564,8 +563,7 @@ def decompose_unitary(u, opts: ScalingOptions | None = None) -> ComplexPermSum:
             n, np.arange(n)[None], np.ones(1, dtype=complex), "identity"
         )
     else:
-        tol = max(UNITARY_TOL, opts.tol)
-        inner = _ENGINES[_auto_method(n)](fac.core, 1.0, opts, tol)
+        inner = _ENGINES[_auto_method(n)](fac.core, 1.0, opts, _input_tol(opts))
     phase = complex(np.exp(1j * fac.alpha))
     kept = inner.pruned(PRUNE_EPS)
     return ComplexPermSum._trusted(
@@ -632,9 +630,11 @@ class VerificationReport:
 def verify(s, target, tol: float = 1e-9) -> VerificationReport:
     """Recompute a decomposition's invariants against a target matrix.
 
-    Accepts a WeightedPermSum or a ComplexPermSum. Nothing is copied from
-    the engine that produced ``s``; every number comes from the terms.
+    Accepts a WeightedPermSum or a ComplexPermSum and a positive finite
+    ``tol``. Nothing is copied from the engine that produced ``s``; every
+    number comes from the terms.
     """
+    check_tol(tol, "tol")
     a = as_complex_matrix(target)
     recon = s.reconstruct()
     if recon.shape != a.shape:

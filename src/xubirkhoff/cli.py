@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     check_int,
+    check_tol,
     dumps_json,
     json_pairs,
     line_sum_spread,
@@ -94,11 +94,7 @@ def _emit(obj, output: str | None) -> None:
 def _tol(args, default):
     """``--tol``, or ``default`` when it is not given. Checked before any
     work: NaN, an infinity, zero or a negative value is a usage error."""
-    if args.tol is None:
-        return default
-    if not 0 < args.tol < math.inf:
-        raise ParseError(f"--tol must be positive and finite, got {args.tol}")
-    return args.tol
+    return default if args.tol is None else check_tol(args.tol, "--tol")
 
 
 def _positive_int(text: str) -> int:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -56,6 +56,14 @@ def check_int(value, least: int | None, what: str, error=DimensionError) -> int:
             kind = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise error(f"{what} must be {kind}, got {value!r}")
     return int(value)
+
+
+def check_tol(value, what: str) -> float:
+    """``value`` as a float when it is a positive finite number; anything
+    else raises ValueError naming ``what``. Every tolerance passes here."""
+    if not (isinstance(value, Real) and 0 < value < math.inf):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return float(value)
 
 
 def root_of_unity(n: int, a: int) -> complex:
@@ -120,6 +128,7 @@ def _unitarity_deviation(a: np.ndarray) -> float:
 def require_unitary(m, tol: float, what: str) -> np.ndarray:
     """Return ``m`` as a square complex array after checking that it is
     unitary at ``tol``; raise MembershipError naming ``what`` otherwise."""
+    check_tol(tol, "tol")
     a = as_complex_matrix(m)
     if not _unitarity_deviation(a) <= tol:
         raise MembershipError(f"{what} is not unitary at tolerance {tol}")
@@ -163,8 +172,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
     entries, and entry (1,1) equal to 1. A 1x1 matrix is circulant and
     anticirculant by convention.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    check_tol(tol, "tolerance")
     a = as_complex_matrix(m)
     n = a.shape[0]
 

@@ -94,7 +94,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .numerics import check_int, line_sum_spread, require_unitary
+from .numerics import check_int, check_tol, line_sum_spread, require_unitary
 
 UNITARY_TOL = 1e-8
 # An attempt switches to Gauss-Newton steps at the first pass whose
@@ -120,20 +120,16 @@ class ScalingOptions:
     """Options of the phase scaling.
 
     tol is the target spread: the maximum modulus distance of any of the
-    2n line sums from 1. rng_seed (an integer >= 0) seeds the restart
-    phases.
-
-    For composite n, a tol of about 1e-4 or more lets the recursive
-    engine's inner blocks, unitary only to about tol**2, fail the fixed
-    UNITARY_TOL gate of ``zxz_scale`` ("scaling input is not unitary").
+    2n line sums from 1; a tol above UNITARY_TOL also lets ``zxz_scale``
+    take inputs unitary only to tol (``_input_tol``). rng_seed (an integer
+    >= 0) seeds the restart phases.
     """
 
     tol: float = 1e-10
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        check_tol(self.tol, "tol")
         # Checked here because the restart generator is built lazily:
         # a bad seed must not pass silently when no restart happens.
         check_int(self.rng_seed, 0, "rng_seed", ValueError)
@@ -282,6 +278,11 @@ def _lstsq_step(b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(real[:, :-1], real[:, -1], rcond=None)[0]
 
 
+def _input_tol(opts: ScalingOptions) -> float:
+    """The unitarity ``zxz_scale`` asks of its input."""
+    return max(UNITARY_TOL, opts.tol)
+
+
 def attempt_bound(n: int, tol: float) -> int:
     """The most iterations one attempt of ``zxz_scale`` can take at size n
     and target spread tol (module docstring). Computed as a difference of
@@ -293,18 +294,18 @@ def attempt_bound(n: int, tol: float) -> int:
 def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     """Factor a unitary matrix through the XU subgroup.
 
-    Raises MembershipError for non-unitary input and ConvergenceError
-    (carrying the best spread seen and the history of every attempt) if
-    no attempt reaches opts.tol.
+    Raises MembershipError for input not unitary at ``_input_tol(opts)``
+    and ConvergenceError (carrying the best spread seen and the history of
+    every attempt) if no attempt reaches opts.tol.
     """
     opts = opts or ScalingOptions()
-    a = require_unitary(u, UNITARY_TOL, "scaling input")
+    a = require_unitary(u, _input_tol(opts), "scaling input")
     n = a.shape[0]
     if n == 2:
         left, right, v = _scale_2x2(a)
         spread = line_sum_spread(v.sum(axis=1), v.sum(axis=0))
         if spread <= opts.tol:
-            return _assemble(a, left, right, v, spread, 0, [])
+            return _assemble(left, right, v, spread, 0, [])
     lines, b, rhs = _workspace(n)
     rows, cols = lines[:n], lines[n:]
     rng = None
@@ -332,7 +333,7 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
                 misses += 1
             best = min(best, spread)
             if spread <= opts.tol:
-                return _assemble(a, left, right, v, spread, it, attempts)
+                return _assemble(left, right, v, spread, it, attempts)
             if misses >= POLISH_STEPS:
                 break
             newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
@@ -377,17 +378,17 @@ def _scale_2x2(a):
     return left, right, left[:, None] * a * right[None, :]
 
 
-def _assemble(a, left, right, core, spread, iterations, attempts):
-    # a = diag(conj(left)) core diag(conj(right)); normalize the leading
-    # entries of both diagonals to 1 and absorb their product into alpha.
+def _assemble(left, right, core, spread, iterations, attempts):
+    # The input is diag(conj(left)) core diag(conj(right)); normalize the
+    # leading entries of both diagonals to 1 (set, as z/z can miss 1 by an
+    # ulp) and absorb their product into alpha. The phase drift relative to
+    # exp(1j*alpha) is below 1e-16 and lands in the reconstruction residual.
     z1 = np.conj(left)
     z2 = np.conj(right)
-    phase = z1[0] * z2[0]
-    alpha = float(np.angle(phase))
+    alpha = float(np.angle(z1[0] * z2[0]))
     z1 = z1 / z1[0]
     z2 = z2 / z2[0]
-    # z1[0], z2[0] are exactly 1 after division; phase drift relative to
-    # exp(1j*alpha) is below 1e-16 and lands in the reconstruction residual.
+    z1[0] = z2[0] = 1
     return ZXZFactorization(
         alpha=alpha,
         z1=z1,

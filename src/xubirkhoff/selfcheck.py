@@ -147,10 +147,10 @@ def check_d_family():
 def check_flat_splits():
     """W_3 = (P_1+P_4+P_5)/3 = (P_2+P_3+P_6)/3 and W_5 = (1/5) sum D_j."""
     perms = list(lexicographic_permutations(3))
-    odd = sum(perm_to_matrix(perms[j - 1]) for j in (1, 4, 5)) / 3
-    even = sum(perm_to_matrix(perms[j - 1]) for j in (2, 3, 6)) / 3
-    _eq(odd, van_der_waerden(3), what="W_3 odd split")
+    even = sum(perm_to_matrix(perms[j - 1]) for j in (1, 4, 5)) / 3
+    odd = sum(perm_to_matrix(perms[j - 1]) for j in (2, 3, 6)) / 3
     _eq(even, van_der_waerden(3), what="W_3 even split")
+    _eq(odd, van_der_waerden(3), what="W_3 odd split")
     flat5 = sum(perm_to_matrix(d) for d in d_family(5)) / 5
     _eq(flat5, van_der_waerden(5), what="W_5 from the D family")
 
@@ -279,13 +279,21 @@ def check_xu4_patterns():
 
 def check_prime_identity():
     """The prime engine at n=5 on the identity: 25 terms, weight sum 1,
-    squared moduli 1, exact reconstruction."""
+    squared moduli 1, exact reconstruction. With the identity core,
+    m[l,x] = (1/5) sum over s of w^(-(l-1)s) [sx = s] is 0 unless x = 1,
+    4/5 on the identity C[1,1] and -1/5 on the other shifts C[l,1]; each
+    D_j weighs 1/5."""
     s = decompose_prime(np.eye(5))
     r = verify(s, np.eye(5), tol=1e-12)
     if s.term_count != 25:
         raise AssertionError(f"expected 25 terms, got {s.term_count}")
     if not (r.reconstruction_ok and r.weight_sum_ok and r.sq_moduli_ok):
         raise AssertionError(f"identity prime decomposition failed: {r}")
+    shifts = [supercirculant_perm(5, SupercirculantLabel(l, 1)) for l in (2, 3, 4, 5)]
+    want = dict.fromkeys(shifts, -0.2) | dict.fromkeys(d_family(5), 0.2)
+    want[Permutation.identity(5)] = 0.8
+    for perm, w in s.items():
+        _eq(w, want.get(perm, 0.0), what=f"identity weight on {perm.image}")
 
 
 def check_transfer_supercirculant_split():

@@ -399,6 +399,23 @@ class TestRecursive:
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
+    n=st.sampled_from([6, 8]),
+    seed=st.integers(0, 999),
+    tol=st.floats(-4, -2).map(lambda e: 10.0**e),
+)
+def test_loose_scaling_tol_admits_its_own_blocks(n, seed, tol):
+    # Every level below the top is unitary only to about tol**2. The
+    # scaling asks its input to be unitary to max(tol, 1e-8), so no level
+    # fails that gate, and the result is as accurate as tol.
+    opts = ScalingOptions(tol=tol)
+    u = haar_unitary(n, seed)
+    assert verify(decompose_unitary(u, opts), u, tol=tol).ok
+    x = random_xu(n, seed)
+    assert verify(decompose_recursive(x, opts), x, tol=tol).ok
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
     n=st.sampled_from([6, 8, 9]),
     seed=st.integers(0, 999),
     tol=st.floats(-12, -9).map(lambda e: 10.0**e),

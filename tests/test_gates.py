@@ -18,7 +18,10 @@ from xubirkhoff import (
     SupercirculantLabel,
     UnsupportedDimensionError,
     WeightedPermSum,
+    circulant_xu_decompose,
+    classify,
     d_family,
+    decompose_prime_parts,
     decompose_unitary,
     decompose_xu,
     haar_unitary,
@@ -35,12 +38,13 @@ from xubirkhoff import (
     transfer_block_dims,
     transfer_matrix,
     van_der_waerden,
+    verify,
     zxz_scale,
 )
 from xubirkhoff import birkhoff
 from xubirkhoff.birkhoff import METHODS
-from xubirkhoff.numerics import DEFAULT_TOL, check_int, dft_matrix
-from xubirkhoff.xu_group import fourier_core
+from xubirkhoff.numerics import DEFAULT_TOL, check_int, dft_matrix, require_unitary
+from xubirkhoff.xu_group import embed_core, extract_core, fourier_core, require_xu
 
 
 LABEL = SupercirculantLabel(1, 1)
@@ -133,6 +137,40 @@ def test_check_int_accepts_exactly_the_integers_at_least(value, least):
         else:
             with pytest.raises(DimensionError, match=f"v must be .* got"):
                 check_int(v, least, "v")
+
+
+# (name, call on a tolerance) for every entry that takes one.
+TOL_GATES = [
+    ("require_unitary", lambda t: require_unitary(np.eye(3), t, "input")),
+    ("require_xu", lambda t: require_xu(np.eye(3), t)),
+    *(
+        (method, lambda t, method=method, n=n: decompose_xu(random_xu(n, 1), method, tol=t))
+        for method, n in [("xu2", 2), ("xu3", 3), ("xu4", 4), ("prime", 5), ("recursive", 6)]
+    ),
+    ("decompose_prime_parts", lambda t: decompose_prime_parts(random_xu(5, 1), t)),
+    ("ScalingOptions", lambda t: ScalingOptions(tol=t)),
+    ("zxz_scale", lambda t: zxz_scale(haar_unitary(3, 1), ScalingOptions(tol=t))),
+    ("embed_core", lambda t: embed_core(np.eye(2), t)),
+    ("extract_core", lambda t: extract_core(np.eye(3), t)),
+    ("circulant_xu_decompose", lambda t: circulant_xu_decompose(np.eye(3), t)),
+    ("classify", lambda t: classify(np.eye(3), t)),
+    ("verify", lambda t: verify(WeightedPermSum(3), np.eye(3), t)),
+]
+
+
+@pytest.mark.parametrize("name, call", TOL_GATES, ids=[g[0] for g in TOL_GATES])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0, "1e-9", None])
+def test_tolerance_gate_rejects(name, call, bad):
+    # An infinite tol used to pass every membership check: a 4x4 arange
+    # came back as a 24-term xu4 sum, and an empty sum verified.
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", TOL_GATES, ids=[g[0] for g in TOL_GATES])
+def test_tolerance_gate_accepts_a_positive_tol(name, call):
+    call(1e-9)
+    call(np.float64(1e-3))
 
 
 def test_fourier_core_needs_two_rows():

@@ -390,6 +390,31 @@ def test_non_finite_rejected(doc):
         dumps_json(doc)
 
 
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _List([1.0, -0.0]),
+        _List([_List([1, 2]), "a"]),
+        _Dict(a=[1.5], b=_Dict(c=None)),
+        {"x": _List([_Dict(k=[2.0, 3.0])])},
+        _List(),
+        _Dict(),
+    ],
+)
+@pytest.mark.parametrize("indent", [0, 2])
+def test_list_and_dict_subclasses_write_as_their_bases(doc, indent):
+    assert dumps_json(doc, indent) == oracle_dumps_json(doc, indent)
+    assert json.loads(dumps_json(doc, indent)) == doc
+
+
 @pytest.mark.parametrize(
     "doc", [np.int64(3), [np.int64(1), np.int64(2)], {"k": np.int64(0)}]
 )

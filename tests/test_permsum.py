@@ -188,6 +188,37 @@ def test_plain_and_complex_sums_never_equal():
             hash(x)
 
 
+def test_sizes_must_agree():
+    # A term, a lookup or an assignment of another size than the sum's.
+    small = Permutation((2, 1))
+    with pytest.raises(DimensionError, match="term size 2 does not match sum size 3"):
+        WeightedPermSum(3, [(small, 1.0)])
+    s = WeightedPermSum(3, [(Permutation((1, 3, 2)), 0.5)])
+    assert s[small] == 0.0 and small not in s
+    with pytest.raises(DimensionError, match="term size 2 does not match sum size 3"):
+        s.add(small, 1.0)
+    cs = ComplexPermSum(3)
+    for term in (
+        ComplexPermTerm(small, (1.0, 1.0), 1.0),
+        ComplexPermTerm(Permutation((1, 3, 2)), (1.0, 1.0), 1.0),
+    ):
+        with pytest.raises(DimensionError, match="sum size 3"):
+            cs.terms = [term]
+    assert cs.term_count == 0
+
+
+def test_repr_names_type_size_terms_and_engine():
+    s = WeightedPermSum(3, [(Permutation((1, 3, 2)), 0.5)], engine="xu3")
+    assert repr(s) == "WeightedPermSum(n=3, terms=1, engine='xu3')"
+    assert repr(ComplexPermSum(2)) == "ComplexPermSum(n=2, terms=0, engine='')"
+
+
+@pytest.mark.parametrize("obj", [None, [], {"n": 2, "terms": []}, np.eye(2)])
+def test_to_json_needs_a_sum(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        perm_sum_to_json(obj)
+
+
 def test_complex_terms_assignment_replaces_terms():
     t = ComplexPermTerm(Permutation((2, 1)), (1.0, -1.0), 0.5)
     cs = ComplexPermSum(2)

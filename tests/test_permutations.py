@@ -25,7 +25,7 @@ from xubirkhoff import (
     transfer_matrix,
     van_der_waerden,
 )
-from xubirkhoff.numerics import dumps_json, max_abs_diff
+from xubirkhoff.numerics import dumps_json, max_abs_diff, shift_relation_holds
 
 
 class TestPermutation:
@@ -136,6 +136,11 @@ class TestSupercirculantPerm:
             p = supercirculant_perm(4, SupercirculantLabel(l, x))
             assert lexicographic_index(p) == want
 
+    @pytest.mark.parametrize("l, x", [(0, 1), (6, 1), (1, 0), (1, 5), (-1, 2)])
+    def test_label_out_of_range_rejected(self, l, x):
+        with pytest.raises(NotAPermutationError, match="out of range for n=5"):
+            supercirculant_perm(5, SupercirculantLabel(l, x))
+
     def test_shared_factor_rejected(self):
         with pytest.raises(NotAPermutationError):
             supercirculant_perm(4, SupercirculantLabel(1, 2))
@@ -245,6 +250,14 @@ class TestDetectSupercirculant:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert detect_supercirculant(a) is None
 
+    def test_row_pitch_without_a_column_pitch(self):
+        # A[k, l] = c[l - 2k mod 4] has row pitch 2 and, since 2y = 1 has
+        # no solution mod 4, no column pitch.
+        k = np.arange(4)
+        a = np.array([1, 2, 3, 5], dtype=complex)[(k[None, :] - 2 * k[:, None]) % 4]
+        assert shift_relation_holds(a, 2, 1e-10)
+        assert detect_supercirculant(a) is None
+
     def test_one_by_one_has_no_pitches(self):
         assert detect_supercirculant(np.array([[1.0]])) is None
 
@@ -273,6 +286,9 @@ class TestPermJson:
             {"n": 0, "image": []},
             {"n": 2, "image": [1, 2, 3]},
             {"n": 2, "image": [10**30, 1]},
+            {"n": 2},
+            {"image": [1, 2]},
+            [2, [1, 2]],
         ],
     )
     def test_strict_fields(self, obj):

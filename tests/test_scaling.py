@@ -63,9 +63,13 @@ class TestZxzScale:
         assert max_abs_diff(fac.reconstruct(), u) < 1e-12
 
     def test_leading_entries_are_one(self):
-        fac = zxz_scale(haar_unitary(4, seed=7))
-        assert fac.z1[0] == 1.0
-        assert fac.z2[0] == 1.0
+        # z/z misses 1 by an ulp, in the real or the imaginary part, for
+        # 18 to 35 of these 300 seeds at each n.
+        for n in (2, 3, 4, 5):
+            for seed in range(300):
+                fac = zxz_scale(haar_unitary(n, seed))
+                assert fac.z1[0] == 1.0
+                assert fac.z2[0] == 1.0
 
     def test_rotation_needs_restart(self):
         # the rotation by pi/4 (+) 1 has a vanishing row and column sum, a
@@ -612,7 +616,9 @@ def _oracle_scale(a, opts):
             if spread <= opts.tol:
                 z1, z2 = np.conj(left), np.conj(right)
                 alpha = float(np.angle(z1[0] * z2[0]))
-                return alpha, z1 / z1[0], z2 / z2[0], v, spread, it, tuple(attempts)
+                z1, z2 = z1 / z1[0], z2 / z2[0]
+                z1[0] = z2[0] = 1
+                return alpha, z1, z2, v, spread, it, tuple(attempts)
             if misses >= POLISH_STEPS:
                 break
             newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
