@@ -60,12 +60,7 @@ from .permsum import (
     product,
 )
 from .scaling import ScalingOptions, _input_tol, zxz_scale
-from .xu_group import (
-    fourier_core,
-    fourier_embed,
-    is_prime,
-    require_xu,
-)
+from .xu_group import circulant_sum, fourier_core, fourier_embed, is_prime, require_xu
 
 # Weights below this modulus are dropped between recursion steps; the
 # removed mass is orders of magnitude under every verification tolerance.
@@ -74,9 +69,12 @@ PRUNE_EPS = 1e-14
 # The recursive engine holds a level of size n <= DENSE_MAX_N as the weights
 # of all n! permutations and a larger level as a sum of its nonzero terms. A
 # dense level costs n! whatever the input's support: at n = 9 its weight
-# arrays take 5.8 MB each and a random XU(9) decomposes about ten times
+# arrays take 5.8 MB each and a random XU(9) decomposes about 30 times
 # faster than through ``product``; at n = 10 they take 58 MB each.
 DENSE_MAX_N = 9
+
+# ``verify``'s default tolerance: the engines that scale carry their residual.
+VERIFY_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -400,8 +398,8 @@ def decompose_recursive(
     out = WeightedPermSum._trusted(m, _lex_images(m)[keep], weights[keep])
     _refuse_oversized(levels[:cut], len(out))
     for w1, w2 in reversed(levels[:cut]):
-        out = product(_cyclic(w1), _lift(out)).pruned(PRUNE_EPS)
-        out = product(out, _cyclic(w2)).pruned(PRUNE_EPS)
+        out = product(circulant_sum(w1).pruned(0), _lift(out)).pruned(PRUNE_EPS)
+        out = product(out, circulant_sum(w2).pruned(0)).pruned(PRUNE_EPS)
     out.engine = "recursive"
     return out
 
@@ -424,21 +422,16 @@ def _dense(w1: np.ndarray, w2: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """The weights of all n! permutations of one level of size n, in
     lexicographic order, from its circulant first rows ``w1`` and ``w2``
     and the (n-1)! weights ``inner`` of the level below, with those of
-    modulus <= PRUNE_EPS zeroed."""
+    modulus <= PRUNE_EPS zeroed. They agree with the ``product`` fold of
+    the level to rounding."""
     n = len(w1)
     left, coset = _level_tables(n)
     q = np.empty(n * len(inner), dtype=complex)
     q[left] = np.multiply.outer(w1, inner)
-    # out[coset[b]] = sum over c of w2[b - c] q[coset[c]]. The terms add
-    # from 0 in the order of c, the lexicographic order of q, and each
-    # product takes q's weight first, as in ``product(q, s2)``.
+    # out[coset[b]] = sum over c of w2[b - c] q[coset[c]].
     k = np.arange(n)
-    circ = w2[(k[:, None] - k) % n]
-    acc = np.zeros((n, len(inner)), dtype=complex)
-    for c in range(n):
-        acc += q[coset[c]] * circ[:, c, None]
     out = np.empty_like(q)
-    out[coset] = acc
+    out[coset] = w2[(k[:, None] - k) % n] @ q[coset]
     return _pruned(out)
 
 
@@ -477,15 +470,6 @@ def _pruned(w: np.ndarray) -> np.ndarray:
     """``w`` with the entries of modulus <= PRUNE_EPS set to zero, in place."""
     w[np.abs(w) <= PRUNE_EPS] = 0
     return w
-
-
-def _cyclic(w: np.ndarray) -> WeightedPermSum:
-    """The sum of w[k] c_k over the nonzero w[k]."""
-    n = len(w)
-    k = np.flatnonzero(w)
-    # The shift by k has first image k, so the rows are in lexicographic
-    # order.
-    return WeightedPermSum._trusted(n, (k[:, None] + np.arange(n)) % n, w[k])
 
 
 def _lift(s: WeightedPermSum) -> WeightedPermSum:
@@ -627,7 +611,7 @@ class VerificationReport:
         }
 
 
-def verify(s, target, tol: float = 1e-9) -> VerificationReport:
+def verify(s, target, tol: float = VERIFY_TOL) -> VerificationReport:
     """Recompute a decomposition's invariants against a target matrix.
 
     Accepts a WeightedPermSum or a ComplexPermSum and a positive finite

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import selfcheck as _selfcheck
-from .birkhoff import METHODS, decompose_xu, verify
+from .birkhoff import METHODS, VERIFY_TOL, decompose_xu, verify
 from .errors import (
     DimensionError,
     NotAPermutationError,
@@ -116,10 +116,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    # --tol gates the input's membership, 1e-10 unset. The report checks at
-    # no less than 1e-9: the engines that scale carry the scaling residual.
+    # --tol gates the input's membership, DEFAULT_TOL unset. The report
+    # checks at no less than VERIFY_TOL: the engines that scale carry the
+    # scaling residual.
     tol = _tol(args, DEFAULT_TOL)
-    report_tol = max(tol, 1e-9)
+    report_tol = max(tol, VERIFY_TOL)
     if args.p is not None and args.method != "xu3":
         raise ParseError(
             f"--p applies only to --method xu3, not --method {args.method}"
@@ -136,7 +137,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    tol = _tol(args, 1e-10)
+    tol = _tol(args, DEFAULT_TOL)
     a = _load_matrix(args.matrix)
     fac = zxz_scale(a, ScalingOptions(tol=tol, rng_seed=args.seed))
     out = {
@@ -154,7 +155,7 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _tol(args, 1e-9)
+    tol = _tol(args, VERIFY_TOL)
     try:
         s = perm_sum_from_json(_load_json(args.decomposition))
     except (ValueError, TypeError, KeyError, NotAPermutationError) as e:
@@ -184,7 +185,7 @@ def _cmd_transfer(args) -> int:
         tm = transfer_matrix(args.n, args.r, args.s)
     except DimensionError as e:
         raise ParseError(str(e)) from e
-    pitches = detect_supercirculant(tm.matrix, 1e-10)
+    pitches = detect_supercirculant(tm.matrix)
     out = {
         "n": tm.n,
         "r": tm.r,

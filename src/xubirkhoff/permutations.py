@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import DimensionError, NotAPermutationError
 from .numerics import (
+    DEFAULT_TOL,
     as_complex_matrix,
     check_int,
+    check_tol,
     json_array,
     json_size,
     shift_relation_holds,
@@ -166,7 +168,7 @@ def van_der_waerden(n: int) -> np.ndarray:
     return np.full((n, n), 1.0 / n, dtype=complex)
 
 
-def detect_supercirculant(m, tol: float = 1e-10) -> Optional[tuple[int, int]]:
+def detect_supercirculant(m, tol: float = DEFAULT_TOL) -> Optional[tuple[int, int]]:
     """Pitches (x, y) of a supercirculant matrix, or None.
 
     A matrix is supercirculant when A[k+1, l+x] = A[k, l] and
@@ -177,6 +179,7 @@ def detect_supercirculant(m, tol: float = 1e-10) -> Optional[tuple[int, int]]:
     Constant matrices satisfy every relation and report (1, 1). For n = 1
     there are no valid pitches and the result is None.
     """
+    check_tol(tol, "tol")
     a = as_complex_matrix(m)
     n = a.shape[0]
     x = next(

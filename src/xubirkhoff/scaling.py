@@ -94,7 +94,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .numerics import check_int, check_tol, line_sum_spread, require_unitary
+from .numerics import (
+    DEFAULT_TOL,
+    check_int,
+    check_tol,
+    line_sum_spread,
+    require_unitary,
+)
 
 UNITARY_TOL = 1e-8
 # An attempt switches to Gauss-Newton steps at the first pass whose
@@ -125,7 +131,7 @@ class ScalingOptions:
     >= 0) seeds the restart phases.
     """
 
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -104,17 +104,18 @@ def circulant_xu_decompose(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     a = require_xu(x, tol)
     if not shift_relation_holds(a, 1, tol):
         raise MembershipError(f"input is not circulant at tolerance {tol}")
-    return circulant_sum(a)
+    return circulant_sum(a[0])
 
 
-def circulant_sum(a: np.ndarray) -> WeightedPermSum:
-    """``circulant_xu_decompose`` without the checks, for circulant XU
-    matrices an engine built itself."""
-    n = a.shape[0]
+def circulant_sum(w: np.ndarray) -> WeightedPermSum:
+    """The sum of w[l] C[l,1] over the n cyclic shifts, zero weights kept,
+    from the first row ``w`` of a circulant matrix, unchecked. Used by
+    ``circulant_xu_decompose`` and the recursive engine's sparse levels."""
+    n = len(w)
     # Row l is the cyclic shift by l: its first image l puts the rows in
     # lexicographic order.
     k = np.arange(n)
-    return WeightedPermSum._trusted(n, (k[:, None] + k) % n, a[0].copy(), "circulant")
+    return WeightedPermSum._trusted(n, (k[:, None] + k) % n, w.copy(), "circulant")
 
 
 def constant_line_sum_check(

@@ -20,10 +20,12 @@ from xubirkhoff import (
     WeightedPermSum,
     circulant_xu_decompose,
     classify,
+    constant_line_sum_check,
     d_family,
     decompose_prime_parts,
     decompose_unitary,
     decompose_xu,
+    detect_supercirculant,
     haar_unitary,
     is_prime,
     lexicographic_permutations,
@@ -43,7 +45,14 @@ from xubirkhoff import (
 )
 from xubirkhoff import birkhoff
 from xubirkhoff.birkhoff import METHODS
-from xubirkhoff.numerics import DEFAULT_TOL, check_int, dft_matrix, require_unitary
+from xubirkhoff.numerics import (
+    DEFAULT_TOL,
+    check_int,
+    dft_matrix,
+    is_unitary,
+    require_unitary,
+    shift_relation_holds,
+)
 from xubirkhoff.xu_group import embed_core, extract_core, fourier_core, require_xu
 
 
@@ -154,6 +163,13 @@ TOL_GATES = [
     ("extract_core", lambda t: extract_core(np.eye(3), t)),
     ("circulant_xu_decompose", lambda t: circulant_xu_decompose(np.eye(3), t)),
     ("classify", lambda t: classify(np.eye(3), t)),
+    ("is_unitary", lambda t: is_unitary(np.eye(3), t)),
+    ("shift_relation_holds", lambda t: shift_relation_holds(np.eye(3), 1, t)),
+    ("detect_supercirculant", lambda t: detect_supercirculant(np.eye(3), t)),
+    (
+        "constant_line_sum_check",
+        lambda t: constant_line_sum_check(circulant_xu_decompose(np.eye(3)), t),
+    ),
     ("verify", lambda t: verify(WeightedPermSum(3), np.eye(3), t)),
 ]
 
@@ -162,7 +178,8 @@ TOL_GATES = [
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0, "1e-9", None])
 def test_tolerance_gate_rejects(name, call, bad):
     # An infinite tol used to pass every membership check: a 4x4 arange
-    # came back as a 24-term xu4 sum, and an empty sum verified.
+    # came back as a 24-term xu4 sum, was unitary, and had pitches (1, 1),
+    # and an empty sum verified.
     with pytest.raises(ValueError, match="must be positive and finite"):
         call(bad)
 

@@ -28,6 +28,7 @@ from xubirkhoff import (
 from xubirkhoff.birkhoff import (
     DENSE_MAX_N,
     PRUNE_EPS,
+    _dense,
     _level_tables,
     _lex_images,
     _lexicographic,
@@ -54,15 +55,16 @@ def _reference(a, opts):
     fac = zxz_scale(fourier_core(a), opts)
     x1 = fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))
     x2 = fourier_embed(np.diag(fac.z2))
-    s1 = circulant_sum(x1).pruned(PRUNE_EPS)
-    s2 = circulant_sum(x2).pruned(PRUNE_EPS)
+    s1 = circulant_sum(x1[0]).pruned(PRUNE_EPS)
+    s2 = circulant_sum(x2[0]).pruned(PRUNE_EPS)
     sy = _lift(_reference(fourier_embed(fac.core)[1:, 1:], opts))
     return product(product(s1, sy).pruned(PRUNE_EPS), s2).pruned(PRUNE_EPS)
 
 
+# (9, 1) is the one full-support input at the largest dense level.
 REFERENCE_CASES = [(n, seed) for n in range(3, 9) for seed in range(3)] + [
     (n, None) for n in range(3, 9)
-]
+] + [(9, 1)]
 
 
 @pytest.mark.parametrize("n,seed", REFERENCE_CASES)
@@ -77,6 +79,21 @@ def test_matches_sum_product_reference(n, seed):
 def _few_term_inputs(n):
     rng = np.random.default_rng(n)
     return [np.eye(n), np.eye(n)[rng.permutation(n)], random_circulant_xu(n, n)]
+
+
+@pytest.mark.parametrize("n", range(3, DENSE_MAX_N + 1))
+def test_dense_weights_have_no_negative_zero_part(n):
+    # The JSON form would print such a part as -0.0.
+    for x in _few_term_inputs(n):
+        w = decompose_recursive(x).weights
+        for part in (w.real, w.imag):
+            assert not np.any(np.signbit(part) & (part == 0))
+    # Every product of the second step has imaginary part -0.0 here, so
+    # only a sum that starts from +0.0 ends at +0.0.
+    inner = np.full(math.factorial(n - 1), -1.0, dtype=complex)
+    w2 = np.full(n, -1.0, dtype=complex)
+    out = _dense(np.ones(n, dtype=complex), w2, inner)
+    assert not np.signbit(out.imag).any()
 
 
 @pytest.mark.parametrize("n", [DENSE_MAX_N, DENSE_MAX_N + 1])
