@@ -213,9 +213,10 @@ def decompose_prime_parts(
     a = require_xu(x, tol)
     n = a.shape[0]
     if not is_prime(n):
+        composite = "composite (only n=4 has a known squared-moduli-1 table)"
         raise UnsupportedDimensionError(
             f"the supercirculant construction needs prime n; n={n} is "
-            "composite (only n=4 has a known squared-moduli-1 table)"
+            f"{composite if n > 1 else 'not prime'}"
         )
     if n < 5:
         raise DimensionError(
@@ -341,7 +342,7 @@ def decompose_recursive(
     The engine makes two passes over the levels. The first scales them
     top down (``_levels``): level n yields w1, w2 and ytilde, ytilde is
     level n-1, and so on down to an XU(1) or XU(2) block. The second
-    folds them bottom up, starting from that block's weights.
+    folds them bottom up, starting from that block's first row.
 
     The three sums of a level multiply in two coset forms of S_n, with no
     merging and no sort. Every permutation is exactly once "apply c_k, then
@@ -381,8 +382,8 @@ def decompose_recursive(
 
     ``tol`` gates the membership of ``x`` only. Every block below it is
     one the engine built, XU to within ``opts.tol`` by scaling, and is not
-    checked again. XU(1) = {[1]} is the single identity term, and XU(2)
-    keeps both terms of its closed form, zero weights included.
+    checked again. The last block, XU(1) or XU(2), is circulant, so its
+    weights are its first row, zeros kept.
     """
     opts = opts or ScalingOptions()
     a = require_xu(x, tol)
@@ -405,17 +406,21 @@ def decompose_recursive(
 
 
 def _levels(a: np.ndarray, opts: ScalingOptions):
-    """The scaled levels of XU(n) member ``a``, top down: the list of the
-    (w1, w2) of every level of size n, n - 1, ..., 3 (``_level``), and the
-    weights of the XU(1) or XU(2) block left at the bottom, in
-    lexicographic order (for XU(2) both closed-form terms, zeros kept)."""
+    """The scaled levels of XU(n) member ``a``, top down, and the weights
+    of the block left at the bottom. Each level of size n, n - 1, ..., 3
+    gives (w1, w2), the pruned first rows of its two circulant factors,
+    and hands the XU block ytilde of its middle factor to the next. The
+    XU(1) or XU(2) block left is circulant, so its weights are its first
+    row, zeros kept, in lexicographic order."""
     levels = []
     while a.shape[0] > 2:
-        w1, w2, a = _level(a, opts)
+        fac = zxz_scale(fourier_core(a), opts)
+        w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
+        w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
         levels.append((w1, w2))
-    if a.shape[0] == 1:
-        return levels, np.ones(1, dtype=complex)
-    return levels, _xu2(a).weights
+        a = fourier_embed(fac.core)[1:, 1:]
+    # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
+    return levels, a[0] + 0j
 
 
 def _dense(w1: np.ndarray, w2: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -454,16 +459,6 @@ def _refuse_oversized(levels, terms: int) -> None:
         terms = min(math.factorial(m), k1 * terms)
         check_pairs(m, terms, k2, what)
         terms = min(math.factorial(m), terms * k2)
-
-
-def _level(a: np.ndarray, opts: ScalingOptions):
-    """One recursion level of XU(n) member ``a``: the first rows of its two
-    circulant factors, pruned, and the XU(n-1) block ytilde of its middle
-    factor."""
-    fac = zxz_scale(fourier_core(a), opts)
-    w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
-    w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
-    return w1, w2, fourier_embed(fac.core)[1:, 1:]
 
 
 def _pruned(w: np.ndarray) -> np.ndarray:
@@ -618,7 +613,7 @@ def verify(s, target, tol: float = VERIFY_TOL) -> VerificationReport:
     ``tol``. Nothing is copied from the engine that produced ``s``; every
     number comes from the terms.
     """
-    check_tol(tol, "tol")
+    tol = check_tol(tol, "tol")
     a = as_complex_matrix(target)
     recon = s.reconstruct()
     if recon.shape != a.shape:

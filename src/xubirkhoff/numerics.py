@@ -59,9 +59,10 @@ def check_int(value, least: int | None, what: str, error=DimensionError) -> int:
 
 
 def check_tol(value, what: str) -> float:
-    """``value`` as a float when it is a positive finite number; anything
-    else raises ValueError naming ``what``. Every tolerance passes here."""
-    if not (isinstance(value, Real) and 0 < value < math.inf):
+    """``value`` as a float when it is a positive finite number, not a bool;
+    anything else raises ValueError naming ``what``. Every tolerance passes here."""
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    if not (number and 0 < value < math.inf):
         raise ValueError(f"{what} must be positive and finite, got {value}")
     return float(value)
 
@@ -171,10 +172,10 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
 
     XU(n) membership means unitary with every line sum within ``tol`` of 1,
     the rule of ``xu_group.require_xu``; ZU(n) means diagonal, unit-modulus
-    entries, and entry (1,1) equal to 1. A 1x1 matrix is circulant and
-    anticirculant by convention.
+    entries, and entry (1,1) equal to 1. Every flag is a Python bool; a 1x1
+    matrix is circulant and anticirculant, as both shifts leave it in place.
     """
-    check_tol(tol, "tolerance")
+    tol = check_tol(tol, "tolerance")
     a = as_complex_matrix(m)
     n = a.shape[0]
 
@@ -189,15 +190,12 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
     off_diag = a - np.diag(np.diag(a))
     zu = (
         float(np.abs(off_diag).max(initial=0.0)) <= tol
-        and bool(np.abs(np.abs(np.diag(a)) - 1.0).max() <= tol)
-        and abs(a[0, 0] - 1.0) <= tol
+        and float(np.abs(np.abs(np.diag(a)) - 1.0).max()) <= tol
+        and float(abs(a[0, 0] - 1.0)) <= tol
     )
 
-    if n == 1:
-        circ = anticirc = True
-    else:
-        circ = shift_relation_holds(a, 1, tol)
-        anticirc = shift_relation_holds(a, n - 1, tol)
+    circ = shift_relation_holds(a, 1, tol)
+    anticirc = shift_relation_holds(a, n - 1, tol)
 
     return MatrixClass(
         is_unitary=unitary,

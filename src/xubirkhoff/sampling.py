@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import check_int, dft_matrix
-from .xu_group import embed_core
+from .xu_group import fourier_embed
 
 KINDS = ("unitary", "xu", "circulant_xu", "zu")
 
@@ -59,7 +59,8 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 def random_xu(n: int, seed: int) -> np.ndarray:
     """A random XU(n) matrix: the embedding of a Haar unitary of size n-1."""
     n = check_int(n, 2, "XU sampling dimension n")
-    return embed_core(haar_unitary(n - 1, seed))
+    # The core is unitary by construction, so it is not checked again.
+    return fourier_embed(haar_unitary(n - 1, seed))
 
 
 def random_zu(n: int, seed: int) -> np.ndarray:

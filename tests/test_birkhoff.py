@@ -288,6 +288,8 @@ class TestPrime:
     def test_composite_rejected(self):
         with pytest.raises(UnsupportedDimensionError, match="open|composite"):
             decompose_prime(random_xu(6, seed=0))
+        with pytest.raises(UnsupportedDimensionError, match="n=1 is not prime"):
+            decompose_prime(np.eye(1))
 
     def test_non_xu_rejected(self):
         with pytest.raises(MembershipError):

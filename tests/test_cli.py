@@ -156,10 +156,24 @@ class TestDecompose:
 
 
 class TestVerifyRoundTrip:
-    def test_report_reproduced_to_the_digit(self, capsys, tmp_path):
+    # Every engine; recursive at 8 is the 40 320-term sum.
+    @pytest.mark.parametrize(
+        "method, n",
+        [
+            ("xu2", 2),
+            ("xu3", 3),
+            ("xu4", 4),
+            ("prime", 5),
+            ("prime", 31),
+            ("recursive", 2),
+            ("recursive", 6),
+            ("recursive", 8),
+        ],
+    )
+    def test_report_reproduced_to_the_digit(self, capsys, tmp_path, method, n):
         mpath = tmp_path / "m.json"
-        write_matrix(mpath, random_xu(5, seed=9))
-        code, out, _ = run_cli(capsys, "decompose", str(mpath), "--method", "prime")
+        write_matrix(mpath, random_xu(n, seed=9))
+        code, out, _ = run_cli(capsys, "decompose", str(mpath), "--method", method)
         assert code == 0
         d = json.loads(out)
         dpath = tmp_path / "d.json"

@@ -175,7 +175,7 @@ TOL_GATES = [
 
 
 @pytest.mark.parametrize("name, call", TOL_GATES, ids=[g[0] for g in TOL_GATES])
-@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0, "1e-9", None])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0, "1e-9", None, True])
 def test_tolerance_gate_rejects(name, call, bad):
     # An infinite tol used to pass every membership check: a 4x4 arange
     # came back as a 24-term xu4 sum, was unitary, and had pitches (1, 1),

@@ -13,10 +13,12 @@ from xubirkhoff import (
     MembershipError,
     classify,
     dft_matrix,
+    haar_unitary,
     line_sums,
     matrix_from_json,
     matrix_to_json,
     random_xu,
+    random_zu,
     root_of_unity,
     van_der_waerden,
 )
@@ -204,6 +206,23 @@ class TestClassify:
         assert c.is_unitary and not c.is_xu
         with pytest.raises(MembershipError):
             require_xu(v, 1e-10)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            *(np.eye(n) for n in range(1, 5)),
+            random_zu(3, 1),
+            haar_unitary(3, 1),
+            np.eye(4)[[2, 0, 3, 1]],
+        ],
+        ids=["eye1", "eye2", "eye3", "eye4", "zu3", "haar3", "perm4"],
+    )
+    def test_flags_are_python_bools(self, m):
+        # An `and` chain ending in a NumPy comparison used to return
+        # numpy.bool for a ZU matrix.
+        c = classify(m)
+        flags = (c.is_unitary, c.is_xu, c.is_zu, c.is_circulant, c.is_anticirculant)
+        assert all(type(flag) is bool for flag in flags)
 
     def test_anticirculant_flag(self):
         a = np.array([[1, 2, 3], [2, 3, 1], [3, 1, 2]], dtype=complex)

@@ -81,10 +81,18 @@ def _few_term_inputs(n):
     return [np.eye(n), np.eye(n)[rng.permutation(n)], random_circulant_xu(n, n)]
 
 
+# XU(2) inputs whose off-diagonal parts are -0.0: the recursive engine
+# reads an XU(2) block's weights off its first row.
+NEGATIVE_ZERO_XU2 = [
+    np.array([[1, -0.0], [-0.0, 1]]),
+    np.array([[1, complex(0, -0.0)], [complex(0, -0.0), 1]]),
+]
+
+
 @pytest.mark.parametrize("n", range(3, DENSE_MAX_N + 1))
 def test_dense_weights_have_no_negative_zero_part(n):
     # The JSON form would print such a part as -0.0.
-    for x in _few_term_inputs(n):
+    for x in [*_few_term_inputs(n), *NEGATIVE_ZERO_XU2]:
         w = decompose_recursive(x).weights
         for part in (w.real, w.imag):
             assert not np.any(np.signbit(part) & (part == 0))
