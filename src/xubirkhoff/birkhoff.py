@@ -31,6 +31,12 @@ with weight sum 1:
 ``product`` (re-exported from ``permsum``) combines decompositions
 multiplicatively and ``verify`` recomputes every claimed invariant from
 scratch.
+
+The engines take their image rows from the builders in ``permutations``:
+``lex_images`` for the tables over all of S_n (n = 2, 3, 4 and the
+recursive engine's dense levels), ``supercirculant_images`` and
+``d_images`` for the prime construction, and ``shift_images`` for the
+cyclic shifts of the recursive levels.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .permsum import (
     check_pairs,
     product,
 )
+from .permutations import d_images, lex_images, shift_images, supercirculant_images
 from .scaling import ScalingOptions, _input_tol, zxz_scale
 from .xu_group import circulant_sum, fourier_core, fourier_embed, is_prime, require_xu
 
@@ -78,29 +85,12 @@ VERIFY_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
-def _lex_images(n: int) -> np.ndarray:
-    """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
-    the order in which ``itertools.permutations(range(n))`` lists them.
-
-    The rows that start with f are f followed by the rows of S_(n-1) with
-    every image >= f raised by one, which keeps them in order.
-    """
-    if n == 1:
-        return _frozen(np.zeros((1, 1), dtype=np.int8))
-    prev = _lex_images(n - 1)
-    blocks = [
-        np.hstack([np.full((len(prev), 1), f, dtype=np.int8), prev + (prev >= f)])
-        for f in range(n)
-    ]
-    return _frozen(np.vstack(blocks))
-
-
-@lru_cache(maxsize=None)
 def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The two (n, (n-1)!) int32 index tables of one recursion level.
 
-    With c_k the cyclic shift r -> r + k mod n and sigma_j the j-th
-    permutation of S_(n-1) in lexicographic order, ``left[k, j]`` is the
+    With c_k the cyclic shift r -> r + k mod n (row k of ``shift_images``)
+    and sigma_j the j-th permutation of S_(n-1) in lexicographic order
+    (row j of ``lex_images``), ``left[k, j]`` is the
     lexicographic index of "apply c_k, then 1 (+) sigma_j" and
     ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
     lists every permutation of S_n exactly once: the first form is fixed by
@@ -108,11 +98,12 @@ def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     lexicographic index of a row is its place in the table's sorted rows.
     Only the dense levels, n <= DENSE_MAX_N, build them.
     """
-    prev = _lex_images(n - 1)
-    lifted = np.hstack([np.zeros((len(prev), 1), dtype=np.int8), prev + 1])
-    shift = np.arange(n)
-    left = [lifted[:, (shift + k) % n] for k in range(n)]
-    coset = [(lifted + a) % n for a in range(n)]
+    lifted = _lifted(lex_images(n - 1))
+    # int8, as ``lifted`` is: ``_row_order`` sorts int64 rows several times
+    # slower.
+    shifts = shift_images(n).astype(np.int8)
+    left = [lifted[:, c] for c in shifts]
+    coset = [c[lifted] for c in shifts]
     return _lex_indices(left), _lex_indices(coset)
 
 
@@ -127,10 +118,10 @@ def _lex_indices(blocks) -> np.ndarray:
 
 def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:
     """``weights[j]`` on the j-th permutation of {1..n} in lexicographic
-    order (``_lex_images``)."""
+    order (``lex_images``)."""
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
     weights = np.array(weights, dtype=complex) + 0j
-    return WeightedPermSum._trusted(n, _lex_images(n), weights, engine)
+    return WeightedPermSum._trusted(n, lex_images(n), weights, engine)
 
 
 def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
@@ -177,18 +168,11 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
 
 def _supercirculants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The image rows of the supercirculants C[l,x] of XU(n) member ``a``,
-    n prime, in lexicographic order, and their weights
-    m[l,x] = (<C[l,x], X> - 1)/n (``decompose_prime_parts``)."""
-    # C[l,x] puts the unit of row k at column (l-1) + (k-1)x mod n, so its
-    # image row starts l-1, l-1+x. Listing l, then the second image v != l-1
-    # in increasing order (x = v-(l-1) mod n), lists the rows in
-    # lexicographic order.
+    n prime, in lexicographic order (``supercirculant_images``), and their
+    weights m[l,x] = (<C[l,x], X> - 1)/n (``decompose_prime_parts``)."""
     n = a.shape[0]
-    k = np.arange(n, dtype=np.int32)
-    xs = (k[None, :] - k[:, None]) % n
-    xs = xs[xs != 0].reshape(n, n - 1)
-    images = ((k[:, None, None] + xs[:, :, None] * k) % n).reshape(-1, n)
-    return images, (a.ravel()[images + n * k].sum(axis=1) - 1) / n
+    images = supercirculant_images(n)
+    return images, (a.ravel()[images + n * np.arange(n)].sum(axis=1) - 1) / n
 
 
 def decompose_prime_parts(
@@ -224,14 +208,11 @@ def decompose_prime_parts(
             f"for n={n}"
         )
     c_part = WeightedPermSum._trusted(n, *_supercirculants(a), "prime-c")
-    # D_1 is the identity with its last two rows swapped, and row k of
-    # D_j = Q^(j-1) D_1 (``d_family``) is row k+j-1 of D_1. D_j starts with
-    # d1[j-1], so taking j-1 in the order d1 sorts the rows.
-    k = np.arange(n)
-    d1 = np.arange(n)
-    d1[[-2, -1]] = d1[[-1, -2]]
+    # D_j starts with D_1(j-1) = d[0, j-1], so the row starting with v is
+    # row D_1^-1(v) = D_1(v): D_1 is an involution, and d[d[0]] is sorted.
+    d = d_images(n)
     d_part = WeightedPermSum._trusted(
-        n, d1[(d1[:, None] + k) % n], np.full(n, 1.0 / n, dtype=complex), "prime-d"
+        n, d[d[0]], np.full(n, 1.0 / n, dtype=complex), "prime-d"
     )
     return c_part, d_part
 
@@ -396,10 +377,12 @@ def decompose_recursive(
         weights = _dense(w1, w2, weights)
     m = n - cut
     keep = weights != 0 if m > 2 else slice(None)
-    out = WeightedPermSum._trusted(m, _lex_images(m)[keep], weights[keep])
+    out = WeightedPermSum._trusted(m, lex_images(m)[keep], weights[keep])
     _refuse_oversized(levels[:cut], len(out))
     for w1, w2 in reversed(levels[:cut]):
-        out = product(circulant_sum(w1).pruned(0), _lift(out)).pruned(PRUNE_EPS)
+        # 1 (+) p for each permutation p of the level below.
+        lifted = WeightedPermSum._trusted(len(w1), _lifted(out.images), out.weights)
+        out = product(circulant_sum(w1).pruned(0), lifted).pruned(PRUNE_EPS)
         out = product(out, circulant_sum(w2).pruned(0)).pruned(PRUNE_EPS)
     out.engine = "recursive"
     return out
@@ -467,12 +450,11 @@ def _pruned(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lift(s: WeightedPermSum) -> WeightedPermSum:
-    """Embed a sum on {1..n-1} as a sum on {1..n} fixing 1: each
-    permutation p becomes 1 (+) p."""
-    images = np.hstack([np.zeros((len(s), 1), dtype=int), s.images + 1])
-    # Prepending the smallest image keeps the rows distinct and in order.
-    return WeightedPermSum._trusted(s.n + 1, images, s.weights, s.engine)
+def _lifted(images: np.ndarray) -> np.ndarray:
+    """The image rows of 1 (+) sigma for the 0-based rows sigma: 0, then
+    each image raised by one. Prepending the smallest image keeps the rows
+    distinct and in order."""
+    return np.hstack([np.zeros((len(images), 1), dtype=images.dtype), images + 1])
 
 
 # Method name -> engine call ``(a, p, opts, tol)``. The engines are looked
@@ -609,11 +591,14 @@ class VerificationReport:
 def verify(s, target, tol: float = VERIFY_TOL) -> VerificationReport:
     """Recompute a decomposition's invariants against a target matrix.
 
-    Accepts a WeightedPermSum or a ComplexPermSum and a positive finite
-    ``tol``. Nothing is copied from the engine that produced ``s``; every
-    number comes from the terms.
+    ``s`` is a WeightedPermSum or a ComplexPermSum; anything else raises
+    TypeError naming its type. ``tol`` is positive and finite. Nothing is
+    copied from the engine that produced ``s``; every number comes from
+    the terms.
     """
     tol = check_tol(tol, "tol")
+    if not isinstance(s, (WeightedPermSum, ComplexPermSum)):
+        raise TypeError(f"cannot verify {type(s).__name__}")
     a = as_complex_matrix(target)
     recon = s.reconstruct()
     if recon.shape != a.shape:

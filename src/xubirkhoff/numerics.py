@@ -116,7 +116,7 @@ def max_abs_diff(a, b) -> float:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    check_tol(tol, "tol")
+    tol = check_tol(tol, "tol")
     return _unitarity_deviation(as_complex_matrix(m)) <= tol
 
 
@@ -144,8 +144,7 @@ def shift_relation_holds(a: np.ndarray, x: int, tol: float) -> bool:
     Row shift by one with column shift by x is equivalent to
     A[(k+1) % n] being A[k] rolled right by x.
     """
-    check_tol(tol, "tol")
-    n = a.shape[0]
+    tol = check_tol(tol, "tol")
     rolled = np.roll(a, shift=(1, x), axis=(0, 1))
     return max_abs_diff(rolled, a) <= tol
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionError, NotAPermutationError, UnsupportedDimensionError
 from .numerics import check_int, json_array, json_complex, json_pairs, json_size
-from .permutations import Permutation, perm_to_matrix
+from .permutations import Permutation, _perms, perm_to_matrix
 
 # How many sorted rows ``_group_rows`` compares with their predecessors at
 # a time.
@@ -159,12 +159,6 @@ def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
     for r in range(n):
         _add_groups(out[r], images[:, r], entries[:, r])
     return out
-
-
-def _perms(images: np.ndarray):
-    """Permutation objects of the image rows, in row order. Tuples come
-    straight from per-column lists, so no list per row is built."""
-    return map(Permutation, zip(*[(col + 1).tolist() for col in images.T]))
 
 
 def check_pairs(n: int, terms_a: int, terms_b: int, what: str = "product") -> None:

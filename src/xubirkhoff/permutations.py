@@ -9,6 +9,16 @@ Conventions:
   sigma(k), so that ``matrix(compose(p, q)) = matrix(p) @ matrix(q)``;
 * "lexicographic" order on permutations is lexicographic order of the
   one-line image tuples.
+
+Each family is built here once, as 0-based ``(k, n)`` image rows, the
+layout of ``permsum``: ``lex_images`` (all of S_n), ``shift_images`` (the
+cyclic shifts Q^k), ``d_images`` (D_1..D_n) and ``supercirculant_images``
+(the C[l,x] of a prime). The engines wrap these rows in sums, and
+``shift_matrix`` and ``d_family`` read them as ``Permutation`` objects.
+``lexicographic_permutations`` and ``supercirculant_perm`` build the same
+permutations independently, one at a time, and ``lexicographic_index``
+and ``compose`` rank and compose them; the tests check the rows against
+these references.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -112,6 +123,54 @@ def lexicographic_index(p: Permutation) -> int:
     return rank + 1
 
 
+@lru_cache(maxsize=None)
+def lex_images(n: int) -> np.ndarray:
+    """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
+    the order in which ``itertools.permutations(range(n))`` lists them,
+    cached per n."""
+    entries = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    rows = np.fromiter(entries, dtype=np.int8, count=math.factorial(n) * n)
+    rows.flags.writeable = False
+    return rows.reshape(-1, n)
+
+
+def shift_images(n: int) -> np.ndarray:
+    """The (n, n) image rows of the cyclic shifts Q^k, k = 0..n-1: row k
+    sends r to r + k mod n, so row 1 is Q. Row k starts with k, so the rows
+    are in lexicographic order."""
+    k = np.arange(n)
+    return (k[:, None] + k) % n
+
+
+def d_images(n: int) -> np.ndarray:
+    """The (n, n) image rows of D_1..D_n (``d_family``), in that order.
+
+    D_1 is the identity with its last two images swapped, and row k of
+    D_j = Q^(j-1) D_1 is row k+j-1 of D_1: D_j is D_1 taken at the images
+    of Q^(j-1)."""
+    d1 = np.r_[: n - 2, n - 1, n - 2]
+    return d1[shift_images(n)]
+
+
+def supercirculant_images(p: int) -> np.ndarray:
+    """The (p(p-1), p) image rows of the supercirculants C[l,x] of prime
+    ``p`` in lexicographic order (``supercirculant_perm``).
+
+    C[l,x] sends k to (l-1) + kx mod p, 0-based, so its row starts l-1,
+    l-1+x: the first two images fix (l, x), and sorting by them sorts the
+    rows.
+    """
+    k = np.arange(p)
+    rows = ((k[:, None, None] + k[1:, None] * k) % p).reshape(-1, p)
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+
+
+def _perms(images: np.ndarray):
+    """Permutation objects of 0-based image rows, in row order. Tuples come
+    straight from per-column lists, so no list per row is built."""
+    return map(Permutation, zip(*[(col + 1).tolist() for col in images.T]))
+
+
 @dataclass(frozen=True)
 class SupercirculantLabel:
     """Label (l, x) of the supercirculant permutation C[l,x]: the first row
@@ -143,7 +202,7 @@ def supercirculant_perm(n: int, label: SupercirculantLabel) -> Permutation:
 def shift_matrix(n: int) -> Permutation:
     """The cyclic shift Q with unit entries at (k, k+1 mod n)."""
     n = check_int(n, 2, "cyclic shift dimension n")
-    return Permutation(tuple(k % n + 1 for k in range(1, n + 1)))
+    return next(_perms(shift_images(n)[1:2]))
 
 
 def d_family(n: int) -> list[Permutation]:
@@ -153,13 +212,7 @@ def d_family(n: int) -> list[Permutation]:
     Their matrices have pairwise disjoint support and sum to n * W_n.
     """
     n = check_int(n, 3, "D family dimension n")
-    d1 = list(range(1, n + 1))
-    d1[n - 2], d1[n - 1] = d1[n - 1], d1[n - 2]
-    family = [Permutation(tuple(d1))]
-    q = shift_matrix(n)
-    for _ in range(n - 1):
-        family.append(compose(q, family[-1]))
-    return family
+    return list(_perms(d_images(n)))
 
 
 def van_der_waerden(n: int) -> np.ndarray:
@@ -179,7 +232,7 @@ def detect_supercirculant(m, tol: float = DEFAULT_TOL) -> Optional[tuple[int, in
     Constant matrices satisfy every relation and report (1, 1). For n = 1
     there are no valid pitches and the result is None.
     """
-    check_tol(tol, "tol")
+    tol = check_tol(tol, "tol")
     a = as_complex_matrix(m)
     n = a.shape[0]
     x = next(

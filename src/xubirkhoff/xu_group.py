@@ -32,6 +32,7 @@ from .numerics import (
     shift_relation_holds,
 )
 from .permsum import WeightedPermSum
+from .permutations import shift_images
 
 
 def require_xu(m, tol: float = DEFAULT_TOL, what: str = "input") -> np.ndarray:
@@ -109,13 +110,11 @@ def circulant_xu_decompose(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
 
 def circulant_sum(w: np.ndarray) -> WeightedPermSum:
     """The sum of w[l] C[l,1] over the n cyclic shifts, zero weights kept,
-    from the first row ``w`` of a circulant matrix, unchecked. Used by
+    from the first row ``w`` of a circulant matrix, unchecked. C[l,1] is
+    the shift Q^(l-1), row l-1 of ``shift_images``. Used by
     ``circulant_xu_decompose`` and the recursive engine's sparse levels."""
     n = len(w)
-    # Row l is the cyclic shift by l: its first image l puts the rows in
-    # lexicographic order.
-    k = np.arange(n)
-    return WeightedPermSum._trusted(n, (k[:, None] + k) % n, w.copy(), "circulant")
+    return WeightedPermSum._trusted(n, shift_images(n), w.copy(), "circulant")
 
 
 def constant_line_sum_check(

@@ -624,6 +624,10 @@ class TestVerify:
         with pytest.raises(DimensionError):
             verify(WeightedPermSum(2), np.eye(3))
 
+    def test_first_argument_must_be_a_sum(self):
+        with pytest.raises(TypeError, match="cannot verify ndarray"):
+            verify(np.eye(2), np.eye(2))
+
     def test_verdict_of_plain_sums(self):
         x = random_xu(5, seed=6)
         r = verify(decompose_prime(x), x, tol=1e-9)

@@ -187,7 +187,10 @@ def test_tolerance_gate_rejects(name, call, bad):
 @pytest.mark.parametrize("name, call", TOL_GATES, ids=[g[0] for g in TOL_GATES])
 def test_tolerance_gate_accepts_a_positive_tol(name, call):
     call(1e-9)
-    call(np.float64(1e-3))
+    result = call(np.float64(1e-3))
+    # A numpy tol must not turn a predicate's answer into a numpy.bool.
+    if name in ("is_unitary", "shift_relation_holds"):
+        assert type(result) is bool
 
 
 def test_fourier_core_needs_two_rows():

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xubirkhoff import (
     DimensionError,
@@ -26,6 +28,9 @@ from xubirkhoff import (
     van_der_waerden,
 )
 from xubirkhoff.numerics import dumps_json, max_abs_diff, shift_relation_holds
+from xubirkhoff.permutations import d_images, shift_images, supercirculant_images
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 class TestPermutation:
@@ -211,6 +216,71 @@ class TestShiftAndDFamily:
             shift_matrix(1)
         with pytest.raises(DimensionError):
             d_family(2)
+
+
+def _bijections_in_lexicographic_order(rows):
+    """Every row is a bijection on 0..n-1, and the rows are distinct and
+    in lexicographic order, as a WeightedPermSum stores them."""
+    n = rows.shape[1]
+    tuples = [tuple(r) for r in rows.tolist()]
+    assert np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(n), rows.shape))
+    assert tuples == sorted(set(tuples))
+
+
+class TestImageBuilders:
+    """The array builders against the per-object constructions."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_shifts_compose_as_z_n(self, n, a, b):
+        # Row a, then row b, is row a + b mod n.
+        rows = shift_images(n)
+        a, b = a % n, b % n
+        assert np.array_equal(rows[b][rows[a]], rows[(a + b) % n])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(2, 40))
+    def test_shift_rows_are_the_supercirculants_of_pitch_1(self, n):
+        rows = shift_images(n)
+        _bijections_in_lexicographic_order(rows)
+        for l in range(1, n + 1):
+            want = supercirculant_perm(n, SupercirculantLabel(l, 1)).image
+            assert tuple((rows[l - 1] + 1).tolist()) == want
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(3, 40))
+    def test_d_rows_are_shift_powers_of_d1_in_family_order(self, n):
+        rows = d_images(n)
+        q = supercirculant_perm(n, SupercirculantLabel(2, 1))
+        d = Permutation((*range(1, n - 1), n, n - 1))
+        for row in rows:
+            assert tuple((row + 1).tolist()) == d.image
+            d = compose(q, d)
+        # decompose_prime_parts sorts them as d[d[0]].
+        _bijections_in_lexicographic_order(rows[rows[0]])
+
+    @settings(max_examples=len(PRIMES), deadline=None, derandomize=True)
+    @given(st.sampled_from(PRIMES))
+    def test_supercirculant_rows_follow_the_labels(self, p):
+        rows = supercirculant_images(p)
+        _bijections_in_lexicographic_order(rows)
+        want = sorted(
+            supercirculant_perm(p, SupercirculantLabel(l, x)).image
+            for l in range(1, p + 1)
+            for x in range(1, p)
+        )
+        assert [tuple(r) for r in (rows + 1).tolist()] == want
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_supercirculants_are_sharply_two_transitive(self, p):
+        # Every ordered pair of distinct points (u, v) goes to every
+        # ordered pair of distinct points (u', v') under exactly one row.
+        rows = supercirculant_images(p)
+        u, v = np.nonzero(~np.eye(p, dtype=bool))
+        cells = ((u * p + v) * p + rows[:, u]) * p + rows[:, v]
+        counts = np.bincount(cells.ravel(), minlength=p**4).reshape(p * p, p * p)
+        distinct = ~np.eye(p, dtype=bool).ravel()
+        assert np.array_equal(counts, np.outer(distinct, distinct))
 
 
 class TestVanDerWaerden:

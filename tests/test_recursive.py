@@ -30,10 +30,10 @@ from xubirkhoff.birkhoff import (
     PRUNE_EPS,
     _dense,
     _level_tables,
-    _lex_images,
     _lexicographic,
     _xu2,
 )
+from xubirkhoff.permutations import lex_images
 from xubirkhoff.scaling import ScalingOptions, zxz_scale
 from xubirkhoff.xu_group import circulant_sum, fourier_core, fourier_embed
 
@@ -167,7 +167,7 @@ def test_full_support_n12_refused_before_any_product(decompose):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lex_images_are_itertools_order_and_read_only(n):
-    images = _lex_images(n)
+    images = lex_images(n)
     assert images.dtype == np.int8
     assert np.array_equal(images, list(itertools.permutations(range(n))))
     assert not images.flags.writeable
@@ -187,7 +187,7 @@ def test_level_tables_cover_s_n_once(n):
 def test_coset_table_shifts(n):
     # c_l applied after the permutation at coset[a, j] is the one at
     # coset[(a + l) % n, j], and coset[a] holds the images of 0 equal to a
-    images = _lex_images(n)
+    images = lex_images(n)
     _, coset = _level_tables(n)
     k = np.arange(n)
     assert np.array_equal(images[coset, 0], np.broadcast_to(k[:, None], coset.shape))
@@ -198,8 +198,8 @@ def test_coset_table_shifts(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_level_tables_compose_as_documented(n):
-    perms = [Permutation(tuple(r + 1)) for r in _lex_images(n).astype(int)]
-    inner = [Permutation((1, *(r + 2))) for r in _lex_images(n - 1).astype(int)]
+    perms = [Permutation(tuple(r + 1)) for r in lex_images(n).astype(int)]
+    inner = [Permutation((1, *(r + 2))) for r in lex_images(n - 1).astype(int)]
     shifts = [Permutation(tuple((np.arange(n) + k) % n + 1)) for k in range(n)]
     left, coset = _level_tables(n)
     for k, c in enumerate(shifts):
