@@ -98,10 +98,10 @@ def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     lexicographic index of a row is its place in the table's sorted rows.
     Only the dense levels, n <= DENSE_MAX_N, build them.
     """
-    lifted = _lifted(lex_images(n - 1))
-    # int8, as ``lifted`` is: ``_row_order`` sorts int64 rows several times
+    # Both row sets are int8: ``_row_order`` sorts int64 rows several times
     # slower.
-    shifts = shift_images(n).astype(np.int8)
+    lifted = _lifted(lex_images(n - 1))
+    shifts = shift_images(n)
     left = [lifted[:, c] for c in shifts]
     coset = [c[lifted] for c in shifts]
     return _lex_indices(left), _lex_indices(coset)
@@ -237,12 +237,23 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
         out = decompose_xu3(a, p=1.0, tol=tol)
     else:
         c_part, d_part = decompose_prime_parts(a, tol)
-        images = np.vstack([c_part.images, d_part.images])
-        weights = np.concatenate([c_part.weights, d_part.weights])
-        order = _row_order(images)
-        out = WeightedPermSum._trusted(n, images[order], weights[order])
+        images, order = _prime_rows(n)
+        weights = np.concatenate([c_part.weights, d_part.weights])[order]
+        out = WeightedPermSum._trusted(n, images, weights)
     out.engine = "prime"
     return out
+
+
+@lru_cache(maxsize=64)
+def _prime_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n^2 rows of ``decompose_prime`` at prime n >= 5, cached per n:
+    the read-only image rows of both parts of ``decompose_prime_parts``
+    (supercirculants, then the sorted D family) in lexicographic order, and
+    the order that takes the parts' stacked weights to those rows."""
+    d = d_images(n)
+    images = np.vstack([supercirculant_images(n), d[d[0]]])
+    order = _row_order(images)
+    return _frozen(images[order]), _frozen(order)
 
 
 def _xu4_weights(u: np.ndarray) -> list[complex]:

@@ -46,24 +46,21 @@ import numpy as np
 
 from .errors import DimensionError, NotAPermutationError, UnsupportedDimensionError
 from .numerics import check_int, json_array, json_complex, json_pairs, json_size
-from .permutations import Permutation, _perms, perm_to_matrix
+from .permutations import Permutation, _frozen, _image_dtype, _perms, perm_to_matrix
 
 # How many sorted rows ``_group_rows`` compares with their predecessors at
 # a time.
 _GROUP_BLOCK = 1 << 12
+# The most entries one ``_add_groups`` call of ``_reconstruct`` adds. An
+# all-cells index of an XU(8) sum would take 2.6 MB, and its entries as much
+# again. At 2**16, the temporaries of one block at n = 31 (961 terms) come
+# to about 1 MB, which glibc's malloc returns to the system after each call:
+# 200 page faults, twice the time of two blocks at this bound.
+_RECONSTRUCT_BLOCK = 1 << 14
 # The most term pairs one ``product`` takes. A pair peaks at 76-91 bytes
 # (n = 16 and 31), so this is 3.0-3.6 GB; the largest product of a
 # full-support recursive decomposition at n = 10 has 10! * 10 = 36.3 M.
 _PRODUCT_MAX_PAIRS = 40_000_000
-
-
-def _image_dtype(n: int):
-    return np.int8 if n <= 127 else np.int32
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _validated(n: int, images, weights, phases=None):
@@ -153,11 +150,22 @@ def _merge(images: np.ndarray, weights: np.ndarray):
 
 def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """sum over terms j of the matrix with ``entries[j, r]`` at
-    (r, images[j, r]), added in term order: one ``np.bincount`` per row
-    and part, each adding its entries in term order from 0."""
+    (r, images[j, r]), added in term order.
+
+    One ``_add_groups`` per block of matrix rows, over the intp cell index
+    r * n + images[j, r] of the block, with at most ``_RECONSTRUCT_BLOCK``
+    entries per block (and at least one row): all rows at once for a sum
+    of n^2 terms up to n = 23, two blocks at n = 29 and 31, one row at a
+    time for all of S_8. Each cell adds its entries in term order from
+    0."""
     out = np.zeros((n, n), dtype=complex)
-    for r in range(n):
-        _add_groups(out[r], images[:, r], entries[:, r])
+    rows = max(1, _RECONSTRUCT_BLOCK // max(1, len(images)))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        cells = images[:, lo:hi] + np.arange(0, (hi - lo) * n, n)
+        _add_groups(
+            out[lo:hi].reshape(-1), cells.reshape(-1), entries[:, lo:hi].reshape(-1)
+        )
     return out
 
 

@@ -13,7 +13,8 @@ Conventions:
 Each family is built here once, as 0-based ``(k, n)`` image rows, the
 layout of ``permsum``: ``lex_images`` (all of S_n), ``shift_images`` (the
 cyclic shifts Q^k), ``d_images`` (D_1..D_n) and ``supercirculant_images``
-(the C[l,x] of a prime). The engines wrap these rows in sums, and
+(the C[l,x] of a prime). Each builder caches its rows per n and returns
+them read-only. The engines wrap these rows in sums, and
 ``shift_matrix`` and ``d_family`` read them as ``Permutation`` objects.
 ``lexicographic_permutations`` and ``supercirculant_perm`` build the same
 permutations independently, one at a time, and ``lexicographic_index``
@@ -123,6 +124,16 @@ def lexicographic_index(p: Permutation) -> int:
     return rank + 1
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _image_dtype(n: int):
+    """The dtype of 0-based image rows of size n, here and in ``permsum``."""
+    return np.int8 if n <= 127 else np.int32
+
+
 @lru_cache(maxsize=None)
 def lex_images(n: int) -> np.ndarray:
     """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
@@ -130,31 +141,40 @@ def lex_images(n: int) -> np.ndarray:
     cached per n."""
     entries = itertools.chain.from_iterable(itertools.permutations(range(n)))
     rows = np.fromiter(entries, dtype=np.int8, count=math.factorial(n) * n)
-    rows.flags.writeable = False
-    return rows.reshape(-1, n)
+    return _frozen(rows.reshape(-1, n))
 
 
+# Every caller shares one table per n, hence read-only, and in the image
+# dtype of a sum, which wraps it without a copy; the bound is that of
+# ``numerics``' ``_dft_matrix``.
+
+
+@lru_cache(maxsize=64)
 def shift_images(n: int) -> np.ndarray:
-    """The (n, n) image rows of the cyclic shifts Q^k, k = 0..n-1: row k
-    sends r to r + k mod n, so row 1 is Q. Row k starts with k, so the rows
-    are in lexicographic order."""
+    """The (n, n) read-only image rows of the cyclic shifts Q^k,
+    k = 0..n-1, cached per n: row k sends r to r + k mod n, so row 1 is Q.
+    Row k starts with k, so the rows are in lexicographic order."""
     k = np.arange(n)
-    return (k[:, None] + k) % n
+    return _frozen(((k[:, None] + k) % n).astype(_image_dtype(n)))
 
 
+@lru_cache(maxsize=64)
 def d_images(n: int) -> np.ndarray:
-    """The (n, n) image rows of D_1..D_n (``d_family``), in that order.
+    """The (n, n) read-only image rows of D_1..D_n (``d_family``), in that
+    order, cached per n.
 
     D_1 is the identity with its last two images swapped, and row k of
     D_j = Q^(j-1) D_1 is row k+j-1 of D_1: D_j is D_1 taken at the images
     of Q^(j-1)."""
-    d1 = np.r_[: n - 2, n - 1, n - 2]
-    return d1[shift_images(n)]
+    d1 = np.r_[: n - 2, n - 1, n - 2].astype(_image_dtype(n))
+    return _frozen(d1[shift_images(n)])
 
 
+@lru_cache(maxsize=64)
 def supercirculant_images(p: int) -> np.ndarray:
-    """The (p(p-1), p) image rows of the supercirculants C[l,x] of prime
-    ``p`` in lexicographic order (``supercirculant_perm``).
+    """The (p(p-1), p) read-only image rows of the supercirculants C[l,x]
+    of prime ``p`` in lexicographic order (``supercirculant_perm``), cached
+    per p.
 
     C[l,x] sends k to (l-1) + kx mod p, 0-based, so its row starts l-1,
     l-1+x: the first two images fix (l, x), and sorting by them sorts the
@@ -162,7 +182,7 @@ def supercirculant_images(p: int) -> np.ndarray:
     """
     k = np.arange(p)
     rows = ((k[:, None, None] + k[1:, None] * k) % p).reshape(-1, p)
-    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    return _frozen(rows[np.lexsort((rows[:, 1], rows[:, 0]))].astype(_image_dtype(p)))
 
 
 def _perms(images: np.ndarray):

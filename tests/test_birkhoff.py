@@ -24,6 +24,7 @@ from xubirkhoff import (
     decompose_xu3,
     decompose_xu4,
     haar_unitary,
+    lexicographic_index,
     lexicographic_permutations,
     perm_sum_from_json,
     perm_sum_to_json,
@@ -35,8 +36,9 @@ from xubirkhoff import (
     supercirculant_perm,
     verify,
 )
-from xubirkhoff.birkhoff import METHODS
+from xubirkhoff.birkhoff import METHODS, _prime_rows
 from xubirkhoff.numerics import dft_matrix, max_abs_diff
+from xubirkhoff.permutations import d_images, shift_images, supercirculant_images
 from xubirkhoff.xu_group import extract_core
 
 
@@ -280,6 +282,36 @@ class TestPrime:
                 ) / n
                 p = supercirculant_perm(n, SupercirculantLabel(l, xx))
                 assert abs(c_part[p] - want) <= 1e-14
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_tables_are_cached_read_only_and_give_the_rows(self, n):
+        tables = (
+            shift_images,
+            d_images,
+            supercirculant_images,
+            lambda n: _prime_rows(n)[0],
+            lambda n: _prime_rows(n)[1],
+        )
+        for build in tables:
+            table = build(n)
+            assert build(n) is table
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+        want = [
+            supercirculant_perm(n, SupercirculantLabel(l, xx))
+            for l in range(1, n + 1)
+            for xx in range(1, n)
+        ] + d_family(n)
+        want.sort(key=lexicographic_index)
+        s = decompose_prime(random_xu(n, seed=n))
+        assert [tuple(r) for r in (s.images.astype(int) + 1).tolist()] == [
+            p.image for p in want
+        ]
+        # The sums wrap the cached tables themselves, not copies.
+        assert s.images is decompose_prime(random_xu(n, seed=n + 1)).images
+        assert decompose_prime_parts(random_xu(n, seed=n))[0].images is (
+            supercirculant_images(n)
+        )
 
     def test_membership_checked_once(self, require_xu_calls):
         decompose_prime(random_xu(7, seed=1))

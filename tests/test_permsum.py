@@ -18,11 +18,16 @@ from xubirkhoff import (
     UnsupportedDimensionError,
     WeightedPermSum,
     compose,
+    decompose_prime,
+    decompose_unitary,
+    haar_unitary,
     perm_sum_from_json,
     perm_sum_to_json,
     product,
+    random_xu,
 )
 from xubirkhoff.numerics import dumps_json, max_abs_diff
+from xubirkhoff.permutations import lex_images
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -435,7 +440,46 @@ def test_reconstruct_byte_identical_to_add_at(kind, n):
         phases = np.exp(2j * np.pi * rng.random(images.shape))
         s = ComplexPermSum.from_arrays(n, images, w, phases)
         entries = s.weights[:, None] * s.phases
-    want = np.zeros((n, n), dtype=complex)
-    rows = np.broadcast_to(np.arange(n), s.images.shape)
-    np.add.at(want, (rows, s.images), entries)
-    assert s.reconstruct().tobytes() == want.tobytes()
+    assert s.reconstruct().tobytes() == _add_at_reference(s, entries).tobytes()
+
+
+def _add_at_reference(s, entries):
+    """The term-order reference for ``reconstruct``: ``entries[j, r]``
+    added at (r, images[j, r]) of a zero matrix by ``np.add.at``, with
+    intp indices."""
+    want = np.zeros((s.n, s.n), dtype=complex)
+    rows = np.broadcast_to(np.arange(s.n), s.images.shape)
+    np.add.at(want, (rows, s.images.astype(np.intp)), entries)
+    return want
+
+
+@pytest.mark.parametrize("kind", ["plain", "complex"])
+@pytest.mark.parametrize(
+    "source, n",
+    [("prime", 13), ("prime", 31), ("lex", 8), ("unitary", 6), ("unitary", 13)],
+)
+def test_reconstruct_of_package_rows_matches_add_at(source, n, kind):
+    # The package stores these rows as int8, and at n >= 13 the cell index
+    # r * n + image passes 127, where an int8 index wraps. The 961 terms at
+    # n = 31 take two row blocks, and all of S_8 (40 320 terms) one block
+    # per matrix row.
+    rng = np.random.default_rng(n)
+    if source == "prime":
+        s = decompose_prime(random_xu(n, 1))
+    elif source == "unitary":
+        s = decompose_unitary(haar_unitary(n, 1))
+    else:
+        k = len(lex_images(n))
+        w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        s = WeightedPermSum.from_arrays(n, lex_images(n), w)
+    assert s.images.dtype == np.int8
+    if kind == "plain" and isinstance(s, ComplexPermSum):
+        s = WeightedPermSum.from_arrays(n, s.images, s.weights)
+    elif kind == "complex" and isinstance(s, WeightedPermSum):
+        phases = np.exp(2j * np.pi * rng.random(s.images.shape))
+        s = ComplexPermSum.from_arrays(n, s.images, s.weights, phases)
+    if kind == "plain":
+        entries = np.broadcast_to(s.weights[:, None], s.images.shape)
+    else:
+        entries = s.weights[:, None] * s.phases
+    assert s.reconstruct().tobytes() == _add_at_reference(s, entries).tobytes()
