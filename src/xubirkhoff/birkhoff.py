@@ -52,6 +52,7 @@ from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
     check_tol,
+    dft_matrix,
     json_pairs,
     line_sum_spread,
     line_sums,
@@ -332,9 +333,12 @@ def decompose_recursive(
     sums of y are 1 - so a single recursion on ytilde suffices.
 
     The engine makes two passes over the levels. The first scales them
-    top down (``_levels``): level n yields w1, w2 and ytilde, ytilde is
-    level n-1, and so on down to an XU(1) or XU(2) block. The second
-    folds them bottom up, starting from that block's first row.
+    top down (``_levels``): level n scales its core and reads w1 and w2
+    off Z1 and Z2 in one product. It hands level n-1 the core of ytilde,
+    G^H y G for a cached isometry G, without forming the middle factor.
+    So it goes down to an XU(1) or XU(2) block, which only the last level
+    embeds. The second pass folds the levels bottom up, starting from that
+    block's first row.
 
     The three sums of a level multiply in two coset forms of S_n, with no
     merging and no sort. Every permutation is exactly once "apply c_k, then
@@ -402,19 +406,69 @@ def decompose_recursive(
 def _levels(a: np.ndarray, opts: ScalingOptions):
     """The scaled levels of XU(n) member ``a``, top down, and the weights
     of the block left at the bottom. Each level of size n, n - 1, ..., 3
-    gives (w1, w2), the pruned first rows of its two circulant factors,
-    and hands the XU block ytilde of its middle factor to the next. The
-    XU(1) or XU(2) block left is circulant, so its weights are its first
-    row, zeros kept, in lexicographic order."""
+    scales its core y, of size n - 1, and gives (w1, w2), the pruned first
+    rows of its two circulant factors (``_first_rows``). It hands the next
+    level its core, G^H y G (``_next_core``), without forming the middle
+    factor's block ytilde. Only the last level, of size 3, embeds
+    its 2x2 core, whose ytilde is the XU(2) block left: that block is
+    circulant, so its weights are its first row, zeros kept, in
+    lexicographic order."""
     levels = []
-    while a.shape[0] > 2:
-        fac = zxz_scale(fourier_core(a), opts)
-        w1 = _pruned(fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))[0])
-        w2 = _pruned(fourier_embed(np.diag(fac.z2))[0])
+    n = a.shape[0]
+    if n > 2:
+        core = fourier_core(a)
+    for m in range(n, 2, -1):
+        fac = zxz_scale(core, opts)
+        d = np.ones((2, m), dtype=complex)
+        d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
+        d[1, 1:] = fac.z2
+        w1, w2 = _pruned(_first_rows(d))
         levels.append((w1, w2))
-        a = fourier_embed(fac.core)[1:, 1:]
+        if m > 3:
+            core = _next_core(fac.core)
+        else:
+            a = fourier_embed(fac.core)[1:, 1:]
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
     return levels, a[0] + 0j
+
+
+@lru_cache(maxsize=64)
+def _level_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only matrices that carry a recursion level of size n:
+    conj(F_n) / sqrt(n), which gives ``_first_rows``, and G^H and G for
+    the isometry G = F_n[1:, 1:]^H F_(n-1)[:, 1:] of ``_next_core``.
+
+    G^H G = I: the rows 1.. of F_n are orthonormal, so
+    F_n[1:, 1:] F_n[1:, 1:]^H = I - J / n with J all ones, and the columns
+    1.. of F_(n-1) are orthogonal to the constant vector.
+    """
+    f = dft_matrix(n)
+    rows = f.conj() / math.sqrt(n)
+    g = f[1:, 1:].conj().T @ dft_matrix(n - 1)[:, 1:]
+    gh = g.conj().T.copy()
+    for m in (rows, g, gh):
+        m.flags.writeable = False
+    return rows, gh, g
+
+
+def _first_rows(d: np.ndarray) -> np.ndarray:
+    """The first rows of the circulants F (1 (+) diag(d_i[1:])) F^-1, one
+    per row d_i of ``d``, whose first entries are 1: the first row of F is
+    constant, 1 / sqrt(n), so each is conj(F) d_i / sqrt(n), in one
+    product (F is symmetric)."""
+    return d @ _level_maps(d.shape[-1])[0]
+
+
+def _next_core(y: np.ndarray) -> np.ndarray:
+    """The core of the XU block ytilde of the middle factor
+    F (1 (+) y) F^-1 = 1 (+) ytilde of a level of size n, from the scaled
+    core y of size n - 1: G^H y G (``_level_maps``). It is
+    ``fourier_core(fourier_embed(y)[1:, 1:])`` in exact arithmetic, one
+    product each way instead of two: F (1 (+) y) F^-1 is J / n plus
+    F[:, 1:] y F[:, 1:]^H, and the block J / n of ytilde vanishes in the
+    core because the columns 1.. of F_(n-1) sum to zero."""
+    gh, g = _level_maps(len(y) + 1)[1:]
+    return gh @ y @ g
 
 
 def _dense(w1: np.ndarray, w2: np.ndarray, inner: np.ndarray) -> np.ndarray:

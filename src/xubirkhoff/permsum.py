@@ -87,13 +87,16 @@ def _validated(n: int, images, weights, phases=None):
     return a.astype(_image_dtype(n)), w, ph
 
 
-def _add_groups(out: np.ndarray, groups: np.ndarray, weights: np.ndarray) -> None:
-    """Add the complex ``weights`` to ``out`` per group, in place: one
-    ``np.bincount`` of the real parts, then one of the imaginary parts,
-    each summing its group in input order from 0. A bincount sum is never
-    -0.0, so adding it to zeros stores it bit for bit."""
-    out.real += np.bincount(groups, weights.real, len(out))
-    out.imag += np.bincount(groups, weights.imag, len(out))
+def _add_groups(
+    out: np.ndarray, groups: np.ndarray, real: np.ndarray, imag: np.ndarray
+) -> None:
+    """Add the complex numbers ``real`` + i ``imag`` to ``out`` per group,
+    in place: one ``np.bincount`` of the real parts, then one of the
+    imaginary parts, each summing its group in input order from 0. A
+    bincount sum is never -0.0, so adding it to zeros stores it bit for
+    bit."""
+    out.real += np.bincount(groups, real, len(out))
+    out.imag += np.bincount(groups, imag, len(out))
 
 
 def _sum_pair_groups(
@@ -111,7 +114,7 @@ def _sum_pair_groups(
     rows = max(1, k // max(1, len(wb)))
     for start in range(0, len(wa), rows):
         w = np.multiply.outer(wa[start : start + rows], wb).reshape(-1)
-        _add_groups(out, inverse[start : start + rows].reshape(-1), w)
+        _add_groups(out, inverse[start : start + rows].reshape(-1), w.real, w.imag)
     return out
 
 
@@ -144,29 +147,44 @@ def _merge(images: np.ndarray, weights: np.ndarray):
     """Sorted distinct rows and their weights, each summed in input order."""
     rows, inverse = _group_rows(images)
     out = np.zeros(len(rows), dtype=complex)
-    _add_groups(out, inverse, weights)
+    _add_groups(out, inverse, weights.real, weights.imag)
     return rows, out
 
 
-def _reconstruct(n: int, images: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """sum over terms j of the matrix with ``entries[j, r]`` at
-    (r, images[j, r]), added in term order.
+def _reconstruct(
+    n: int, images: np.ndarray, real: np.ndarray, imag: np.ndarray
+) -> np.ndarray:
+    """sum over terms j of the matrix with ``real[j, r]`` + i ``imag[j, r]``
+    at (r, images[j, r]), added in term order. The float parts have shape
+    (k, n), or (k,) for a plain sum, whose term j has its weight in every
+    row.
 
     One ``_add_groups`` per block of matrix rows, over the intp cell index
     r * n + images[j, r] of the block, with at most ``_RECONSTRUCT_BLOCK``
     entries per block (and at least one row): all rows at once for a sum
     of n^2 terms up to n = 23, two blocks at n = 29 and 31, one row at a
     time for all of S_8. Each cell adds its entries in term order from
-    0."""
+    0. A block of one row takes a plain sum's parts as they are, with no
+    copy."""
     out = np.zeros((n, n), dtype=complex)
     rows = max(1, _RECONSTRUCT_BLOCK // max(1, len(images)))
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
         cells = images[:, lo:hi] + np.arange(0, (hi - lo) * n, n)
         _add_groups(
-            out[lo:hi].reshape(-1), cells.reshape(-1), entries[:, lo:hi].reshape(-1)
+            out[lo:hi].reshape(-1),
+            cells.reshape(-1),
+            *(_block_entries(part, lo, hi) for part in (real, imag)),
         )
     return out
+
+
+def _block_entries(part: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The entries of ``_reconstruct``'s float ``part`` in rows lo..hi-1,
+    term by term, as one vector."""
+    if part.ndim == 2:
+        return part[:, lo:hi].reshape(-1)
+    return part if hi - lo == 1 else np.repeat(part, hi - lo)
 
 
 def check_pairs(n: int, terms_a: int, terms_b: int, what: str = "product") -> None:
@@ -359,8 +377,9 @@ class WeightedPermSum(_PermArrays):
 
     def reconstruct(self) -> np.ndarray:
         """The matrix sum(w * matrix(p)) over all terms."""
-        entries = np.broadcast_to(self._weights[:, None], self._images.shape)
-        return _reconstruct(self.n, self._images, entries)
+        w = self._weights
+        real, imag = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+        return _reconstruct(self.n, self._images, real, imag)
 
     def pruned(self, eps: float) -> "WeightedPermSum":
         """Copy without the terms of weight modulus <= eps."""
@@ -445,7 +464,7 @@ class ComplexPermSum(_PermArrays):
 
     def reconstruct(self) -> np.ndarray:
         entries = self._weights[:, None] * self._phases
-        return _reconstruct(self.n, self._images, entries)
+        return _reconstruct(self.n, self._images, entries.real, entries.imag)
 
     def pruned(self, eps: float) -> "ComplexPermSum":
         return self._kept(np.abs(self._weights) > eps)

@@ -14,13 +14,15 @@ one with Im X[0, 0] >= 0. It is taken whenever its spread is at most
 unitary only loosely misses that and is scaled by the loop below, as
 every larger n is.
 
-Each attempt is one loop. Every pass measures the row and column sums
-once, into one workspace the call reuses, and their residual from 1,
-which gives both the spread (the largest distance of a line sum from 1)
-and the right-hand side of a Gauss-Newton step. It applies the exit rules
+Each attempt is one loop. Each call allocates one workspace of views
+(``_Workspace``), which its attempts share. Every pass measures the row
+and column sums once into it, and their residual from 1, which gives
+both the spread (the largest distance of a line sum from 1) and the
+right-hand side of a Gauss-Newton step. It applies the exit rules
 below, then takes one step of one of two kinds. Both kinds give row and
 column phases, and one update applies them in place to V and to the
-accumulated factors.
+accumulated factors. V, the factors and the result are arrays of the
+attempt, never views of the workspace.
 
 * Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014),
   for at most MAX_SWEEPS = 10 passes while the spread is above
@@ -45,8 +47,9 @@ accumulated factors.
   least-squares solve of the full system (``np.linalg.lstsq``), and so do
   the attempt's remaining steps, without forming the normal equations
   again: every iterate of an attempt has the entry moduli of its first,
-  so the (near) split persists. The system [B | iF] is rewritten in place
-  for each step.
+  so the (near) split persists. Each step rewrites the system [B | iF],
+  the product that forms the normal equations and the step's phases in
+  place, in the workspace.
 
 The sweeps are capped because unstable fixed points with positive-real
 but unequal line sums exist (for example the rotation by pi/4 (+) 1,
@@ -203,39 +206,66 @@ def _normal_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gauge, probe
 
 
-def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The buffers one ``zxz_scale`` call reuses at size n: the 2n line
-    sums (rows, then columns); [B | iF] of ``_newton_step``, zero outside
-    the entries each step writes; and the step's two right-hand sides, the
-    second of them the probe."""
-    lines = np.empty(2 * n, dtype=complex)
-    b = np.zeros((2 * n, 2 * n + 1), dtype=complex)
-    rhs = np.empty((2 * n, 2))
-    rhs[:, 1] = _normal_constants(n)[1]
-    return lines, b, rhs
+class _Workspace:
+    """The buffers one ``zxz_scale`` call reuses at size n, and views of
+    them, so that a Gauss-Newton step writes its system, the product that
+    forms its normal equations and its phases in place.
+
+    ``lines`` holds the 2n line sums (``rows``, then ``cols``), ``res``
+    their residual from 1 and ``dist`` its moduli. ``b`` is [B | iF] of
+    ``_newton_step``, zero outside the entries each step writes through
+    its views: ``v`` and ``vt`` (the blocks V and V^T), ``diag`` (its
+    diagonal) and ``f`` (the last column); ``bmat`` is B alone. ``conj``
+    holds conj(B) and ``prod`` the product B^H [B | iF]; ``a`` is the
+    matrix of the normal equations and ``rhs`` their two right-hand sides,
+    the second of them the probe. ``phases`` holds the row phases, then
+    the column phases, of one step.
+    """
+
+    __slots__ = (
+        "lines", "rows", "cols", "res", "dist", "b", "v", "vt", "diag", "f",
+        "bmat", "conj", "prod", "a", "rhs", "phases",
+    )
+
+    def __init__(self, n: int):
+        m = 2 * n
+        self.lines = np.empty(m, dtype=complex)
+        self.rows, self.cols = self.lines[:n], self.lines[n:]
+        self.res = np.empty(m, dtype=complex)
+        self.dist = np.empty(m)
+        self.b = np.zeros((m, m + 1), dtype=complex)
+        self.v, self.vt = self.b[:n, n:-1], self.b[n:, :n]
+        self.diag = self.b.reshape(-1)[:: m + 2]
+        self.f, self.bmat = self.b[:, -1], self.b[:, :-1]
+        self.conj = np.empty((m, m), dtype=complex)
+        self.prod = np.empty((m, m + 1), dtype=complex)
+        self.a = np.empty((m, m))
+        self.rhs = np.empty((m, 2))
+        self.rhs[:, 1] = _normal_constants(n)[1]
+        self.phases = np.empty(m, dtype=complex)
 
 
-def _newton_step(v, lines, res, b, rhs, normal):
+def _newton_step(v, ws, normal):
     """Gauss-Newton phase corrections d = (dtheta, dphi) for the residual
     F = [V 1 - 1; 1^T V - 1] of V -> diag(e^(i dtheta)) V diag(e^(i dphi)),
     given the 2n line sums (rows, then columns) and their residual
-    res = lines - 1, in the caller's workspace. Returns d and whether the
+    res = lines - 1 in the workspace ``ws``. Returns d and whether the
     normal equations may serve the attempt's next step.
 
     The Jacobian with respect to the angles is i B with
     B = [[diag(rows), V], [V^T, diag(cols)]], so the step is the real d
     that minimizes |B d - i F|, of least norm. B g = 0 for the gauge
     g = (1, ..., 1, -1, ..., -1), the direction (theta + c, phi - c) that
-    leaves V unchanged. [B | iF] is written into b, of shape (2n, 2n + 1),
-    whose other entries stay zero: V, V^T, the diagonal and the last
-    column.
+    leaves V unchanged. [B | iF] is written into ``ws.b``, of shape
+    (2n, 2n + 1), whose other entries stay zero: V, V^T, the diagonal and
+    the last column.
 
     While ``normal`` is true, the step solves the 2n x 2n normal equations
     (Re(B^H B) + g g^T / 2n) d = Re(B^H i F). Where g spans the null space
     of B, which holds when the support of V is connected, the gauge term
     makes the matrix A regular and leaves d the least-norm step. One
     ``np.linalg.solve`` also solves A y = p for the fixed generic probe p,
-    held in the second column of rhs; the step is kept when
+    held in the second column of ``ws.rhs``; the step is kept when
     max|y| * max|A| < NORMAL_COND * 2n.
 
     A (nearly) reducible V, whose support (nearly) splits into blocks, has
@@ -248,17 +278,18 @@ def _newton_step(v, lines, res, b, rhs, normal):
     caller passes ``normal`` false and the steps go straight to ``lstsq``.
     """
     n = len(v)
-    b[:n, n:-1] = v
-    b[n:, :n] = v.T
-    b.flat[:: 2 * n + 2] = lines
-    b[:, -1] = 1j * res
+    ws.v[...] = v
+    ws.vt[...] = v.T
+    ws.diag[...] = ws.lines
+    np.multiply(1j, ws.res, out=ws.f)
     if normal:
         # [Re(B^H B) | Re(B^H iF)] in one product.
-        prod = (b[:, :-1].conj().T @ b).real
-        a = prod[:, :-1] + _normal_constants(n)[0]
-        rhs[:, 0] = prod[:, -1]
+        np.conjugate(ws.bmat, out=ws.conj)
+        prod = np.matmul(ws.conj.T, ws.b, out=ws.prod).real
+        a = np.add(prod[:, :-1], _normal_constants(n)[0], out=ws.a)
+        ws.rhs[:, 0] = prod[:, -1]
         try:
-            x = np.linalg.solve(a, rhs)
+            x = np.linalg.solve(a, ws.rhs)
         except np.linalg.LinAlgError:
             normal = False
         else:
@@ -267,7 +298,7 @@ def _newton_step(v, lines, res, b, rhs, normal):
             normal = np.abs(x[:, 1]).max() * a.diagonal().max() < NORMAL_COND * 2 * n
         if normal:
             return x[:, 0], True
-    return _lstsq_step(b), False
+    return _lstsq_step(ws.b), False
 
 
 def _lstsq_step(b: np.ndarray) -> np.ndarray:
@@ -312,8 +343,8 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
         spread = line_sum_spread(v.sum(axis=1), v.sum(axis=0))
         if spread <= opts.tol:
             return _assemble(left, right, v, spread, 0, [])
-    lines, b, rhs = _workspace(n)
-    rows, cols = lines[:n], lines[n:]
+    ws = _Workspace(n)
+    rows, cols, res, phases = ws.rows, ws.cols, ws.res, ws.phases
     rng = None
     attempts = []
 
@@ -333,8 +364,8 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
         while True:
             v.sum(axis=1, out=rows)
             v.sum(axis=0, out=cols)
-            res = lines - 1.0
-            spread = float(np.abs(res).max())
+            np.subtract(ws.lines, 1.0, out=res)
+            spread = float(np.abs(res, out=ws.dist).max())
             if newton and not spread <= best / 2:
                 misses += 1
             best = min(best, spread)
@@ -345,13 +376,14 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
             it += 1
             if newton:
-                d, normal = _newton_step(v, lines, res, b, rhs, normal)
-                row_ph, col_ph = np.exp(1j * d[:n]), np.exp(1j * d[n:])
+                d, normal = _newton_step(v, ws, normal)
+                np.exp(np.multiply(1j, d, out=phases), out=phases)
+                row_ph, col_ph = phases[:n], phases[n:]
                 v *= row_ph[:, None]
             else:
                 row_ph = _conj_phases(rows)
                 v *= row_ph[:, None]
-                col_ph = _conj_phases(v.sum(axis=0))
+                col_ph = _conj_phases(v.sum(axis=0, out=cols))
             v *= col_ph[None, :]
             left *= row_ph
             right *= col_ph

@@ -29,9 +29,11 @@ from xubirkhoff.birkhoff import (
     DENSE_MAX_N,
     PRUNE_EPS,
     _dense,
+    _first_rows,
+    _level_maps,
     _level_tables,
     _lexicographic,
-    _xu2,
+    _next_core,
 )
 from xubirkhoff.permutations import lex_images
 from xubirkhoff.scaling import ScalingOptions, zxz_scale
@@ -46,19 +48,52 @@ def _lift(s):
 
 def _reference(a, opts):
     """One recursion level per call, multiplied out with ``product`` and
-    pruned after each product."""
+    pruned after each product. The levels pass their cores, first rows and
+    XU(2) block as the engine's helpers build them, so that the reference
+    differs from the engine only in how it folds the levels."""
     n = a.shape[0]
-    if n == 1:
-        return _lexicographic(1, [1.0])
-    if n == 2:
-        return _xu2(a)
-    fac = zxz_scale(fourier_core(a), opts)
-    x1 = fourier_embed(np.diag(np.exp(1j * fac.alpha) * fac.z1))
-    x2 = fourier_embed(np.diag(fac.z2))
-    s1 = circulant_sum(x1[0]).pruned(PRUNE_EPS)
-    s2 = circulant_sum(x2[0]).pruned(PRUNE_EPS)
-    sy = _lift(_reference(fourier_embed(fac.core)[1:, 1:], opts))
+    if n <= 2:
+        return _lexicographic(n, a[0])
+    return _reference_level(fourier_core(a), opts)
+
+
+def _reference_level(core, opts):
+    """The level of size len(core) + 1 whose core is ``core``, and every
+    level below it."""
+    n = len(core) + 1
+    fac = zxz_scale(core, opts)
+    d = np.ones((2, n), dtype=complex)
+    d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
+    d[1, 1:] = fac.z2
+    w1, w2 = _first_rows(d)
+    s1 = circulant_sum(w1).pruned(PRUNE_EPS)
+    s2 = circulant_sum(w2).pruned(PRUNE_EPS)
+    if n == 3:
+        inner = _lexicographic(2, fourier_embed(fac.core)[1:, 1:][0])
+    else:
+        inner = _reference_level(_next_core(fac.core), opts)
+    sy = _lift(inner)
     return product(product(s1, sy).pruned(PRUNE_EPS), s2).pruned(PRUNE_EPS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1))
+def test_level_step_matches_fourier_embedding(n, seed):
+    # One level of size n passes its scaled core y to the next as G^H y G,
+    # and reads each circulant first row off its diagonal in one product.
+    y = haar_unitary(n - 1, seed)
+    rows, gh, g = _level_maps(n)
+    assert _level_maps(n)[2] is g
+    assert not any(m.flags.writeable for m in (rows, gh, g))
+    assert np.array_equal(gh, g.conj().T)
+    assert np.abs(gh @ g - np.eye(n - 2)).max() <= 1e-15
+    want = fourier_core(fourier_embed(y)[1:, 1:])
+    assert np.abs(_next_core(y) - want).max() <= 1e-15
+    rng = np.random.default_rng(seed)
+    d = np.ones((2, n), dtype=complex)
+    d[:, 1:] = np.exp(2j * np.pi * rng.random((2, n - 1)))
+    for got, di in zip(_first_rows(d), d):
+        assert np.abs(got - fourier_embed(np.diag(di[1:]))[0]).max() <= 1e-15
 
 
 # (9, 1) is the one full-support input at the largest dense level.

@@ -517,14 +517,14 @@ def _sweeps(v, count):
 
 def _check_step(v):
     rows, cols = v.sum(axis=1), v.sum(axis=0)
-    lines, b, rhs = scaling._workspace(len(v))
-    lines[:] = np.concatenate([rows, cols])
-    res = lines - 1.0
+    ws = scaling._Workspace(len(v))
+    ws.lines[:] = np.concatenate([rows, cols])
+    ws.res[:] = ws.lines - 1.0
     # Once an attempt's normal equations have failed, its steps are the
     # lstsq steps of the oracle.
-    lstsq, normal = scaling._newton_step(v, lines, res, b, rhs, False)
+    lstsq, normal = scaling._newton_step(v, ws, False)
     assert not normal
-    step, normal = scaling._newton_step(v, lines, res, b, rhs, True)
+    step, normal = scaling._newton_step(v, ws, True)
     ref, kappa = _reference_step(v, rows, cols)
     assert np.array_equal(lstsq, ref)
     if kappa > LSTSQ_ONLY_COND:
@@ -673,3 +673,28 @@ def test_reducible_matches_oracle_bit_for_bit(blocks):
     # lstsq after the first failure changes no bit. The rotation by
     # pi/4 (+) 1 abandons its first attempt.
     _assert_matches_oracle(_rotation_plus_one() if blocks is None else _block_unitary(blocks, 1))
+
+
+@pytest.mark.parametrize("n,seeds", [(7, (0, 11)), (3, (266, 253))], ids=["n7", "n3"])
+def test_results_share_no_workspace(n, seeds):
+    # Each call reuses one workspace of its own; a later call at the same n
+    # must leave an earlier result as it was. The second seed restarts.
+    made = []
+    workspace = scaling._Workspace
+
+    def spy(size):
+        made.append(workspace(size))
+        return made[-1]
+
+    with mock.patch.object(scaling, "_Workspace", spy):
+        first = zxz_scale(haar_unitary(n, seeds[0]))
+        kept = [first.core.copy(), first.z1.copy(), first.z2.copy()]
+        second = zxz_scale(haar_unitary(n, seeds[1]))
+    assert len(made) == 2 and second.restarts > 0
+    for got, want in zip([first.core, first.z1, first.z2], kept):
+        assert np.array_equal(got, want)
+    for fac in (first, second):
+        for got in (fac.core, fac.z1, fac.z2):
+            for ws in made:
+                for name in workspace.__slots__:
+                    assert not np.shares_memory(got, getattr(ws, name))

@@ -28,7 +28,10 @@ name, dtype, shape and array bytes, in case order.
 ``--dump DIR`` writes each set's arrays to ``DIR/<set>.npz``. ``--against
 DIR`` reads such a dump, made at another commit, and prints for each case
 that differs what changed: max |delta| of a numeric array, the changed
-images, shapes (term counts) or bytes. It exits 1 if any case differs.
+images, shapes (term counts) or bytes. It ends with the number of cases
+that differ and one line per set: how many of its cases differ, and the
+largest |delta| of a weight array (the CLI set keeps its weights inside
+file bytes, and ``zxz_scale`` has none). It exits 1 if any case differs.
 The digests depend on the BLAS build, so compare two runs on one host.
 """
 
@@ -201,15 +204,17 @@ def _differences(key: str, a: np.ndarray, b: np.ndarray) -> str | None:
     return f"{key}: {np.count_nonzero(a != b)} of {a.size} entries changed"
 
 
-def _compare(name: str, records: dict, dump: Path) -> int:
+def _compare(name: str, records: dict, dump: Path) -> tuple[int, float | None]:
     """Print every case of set ``name`` that differs from the dump; return
-    how many do."""
+    how many do, and the largest |delta| of a weight array of one shape in
+    both (None where the set records no weights)."""
     with np.load(dump / f"{name}.npz") as z:
         old: dict = {}
         for k in z.files:
             case, key = k.rsplit("::", 1)
             old.setdefault(case, {})[key] = z[k]
     changed = 0
+    weight_delta = None
     for case in [*records, *sorted(old.keys() - records.keys())]:
         if case not in records or case not in old:
             print(f"  {name} {case}: only in {'the dump' if case in old else 'this run'}")
@@ -221,12 +226,16 @@ def _compare(name: str, records: dict, dump: Path) -> int:
             for key in sorted(new_rec.keys() ^ old_rec.keys())
         ]
         for key in sorted(new_rec.keys() & old_rec.keys()):
-            note = _differences(key, np.asarray(new_rec[key]), old_rec[key])
+            a, b = np.asarray(new_rec[key]), old_rec[key]
+            note = _differences(key, a, b)
             notes += [note] if note else []
+            if key.endswith("weights") and a.shape == b.shape:
+                delta = float(np.abs(a - b).max(initial=0.0))
+                weight_delta = max(delta, weight_delta or 0.0)
         if notes:
             print(f"  {name} {case}: " + "; ".join(notes))
             changed += 1
-    return changed
+    return changed, weight_delta
 
 
 def main(argv=None) -> int:
@@ -236,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
-    changed = 0
+    summary = []
     for name, cases in SETS.items():
         records = {case: _run(call) for case, call in cases()}
         print(f"{name}: {len(records)} cases sha256 {_digest(records)}", flush=True)
@@ -246,9 +255,13 @@ def main(argv=None) -> int:
                 **{f"{c}::{k}": v for c, rec in records.items() for k, v in rec.items()},
             )
         if args.against:
-            changed += _compare(name, records, args.against)
+            summary.append((name, len(records), *_compare(name, records, args.against)))
+    changed = sum(row[2] for row in summary)
     if args.against:
         print(f"cases that differ from {args.against}: {changed}")
+        for name, total, differ, delta in summary:
+            weights = "no weights" if delta is None else f"max |delta weight| {delta:.3g}"
+            print(f"  {name}: {differ} of {total} cases differ, {weights}")
     return 1 if changed else 0
 
 
