@@ -32,11 +32,12 @@ with weight sum 1:
 multiplicatively and ``verify`` recomputes every claimed invariant from
 scratch.
 
-The engines take their image rows from the builders in ``permutations``:
-``lex_images`` for the tables over all of S_n (n = 2, 3, 4 and the
-recursive engine's dense levels), ``supercirculant_images`` and
-``d_images`` for the prime construction, and ``shift_images`` for the
-cyclic shifts of the recursive levels.
+The engines keep the arithmetic. Every image-row table they read is
+built, ordered and cached in ``permutations``: ``lex_images`` for the
+tables over all of S_n (n = 2, 3, 4 and the recursive engine's dense
+levels), ``supercirculant_images`` and ``_prime_rows`` for the prime
+construction, and ``_level_tables`` for the index tables of the dense
+levels.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 from .errors import DimensionError, UnsupportedDimensionError
 from .numerics import (
     DEFAULT_TOL,
+    _frozen,
     as_complex_matrix,
     check_tol,
     dft_matrix,
@@ -58,15 +60,14 @@ from .numerics import (
     line_sums,
     max_abs_diff,
 )
-from .permsum import (
-    ComplexPermSum,
-    WeightedPermSum,
-    _frozen,
-    _row_order,
-    check_pairs,
-    product,
+from .permsum import ComplexPermSum, WeightedPermSum, check_pairs, product
+from .permutations import (
+    _level_tables,
+    _lifted,
+    _prime_rows,
+    lex_images,
+    supercirculant_images,
 )
-from .permutations import d_images, lex_images, shift_images, supercirculant_images
 from .scaling import ScalingOptions, _input_tol, zxz_scale
 from .xu_group import circulant_sum, fourier_core, fourier_embed, is_prime, require_xu
 
@@ -83,38 +84,6 @@ DENSE_MAX_N = 9
 
 # ``verify``'s default tolerance: the engines that scale carry their residual.
 VERIFY_TOL = 1e-9
-
-
-@lru_cache(maxsize=None)
-def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (n, (n-1)!) int32 index tables of one recursion level.
-
-    With c_k the cyclic shift r -> r + k mod n (row k of ``shift_images``)
-    and sigma_j the j-th permutation of S_(n-1) in lexicographic order
-    (row j of ``lex_images``), ``left[k, j]`` is the
-    lexicographic index of "apply c_k, then 1 (+) sigma_j" and
-    ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
-    lists every permutation of S_n exactly once: the first form is fixed by
-    the point sent to 0, the second by the image of 0 (which is a). So the
-    lexicographic index of a row is its place in the table's sorted rows.
-    Only the dense levels, n <= DENSE_MAX_N, build them.
-    """
-    # Both row sets are int8: ``_row_order`` sorts int64 rows several times
-    # slower.
-    lifted = _lifted(lex_images(n - 1))
-    shifts = shift_images(n)
-    left = [lifted[:, c] for c in shifts]
-    coset = [c[lifted] for c in shifts]
-    return _lex_indices(left), _lex_indices(coset)
-
-
-def _lex_indices(blocks) -> np.ndarray:
-    """The int32 place of each image row among all rows of ``blocks`` in
-    lexicographic order, one table row per block."""
-    order = _row_order(np.vstack(blocks))
-    index = np.empty(len(order), dtype=np.int32)
-    index[order] = np.arange(len(order), dtype=np.int32)
-    return _frozen(index.reshape(len(blocks), -1))
 
 
 def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:
@@ -137,10 +106,6 @@ def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     a = require_xu(x, tol)
     if a.shape[0] != 2:
         raise DimensionError(f"expected a 2x2 matrix, got {a.shape[0]}")
-    return _xu2(a)
-
-
-def _xu2(a: np.ndarray) -> WeightedPermSum:
     m1 = complex(a[0, 0])
     return _lexicographic(2, [m1, 1.0 - m1], "xu2")
 
@@ -209,11 +174,8 @@ def decompose_prime_parts(
             f"for n={n}"
         )
     c_part = WeightedPermSum._trusted(n, *_supercirculants(a), "prime-c")
-    # D_j starts with D_1(j-1) = d[0, j-1], so the row starting with v is
-    # row D_1^-1(v) = D_1(v): D_1 is an involution, and d[d[0]] is sorted.
-    d = d_images(n)
     d_part = WeightedPermSum._trusted(
-        n, d[d[0]], np.full(n, 1.0 / n, dtype=complex), "prime-d"
+        n, _prime_rows(n)[2], np.full(n, 1.0 / n, dtype=complex), "prime-d"
     )
     return c_part, d_part
 
@@ -238,23 +200,11 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
         out = decompose_xu3(a, p=1.0, tol=tol)
     else:
         c_part, d_part = decompose_prime_parts(a, tol)
-        images, order = _prime_rows(n)
+        images, order, _ = _prime_rows(n)
         weights = np.concatenate([c_part.weights, d_part.weights])[order]
         out = WeightedPermSum._trusted(n, images, weights)
     out.engine = "prime"
     return out
-
-
-@lru_cache(maxsize=64)
-def _prime_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n^2 rows of ``decompose_prime`` at prime n >= 5, cached per n:
-    the read-only image rows of both parts of ``decompose_prime_parts``
-    (supercirculants, then the sorted D family) in lexicographic order, and
-    the order that takes the parts' stacked weights to those rows."""
-    d = d_images(n)
-    images = np.vstack([supercirculant_images(n), d[d[0]]])
-    order = _row_order(images)
-    return _frozen(images[order]), _frozen(order)
 
 
 def _xu4_weights(u: np.ndarray) -> list[complex]:
@@ -445,10 +395,7 @@ def _level_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = dft_matrix(n)
     rows = f.conj() / math.sqrt(n)
     g = f[1:, 1:].conj().T @ dft_matrix(n - 1)[:, 1:]
-    gh = g.conj().T.copy()
-    for m in (rows, g, gh):
-        m.flags.writeable = False
-    return rows, gh, g
+    return _frozen(rows), _frozen(g.conj().T.copy()), _frozen(g)
 
 
 def _first_rows(d: np.ndarray) -> np.ndarray:
@@ -513,13 +460,6 @@ def _pruned(w: np.ndarray) -> np.ndarray:
     """``w`` with the entries of modulus <= PRUNE_EPS set to zero, in place."""
     w[np.abs(w) <= PRUNE_EPS] = 0
     return w
-
-
-def _lifted(images: np.ndarray) -> np.ndarray:
-    """The image rows of 1 (+) sigma for the 0-based rows sigma: 0, then
-    each image raised by one. Prepending the smallest image keeps the rows
-    distinct and in order."""
-    return np.hstack([np.zeros((len(images), 1), dtype=images.dtype), images + 1])
 
 
 # Method name -> engine call ``(a, p, opts, tol)``. The engines are looked

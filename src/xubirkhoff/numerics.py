@@ -90,12 +90,23 @@ def dft_matrix(n: int) -> np.ndarray:
     return _dft_matrix(check_int(n, 1, "dimension n"))
 
 
+# Every table the package caches per n (this one, the tables of
+# ``permutations``, ``birkhoff``'s level maps and ``scaling``'s constants)
+# keeps 64 sizes and returns through ``_frozen``: all callers share it.
 @lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
     k = np.arange(n)
-    f = np.exp(2j * math.pi * (np.outer(k, k) % n) / n) / math.sqrt(n)
-    f.flags.writeable = False
-    return f
+    return _frozen(np.exp(2j * math.pi * (np.outer(k, k) % n) / n) / math.sqrt(n))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only together with every array it views, so that no
+    view of it, ``a.base`` included, writes to its data."""
+    view = a
+    while isinstance(view, np.ndarray):
+        view.flags.writeable = False
+        view = view.base
+    return a
 
 
 def line_sums(m) -> tuple[np.ndarray, np.ndarray]:

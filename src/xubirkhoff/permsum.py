@@ -22,10 +22,11 @@ matrices on one permutation do not in general add up to a third; it lists
 them in lexicographic order through ``items_sorted`` and in the JSON form.
 
 Merging, ordering and the product of two sums (``product``) sort the
-rows with one stable ``np.lexsort``, for every n; ``np.bincount`` then
-sums the weights of equal rows in the order they arrived. ``product``
-composes the rows of every pair of terms, groups them as merging does,
-and forms the pair weights only afterwards, a block at a time.
+rows with one stable ``np.lexsort`` (``permutations._row_order``), for
+every n; ``np.bincount`` then sums the weights of equal rows in the order
+they arrived. ``product`` composes the rows of every pair of terms, groups
+them as merging does, and forms the pair weights only afterwards, a block
+at a time.
 
 Engines build sums from arrays through one trusted constructor,
 ``_PermArrays._trusted``, which checks nothing: an engine's rows are valid
@@ -45,8 +46,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, NotAPermutationError, UnsupportedDimensionError
-from .numerics import check_int, json_array, json_complex, json_pairs, json_size
-from .permutations import Permutation, _frozen, _image_dtype, _perms, perm_to_matrix
+from .numerics import (
+    _frozen,
+    check_int,
+    json_array,
+    json_complex,
+    json_pairs,
+    json_size,
+)
+from .permutations import Permutation, _image_dtype, _perms, _row_order, perm_to_matrix
 
 # How many sorted rows ``_group_rows`` compares with their predecessors at
 # a time.
@@ -116,11 +124,6 @@ def _sum_pair_groups(
         w = np.multiply.outer(wa[start : start + rows], wb).reshape(-1)
         _add_groups(out, inverse[start : start + rows].reshape(-1), w.real, w.imag)
     return out
-
-
-def _row_order(images: np.ndarray) -> np.ndarray:
-    """Stable permutation of the rows that sorts them lexicographically."""
-    return np.lexsort(images.T[::-1])
 
 
 def _group_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,6 +275,10 @@ class _PermArrays:
             self.n, self._images[keep], self._weights[keep], self.engine, phases
         )
 
+    def pruned(self, eps: float):
+        """Copy without the terms of weight modulus <= eps."""
+        return self._kept(np.abs(self._weights) > eps)
+
     @property
     def images(self) -> np.ndarray:
         """(k, n) 0-based one-line images, one row per term."""
@@ -316,8 +323,9 @@ class _PermArrays:
         )
 
 
-# Each sum type defines its own ``pruned`` and ``reconstruct``, even where
-# the bodies agree: the benchmark tracer wraps them in each class body.
+# The benchmark tracer wraps ``pruned`` and ``reconstruct`` where each
+# class body holds them, so both bind the shared ``pruned`` by name; each
+# defines its own ``reconstruct``, whose bodies differ.
 
 
 class WeightedPermSum(_PermArrays):
@@ -381,9 +389,7 @@ class WeightedPermSum(_PermArrays):
         real, imag = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
         return _reconstruct(self.n, self._images, real, imag)
 
-    def pruned(self, eps: float) -> "WeightedPermSum":
-        """Copy without the terms of weight modulus <= eps."""
-        return self._kept(np.abs(self._weights) > eps)
+    pruned = _PermArrays.pruned
 
 
 @dataclass(frozen=True)
@@ -466,8 +472,7 @@ class ComplexPermSum(_PermArrays):
         entries = self._weights[:, None] * self._phases
         return _reconstruct(self.n, self._images, entries.real, entries.imag)
 
-    def pruned(self, eps: float) -> "ComplexPermSum":
-        return self._kept(np.abs(self._weights) > eps)
+    pruned = _PermArrays.pruned
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,14 @@ Conventions:
 Each family is built here once, as 0-based ``(k, n)`` image rows, the
 layout of ``permsum``: ``lex_images`` (all of S_n), ``shift_images`` (the
 cyclic shifts Q^k), ``d_images`` (D_1..D_n) and ``supercirculant_images``
-(the C[l,x] of a prime). Each builder caches its rows per n and returns
-them read-only. The engines wrap these rows in sums, and
-``shift_matrix`` and ``d_family`` read them as ``Permutation`` objects.
+(the C[l,x] of a prime). This is also the one module that orders image
+rows (``_row_order``, with which ``permsum`` sorts too) and that builds
+the engines' tables from the families: ``_prime_rows`` (the n^2 rows of
+the prime construction) and ``_level_tables`` (the index tables of the
+recursive engine's dense levels, over the rows ``_lifted`` makes). Every
+table is cached per n, for 64 sizes, and is read-only down to its base.
+The engines wrap these rows in sums, and ``shift_matrix`` and
+``d_family`` read them as ``Permutation`` objects.
 ``lexicographic_permutations`` and ``supercirculant_perm`` build the same
 permutations independently, one at a time, and ``lexicographic_index``
 and ``compose`` rank and compose them; the tests check the rows against
@@ -35,6 +40,7 @@ import numpy as np
 from .errors import DimensionError, NotAPermutationError
 from .numerics import (
     DEFAULT_TOL,
+    _frozen,
     as_complex_matrix,
     check_int,
     check_tol,
@@ -124,17 +130,17 @@ def lexicographic_index(p: Permutation) -> int:
     return rank + 1
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _image_dtype(n: int):
     """The dtype of 0-based image rows of size n, here and in ``permsum``."""
     return np.int8 if n <= 127 else np.int32
 
 
-@lru_cache(maxsize=None)
+# Every caller shares one table per n, hence read-only down to its base
+# (``numerics._frozen``), and in the image dtype of a sum, which wraps it
+# without a copy.
+
+
+@lru_cache(maxsize=64)
 def lex_images(n: int) -> np.ndarray:
     """The (n!, n) read-only int8 image rows of S_n in lexicographic order,
     the order in which ``itertools.permutations(range(n))`` lists them,
@@ -142,11 +148,6 @@ def lex_images(n: int) -> np.ndarray:
     entries = itertools.chain.from_iterable(itertools.permutations(range(n)))
     rows = np.fromiter(entries, dtype=np.int8, count=math.factorial(n) * n)
     return _frozen(rows.reshape(-1, n))
-
-
-# Every caller shares one table per n, hence read-only, and in the image
-# dtype of a sum, which wraps it without a copy; the bound is that of
-# ``numerics``' ``_dft_matrix``.
 
 
 @lru_cache(maxsize=64)
@@ -174,15 +175,68 @@ def d_images(n: int) -> np.ndarray:
 def supercirculant_images(p: int) -> np.ndarray:
     """The (p(p-1), p) read-only image rows of the supercirculants C[l,x]
     of prime ``p`` in lexicographic order (``supercirculant_perm``), cached
-    per p.
-
-    C[l,x] sends k to (l-1) + kx mod p, 0-based, so its row starts l-1,
-    l-1+x: the first two images fix (l, x), and sorting by them sorts the
-    rows.
-    """
+    per p. C[l,x] sends k to (l-1) + kx mod p, 0-based."""
     k = np.arange(p)
     rows = ((k[:, None, None] + k[1:, None] * k) % p).reshape(-1, p)
-    return _frozen(rows[np.lexsort((rows[:, 1], rows[:, 0]))].astype(_image_dtype(p)))
+    rows = rows.astype(_image_dtype(p))
+    return _frozen(rows[_row_order(rows)])
+
+
+@lru_cache(maxsize=64)
+def _prime_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of the prime construction at prime n >= 5, cached per n
+    and read-only: its n^2 image rows (supercirculants and D family) in
+    lexicographic order, the order that takes the weights of both parts,
+    stacked in that order, to those rows, and the D rows on their own in
+    lexicographic order.
+
+    D_j starts with D_1(j-1) = d[0, j-1], so the row starting with v is
+    row D_1^-1(v) = D_1(v): D_1 is an involution, and d[d[0]] is sorted.
+    """
+    d = d_images(n)
+    d_rows = d[d[0]]
+    images = np.vstack([supercirculant_images(n), d_rows])
+    order = _row_order(images)
+    return _frozen(images[order]), _frozen(order), _frozen(d_rows)
+
+
+@lru_cache(maxsize=64)
+def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (n, (n-1)!) read-only int32 index tables of one level of
+    size n of the recursive engine, cached per n.
+
+    With c_k the cyclic shift r -> r + k mod n (row k of ``shift_images``)
+    and sigma_j the j-th permutation of S_(n-1) in lexicographic order
+    (row j of ``lex_images``), ``left[k, j]`` is the
+    lexicographic index of "apply c_k, then 1 (+) sigma_j" and
+    ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
+    lists every permutation of S_n exactly once: the first form is fixed by
+    the point sent to 0, the second by the image of 0 (which is a). So the
+    lexicographic index of a row is its place in the table's sorted rows.
+    """
+    # Both row sets are int8: ``_row_order`` sorts int64 rows several times
+    # slower.
+    lifted = _lifted(lex_images(n - 1))
+    shifts = shift_images(n)
+    tables = []
+    for rows in ([lifted[:, c] for c in shifts], [c[lifted] for c in shifts]):
+        order = _row_order(np.vstack(rows))
+        index = np.empty(len(order), dtype=np.int32)
+        index[order] = np.arange(len(order), dtype=np.int32)
+        tables.append(_frozen(index.reshape(n, -1)))
+    return tuple(tables)
+
+
+def _lifted(images: np.ndarray) -> np.ndarray:
+    """The image rows of 1 (+) sigma for the 0-based rows sigma: 0, then
+    each image raised by one. Prepending the smallest image keeps the rows
+    distinct and in order."""
+    return np.hstack([np.zeros((len(images), 1), dtype=images.dtype), images + 1])
+
+
+def _row_order(images: np.ndarray) -> np.ndarray:
+    """Stable permutation of the rows that sorts them lexicographically."""
+    return np.lexsort(images.T[::-1])
 
 
 def _perms(images: np.ndarray):

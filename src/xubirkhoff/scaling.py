@@ -99,6 +99,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .numerics import (
     DEFAULT_TOL,
+    _frozen,
     check_int,
     check_tol,
     line_sum_spread,
@@ -201,9 +202,7 @@ def _normal_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
     g = np.concatenate([np.ones(n), -np.ones(n)])
     gauge = np.outer(g, g) / (2 * n)
     probe = np.random.Generator(np.random.Philox(0)).standard_normal(2 * n)
-    gauge.flags.writeable = False
-    probe.flags.writeable = False
-    return gauge, probe
+    return _frozen(gauge), _frozen(probe)
 
 
 class _Workspace:

@@ -36,9 +36,14 @@ from xubirkhoff import (
     supercirculant_perm,
     verify,
 )
-from xubirkhoff.birkhoff import METHODS, _prime_rows
+from xubirkhoff.birkhoff import METHODS
 from xubirkhoff.numerics import dft_matrix, max_abs_diff
-from xubirkhoff.permutations import d_images, shift_images, supercirculant_images
+from xubirkhoff.permutations import (
+    _prime_rows,
+    d_images,
+    shift_images,
+    supercirculant_images,
+)
 from xubirkhoff.xu_group import extract_core
 
 

@@ -31,11 +31,10 @@ from xubirkhoff.birkhoff import (
     _dense,
     _first_rows,
     _level_maps,
-    _level_tables,
     _lexicographic,
     _next_core,
 )
-from xubirkhoff.permutations import lex_images
+from xubirkhoff.permutations import _level_tables, lex_images
 from xubirkhoff.scaling import ScalingOptions, zxz_scale
 from xubirkhoff.xu_group import circulant_sum, fourier_core, fourier_embed
 
