@@ -36,8 +36,8 @@ The engines keep the arithmetic. Every image-row table they read is
 built, ordered and cached in ``permutations``: ``lex_images`` for the
 tables over all of S_n (n = 2, 3, 4 and the recursive engine's dense
 levels), ``supercirculant_images`` and ``_prime_rows`` for the prime
-construction, and ``_level_tables`` for the index tables of the dense
-levels.
+construction, and ``_level_tables`` and ``_circulant_index`` for the
+index tables of the dense levels.
 """
 
 from __future__ import annotations
@@ -57,18 +57,18 @@ from .numerics import (
     dft_matrix,
     json_pairs,
     line_sum_spread,
-    line_sums,
     max_abs_diff,
 )
 from .permsum import ComplexPermSum, WeightedPermSum, check_pairs, product
 from .permutations import (
+    _circulant_index,
     _level_tables,
     _lifted,
     _prime_rows,
     lex_images,
     supercirculant_images,
 )
-from .scaling import ScalingOptions, _input_tol, zxz_scale
+from .scaling import _DEFAULT_OPTIONS, ScalingOptions, _input_tol, zxz_scale
 from .xu_group import circulant_sum, fourier_core, fourier_embed, is_prime, require_xu
 
 # Weights below this modulus are dropped between recursion steps; the
@@ -331,7 +331,7 @@ def decompose_recursive(
     checked again. The last block, XU(1) or XU(2), is circulant, so its
     weights are its first row, zeros kept.
     """
-    opts = opts or ScalingOptions()
+    opts = opts or _DEFAULT_OPTIONS
     a = require_xu(x, tol)
     n = a.shape[0]
     levels, weights = _levels(a, opts)
@@ -341,8 +341,14 @@ def decompose_recursive(
     for w1, w2 in reversed(levels[cut:]):
         weights = _dense(w1, w2, weights)
     m = n - cut
-    keep = weights != 0 if m > 2 else slice(None)
-    out = WeightedPermSum._trusted(m, lex_images(m)[keep], weights[keep])
+    # The sum shares the cached, read-only table of S_m unless pruning
+    # zeroed a weight; copying its m! rows is a large part of a dense
+    # decomposition.
+    images = lex_images(m)
+    if m > 2 and np.count_nonzero(weights) < len(weights):
+        keep = weights != 0
+        images, weights = images[keep], weights[keep]
+    out = WeightedPermSum._trusted(m, images, weights)
     _refuse_oversized(levels[:cut], len(out))
     for w1, w2 in reversed(levels[:cut]):
         # 1 (+) p for each permutation p of the level below.
@@ -429,9 +435,8 @@ def _dense(w1: np.ndarray, w2: np.ndarray, inner: np.ndarray) -> np.ndarray:
     q = np.empty(n * len(inner), dtype=complex)
     q[left] = np.multiply.outer(w1, inner)
     # out[coset[b]] = sum over c of w2[b - c] q[coset[c]].
-    k = np.arange(n)
     out = np.empty_like(q)
-    out[coset] = w2[(k[:, None] - k) % n] @ q[coset]
+    out[coset] = w2[_circulant_index(n)] @ q[coset]
     return _pruned(out)
 
 
@@ -520,7 +525,7 @@ def decompose_unitary(u, opts: ScalingOptions | None = None) -> ComplexPermSum:
     The engine takes the core at ``_input_tol(opts)``, the larger of the
     unitarity ``zxz_scale`` checked on the input and the spread it reached.
     """
-    opts = opts or ScalingOptions()
+    opts = opts or _DEFAULT_OPTIONS
     a = as_complex_matrix(u)
     n = a.shape[0]
     fac = zxz_scale(a, opts)
@@ -613,7 +618,8 @@ def verify(s, target, tol: float = VERIFY_TOL) -> VerificationReport:
     err = max_abs_diff(recon, a)
     wsum = s.weight_sum()
     sq = s.sq_moduli_sum()
-    ls_dev = line_sum_spread(*line_sums(recon), wsum)
+    # ``recon`` is built here from the terms, so it is not validated again.
+    ls_dev = line_sum_spread(recon.sum(axis=1), recon.sum(axis=0), wsum)
     complex_terms = isinstance(s, ComplexPermSum)
     if complex_terms:
         wsum_dev = abs(abs(wsum) - 1.0)

@@ -35,7 +35,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -118,12 +118,13 @@ def line_sums(m) -> tuple[np.ndarray, np.ndarray]:
 def line_sum_spread(rows, cols, value: complex = 1.0) -> float:
     """The largest |sum - value| over the row sums ``rows`` and the column
     sums ``cols``: the package's one measure of line sums."""
-    return max(float(np.abs(rows - value).max()), float(np.abs(cols - value).max()))
+    largest = np.maximum.reduce
+    return max(float(largest(np.abs(rows - value))), float(largest(np.abs(cols - value))))
 
 
 def max_abs_diff(a, b) -> float:
     """Maximum entrywise modulus of the difference of two matrices."""
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+    return float(np.maximum.reduce(np.abs(np.asarray(a) - np.asarray(b)), None))
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -135,7 +136,7 @@ def _unitarity_deviation(a: np.ndarray) -> float:
     """max |A^H A - I| entrywise, of a square complex array."""
     g = a.conj().T @ a
     g.flat[:: len(a) + 1] -= 1
-    return float(np.abs(g).max())
+    return float(np.maximum.reduce(np.abs(g), None))
 
 
 def require_unitary(m, tol: float, what: str) -> np.ndarray:

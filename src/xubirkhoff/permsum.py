@@ -32,7 +32,9 @@ Engines build sums from arrays through one trusted constructor,
 ``_PermArrays._trusted``, which checks nothing: an engine's rows are valid
 bijections by construction, and a ``WeightedPermSum``'s rows must already
 be distinct and in lexicographic order. Arrays from outside the package
-enter through ``from_arrays``, which validates them first. The
+enter through ``from_arrays``, which validates them first. Every public
+constructor, ``add`` and the ``terms`` setter refuse a weight or phase
+that is not finite, as the JSON reader does. The
 ``Permutation``-object API (``items()``, ``s[p]``, ``p in s``, ``add``,
 ``terms``, ``items_sorted``) is for callers; its objects (1-based image
 tuples) are built only when read.
@@ -71,10 +73,19 @@ _RECONSTRUCT_BLOCK = 1 << 14
 _PRODUCT_MAX_PAIRS = 40_000_000
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` when all its entries are finite; ValueError naming ``what``
+    otherwise."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
 def _validated(n: int, images, weights, phases=None):
     """Arrays from outside the package as ``(images, weights, phases)``,
-    after checking that every image row is a bijection on 0..n-1 and that
-    there is one weight per row and, when given, one phase per entry."""
+    after checking that every image row is a bijection on 0..n-1, that
+    there is one weight per row and, when given, one phase per entry, and
+    that all of them are finite."""
     a = np.asarray(images)
     if a.ndim != 2 or a.shape[1] != n:
         raise DimensionError(f"images must have shape (k, {n}), got {a.shape}")
@@ -92,6 +103,9 @@ def _validated(n: int, images, weights, phases=None):
     if len(w) != len(a) or (ph is not None and ph.shape != a.shape):
         shape = "" if ph is None else f", phases {ph.shape}"
         raise DimensionError(f"{len(a)} image rows, {len(w)} weights{shape}")
+    _finite(w, "weights")
+    if ph is not None:
+        _finite(ph, "phases")
     return a.astype(_image_dtype(n)), w, ph
 
 
@@ -344,7 +358,7 @@ class WeightedPermSum(_PermArrays):
                 raise DimensionError(f"term size {p.n} does not match sum size {n}")
         images = np.array([p.image for p, _ in terms], dtype=int).reshape(-1, n) - 1
         weights = np.array([complex(w) for _, w in terms], dtype=complex)
-        self._set(*_merge(images, weights))
+        self._set(*_merge(images, _finite(weights, "weights")))
 
     @classmethod
     def from_arrays(
@@ -369,7 +383,7 @@ class WeightedPermSum(_PermArrays):
                 f"term size {p.n} does not match sum size {self.n}"
             )
         images = np.vstack([self._images, np.subtract(p.image, 1)])
-        weights = np.append(self._weights, complex(w))
+        weights = _finite(np.append(self._weights, complex(w)), "weight")
         self._set(*_merge(images, weights))
 
     def items(self) -> list[tuple[Permutation, complex]]:
@@ -448,10 +462,11 @@ class ComplexPermSum(_PermArrays):
         for t in terms:
             if t.perm.n != self.n or len(t.phases) != self.n:
                 raise DimensionError(f"term size does not match sum size {self.n}")
+        phases = np.array([t.phases for t in terms], dtype=complex)
         self._set(
             np.array([t.perm.image for t in terms], dtype=int).reshape(-1, self.n) - 1,
-            np.array([t.weight for t in terms], dtype=complex),
-            np.array([t.phases for t in terms], dtype=complex).reshape(-1, self.n),
+            _finite(np.array([t.weight for t in terms], dtype=complex), "weights"),
+            _finite(phases.reshape(-1, self.n), "phases"),
         )
 
     def items_sorted(self) -> list[ComplexPermTerm]:

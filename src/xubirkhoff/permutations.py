@@ -16,8 +16,9 @@ cyclic shifts Q^k), ``d_images`` (D_1..D_n) and ``supercirculant_images``
 (the C[l,x] of a prime). This is also the one module that orders image
 rows (``_row_order``, with which ``permsum`` sorts too) and that builds
 the engines' tables from the families: ``_prime_rows`` (the n^2 rows of
-the prime construction) and ``_level_tables`` (the index tables of the
-recursive engine's dense levels, over the rows ``_lifted`` makes). Every
+the prime construction), ``_level_tables`` (the index tables of the
+recursive engine's dense levels, over the rows ``_lifted`` makes) and
+``_circulant_index`` (the circulant product of such a level). Every
 table is cached per n, for 64 sizes, and is read-only down to its base.
 The engines wrap these rows in sums, and ``shift_matrix`` and
 ``d_family`` read them as ``Permutation`` objects.
@@ -225,6 +226,16 @@ def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
         index[order] = np.arange(len(order), dtype=np.int32)
         tables.append(_frozen(index.reshape(n, -1)))
     return tuple(tables)
+
+
+@lru_cache(maxsize=64)
+def _circulant_index(n: int) -> np.ndarray:
+    """The (n, n) read-only index table (b - c) mod n, cached per n:
+    w[_circulant_index(n)] is the circulant matrix whose entry [b, c] is
+    w[b - c mod n], the product of a dense level of size n of the recursive
+    engine with its second circulant factor."""
+    k = np.arange(n)
+    return _frozen((k[:, None] - k) % n)
 
 
 def _lifted(images: np.ndarray) -> np.ndarray:

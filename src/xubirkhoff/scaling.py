@@ -15,14 +15,16 @@ unitary only loosely misses that and is scaled by the loop below, as
 every larger n is.
 
 Each attempt is one loop. Each call allocates one workspace of views
-(``_Workspace``), which its attempts share. Every pass measures the row
-and column sums once into it, and their residual from 1, which gives
-both the spread (the largest distance of a line sum from 1) and the
-right-hand side of a Gauss-Newton step. It applies the exit rules
-below, then takes one step of one of two kinds. Both kinds give row and
-column phases, and one update applies them in place to V and to the
-accumulated factors. V, the factors and the result are arrays of the
-attempt, never views of the workspace.
+(``_Workspace``), which its attempts share; every view a pass uses is
+bound there once per call. Every pass measures the row and column sums
+once into it, and their residual from 1, which gives both the spread
+(the largest distance of a line sum from 1) and the right-hand side of a
+Gauss-Newton step. It applies the exit rules below, then takes one step
+of one of two kinds. Both kinds write the row phases, then the column
+phases, into one vector of the workspace: V takes them in place, and the
+accumulated factors, the left then the right ones in one vector of 2n,
+take the whole vector in one product. V, the factors and the result are
+arrays of the attempt, never views of the workspace.
 
 * Sweeps (De Vos & De Baerdemacker, "Scaling a unitary matrix", 2014),
   for at most MAX_SWEEPS = 10 passes while the spread is above
@@ -145,6 +147,11 @@ class ScalingOptions:
         check_int(self.rng_seed, 0, "rng_seed", ValueError)
 
 
+# The options of a call that passes none; they are immutable, so all such
+# calls share them.
+_DEFAULT_OPTIONS = ScalingOptions()
+
+
 @dataclass(frozen=True)
 class ZXZFactorization:
     """Result of ``zxz_scale``: input = e^(i*alpha) diag(z1) core diag(z2).
@@ -180,13 +187,17 @@ class ZXZFactorization:
         )
 
 
-def _conj_phases(v: np.ndarray) -> np.ndarray:
-    """conj(v)/|v| entrywise, with phase 1 wherever v is exactly zero."""
+def _conj_phases(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(v)/|v| entrywise, with phase 1 wherever v is exactly zero,
+    written into ``out`` when it is given."""
     a = np.abs(v)
-    if a.all():
-        return np.conj(v) / a
+    # ``a.all()`` without the Python wrapper of ``ndarray.all``.
+    if np.count_nonzero(a) == len(a):
+        return np.divide(np.conj(v), a, out=out)
     zero = a == 0
-    return np.where(zero, 1.0 + 0.0j, np.conj(v) / np.where(zero, 1.0, a))
+    out = np.divide(np.conj(v), np.where(zero, 1.0, a), out=out)
+    out[zero] = 1
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -208,40 +219,56 @@ def _normal_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """The buffers one ``zxz_scale`` call reuses at size n, and views of
     them, so that a Gauss-Newton step writes its system, the product that
-    forms its normal equations and its phases in place.
+    forms its normal equations and its phases in place. Every view a pass
+    or a step uses is made here, once per call.
 
     ``lines`` holds the 2n line sums (``rows``, then ``cols``), ``res``
     their residual from 1 and ``dist`` its moduli. ``b`` is [B | iF] of
     ``_newton_step``, zero outside the entries each step writes through
     its views: ``v`` and ``vt`` (the blocks V and V^T), ``diag`` (its
     diagonal) and ``f`` (the last column); ``bmat`` is B alone. ``conj``
-    holds conj(B) and ``prod`` the product B^H [B | iF]; ``a`` is the
-    matrix of the normal equations and ``rhs`` their two right-hand sides,
-    the second of them the probe. ``phases`` holds the row phases, then
-    the column phases, of one step.
+    holds conj(B), ``conj_t`` is its transpose, and ``prod`` the product
+    B^H [B | iF], whose real part is ``normal`` (the first 2n columns)
+    beside ``normal_rhs`` (the last). ``a`` is the matrix of the normal
+    equations, ``a_diag`` its diagonal, ``gauge`` the term
+    ``_normal_constants`` adds to it and ``bound`` the conditioning bound
+    NORMAL_COND * 2n; ``rhs`` holds their two right-hand sides, the first
+    (``step_rhs``) Re(B^H iF) and the second the probe. ``phases`` holds
+    the row phases, then the column phases, of one step, and
+    ``row_phases`` and ``col_phases`` are its halves as a column and as a
+    row, shaped to scale V.
     """
 
     __slots__ = (
-        "lines", "rows", "cols", "res", "dist", "b", "v", "vt", "diag", "f",
-        "bmat", "conj", "prod", "a", "rhs", "phases",
+        "lines", "rows", "cols", "res", "phases", "row_phases", "col_phases",
+        "dist", "b", "v", "vt", "diag", "f", "bmat", "conj", "conj_t", "prod",
+        "normal", "normal_rhs", "a", "a_diag", "gauge", "bound", "rhs",
+        "step_rhs",
     )
 
     def __init__(self, n: int):
         m = 2 * n
-        self.lines = np.empty(m, dtype=complex)
+        vectors = np.empty((3, m), dtype=complex)
+        self.lines, self.res, self.phases = vectors[0], vectors[1], vectors[2]
         self.rows, self.cols = self.lines[:n], self.lines[n:]
-        self.res = np.empty(m, dtype=complex)
+        self.row_phases = self.phases[:n, None]
+        self.col_phases = self.phases[None, n:]
         self.dist = np.empty(m)
         self.b = np.zeros((m, m + 1), dtype=complex)
         self.v, self.vt = self.b[:n, n:-1], self.b[n:, :n]
         self.diag = self.b.reshape(-1)[:: m + 2]
         self.f, self.bmat = self.b[:, -1], self.b[:, :-1]
         self.conj = np.empty((m, m), dtype=complex)
+        self.conj_t = self.conj.T
         self.prod = np.empty((m, m + 1), dtype=complex)
+        self.normal, self.normal_rhs = self.prod.real[:, :-1], self.prod.real[:, -1]
         self.a = np.empty((m, m))
+        self.a_diag = self.a.diagonal()
+        self.gauge, probe = _normal_constants(n)
+        self.bound = NORMAL_COND * 2 * n
         self.rhs = np.empty((m, 2))
-        self.rhs[:, 1] = _normal_constants(n)[1]
-        self.phases = np.empty(m, dtype=complex)
+        self.step_rhs = self.rhs[:, 0]
+        self.rhs[:, 1] = probe
 
 
 def _newton_step(v, ws, normal):
@@ -276,7 +303,6 @@ def _newton_step(v, ws, normal):
     an attempt share their entry moduli, so once the check has failed the
     caller passes ``normal`` false and the steps go straight to ``lstsq``.
     """
-    n = len(v)
     ws.v[...] = v
     ws.vt[...] = v.T
     ws.diag[...] = ws.lines
@@ -284,9 +310,9 @@ def _newton_step(v, ws, normal):
     if normal:
         # [Re(B^H B) | Re(B^H iF)] in one product.
         np.conjugate(ws.bmat, out=ws.conj)
-        prod = np.matmul(ws.conj.T, ws.b, out=ws.prod).real
-        a = np.add(prod[:, :-1], _normal_constants(n)[0], out=ws.a)
-        ws.rhs[:, 0] = prod[:, -1]
+        np.matmul(ws.conj_t, ws.b, out=ws.prod)
+        a = np.add(ws.normal, ws.gauge, out=ws.a)
+        ws.step_rhs[...] = ws.normal_rhs
         try:
             x = np.linalg.solve(a, ws.rhs)
         except np.linalg.LinAlgError:
@@ -294,7 +320,8 @@ def _newton_step(v, ws, normal):
         else:
             # A is positive semidefinite, so its largest entry is on its
             # diagonal. A NaN fails the check.
-            normal = np.abs(x[:, 1]).max() * a.diagonal().max() < NORMAL_COND * 2 * n
+            largest = np.maximum.reduce
+            normal = largest(np.abs(x[:, 1])) * largest(ws.a_diag) < ws.bound
         if normal:
             return x[:, 0], True
     return _lstsq_step(ws.b), False
@@ -334,42 +361,46 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
     and ConvergenceError (carrying the best spread seen and the history of
     every attempt) if no attempt reaches opts.tol.
     """
-    opts = opts or ScalingOptions()
+    opts = opts or _DEFAULT_OPTIONS
+    tol = opts.tol
     a = require_unitary(u, _input_tol(opts), "scaling input")
     n = a.shape[0]
     if n == 2:
-        left, right, v = _scale_2x2(a)
+        factors, v = _scale_2x2(a)
         spread = line_sum_spread(v.sum(axis=1), v.sum(axis=0))
-        if spread <= opts.tol:
-            return _assemble(left, right, v, spread, 0, [])
+        if spread <= tol:
+            return _assemble(factors, v, spread, 0, [])
     ws = _Workspace(n)
-    rows, cols, res, phases = ws.rows, ws.cols, ws.res, ws.phases
+    lines, rows, cols, res, dist = ws.lines, ws.rows, ws.cols, ws.res, ws.dist
+    phases, row_phases, col_phases = ws.phases, ws.row_phases, ws.col_phases
+    # The ufuncs themselves: ``ndarray.sum`` and ``.max`` reach them
+    # through numpy's Python wrappers, at every pass.
+    add, largest = np.add.reduce, np.maximum.reduce
     rng = None
     attempts = []
 
     for restart in range(MAX_RESTARTS + 1):
         if restart == 0:
-            left, right = np.ones(n, dtype=complex), np.ones(n, dtype=complex)
+            factors = np.ones(2 * n, dtype=complex)
         else:
             if rng is None:
                 rng = np.random.Generator(np.random.Philox(opts.rng_seed))
-            left = np.exp(2j * np.pi * rng.random(n))
-            right = np.exp(2j * np.pi * rng.random(n))
-        v = left[:, None] * a * right[None, :]
+            factors = np.exp(2j * np.pi * rng.random(2 * n))
+        v = factors[:n, None] * a * factors[None, n:]
         best = np.inf
         it = misses = 0
         newton = False
         normal = True
         while True:
-            v.sum(axis=1, out=rows)
-            v.sum(axis=0, out=cols)
-            np.subtract(ws.lines, 1.0, out=res)
-            spread = float(np.abs(res, out=ws.dist).max())
+            add(v, 1, out=rows)
+            add(v, 0, out=cols)
+            np.subtract(lines, 1.0, out=res)
+            spread = float(largest(np.abs(res, out=dist)))
             if newton and not spread <= best / 2:
                 misses += 1
             best = min(best, spread)
-            if spread <= opts.tol:
-                return _assemble(left, right, v, spread, it, attempts)
+            if spread <= tol:
+                return _assemble(factors, v, spread, it, attempts)
             if misses >= POLISH_STEPS:
                 break
             newton = newton or spread <= POLISH_SPREAD or it >= MAX_SWEEPS
@@ -377,15 +408,13 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
             if newton:
                 d, normal = _newton_step(v, ws, normal)
                 np.exp(np.multiply(1j, d, out=phases), out=phases)
-                row_ph, col_ph = phases[:n], phases[n:]
-                v *= row_ph[:, None]
+                v *= row_phases
             else:
-                row_ph = _conj_phases(rows)
-                v *= row_ph[:, None]
-                col_ph = _conj_phases(v.sum(axis=0, out=cols))
-            v *= col_ph[None, :]
-            left *= row_ph
-            right *= col_ph
+                _conj_phases(rows, out=phases[:n])
+                v *= row_phases
+                _conj_phases(add(v, 0, out=cols), out=phases[n:])
+            v *= col_phases
+            factors *= phases
         attempts.append((it, best))
 
     best = min(s for _, s in attempts)
@@ -398,8 +427,9 @@ def zxz_scale(u, opts: ScalingOptions | None = None) -> ZXZFactorization:
 
 
 def _scale_2x2(a):
-    """The phases (left, right) and the scaled core diag(left) a diag(right)
-    of a 2x2 unitary a = [[a0, b0], [c0, d0]], in closed form.
+    """The phases, left then right in one vector, and the scaled core
+    diag(left) a diag(right) of a 2x2 unitary a = [[a0, b0], [c0, d0]], in
+    closed form.
 
     With p = a0 conj(b0), the right phases are r = (1, -i p/|p|), or (1, 1)
     when p = 0, and the left phases conj(a r)/|a r|. The core is then
@@ -409,19 +439,23 @@ def _scale_2x2(a):
     with Im x >= 0. Where a0 b0 = 0 the two coincide, as the identity or
     the swap, and the sign of Im x is rounding.
     """
-    p = a[0, 0] * np.conj(a[0, 1])
-    right = np.array([1.0, -1j * p / abs(p) if p else 1.0], dtype=complex)
-    left = _conj_phases(a @ right)
-    return left, right, left[:, None] * a * right[None, :]
+    p = a[0, 0] * a[0, 1].conjugate()
+    factors = np.ones(4, dtype=complex)
+    if p:
+        factors[3] = -1j * p / abs(p)
+    _conj_phases(a @ factors[2:], out=factors[:2])
+    return factors, factors[:2, None] * a * factors[None, 2:]
 
 
-def _assemble(left, right, core, spread, iterations, attempts):
-    # The input is diag(conj(left)) core diag(conj(right)); normalize the
-    # leading entries of both diagonals to 1 (set, as z/z can miss 1 by an
-    # ulp) and absorb their product into alpha. The phase drift relative to
-    # exp(1j*alpha) is below 1e-16 and lands in the reconstruction residual.
-    z1 = np.conj(left)
-    z2 = np.conj(right)
+def _assemble(factors, core, spread, iterations, attempts):
+    # The input is diag(conj(left)) core diag(conj(right)), with factors
+    # (left, right); normalize the leading entries of both diagonals to 1
+    # (set, as z/z can miss 1 by an ulp) and absorb their product into
+    # alpha. The phase drift relative to exp(1j*alpha) is below 1e-16 and
+    # lands in the reconstruction residual.
+    n = len(core)
+    z1 = np.conj(factors[:n])
+    z2 = np.conj(factors[n:])
     alpha = float(np.angle(z1[0] * z2[0]))
     z1 = z1 / z1[0]
     z2 = z2 / z2[0]

@@ -27,7 +27,6 @@ from .numerics import (
     classify,
     dft_matrix,
     line_sum_spread,
-    line_sums,
     require_unitary,
     shift_relation_holds,
 )
@@ -38,7 +37,8 @@ from .permutations import shift_images
 def require_xu(m, tol: float = DEFAULT_TOL, what: str = "input") -> np.ndarray:
     """Return ``m`` as an array after checking XU membership at ``tol``."""
     a = require_unitary(m, tol, what)
-    rows, cols = line_sums(a)
+    # ``require_unitary`` has validated ``a``; ``line_sums`` would again.
+    rows, cols = a.sum(axis=1), a.sum(axis=0)
     if line_sum_spread(rows, cols) > tol:
         sums = np.concatenate([rows, cols])
         worst = int(np.argmax(np.abs(sums - 1.0)))

@@ -1,5 +1,8 @@
 """Tests for the decomposition engines, the product rule, and verification."""
 
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from xubirkhoff import (
     supercirculant_perm,
     verify,
 )
+from xubirkhoff import birkhoff, scaling, xu_group
 from xubirkhoff.birkhoff import METHODS
 from xubirkhoff.numerics import dft_matrix, max_abs_diff
 from xubirkhoff.permutations import (
@@ -729,3 +733,46 @@ class TestMergingAndJson:
         cs = decompose_unitary(haar_unitary(3, seed=5))
         t = perm_sum_from_json(perm_sum_to_json(cs))
         assert max_abs_diff(t.reconstruct(), cs.reconstruct()) == 0.0
+
+
+# ``perfbench/tracer.py`` and ``tools/scaling_sweep.py`` replace these
+# names on the modules that hold them and count the calls made through
+# them, so the engines must call each as a module attribute, as often as
+# the benchmark's per-layer counts record.
+
+
+def _counted(stack, name, *modules):
+    """One mock forwarding to ``name`` of the first of ``modules``,
+    installed as ``name`` on each of them (as the tracer installs its
+    wrappers); it counts the calls made through any of them."""
+    spy = mock.Mock(wraps=getattr(modules[0], name))
+    for module in modules:
+        stack.enter_context(mock.patch.object(module, name, spy))
+    return spy
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recursive_engine_calls_the_traced_names(seed):
+    x = random_xu(6, seed)
+    with ExitStack() as stack:
+        zxz = _counted(stack, "zxz_scale", birkhoff)
+        step = _counted(stack, "_newton_step", scaling)
+        gate = _counted(stack, "require_xu", xu_group, birkhoff)
+        s = decompose_xu(x)
+    # One scaling per level of size 6, 5, 4 and 3; one membership check.
+    assert zxz.call_count == 4
+    assert step.call_count > 0
+    assert gate.call_count == 1
+    assert verify(s, x).ok
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unitary_route_calls_the_traced_names(seed):
+    u = haar_unitary(5, seed)
+    with ExitStack() as stack:
+        zxz = _counted(stack, "zxz_scale", birkhoff)
+        gate = _counted(stack, "require_xu", xu_group, birkhoff)
+        s = decompose_unitary(u)
+    assert zxz.call_count == 1
+    assert gate.call_count == 1
+    assert verify(s, u).ok

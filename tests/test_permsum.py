@@ -290,6 +290,66 @@ def test_from_arrays_rejects_bad_arrays(images, weights, phases, error, match):
             ComplexPermSum.from_arrays(3, images, weights, phases)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.0)]
+IDENTITY = Permutation((1, 2, 3))
+SWAP = Permutation((2, 1, 3))
+
+
+def _complex_terms(weight=1.0, phase=1.0):
+    return [
+        ComplexPermTerm(IDENTITY, (1.0, 1j, -1.0), 0.5),
+        ComplexPermTerm(SWAP, (1.0, phase, 1.0), weight),
+    ]
+
+
+# Each way a caller builds or changes a sum refuses a non-finite weight or
+# phase by name, as ``perm_sum_from_json`` does, instead of leaving
+# ``verify`` and ``reconstruct`` to meet it.
+BUILDS = {
+    "from_arrays-weights": (
+        "weights",
+        lambda z: WeightedPermSum.from_arrays(3, [[0, 1, 2], [1, 0, 2]], [0.5, z]),
+    ),
+    "complex-from_arrays-weights": (
+        "weights",
+        lambda z: ComplexPermSum.from_arrays(3, [[0, 1, 2]], [z], np.ones((1, 3))),
+    ),
+    "complex-from_arrays-phases": (
+        "phases",
+        lambda z: ComplexPermSum.from_arrays(3, [[0, 1, 2]], [1.0], [[1.0, z, 1.0]]),
+    ),
+    "terms": ("weights", lambda z: WeightedPermSum(3, [(IDENTITY, 0.5), (SWAP, z)])),
+    "add": ("weight", lambda z: WeightedPermSum(3, [(IDENTITY, 0.5)]).add(SWAP, z)),
+    "complex-terms-weights": ("weights", lambda z: ComplexPermSum(3, _complex_terms(weight=z))),
+    "complex-terms-phases": ("phases", lambda z: ComplexPermSum(3, _complex_terms(phase=z))),
+}
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_constructors_refuse_non_finite_values(build, z):
+    field, make = build
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        make(z)
+
+
+@pytest.mark.parametrize("field", ["weight", "phase"])
+def test_terms_setter_refuses_non_finite_and_keeps_the_sum(field):
+    s = ComplexPermSum(3, _complex_terms())
+    before = s.terms
+    bad = _complex_terms(**{field: complex(np.nan, 0.0)})
+    with pytest.raises(ValueError, match=f"{field}s must be finite"):
+        s.terms = bad
+    assert s.terms == before
+
+
+def test_add_refuses_non_finite_and_keeps_the_sum():
+    s = WeightedPermSum(3, [(IDENTITY, 0.5)])
+    with pytest.raises(ValueError, match="weight must be finite"):
+        s.add(SWAP, np.inf)
+    assert s.items() == [(IDENTITY, 0.5)]
+
+
 def test_complex_pruned_keeps_phases_and_order():
     images = [[2, 0, 1], [0, 1, 2], [1, 0, 2]]
     phases = np.exp(1j * np.arange(9).reshape(3, 3))

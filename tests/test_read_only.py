@@ -3,6 +3,8 @@
 the package returns lets a caller write through a base into such a table
 or into another sum."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from xubirkhoff import (
 from xubirkhoff.birkhoff import _level_maps
 from xubirkhoff.numerics import _dft_matrix
 from xubirkhoff.permutations import (
+    _circulant_index,
     _level_tables,
     _prime_rows,
     d_images,
@@ -42,6 +45,7 @@ TABLES = {
     supercirculant_images: (2, 3, 5, 13),
     _prime_rows: (5, 7, 13),
     _level_tables: (3, 4, 6),
+    _circulant_index: (2, 5, 9),
     _level_maps: (3, 4, 7),
     _normal_constants: (2, 3, 7),
 }
@@ -108,3 +112,29 @@ def test_a_sum_cannot_write_into_the_table_it_shares():
     with pytest.raises(ValueError):
         s.images.base[:4] = s.images.base[4:8]
     assert verify(decompose_xu4(x), x).ok
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_dense_sum_shares_the_cached_table(n):
+    # No weight of a random XU(n) is pruned, so the recursive engine's sum
+    # wraps the cached rows of S_n themselves instead of a copy of them.
+    x = random_xu(n, 3)
+    s = decompose_recursive(x)
+    assert s.images is lex_images(n) and len(s) == math.factorial(n)
+    for a in (s.images, s.weights):
+        assert_read_only_to_its_base(a)
+    assert verify(s, x).ok
+
+
+@pytest.mark.parametrize(
+    "x",
+    [random_circulant_xu(6, 1), np.eye(6)[[3, 0, 5, 1, 4, 2]]],
+    ids=["circulant", "permutation"],
+)
+def test_pruned_dense_sum_copies_its_rows(x):
+    s = decompose_recursive(x)
+    table = lex_images(6)
+    assert len(s) < len(table) and not np.shares_memory(s.images, table)
+    for a in (s.images, s.weights):
+        assert_read_only_to_its_base(a)
+    assert verify(s, x).ok

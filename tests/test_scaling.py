@@ -675,6 +675,17 @@ def test_reducible_matches_oracle_bit_for_bit(blocks):
     _assert_matches_oracle(_rotation_plus_one() if blocks is None else _block_unitary(blocks, 1))
 
 
+def test_steps_are_called_through_module_attributes():
+    # tools/scaling_sweep.py counts the Gauss-Newton steps, and those on
+    # the lstsq path, by replacing these two names on the module. Every
+    # conditioning check of this reducible input fails.
+    with mock.patch.object(scaling, "_newton_step", wraps=scaling._newton_step) as step:
+        with mock.patch.object(scaling, "_lstsq_step", wraps=scaling._lstsq_step) as lstsq:
+            fac = zxz_scale(_block_unitary((3, 4), 1))
+    assert step.call_count == lstsq.call_count > 0
+    assert fac.spread <= ScalingOptions().tol
+
+
 @pytest.mark.parametrize("n,seeds", [(7, (0, 11)), (3, (266, 253))], ids=["n7", "n3"])
 def test_results_share_no_workspace(n, seeds):
     # Each call reuses one workspace of its own; a later call at the same n
