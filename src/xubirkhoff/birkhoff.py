@@ -14,17 +14,18 @@ with weight sum 1:
 * ``decompose_xu4``: the explicit 24-weight table for XU(4), the one
   composite dimension with a known squared-moduli-1 construction.
 * ``decompose_recursive``: works for every n by peeling one
-  dimension at a time through the ZXZ factorization; the squared moduli
-  sum to 1 up to the scaling and pruning residuals (its weights form a
-  unitary element of the group algebra, see its docstring). It scales
-  every level top down, then folds the levels bottom up. Each level up
-  to n = DENSE_MAX_N is one dense step on the weights of all n!
-  permutations in lexicographic order: every permutation is, exactly
-  once, a cyclic shift followed by a permutation fixing 0, and, exactly
-  once, a permutation fixing 0 followed by a cyclic shift. Larger
-  levels multiply the sums of their nonzero terms with ``product``; an
-  input whose products could exceed ``product``'s pair cap is refused
-  before the first of them.
+  dimension at a time through the ZXZ factorization, down to the first
+  block of prime size p, whose weights over AGL(1,p) need no scaling;
+  the squared moduli sum to 1 up to the scaling and pruning residuals
+  (its weights form a unitary element of the group algebra, see its
+  docstring). It scales the levels top down, then folds them bottom up.
+  Each level up to n = DENSE_MAX_N is one dense step on the weights of
+  all n! permutations in lexicographic order: every permutation is,
+  exactly once, a cyclic shift followed by a permutation fixing 0, and,
+  exactly once, a permutation fixing 0 followed by a cyclic shift.
+  Larger levels multiply the sums of their nonzero terms with
+  ``product``; an input whose products could exceed ``product``'s pair
+  cap is refused before the first of them.
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
   permutation matrices (one unit-modulus phase per row).
 
@@ -36,8 +37,9 @@ The engines keep the arithmetic. Every image-row table they read is
 built, ordered and cached in ``permutations``: ``lex_images`` for the
 tables over all of S_n (n = 2, 3, 4 and the recursive engine's dense
 levels), ``supercirculant_images`` and ``_prime_rows`` for the prime
-construction, and ``_level_tables`` and ``_circulant_index`` for the
-index tables of the dense levels.
+construction and the recursive engine's bottom block, and
+``_level_tables``, ``_circulant_index`` and ``_supercirculant_ranks`` for
+the index tables of the dense levels.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .permutations import (
     _level_tables,
     _lifted,
     _prime_rows,
+    _supercirculant_ranks,
     lex_images,
     supercirculant_images,
 )
@@ -78,8 +81,9 @@ PRUNE_EPS = 1e-14
 # The recursive engine holds a level of size n <= DENSE_MAX_N as the weights
 # of all n! permutations and a larger level as a sum of its nonzero terms. A
 # dense level costs n! whatever the input's support: at n = 9 its weight
-# arrays take 5.8 MB each and a random XU(9) decomposes about 30 times
-# faster than through ``product``; at n = 10 they take 58 MB each.
+# arrays take 5.8 MB each, at n = 10 58 MB each. Over all of S_8 the dense
+# level 9 was about 30 times faster than ``product``; over the 42 terms of
+# the bottom block XU(7) of a random XU(9), the two folds take about as long.
 DENSE_MAX_N = 9
 
 # ``verify``'s default tolerance: the engines that scale carry their residual.
@@ -286,9 +290,35 @@ def decompose_recursive(
     top down (``_levels``): level n scales its core and reads w1 and w2
     off Z1 and Z2 in one product. It hands level n-1 the core of ytilde,
     G^H y G for a cached isometry G, without forming the middle factor.
-    So it goes down to an XU(1) or XU(2) block, which only the last level
-    embeds. The second pass folds the levels bottom up, starting from that
-    block's first row.
+    So it goes down to the first level whose ytilde has prime size p,
+    which only that level embeds: it is the bottom block, and nothing
+    below it is scaled. An XU(1) or XU(2) input is its own bottom block.
+    The second pass folds the levels bottom up, starting from the bottom
+    block's weights over the affine group AGL(1,p) (``_bottom``).
+
+    The bottom block Y needs no scaling. The supercirculants C[l,x],
+    k -> (l-1) + kx mod p (``supercirculant_images``), form the sharply
+    2-transitive group H = AGL(1,p): exactly one h in H sends a given
+    pair of distinct points to a given pair of distinct points. With
+    D = Y - I and g_h = sum_k D[k, h(k)], one gather-sum, the weights
+
+        m_h = [h = e] + g_h / p
+
+    give sum_h m_h P_h = Y, sum m = 1 and sum |m|^2 = 1, exactly:
+
+    * D has zero line sums, so the sum of D[k, l] over k != a, l != b is
+      D[a, b]. The entry (a, b) of sum_h g_h P_h sums g_h over the p - 1
+      h with h(a) = b: their terms at k = a give (p - 1) D[a, b], and
+      their other terms meet each D[k, l], k != a, l != b, once, adding
+      D[a, b]. So sum_h g_h P_h = p D, and sum_h m_h P_h = I + D = Y;
+    * h(k) = l holds for p - 1 of the h, so sum_h g_h = (p - 1) sum D = 0;
+    * in sum_h |g_h|^2 the products D[k, l] conj(D[k, l]) come p - 1
+      times and, as above, the products over k != k' add up to ||D||^2,
+      so sum_h |g_h|^2 = p ||D||^2. Y is unitary, so ||D||^2 = -2 Re g_e,
+      and sum |m|^2 = 1 + 2 Re g_e / p + ||D||^2 / p = 1.
+
+    At p = 2, where H = S_2, the weights equal Y's first row in exact
+    arithmetic, and are read off it.
 
     The three sums of a level multiply in two coset forms of S_n, with no
     merging and no sort. Every permutation is exactly once "apply c_k, then
@@ -300,26 +330,42 @@ def decompose_recursive(
     circulant matrix times the weights arranged by (a, rho). A level of
     size n <= DENSE_MAX_N keeps the weights of all n! permutations in
     lexicographic order this way (``_dense``) and zeroes those of modulus
-    <= PRUNE_EPS at its end. The top dense level's nonzero weights then
-    become a sum once, and each larger level multiplies sums of nonzero
-    terms with ``product`` and prunes after each of its two products, so
-    that an input with few terms (a permutation matrix, a circulant)
-    stays cheap at any n. Before the first of these products, the term
-    count of that sum bounds the pairs of every product above it
-    (``_refuse_oversized``), and a bound over ``permsum``'s cap of 40 M
-    pairs raises UnsupportedDimensionError: a full-support input at
-    n >= 11 is refused after its scaling, before any product runs. The
-    weight sum is a product of 1s.
+    <= PRUNE_EPS at its end; a bottom block of size p <= DENSE_MAX_N enters
+    as p! weights, zero off H (``_supercirculant_ranks``). The top dense
+    level's nonzero weights then become a sum once. Each larger level
+    multiplies sums of nonzero terms with ``product`` and prunes after
+    each of its two products, starting from the pruned sum of the bottom
+    block when p > DENSE_MAX_N. So an input with few terms (a permutation
+    matrix, a circulant) stays cheap at the levels above DENSE_MAX_N; a
+    dense level costs its n! weights whatever the support. Before the
+    first of these products, the term count of that sum bounds the pairs
+    of every product above it (``_refuse_oversized``), and a bound over
+    ``permsum``'s cap of 40 M pairs raises UnsupportedDimensionError
+    after the scaling, before any product runs. Full-support XU(12) and
+    XU(14) decompose over the bottom blocks XU(11) and XU(13); the
+    smallest composite n refused at full support is 16, whose level 16
+    may multiply 16 shifts with 6 879 600 terms. The weight sum is a
+    product of 1s.
 
     The squared moduli sum to 1 as well. Read the weights as the element
     m = sum_p m_p p of the group algebra C[S_n], with m* = sum_p
     conj(m_p) p^-1; m is unitary when m* m = e, whose coefficient at e is
-    sum_p |m_p|^2 = 1. Three steps give it:
+    sum_p |m_p|^2 = 1. Four steps give it:
 
+    * the bottom block's weights are a unitary element of C[H]. C[H] is
+      the direct sum of the matrix algebras of H's irreducible
+      representations, so it is enough that m maps to a unitary in each.
+      The permutation representation of the 2-transitive H is the trivial
+      one plus one irreducible V, the vectors of zero sum; D acts on V
+      only, so g_h is a matrix coefficient of V, and by Schur
+      orthogonality sum_h g_h h maps to 0 in every irreducible
+      representation but V, and to (|H| / (p - 1)) D = p D on V. So m maps
+      to the identity outside V and to Y on V;
     * a circulant unitary's first row is a unitary element of the cyclic
       group algebra (the Fourier transform diagonalizes both);
     * lifting an element of C[S_(n-1)] to C[S_n] through 1 (+) sigma is
-      an algebra homomorphism, so it keeps unitarity;
+      an algebra homomorphism, so it keeps unitarity, as does the
+      inclusion of C[H] in C[S_p];
     * products of unitary elements are unitary, and both coset forms
       above, like ``product``, compute the group-algebra product.
 
@@ -328,27 +374,36 @@ def decompose_recursive(
 
     ``tol`` gates the membership of ``x`` only. Every block below it is
     one the engine built, XU to within ``opts.tol`` by scaling, and is not
-    checked again. The last block, XU(1) or XU(2), is circulant, so its
-    weights are its first row, zeros kept.
+    checked again. An XU(1) or XU(2) input keeps its zero weights.
     """
     opts = opts or _DEFAULT_OPTIONS
     a = require_xu(x, tol)
     n = a.shape[0]
-    levels, weights = _levels(a, opts)
-    # The levels are listed top down, sizes n, n - 1, ..., 3, so the first
-    # ``cut`` are the ones above DENSE_MAX_N.
-    cut = max(0, n - DENSE_MAX_N)
-    for w1, w2 in reversed(levels[cut:]):
-        weights = _dense(w1, w2, weights)
-    m = n - cut
-    # The sum shares the cached, read-only table of S_m unless pruning
-    # zeroed a weight; copying its m! rows is a large part of a dense
-    # decomposition.
-    images = lex_images(m)
-    if m > 2 and np.count_nonzero(weights) < len(weights):
-        keep = weights != 0
-        images, weights = images[keep], weights[keep]
-    out = WeightedPermSum._trusted(m, images, weights)
+    levels, block = _levels(a, opts)
+    p = len(block)
+    images, weights = _bottom(block)
+    if p > DENSE_MAX_N:
+        cut = len(levels)
+        out = WeightedPermSum._trusted(p, images, weights).pruned(PRUNE_EPS)
+    else:
+        # The levels are listed top down, sizes n, n - 1, ..., p + 1, so the
+        # first ``cut`` are the ones above DENSE_MAX_N.
+        cut = max(0, n - DENSE_MAX_N)
+        if p > 2:
+            dense = np.zeros(math.factorial(p), dtype=complex)
+            dense[_supercirculant_ranks(p)] = weights
+            weights = dense
+        for w1, w2 in reversed(levels[cut:]):
+            weights = _dense(w1, w2, weights)
+        m = n - cut
+        # The sum shares the cached, read-only table of S_m unless a weight
+        # is zero; copying its m! rows would be a large part of a dense
+        # decomposition, so only the kept rows are taken.
+        images = lex_images(m)
+        kept = np.flatnonzero(weights)
+        if m > 2 and len(kept) < len(weights):
+            images, weights = images.take(kept, axis=0), weights[kept]
+        out = WeightedPermSum._trusted(m, images, weights)
     _refuse_oversized(levels[:cut], len(out))
     for w1, w2 in reversed(levels[:cut]):
         # 1 (+) p for each permutation p of the level below.
@@ -360,32 +415,47 @@ def decompose_recursive(
 
 
 def _levels(a: np.ndarray, opts: ScalingOptions):
-    """The scaled levels of XU(n) member ``a``, top down, and the weights
-    of the block left at the bottom. Each level of size n, n - 1, ..., 3
-    scales its core y, of size n - 1, and gives (w1, w2), the pruned first
-    rows of its two circulant factors (``_first_rows``). It hands the next
-    level its core, G^H y G (``_next_core``), without forming the middle
-    factor's block ytilde. Only the last level, of size 3, embeds
-    its 2x2 core, whose ytilde is the XU(2) block left: that block is
-    circulant, so its weights are its first row, zeros kept, in
-    lexicographic order."""
+    """The scaled levels of XU(n) member ``a``, top down, and the bottom
+    block (``decompose_recursive``). Each level, of size n, n - 1, ...,
+    scales its core y, of size one less, and gives (w1, w2), the pruned
+    first rows of its two circulant factors (``_first_rows``). A level
+    whose y has composite size hands the next level its core, G^H y G
+    (``_next_core``), without forming the middle factor's block ytilde.
+    The first level whose y has prime size p embeds it: its ytilde is the
+    bottom block, returned as an XU(p) matrix. ``a`` itself is the bottom
+    block when n <= 2, with no levels."""
     levels = []
-    n = a.shape[0]
-    if n > 2:
+    if a.shape[0] > 2:
         core = fourier_core(a)
-    for m in range(n, 2, -1):
-        fac = zxz_scale(core, opts)
-        d = np.ones((2, m), dtype=complex)
-        d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
-        d[1, 1:] = fac.z2
-        w1, w2 = _pruned(_first_rows(d))
-        levels.append((w1, w2))
-        if m > 3:
+        while True:
+            fac = zxz_scale(core, opts)
+            m = len(core) + 1
+            d = np.ones((2, m), dtype=complex)
+            d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
+            d[1, 1:] = fac.z2
+            levels.append(_pruned(_first_rows(d)))
+            if is_prime(m - 1):
+                return levels, fourier_embed(fac.core)[1:, 1:]
             core = _next_core(fac.core)
-        else:
-            a = fourier_embed(fac.core)[1:, 1:]
+    return levels, a
+
+
+def _bottom(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image rows, in lexicographic order, and the weights of the
+    bottom block, an XU(p) matrix Y with p prime or p = 1: the rows of
+    AGL(1,p) (``supercirculant_images``), whose first is the identity,
+    with the weights [h = e] + (1/p) sum_k (Y - I)[k, h(k)]
+    (``decompose_recursive``). At p <= 2 they are the rows of S_p and Y's
+    first row, zeros kept."""
+    p = len(block)
+    if p <= 2:
+        images, weights = lex_images(p), block[0]
+    else:
+        images = supercirculant_images(p)
+        weights = (block - np.eye(p)).ravel()[images + p * np.arange(p)].sum(axis=1) / p
+        weights[0] += 1
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
-    return levels, a[0] + 0j
+    return images, weights + 0j
 
 
 @lru_cache(maxsize=64)

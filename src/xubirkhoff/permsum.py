@@ -282,16 +282,17 @@ class _PermArrays:
         if phases is not None:
             self._phases = _frozen(phases)
 
-    def _kept(self, keep: np.ndarray):
-        """A copy with the terms where ``keep`` is true."""
-        phases = None if self._phases is None else self._phases[keep]
-        return type(self)._trusted(
-            self.n, self._images[keep], self._weights[keep], self.engine, phases
-        )
-
     def pruned(self, eps: float):
-        """Copy without the terms of weight modulus <= eps."""
-        return self._kept(np.abs(self._weights) > eps)
+        """A new sum without the terms of weight modulus <= eps. When it
+        drops none, the new sum shares this one's read-only arrays instead
+        of copying them; it is never ``self``, whose engine label callers
+        may then set apart."""
+        keep = np.abs(self._weights) > eps
+        images, weights, phases = self._images, self._weights, self._phases
+        if np.count_nonzero(keep) < len(keep):
+            images, weights = images[keep], weights[keep]
+            phases = None if phases is None else phases[keep]
+        return type(self)._trusted(self.n, images, weights, self.engine, phases)
 
     @property
     def images(self) -> np.ndarray:

@@ -17,8 +17,10 @@ cyclic shifts Q^k), ``d_images`` (D_1..D_n) and ``supercirculant_images``
 rows (``_row_order``, with which ``permsum`` sorts too) and that builds
 the engines' tables from the families: ``_prime_rows`` (the n^2 rows of
 the prime construction), ``_level_tables`` (the index tables of the
-recursive engine's dense levels, over the rows ``_lifted`` makes) and
-``_circulant_index`` (the circulant product of such a level). Every
+recursive engine's dense levels, over the rows ``_lifted`` makes),
+``_circulant_index`` (the circulant product of such a level) and
+``_supercirculant_ranks`` (where the supercirculants of its bottom block
+sit among all of S_p). Every
 table is cached per n, for 64 sizes, and is read-only down to its base.
 The engines wrap these rows in sums, and ``shift_matrix`` and
 ``d_family`` read them as ``Permutation`` objects.
@@ -181,6 +183,19 @@ def supercirculant_images(p: int) -> np.ndarray:
     rows = ((k[:, None, None] + k[1:, None] * k) % p).reshape(-1, p)
     rows = rows.astype(_image_dtype(p))
     return _frozen(rows[_row_order(rows)])
+
+
+@lru_cache(maxsize=64)
+def _supercirculant_ranks(p: int) -> np.ndarray:
+    """The read-only lexicographic indices in S_p of the rows of
+    ``supercirculant_images(p)``, in their order, cached per p (p <= 20, so
+    that p! fits int64). A row's index counts, at each place, the smaller
+    images to its right, weighted by the factorial of the places left."""
+    rows = supercirculant_images(p)
+    right = np.triu(np.ones((p, p), dtype=bool), 1)
+    smaller = (rows[:, None, :] < rows[:, :, None]) & right
+    places = np.array([math.factorial(p - 1 - k) for k in range(p)])
+    return _frozen(smaller.sum(axis=2) @ places)
 
 
 @lru_cache(maxsize=64)

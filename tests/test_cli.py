@@ -101,17 +101,18 @@ class TestDecompose:
         assert "prime" in err or "composite" in err
 
     def test_oversized_recursive_input_is_engine_error(self, capsys, tmp_path):
-        # A full-support XU(12) is refused before its first product, which
-        # would take several GB; the message names the level and pairs.
-        path = tmp_path / "x12.json"
+        # A full-support XU(16), the smallest composite size refused, is
+        # refused before its first product, which would take several GB;
+        # the message names the level and pairs.
+        path = tmp_path / "x16.json"
         code, _, _ = run_cli(
-            capsys, "sample", "12", "--kind", "xu", "--seed", "0", "--output", str(path)
+            capsys, "sample", "16", "--kind", "xu", "--seed", "0", "--output", str(path)
         )
         assert code == 0
         code, out, err = run_cli(capsys, "decompose", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error:")
-        assert "level 11" in err and "439084800 pairs" in err
+        assert "level 16" in err and "110073600 pairs" in err
 
     def test_tight_tol_gates_only_the_input(self, capsys, tmp_path):
         # The recursive engine's inner levels are XU to the scaling's 1e-10,

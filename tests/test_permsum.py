@@ -362,6 +362,37 @@ def test_complex_pruned_keeps_phases_and_order():
     assert max_abs_diff(p.reconstruct(), s.reconstruct()) < 1e-11
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: decompose_prime(random_xu(13, 0)),
+        lambda: decompose_unitary(haar_unitary(5, 1)),
+    ],
+    ids=["weighted", "complex"],
+)
+def test_pruned_without_drops_shares_the_arrays(make):
+    # No weight of either sum is under 1e-14, so the pruned sum wraps the
+    # same read-only arrays in a new sum, whose engine label is its own.
+    s = make()
+    t = s.pruned(1e-14)
+    assert t is not s and len(t) == len(s)
+    arrays = ["images", "weights"] + (["phases"] if hasattr(s, "phases") else [])
+    for name in arrays:
+        a, b = getattr(s, name), getattr(t, name)
+        assert np.shares_memory(a, b)
+        view = b
+        while isinstance(view, np.ndarray):
+            assert not view.flags.writeable
+            view = view.base
+    engine = s.engine
+    t.engine = "other"
+    assert s.engine == engine
+    assert s.pruned(1e-14) == s
+    dropped = s.pruned(float(np.abs(s.weights).min()))
+    assert len(dropped) < len(s)
+    assert not np.shares_memory(dropped.weights, s.weights)
+
+
 def test_sums_above_n127_use_int32_images():
     n = 128
     rng = np.random.default_rng(5)

@@ -30,6 +30,7 @@ from xubirkhoff.permutations import (
     _circulant_index,
     _level_tables,
     _prime_rows,
+    _supercirculant_ranks,
     d_images,
     lex_images,
     shift_images,
@@ -43,6 +44,7 @@ TABLES = {
     shift_images: (2, 5, 9),
     d_images: (3, 5, 9),
     supercirculant_images: (2, 3, 5, 13),
+    _supercirculant_ranks: (2, 3, 5, 7),
     _prime_rows: (5, 7, 13),
     _level_tables: (3, 4, 6),
     _circulant_index: (2, 5, 9),
@@ -86,6 +88,7 @@ SUMS = {
     "recursive-2": lambda: decompose_recursive(random_xu(2, 2)),
     "recursive-6": lambda: decompose_recursive(random_xu(6, 2)),
     "recursive-circulant-10": lambda: decompose_recursive(random_circulant_xu(10, 0)),
+    "recursive-12": lambda: decompose_recursive(random_xu(12, 0)),
     "unitary-2": lambda: decompose_unitary(haar_unitary(2, 3)),
     "unitary-5": lambda: decompose_unitary(haar_unitary(5, 3)),
     "circulant": lambda: circulant_xu_decompose(random_circulant_xu(6, 4)),
@@ -114,13 +117,20 @@ def test_a_sum_cannot_write_into_the_table_it_shares():
     assert verify(decompose_xu4(x), x).ok
 
 
-@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
 def test_dense_sum_shares_the_cached_table(n):
-    # No weight of a random XU(n) is pruned, so the recursive engine's sum
-    # wraps the cached rows of S_n themselves instead of a copy of them.
+    # The recursive engine's sum wraps the cached rows of S_n themselves
+    # exactly when it keeps all n! weights, and a copy of the kept rows
+    # otherwise. The bottom block's weights vanish off AGL(1, p), which is
+    # all of S_3 under XU(4) and XU(5) but not of S_5 or S_7: a random XU(6)
+    # keeps 408 of 720 weights and a random XU(8) 1 936 of 40 320.
     x = random_xu(n, 3)
     s = decompose_recursive(x)
-    assert s.images is lex_images(n) and len(s) == math.factorial(n)
+    table = lex_images(n)
+    every = len(s) == math.factorial(n)
+    assert every == (n < 6)
+    assert (s.images is table) == every
+    assert np.shares_memory(s.images, table) == every
     for a in (s.images, s.weights):
         assert_read_only_to_its_base(a)
     assert verify(s, x).ok

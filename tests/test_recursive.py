@@ -1,10 +1,12 @@
 """The recursive engine's dense level step, against the sum-product
-formula it replaces, and the lexicographic tables it indexes."""
+formula it replaces, the lexicographic tables it indexes, and the weights
+over AGL(1,p) of the prime block it stops at."""
 
 import itertools
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from xubirkhoff import (
     Permutation,
+    SupercirculantLabel,
     UnsupportedDimensionError,
     WeightedPermSum,
     circulant_xu_decompose,
@@ -21,22 +24,32 @@ from xubirkhoff import (
     decompose_unitary,
     decompose_xu,
     haar_unitary,
+    lexicographic_index,
     product,
     random_circulant_xu,
     random_xu,
+    supercirculant_perm,
+    verify,
 )
+from xubirkhoff import birkhoff
 from xubirkhoff.birkhoff import (
     DENSE_MAX_N,
     PRUNE_EPS,
+    _bottom,
     _dense,
     _first_rows,
     _level_maps,
     _lexicographic,
     _next_core,
 )
-from xubirkhoff.permutations import _level_tables, lex_images
+from xubirkhoff.permutations import (
+    _level_tables,
+    _supercirculant_ranks,
+    lex_images,
+    supercirculant_images,
+)
 from xubirkhoff.scaling import ScalingOptions, zxz_scale
-from xubirkhoff.xu_group import circulant_sum, fourier_core, fourier_embed
+from xubirkhoff.xu_group import circulant_sum, fourier_core, fourier_embed, is_prime
 
 
 def _lift(s):
@@ -48,8 +61,9 @@ def _lift(s):
 def _reference(a, opts):
     """One recursion level per call, multiplied out with ``product`` and
     pruned after each product. The levels pass their cores, first rows and
-    XU(2) block as the engine's helpers build them, so that the reference
-    differs from the engine only in how it folds the levels."""
+    bottom block as the engine's helpers build them, and stop at the same
+    prime block, so that the reference differs from the engine only in how
+    it folds the levels."""
     n = a.shape[0]
     if n <= 2:
         return _lexicographic(n, a[0])
@@ -58,7 +72,7 @@ def _reference(a, opts):
 
 def _reference_level(core, opts):
     """The level of size len(core) + 1 whose core is ``core``, and every
-    level below it."""
+    level below it down to the first middle block of prime size."""
     n = len(core) + 1
     fac = zxz_scale(core, opts)
     d = np.ones((2, n), dtype=complex)
@@ -67,8 +81,9 @@ def _reference_level(core, opts):
     w1, w2 = _first_rows(d)
     s1 = circulant_sum(w1).pruned(PRUNE_EPS)
     s2 = circulant_sum(w2).pruned(PRUNE_EPS)
-    if n == 3:
-        inner = _lexicographic(2, fourier_embed(fac.core)[1:, 1:][0])
+    if is_prime(n - 1):
+        block = fourier_embed(fac.core)[1:, 1:]
+        inner = WeightedPermSum._trusted(n - 1, *_bottom(block))
     else:
         inner = _reference_level(_next_core(fac.core), opts)
     sy = _lift(inner)
@@ -141,13 +156,16 @@ def test_dense_weights_have_no_negative_zero_part(n):
 @pytest.mark.parametrize("n", [DENSE_MAX_N, DENSE_MAX_N + 1])
 def test_both_sides_of_the_dense_bound_match_reference(n):
     # n = DENSE_MAX_N is one dense recursion; n = DENSE_MAX_N + 1 is a
-    # sparse level over it.
-    for x in _few_term_inputs(n):
+    # sparse level over it. Both stop at the bottom block XU(7). The
+    # identity and the circulant keep at most n terms. Every circulant of
+    # the permutation matrix is one shift, so its terms are those of its
+    # bottom block, a permutation matrix written over AGL(1,7): at most 42.
+    for x, most in zip(_few_term_inputs(n), [n, 7 * 6, n]):
         got = decompose_recursive(x)
         want = _reference(x.astype(complex), ScalingOptions())
         assert np.array_equal(got.images, want.images)
         assert np.abs(got.weights - want.weights).max() <= 1e-15
-        assert len(got) <= n
+        assert len(got) <= most
         assert np.abs(got.reconstruct() - x).max() <= 1e-12
 
 
@@ -177,19 +195,21 @@ def test_few_term_inputs_at_n12_stay_small():
 @pytest.mark.parametrize(
     "decompose",
     [
-        lambda: decompose_unitary(haar_unitary(12, 0)),
-        lambda: decompose_xu(random_xu(12, 0)),
+        lambda: decompose_unitary(haar_unitary(16, 0)),
+        lambda: decompose_xu(random_xu(16, 0)),
     ],
     ids=["unitary", "xu-auto"],
 )
-def test_full_support_n12_refused_before_any_product(decompose):
-    # Level 11's second product would take 11! * 11 pairs (over 30 GB):
-    # the bound refuses it after the scaling and the dense levels, which
-    # stay under 30 MB traced, before the 36.3 M-pair products of level 10.
+def test_full_support_n16_refused_before_any_product(decompose):
+    # The smallest composite n refused at full support: levels 16, 15 and
+    # 14 stand over the bottom block XU(13), whose 156 terms bound level
+    # 14 by 30 576 terms and level 15 by 6 879 600, so level 16's first
+    # product could take 16 * 6 879 600 pairs. The bound refuses it after
+    # the scaling, before any product runs.
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(UnsupportedDimensionError, match="level 11.*439084800 pairs"):
+        with pytest.raises(UnsupportedDimensionError, match="level 16.*110073600 pairs"):
             decompose()
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
@@ -253,8 +273,107 @@ def test_tolerances_do_not_compound_with_depth(n, seed):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_squared_moduli_sum_to_one_at_rounding_level(n):
-    # The bottom XU(2) block is scaled in closed form, so it does not carry
-    # the scaling residual: it once left |sum |m|^2 - 1| at 1.9e-11.
+    # The bottom block is not scaled: its weights over AGL(1, p) are exact
+    # (its first row at p = 2), so it does not carry the scaling residual.
+    # Scaling it once left |sum |m|^2 - 1| at 1.9e-11.
     for seed in range(4):
         s = decompose_recursive(random_xu(n, seed))
         assert abs(s.sq_moduli_sum() - 1.0) <= 1e-14
+
+
+PRIMES = [p for p in range(2, 32) if is_prime(p)]
+
+
+def _agl_reference(x):
+    """(image rows, weights) of m_h = [h = e] + (1/p) sum_k (X - I)[k, h(k)]
+    over the supercirculants h = C[l,x], built one at a time, in
+    lexicographic order."""
+    p = len(x)
+    d = x - np.eye(p)
+    terms = []
+    for l in range(1, p + 1):
+        for pitch in range(1, p):
+            h = supercirculant_perm(p, SupercirculantLabel(l, pitch))
+            h = np.subtract(h.image, 1)
+            g = sum(d[k, h[k]] for k in range(p))
+            terms.append((h.tolist(), (l, pitch) == (1, 1), g))
+    terms.sort()
+    return [t[0] for t in terms], np.array([e + g / p for _, e, g in terms])
+
+
+def _check_agl_weights(x):
+    p = len(x)
+    images, m = _bottom(x)
+    want_images, want = _agl_reference(x)
+    assert np.array_equal(images, want_images)
+    assert np.abs(m - want).max() <= 1e-15
+    s = WeightedPermSum._trusted(p, images, m)
+    assert np.abs(s.reconstruct() - x).max() <= 1e-14
+    assert abs(m.sum() - 1.0) <= 1e-14
+    assert abs(s.sq_moduli_sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_agl_weights_reconstruct_with_both_sums_one(p):
+    # At p = 2 the weights are read off the first row: AGL(1,2) is S_2.
+    for seed in range(3):
+        _check_agl_weights(random_xu(p, seed))
+    if p > 2:
+        assert _bottom(random_xu(p, 0))[0] is supercirculant_images(p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(PRIMES), st.integers(0, 2**32 - 1))
+def test_agl_weights_over_seeds(p, seed):
+    _check_agl_weights(random_xu(p, seed))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_agl_weights_of_the_identity_are_one_term(p):
+    images, m = _bottom(np.eye(p, dtype=complex))
+    assert np.count_nonzero(m) == 1
+    assert m[0] == 1 and np.array_equal(images[0], np.arange(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_agl_weights_are_unitary_in_the_group_algebra(p):
+    # m* m = e: the coefficient of m* m at q, sum over h of
+    # conj(m_h) m_(h then q), is 1 at the identity and 0 elsewhere.
+    for seed in range(3):
+        images, m = _bottom(random_xu(p, seed))
+        index = {tuple(r): j for j, r in enumerate(images.tolist())}
+        for q in images:
+            then_q = [index[tuple(q[h])] for h in images]
+            want = 1.0 if np.array_equal(q, np.arange(p)) else 0.0
+            assert abs(np.vdot(m, m[then_q]) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_supercirculant_ranks_index_lex_images(p):
+    ranks = _supercirculant_ranks(p)
+    assert np.array_equal(lex_images(p)[ranks], supercirculant_images(p))
+    perms = [Permutation(tuple(r + 1)) for r in supercirculant_images(p).astype(int)]
+    assert ranks.tolist() == [lexicographic_index(q) - 1 for q in perms]
+
+
+# The levels XU(n) scales, one call each: n, n - 1, ..., down to the first
+# level m whose middle block has prime size m - 1.
+SCALED_LEVELS = {4: 1, 5: 2, 6: 1, 7: 2, 8: 1, 9: 2, 10: 3, 12: 1, 14: 1}
+
+
+@pytest.mark.parametrize("n", SCALED_LEVELS)
+def test_engine_scales_only_the_levels_above_the_prime_block(n):
+    # XU(12) and XU(14) stand over the bottom blocks XU(11) and XU(13),
+    # sparse sums that their levels fold with ``product``.
+    x = random_xu(n, n)
+    spy = mock.Mock(wraps=birkhoff.zxz_scale)
+    with mock.patch.object(birkhoff, "zxz_scale", spy):
+        s = decompose_recursive(x)
+    assert spy.call_count == SCALED_LEVELS[n]
+    # The scaled cores have sizes n - 1, n - 2, ..., and only the last,
+    # the middle block of the lowest level, has prime size.
+    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    assert sizes == list(range(n - 1, n - 1 - SCALED_LEVELS[n], -1))
+    assert [is_prime(k) for k in sizes] == [False] * (len(sizes) - 1) + [True]
+    assert verify(s, x).ok
+    assert abs(s.sq_moduli_sum() - 1.0) <= 1e-14
