@@ -63,12 +63,14 @@ from .numerics import (
 )
 from .permsum import ComplexPermSum, WeightedPermSum, check_pairs, product
 from .permutations import (
+    Permutation,
     _circulant_index,
     _level_tables,
     _lifted,
     _prime_rows,
     _supercirculant_ranks,
     lex_images,
+    lexicographic_index,
     supercirculant_images,
 )
 from .scaling import _DEFAULT_OPTIONS, ScalingOptions, _input_tol, zxz_scale
@@ -80,11 +82,13 @@ PRUNE_EPS = 1e-14
 
 # The recursive engine holds a level of size n <= DENSE_MAX_N as the weights
 # of all n! permutations and a larger level as a sum of its nonzero terms. A
-# dense level costs n! whatever the input's support: at n = 9 its weight
-# arrays take 5.8 MB each, at n = 10 58 MB each. Over all of S_8 the dense
-# level 9 was about 30 times faster than ``product``; over the 42 terms of
-# the bottom block XU(7) of a random XU(9), the two folds take about as long.
-DENSE_MAX_N = 9
+# dense level costs n! whatever the input's support; the bound is where it
+# stops winning. Whole decompositions of random XU(n), seeds 100-102, one
+# core, medians, with dense levels up to 7 / none above the bottom block /
+# up to 9: n = 6 0.49 / 0.69 ms, n = 7 0.97 / 3.7 ms, n = 8 0.99 / 0.92 /
+# 2.4 ms (level 8 over the 42 terms of its bottom block XU(7)), n = 9
+# 23.4 / 23.0 / 20.5 ms.
+DENSE_MAX_N = 7
 
 # ``verify``'s default tolerance: the engines that scale carry their residual.
 VERIFY_TOL = 1e-9
@@ -318,7 +322,9 @@ def decompose_recursive(
       and sum |m|^2 = 1 + 2 Re g_e / p + ||D||^2 / p = 1.
 
     At p = 2, where H = S_2, the weights equal Y's first row in exact
-    arithmetic, and are read off it.
+    arithmetic, and are read off it. A Y that is a permutation matrix up
+    to entries of modulus <= PRUNE_EPS is kept as that one permutation,
+    weight 1: over H its weights would spread over up to p(p - 1) terms.
 
     The three sums of a level multiply in two coset forms of S_n, with no
     merging and no sort. Every permutation is exactly once "apply c_k, then
@@ -330,12 +336,12 @@ def decompose_recursive(
     circulant matrix times the weights arranged by (a, rho). A level of
     size n <= DENSE_MAX_N keeps the weights of all n! permutations in
     lexicographic order this way (``_dense``) and zeroes those of modulus
-    <= PRUNE_EPS at its end; a bottom block of size p <= DENSE_MAX_N enters
-    as p! weights, zero off H (``_supercirculant_ranks``). The top dense
+    <= PRUNE_EPS at its end; a bottom block of size p < DENSE_MAX_N enters
+    as p! weights, zero off its terms (``_scattered``). The top dense
     level's nonzero weights then become a sum once. Each larger level
     multiplies sums of nonzero terms with ``product`` and prunes after
     each of its two products, starting from the pruned sum of the bottom
-    block when p > DENSE_MAX_N. So an input with few terms (a permutation
+    block when p >= DENSE_MAX_N. So an input with few terms (a permutation
     matrix, a circulant) stays cheap at the levels above DENSE_MAX_N; a
     dense level costs its n! weights whatever the support. Before the
     first of these products, the term count of that sum bounds the pairs
@@ -352,7 +358,8 @@ def decompose_recursive(
     conj(m_p) p^-1; m is unitary when m* m = e, whose coefficient at e is
     sum_p |m_p|^2 = 1. Four steps give it:
 
-    * the bottom block's weights are a unitary element of C[H]. C[H] is
+    * the bottom block's weights are a unitary element of C[H] (or one
+      permutation, weight 1, which is unitary in C[S_p]). C[H] is
       the direct sum of the matrix algebras of H's irreducible
       representations, so it is enough that m maps to a unitary in each.
       The permutation representation of the 2-transitive H is the trivial
@@ -382,17 +389,14 @@ def decompose_recursive(
     levels, block = _levels(a, opts)
     p = len(block)
     images, weights = _bottom(block)
-    if p > DENSE_MAX_N:
+    if p >= DENSE_MAX_N:
         cut = len(levels)
         out = WeightedPermSum._trusted(p, images, weights).pruned(PRUNE_EPS)
     else:
         # The levels are listed top down, sizes n, n - 1, ..., p + 1, so the
         # first ``cut`` are the ones above DENSE_MAX_N.
         cut = max(0, n - DENSE_MAX_N)
-        if p > 2:
-            dense = np.zeros(math.factorial(p), dtype=complex)
-            dense[_supercirculant_ranks(p)] = weights
-            weights = dense
+        weights = _scattered(images, weights)
         for w1, w2 in reversed(levels[cut:]):
             weights = _dense(w1, w2, weights)
         m = n - cut
@@ -446,16 +450,36 @@ def _bottom(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     AGL(1,p) (``supercirculant_images``), whose first is the identity,
     with the weights [h = e] + (1/p) sum_k (Y - I)[k, h(k)]
     (``decompose_recursive``). At p <= 2 they are the rows of S_p and Y's
-    first row, zeros kept."""
+    first row, zeros kept. A Y with only p entries of modulus over
+    PRUNE_EPS is a permutation matrix up to the others, since its line
+    sums are 1: it is one term of weight 1."""
     p = len(block)
+    big = np.abs(block) > PRUNE_EPS
     if p <= 2:
         images, weights = lex_images(p), block[0]
+    elif np.count_nonzero(big) == p:
+        images, weights = big.argmax(axis=1)[None], np.ones(1)
     else:
         images = supercirculant_images(p)
         weights = (block - np.eye(p)).ravel()[images + p * np.arange(p)].sum(axis=1) / p
         weights[0] += 1
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
     return images, weights + 0j
+
+
+def _scattered(images: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weights of all p! permutations, in lexicographic order, of the
+    bottom block whose terms ``_bottom`` gives: over AGL(1,p) they sit at
+    ``_supercirculant_ranks(p)``, which is S_p at p = 2; one term sits at
+    its ``lexicographic_index``."""
+    p = images.shape[1]
+    out = np.zeros(math.factorial(p), dtype=complex)
+    if len(images) == 1:
+        image = tuple(int(k) + 1 for k in images[0])
+        out[lexicographic_index(Permutation(image)) - 1] = weights[0]
+    else:
+        out[_supercirculant_ranks(p)] = weights
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -187,15 +187,12 @@ def supercirculant_images(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _supercirculant_ranks(p: int) -> np.ndarray:
-    """The read-only lexicographic indices in S_p of the rows of
-    ``supercirculant_images(p)``, in their order, cached per p (p <= 20, so
-    that p! fits int64). A row's index counts, at each place, the smaller
-    images to its right, weighted by the factorial of the places left."""
-    rows = supercirculant_images(p)
-    right = np.triu(np.ones((p, p), dtype=bool), 1)
-    smaller = (rows[:, None, :] < rows[:, :, None]) & right
-    places = np.array([math.factorial(p - 1 - k) for k in range(p)])
-    return _frozen(smaller.sum(axis=2) @ places)
+    """The read-only places in ``lex_images(p)`` of the rows of
+    ``supercirculant_images(p)``, in their order (``lexicographic_index``
+    less 1), cached per p."""
+    rows = supercirculant_images(p).tolist()
+    ranks = [lexicographic_index(Permutation(tuple(k + 1 for k in r))) - 1 for r in rows]
+    return _frozen(np.array(ranks))
 
 
 @lru_cache(maxsize=64)

@@ -586,12 +586,12 @@ class TestDecomposeUnitary:
             mods = np.abs(m[nz])
             assert np.abs(mods - 1.0).max() < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14])
     def test_fourier_matrices(self, n):
-        # n = 9 and 10 are left out for time: the recursive engine's dense
-        # level 9 takes 0.3-0.5 s on them, for 17 424 and 554 580 terms
-        # (a random XU(9) gives 55 458). DFT_12 and DFT_14 stop at the
-        # bottom blocks XU(11) and XU(13), with 1 320 and 2 184 terms.
+        # n = 10 is left out for time: it takes 0.4 s, for 554 580 terms.
+        # DFT_9 gives 17 424 (a random XU(9) 55 458). DFT_12 and DFT_14
+        # stop at the bottom blocks XU(11) and XU(13), with 1 320 and
+        # 2 184 terms.
         f = dft_matrix(n)
         r = verify(decompose_unitary(f), f, tol=1e-9)
         assert r.reconstruction_ok and r.weight_sum_ok

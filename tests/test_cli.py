@@ -157,7 +157,7 @@ class TestDecompose:
 
 
 class TestVerifyRoundTrip:
-    # Every engine; recursive at 8 is the 40 320-term sum.
+    # Every engine; recursive at 6 is a dense sum, at 8 a product.
     @pytest.mark.parametrize(
         "method, n",
         [

@@ -440,7 +440,7 @@ def test_from_arrays_copies_caller_arrays():
 
 def test_large_product_peak_memory():
     # all 40 320 permutations of 8 against the 8 cyclic shifts, both ways:
-    # 322 560 pairs onto 40 320 terms, the last product of a recursive XU(8)
+    # 322 560 pairs onto 40 320 terms
     n = 8
     rng = np.random.default_rng(0)
     images = np.array(list(itertools.permutations(range(n))))

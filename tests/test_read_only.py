@@ -117,13 +117,14 @@ def test_a_sum_cannot_write_into_the_table_it_shares():
     assert verify(decompose_xu4(x), x).ok
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_dense_sum_shares_the_cached_table(n):
     # The recursive engine's sum wraps the cached rows of S_n themselves
     # exactly when it keeps all n! weights, and a copy of the kept rows
     # otherwise. The bottom block's weights vanish off AGL(1, p), which is
-    # all of S_3 under XU(4) and XU(5) but not of S_5 or S_7: a random XU(6)
-    # keeps 408 of 720 weights and a random XU(8) 1 936 of 40 320.
+    # all of S_3 under XU(4) and XU(5) but not of S_5: a random XU(6) keeps
+    # 408 of 720 weights. Level 8 is sparse, a product over the bottom
+    # block XU(7), and its 1 936 terms are never rows of the table.
     x = random_xu(n, 3)
     s = decompose_recursive(x)
     table = lex_images(n)

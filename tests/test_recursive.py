@@ -24,7 +24,6 @@ from xubirkhoff import (
     decompose_unitary,
     decompose_xu,
     haar_unitary,
-    lexicographic_index,
     product,
     random_circulant_xu,
     random_xu,
@@ -110,7 +109,8 @@ def test_level_step_matches_fourier_embedding(n, seed):
         assert np.abs(got - fourier_embed(np.diag(di[1:]))[0]).max() <= 1e-15
 
 
-# (9, 1) is the one full-support input at the largest dense level.
+# n = 7 is the largest dense level; (9, 1) is a full-support input whose
+# two sparse levels stand over the bottom block XU(7).
 REFERENCE_CASES = [(n, seed) for n in range(3, 9) for seed in range(3)] + [
     (n, None) for n in range(3, 9)
 ] + [(9, 1)]
@@ -138,9 +138,10 @@ NEGATIVE_ZERO_XU2 = [
 ]
 
 
-@pytest.mark.parametrize("n", range(3, DENSE_MAX_N + 1))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_dense_weights_have_no_negative_zero_part(n):
-    # The JSON form would print such a part as -0.0.
+    # The JSON form would print such a part as -0.0. Above DENSE_MAX_N the
+    # engine's levels are sparse, but ``_dense`` holds at any size.
     for x in [*_few_term_inputs(n), *NEGATIVE_ZERO_XU2]:
         w = decompose_recursive(x).weights
         for part in (w.real, w.imag):
@@ -153,19 +154,17 @@ def test_dense_weights_have_no_negative_zero_part(n):
     assert not np.signbit(out.imag).any()
 
 
-@pytest.mark.parametrize("n", [DENSE_MAX_N, DENSE_MAX_N + 1])
+@pytest.mark.parametrize("n", range(DENSE_MAX_N, 11))
 def test_both_sides_of_the_dense_bound_match_reference(n):
-    # n = DENSE_MAX_N is one dense recursion; n = DENSE_MAX_N + 1 is a
-    # sparse level over it. Both stop at the bottom block XU(7). The
-    # identity and the circulant keep at most n terms. Every circulant of
-    # the permutation matrix is one shift, so its terms are those of its
-    # bottom block, a permutation matrix written over AGL(1,7): at most 42.
-    for x, most in zip(_few_term_inputs(n), [n, 7 * 6, n]):
+    # n = DENSE_MAX_N is two dense levels over the bottom block XU(5); the
+    # larger n are sparse levels over the bottom block XU(7). A permutation
+    # matrix has a permutation matrix for its bottom block, one term.
+    for x in _few_term_inputs(n):
         got = decompose_recursive(x)
         want = _reference(x.astype(complex), ScalingOptions())
         assert np.array_equal(got.images, want.images)
         assert np.abs(got.weights - want.weights).max() <= 1e-15
-        assert len(got) <= most
+        assert len(got) <= n
         assert np.abs(got.reconstruct() - x).max() <= 1e-12
 
 
@@ -335,6 +334,28 @@ def test_agl_weights_of_the_identity_are_one_term(p):
     assert m[0] == 1 and np.array_equal(images[0], np.arange(p))
 
 
+@pytest.mark.parametrize("p", [p for p in PRIMES if p > 2])
+def test_permutation_block_is_one_term(p):
+    # Over AGL(1, p) a permutation matrix would spread over many terms,
+    # whether or not it lies in the group. The engine's blocks carry
+    # rounding in their zero entries, hence the 1e-16 everywhere.
+    rng = np.random.default_rng(p)
+    for perm in (rng.permutation(p), np.roll(np.arange(p), 1)[::-1]):
+        x = np.eye(p)[perm] + 1e-16
+        images, m = _bottom(x.astype(complex))
+        assert np.array_equal(images, [perm]) and np.array_equal(m, [1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16])
+def test_permutation_matrix_gives_its_one_term(n):
+    # On both sides of DENSE_MAX_N, and at n = 16, where full support is
+    # refused.
+    perm = np.random.default_rng(n).permutation(n)
+    s = decompose_recursive(np.eye(n)[perm])
+    assert np.array_equal(s.images, [perm])
+    assert abs(s.weights[0] - 1) <= 1e-12
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_agl_weights_are_unitary_in_the_group_algebra(p):
     # m* m = e: the coefficient of m* m at q, sum over h of
@@ -352,8 +373,6 @@ def test_agl_weights_are_unitary_in_the_group_algebra(p):
 def test_supercirculant_ranks_index_lex_images(p):
     ranks = _supercirculant_ranks(p)
     assert np.array_equal(lex_images(p)[ranks], supercirculant_images(p))
-    perms = [Permutation(tuple(r + 1)) for r in supercirculant_images(p).astype(int)]
-    assert ranks.tolist() == [lexicographic_index(q) - 1 for q in perms]
 
 
 # The levels XU(n) scales, one call each: n, n - 1, ..., down to the first
