@@ -18,14 +18,11 @@ with weight sum 1:
   block of prime size p, whose weights over AGL(1,p) need no scaling;
   the squared moduli sum to 1 up to the scaling and pruning residuals
   (its weights form a unitary element of the group algebra, see its
-  docstring). It scales the levels top down, then folds them bottom up.
-  Each level up to n = DENSE_MAX_N is one dense step on the weights of
-  all n! permutations in lexicographic order: every permutation is,
-  exactly once, a cyclic shift followed by a permutation fixing 0, and,
-  exactly once, a permutation fixing 0 followed by a cyclic shift.
-  Larger levels multiply the sums of their nonzero terms with
-  ``product``; an input whose products could exceed ``product``'s pair
-  cap is refused before the first of them.
+  docstring). It scales the levels top down, then folds them bottom up,
+  each level in one coset fold over sums: every product of a cyclic
+  shift and a permutation fixing 0 is, exactly once, a permutation
+  fixing 0 followed by a cyclic shift. An input whose folds could exceed
+  ``product``'s pair cap is refused before the first of them.
 * ``decompose_unitary``: any unitary, as a weighted sum of complex
   permutation matrices (one unit-modulus phase per row).
 
@@ -35,11 +32,10 @@ scratch.
 
 The engines keep the arithmetic. Every image-row table they read is
 built, ordered and cached in ``permutations``: ``lex_images`` for the
-tables over all of S_n (n = 2, 3, 4 and the recursive engine's dense
-levels), ``supercirculant_images`` and ``_prime_rows`` for the prime
-construction and the recursive engine's bottom block, and
-``_level_tables``, ``_circulant_index`` and ``_supercirculant_ranks`` for
-the index tables of the dense levels.
+tables over all of S_n (n = 2, 3, 4), ``supercirculant_images`` and
+``_prime_rows`` for the prime construction and the recursive engine's
+bottom block, and ``_coset_plan``, ``_agl_plan`` and ``_circulant_index``
+for the recursive engine's folds.
 """
 
 from __future__ import annotations
@@ -63,32 +59,27 @@ from .numerics import (
 )
 from .permsum import ComplexPermSum, WeightedPermSum, check_pairs, product
 from .permutations import (
-    Permutation,
+    _agl_plan,
     _circulant_index,
-    _level_tables,
-    _lifted,
+    _coset_plan,
     _prime_rows,
-    _supercirculant_ranks,
     lex_images,
-    lexicographic_index,
     supercirculant_images,
 )
 from .scaling import _DEFAULT_OPTIONS, ScalingOptions, _input_tol, zxz_scale
-from .xu_group import circulant_sum, fourier_core, fourier_embed, is_prime, require_xu
+from .xu_group import fourier_core, fourier_embed, is_prime, require_xu
 
 # Weights below this modulus are dropped between recursion steps; the
 # removed mass is orders of magnitude under every verification tolerance.
 PRUNE_EPS = 1e-14
 
-# The recursive engine holds a level of size n <= DENSE_MAX_N as the weights
-# of all n! permutations and a larger level as a sum of its nonzero terms. A
-# dense level costs n! whatever the input's support; the bound is where it
-# stops winning. Whole decompositions of random XU(n), seeds 100-102, one
-# core, medians, with dense levels up to 7 / none above the bottom block /
-# up to 9: n = 6 0.49 / 0.69 ms, n = 7 0.97 / 3.7 ms, n = 8 0.99 / 0.92 /
-# 2.4 ms (level 8 over the 42 terms of its bottom block XU(7)), n = 9
-# 23.4 / 23.0 / 20.5 ms.
-DENSE_MAX_N = 7
+# The most cells a cached first-level plan of the recursive engine
+# (``permutations._agl_plan``) may hold, bounded before it is built by
+# n * nnz(w1) * p(p - 1) over a bottom block of prime size p = n - 1. At
+# full support that admits every first level up to n = 14 (25 900 cells,
+# 0.58 MB of tables); n = 18 builds 77 796 cells and n = 32 890 944
+# (36 MB), per call.
+_PLAN_CACHE_CELLS = 1 << 16
 
 # ``verify``'s default tolerance: the engines that scale carry their residual.
 VERIFY_TOL = 1e-9
@@ -326,32 +317,33 @@ def decompose_recursive(
     to entries of modulus <= PRUNE_EPS is kept as that one permutation,
     weight 1: over H its weights would spread over up to p(p - 1) terms.
 
-    The three sums of a level multiply in two coset forms of S_n, with no
-    merging and no sort. Every permutation is exactly once "apply c_k, then
-    1 (+) sigma" (k is fixed by the point sent to 0), so the first
-    product is the outer product of the two weight vectors, scattered to
-    lexicographic indices. Every permutation is also exactly once "apply
-    1 (+) rho, then c_a" with a its image of 0, and a further shift c_l
-    only moves a to a + l mod n; so the second product is one n x n
-    circulant matrix times the weights arranged by (a, rho). A level of
-    size n <= DENSE_MAX_N keeps the weights of all n! permutations in
-    lexicographic order this way (``_dense``) and zeroes those of modulus
-    <= PRUNE_EPS at its end; a bottom block of size p < DENSE_MAX_N enters
-    as p! weights, zero off its terms (``_scattered``). The top dense
-    level's nonzero weights then become a sum once. Each larger level
-    multiplies sums of nonzero terms with ``product`` and prunes after
-    each of its two products, starting from the pruned sum of the bottom
-    block when p >= DENSE_MAX_N. So an input with few terms (a permutation
-    matrix, a circulant) stays cheap at the levels above DENSE_MAX_N; a
-    dense level costs its n! weights whatever the support. Before the
-    first of these products, the term count of that sum bounds the pairs
-    of every product above it (``_refuse_oversized``), and a bound over
-    ``permsum``'s cap of 40 M pairs raises UnsupportedDimensionError
-    after the scaling, before any product runs. Full-support XU(12) and
-    XU(14) decompose over the bottom blocks XU(11) and XU(13); the
-    smallest composite n refused at full support is 16, whose level 16
-    may multiply 16 shifts with 6 879 600 terms. The weight sum is a
-    product of 1s.
+    Each level folds its three sums, C(w1) (1 (+) s) C(w2), in one coset
+    fold, where C(w) is the sum of w[k] c_k over the cyclic shifts c_k and
+    s the sum of v_j sigma_j below. Every product "apply c_k, then
+    1 (+) sigma_j" of a shift in the support of w1 and a row of s is
+    exactly one "apply 1 (+) rho, then c_a", with a its image of 0, and
+    distinct pairs (k, j) give distinct products. A further shift c_l
+    only moves a to a + l mod n. So, with the distinct rho numbered g in
+    lexicographic order, each pair puts w1[k] v_j in a cell (g, a) of its
+    own, and the (R, n) cells times the circulant matrix of w2 are the
+    weights of "apply 1 (+) rho_g, then c_b". The fold keeps those of
+    modulus over PRUNE_EPS, in the lexicographic order of their rows, with
+    no merging. The cells, the rows and their order are the level's plan
+    (``_coset_plan``); it depends on the rows below and the support of w1
+    only. So the plan of a first level over the rows of AGL(1,p), S_2 at
+    p = 2, is cached per (n, support) (``_agl_plan``) while n nnz(w1)
+    p(p - 1) is at most _PLAN_CACHE_CELLS, up to n = 14 at full support;
+    the bottom weights of modulus <= PRUNE_EPS are zeroed there, not
+    dropped, to keep its rows. Every other plan depends on the input, and
+    is built per call. An input with few terms (a permutation matrix, a
+    circulant) stays cheap at every n.
+    Before the first fold, the bottom block's row count bounds the pairs
+    and cells of every level (``_refuse_oversized``), and a bound over
+    ``permsum``'s cap of 40 M pairs raises UnsupportedDimensionError after
+    the scaling, before any fold runs. Full-support XU(12) and XU(14)
+    decompose over the bottom blocks XU(11) and XU(13); the smallest
+    composite n refused at full support is 16, whose level 16 may pair 16
+    shifts with 6 879 600 terms. The weight sum is a product of 1s.
 
     The squared moduli sum to 1 as well. Read the weights as the element
     m = sum_p m_p p of the group algebra C[S_n], with m* = sum_p
@@ -373,8 +365,8 @@ def decompose_recursive(
     * lifting an element of C[S_(n-1)] to C[S_n] through 1 (+) sigma is
       an algebra homomorphism, so it keeps unitarity, as does the
       inclusion of C[H] in C[S_p];
-    * products of unitary elements are unitary, and both coset forms
-      above, like ``product``, compute the group-algebra product.
+    * products of unitary elements are unitary, and the coset fold, like
+      ``product``, computes the group-algebra product.
 
     Numerically the sum is 1 up to the scaling residual and the mass
     pruned under PRUNE_EPS.
@@ -385,37 +377,23 @@ def decompose_recursive(
     """
     opts = opts or _DEFAULT_OPTIONS
     a = require_xu(x, tol)
-    n = a.shape[0]
     levels, block = _levels(a, opts)
-    p = len(block)
     images, weights = _bottom(block)
-    if p >= DENSE_MAX_N:
-        cut = len(levels)
-        out = WeightedPermSum._trusted(p, images, weights).pruned(PRUNE_EPS)
-    else:
-        # The levels are listed top down, sizes n, n - 1, ..., p + 1, so the
-        # first ``cut`` are the ones above DENSE_MAX_N.
-        cut = max(0, n - DENSE_MAX_N)
-        weights = _scattered(images, weights)
-        for w1, w2 in reversed(levels[cut:]):
-            weights = _dense(w1, w2, weights)
-        m = n - cut
-        # The sum shares the cached, read-only table of S_m unless a weight
-        # is zero; copying its m! rows would be a large part of a dense
-        # decomposition, so only the kept rows are taken.
-        images = lex_images(m)
-        kept = np.flatnonzero(weights)
-        if m > 2 and len(kept) < len(weights):
-            images, weights = images.take(kept, axis=0), weights[kept]
-        out = WeightedPermSum._trusted(m, images, weights)
-    _refuse_oversized(levels[:cut], len(out))
-    for w1, w2 in reversed(levels[:cut]):
-        # 1 (+) p for each permutation p of the level below.
-        lifted = WeightedPermSum._trusted(len(w1), _lifted(out.images), out.weights)
-        out = product(circulant_sum(w1).pruned(0), lifted).pruned(PRUNE_EPS)
-        out = product(out, circulant_sum(w2).pruned(0)).pruned(PRUNE_EPS)
-    out.engine = "recursive"
-    return out
+    _refuse_oversized(levels, len(images))
+    for level, (w1, w2) in enumerate(reversed(levels)):
+        n = len(w1)
+        k = np.flatnonzero(w1)
+        pairs = len(images) * len(k)
+        if level == 0 and len(images) > 1 and n * pairs <= _PLAN_CACHE_CELLS:
+            cells, rows, order = _agl_plan(n, tuple(k.tolist()))
+        else:
+            cells, rows, order = _coset_plan(n, images, k)
+        q = np.zeros(len(order), dtype=complex)
+        q[cells] = np.multiply.outer(_pruned(weights), w1[k])
+        q = (q.reshape(-1, n) @ w2[_circulant_index(n)]).reshape(-1)[order]
+        keep = np.abs(q) > PRUNE_EPS
+        images, weights = (rows, q) if keep.all() else (rows[keep], q[keep])
+    return WeightedPermSum._trusted(a.shape[0], images, weights, "recursive")
 
 
 def _levels(a: np.ndarray, opts: ScalingOptions):
@@ -467,21 +445,6 @@ def _bottom(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return images, weights + 0j
 
 
-def _scattered(images: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The weights of all p! permutations, in lexicographic order, of the
-    bottom block whose terms ``_bottom`` gives: over AGL(1,p) they sit at
-    ``_supercirculant_ranks(p)``, which is S_p at p = 2; one term sits at
-    its ``lexicographic_index``."""
-    p = images.shape[1]
-    out = np.zeros(math.factorial(p), dtype=complex)
-    if len(images) == 1:
-        image = tuple(int(k) + 1 for k in images[0])
-        out[lexicographic_index(Permutation(image)) - 1] = weights[0]
-    else:
-        out[_supercirculant_ranks(p)] = weights
-    return out
-
-
 @lru_cache(maxsize=64)
 def _level_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The read-only matrices that carry a recursion level of size n:
@@ -518,41 +481,26 @@ def _next_core(y: np.ndarray) -> np.ndarray:
     return gh @ y @ g
 
 
-def _dense(w1: np.ndarray, w2: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """The weights of all n! permutations of one level of size n, in
-    lexicographic order, from its circulant first rows ``w1`` and ``w2``
-    and the (n-1)! weights ``inner`` of the level below, with those of
-    modulus <= PRUNE_EPS zeroed. They agree with the ``product`` fold of
-    the level to rounding."""
-    n = len(w1)
-    left, coset = _level_tables(n)
-    q = np.empty(n * len(inner), dtype=complex)
-    q[left] = np.multiply.outer(w1, inner)
-    # out[coset[b]] = sum over c of w2[b - c] q[coset[c]].
-    out = np.empty_like(q)
-    out[coset] = w2[_circulant_index(n)] @ q[coset]
-    return _pruned(out)
-
-
 def _refuse_oversized(levels, terms: int) -> None:
-    """Raise UnsupportedDimensionError (``check_pairs``) before any
-    product if a sparse level could need a product of more pairs than
-    ``permsum`` allows.
+    """Raise UnsupportedDimensionError (``check_pairs``) before the first
+    fold if a level could pair or build more than ``permsum`` lets one
+    ``product`` take.
 
-    ``levels`` lists the sparse levels top down and ``terms`` counts the
-    terms of the sum below the lowest. A level of size m multiplies the
-    nnz(w1) shifts of w1 with the T terms below, nnz(w1) * T pairs, into at
-    most min(m!, nnz(w1) * T) terms, and those with the nnz(w2) shifts of
-    w2 into at most m! terms again. Pruning only lowers the true counts.
+    ``levels`` lists the levels top down and ``terms`` counts the rows of
+    the bottom block. A level of size m pairs the nnz(w1) shifts of w1 with
+    the T rows below, nnz(w1) * T pairs, whose permutations "apply
+    1 (+) rho, then c_a" have at most G = min((m-1)!, nnz(w1) * T) distinct
+    rho. It builds the m cells of each, G * m, and at most nnz(w1) * T *
+    nnz(w2) of them can be nonzero. Pruning only lowers the true counts.
     """
     for w1, w2 in reversed(levels):
         m = len(w1)
         k1, k2 = np.count_nonzero(w1), np.count_nonzero(w2)
         what = f"recursive level {m} may need a product"
         check_pairs(m, k1, terms, what)
-        terms = min(math.factorial(m), k1 * terms)
-        check_pairs(m, terms, k2, what)
-        terms = min(math.factorial(m), terms * k2)
+        groups = min(math.factorial(m - 1), k1 * terms)
+        check_pairs(m, groups, m, what)
+        terms = min(groups * m, k1 * terms * k2)
 
 
 def _pruned(w: np.ndarray) -> np.ndarray:

@@ -56,11 +56,15 @@ from .numerics import (
     json_pairs,
     json_size,
 )
-from .permutations import Permutation, _image_dtype, _perms, _row_order, perm_to_matrix
+from .permutations import (
+    Permutation,
+    _group_rows,
+    _image_dtype,
+    _perms,
+    _row_order,
+    perm_to_matrix,
+)
 
-# How many sorted rows ``_group_rows`` compares with their predecessors at
-# a time.
-_GROUP_BLOCK = 1 << 12
 # The most entries one ``_add_groups`` call of ``_reconstruct`` adds. An
 # all-cells index of an XU(8) sum would take 2.6 MB, and its entries as much
 # again. At 2**16, the temporaries of one block at n = 31 (961 terms) come
@@ -68,8 +72,10 @@ _GROUP_BLOCK = 1 << 12
 # 200 page faults, twice the time of two blocks at this bound.
 _RECONSTRUCT_BLOCK = 1 << 14
 # The most term pairs one ``product`` takes. A pair peaks at 76-91 bytes
-# (n = 16 and 31), so this is 3.0-3.6 GB; the largest product of a
-# full-support recursive decomposition at n = 10 has 10! * 10 = 36.3 M.
+# (n = 16 and 31), so this is 3.0-3.6 GB. The recursive engine bounds the
+# pairs and cells of each of its folds by the same cap: the largest
+# full-support fold it admits, level 11 of an explicit XU(11) (bound
+# 11! = 39.9 M), pairs 13.7 M rows into 23.5 M terms at a 1.7 GB peak.
 _PRODUCT_MAX_PAIRS = 40_000_000
 
 
@@ -140,26 +146,6 @@ def _sum_pair_groups(
     return out
 
 
-def _group_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``images`` in lexicographic order and, for each
-    row, the index of its value among them. Group starts are found by
-    comparing neighbouring sorted rows, _GROUP_BLOCK rows at a time, so no
-    sorted copy of all the rows is made; the index is int32 where it
-    fits."""
-    order = _row_order(images)
-    starts = np.ones(len(order), dtype=bool)
-    for lo in range(1, len(order), _GROUP_BLOCK):
-        block = images[order[lo - 1 : lo + _GROUP_BLOCK]]
-        starts[lo : lo + _GROUP_BLOCK] = (block[1:] != block[:-1]).any(axis=1)
-    rows = images[order[starts]]
-    dtype = np.int32 if len(order) <= np.iinfo(np.int32).max else np.intp
-    group = np.cumsum(starts, dtype=dtype)
-    group -= 1
-    inverse = np.empty_like(group)
-    inverse[order] = group
-    return rows, inverse
-
-
 def _merge(images: np.ndarray, weights: np.ndarray):
     """Sorted distinct rows and their weights, each summed in input order."""
     rows, inverse = _group_rows(images)
@@ -209,7 +195,7 @@ def check_pairs(n: int, terms_a: int, terms_b: int, what: str = "product") -> No
     product of sums of ``terms_a`` and ``terms_b`` terms at size n would
     take more than ``_PRODUCT_MAX_PAIRS`` pairs. ``what`` names the product
     in the message. ``product`` calls it before any work, and the
-    recursive engine on its bounds before its first product."""
+    recursive engine on its bounds before its first fold."""
     pairs = terms_a * terms_b
     if pairs > _PRODUCT_MAX_PAIRS:
         raise UnsupportedDimensionError(

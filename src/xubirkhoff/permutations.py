@@ -13,15 +13,16 @@ Conventions:
 Each family is built here once, as 0-based ``(k, n)`` image rows, the
 layout of ``permsum``: ``lex_images`` (all of S_n), ``shift_images`` (the
 cyclic shifts Q^k), ``d_images`` (D_1..D_n) and ``supercirculant_images``
-(the C[l,x] of a prime). This is also the one module that orders image
-rows (``_row_order``, with which ``permsum`` sorts too) and that builds
-the engines' tables from the families: ``_prime_rows`` (the n^2 rows of
-the prime construction), ``_level_tables`` (the index tables of the
-recursive engine's dense levels, over the rows ``_lifted`` makes),
-``_circulant_index`` (the circulant product of such a level) and
-``_supercirculant_ranks`` (where the supercirculants of its bottom block
-sit among all of S_p). Every
-table is cached per n, for 64 sizes, and is read-only down to its base.
+(the C[l,x] of a prime). This is also the one module that orders and
+groups image rows (``_row_order`` and ``_group_rows``, with which
+``permsum`` sorts and merges too) and that builds the engines' tables
+from the families: ``_prime_rows`` (the n^2 rows of the prime
+construction), ``_coset_plan`` (the plan of one fold of the recursive
+engine, over the rows ``_lifted`` makes), ``_agl_plan`` (that plan over
+the rows of AGL(1,p), cached) and ``_circulant_index`` (the circulant
+matrix of a fold). Every table but the per-call ``_coset_plan`` is
+cached for 64 keys (n, or n and the shifts for ``_agl_plan``), and is
+read-only down to its base.
 The engines wrap these rows in sums, and ``shift_matrix`` and
 ``d_family`` read them as ``Permutation`` objects.
 ``lexicographic_permutations`` and ``supercirculant_perm`` build the same
@@ -133,6 +134,11 @@ def lexicographic_index(p: Permutation) -> int:
     return rank + 1
 
 
+# How many sorted rows ``_group_rows`` compares with their predecessors at
+# a time.
+_GROUP_BLOCK = 1 << 12
+
+
 def _image_dtype(n: int):
     """The dtype of 0-based image rows of size n, here and in ``permsum``."""
     return np.int8 if n <= 127 else np.int32
@@ -186,16 +192,6 @@ def supercirculant_images(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _supercirculant_ranks(p: int) -> np.ndarray:
-    """The read-only places in ``lex_images(p)`` of the rows of
-    ``supercirculant_images(p)``, in their order (``lexicographic_index``
-    less 1), cached per p."""
-    rows = supercirculant_images(p).tolist()
-    ranks = [lexicographic_index(Permutation(tuple(k + 1 for k in r))) - 1 for r in rows]
-    return _frozen(np.array(ranks))
-
-
-@lru_cache(maxsize=64)
 def _prime_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables of the prime construction at prime n >= 5, cached per n
     and read-only: its n^2 image rows (supercirculants and D family) in
@@ -214,40 +210,51 @@ def _prime_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _level_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (n, (n-1)!) read-only int32 index tables of one level of
-    size n of the recursive engine, cached per n.
+def _circulant_index(n: int) -> np.ndarray:
+    """The (n, n) read-only index table (b - a) mod n, cached per n:
+    w[_circulant_index(n)] is the matrix of the circulant sum over k of
+    w[k] c_k, whose entry [a, b] is w[b - a mod n]."""
+    k = np.arange(n)
+    return _frozen((k - k[:, None]) % n)
 
-    With c_k the cyclic shift r -> r + k mod n (row k of ``shift_images``)
-    and sigma_j the j-th permutation of S_(n-1) in lexicographic order
-    (row j of ``lex_images``), ``left[k, j]`` is the
-    lexicographic index of "apply c_k, then 1 (+) sigma_j" and
-    ``coset[a, j]`` that of "apply 1 (+) sigma_j, then c_a". Each table
-    lists every permutation of S_n exactly once: the first form is fixed by
-    the point sent to 0, the second by the image of 0 (which is a). So the
-    lexicographic index of a row is its place in the table's sorted rows.
+
+def _coset_plan(
+    n: int, rows: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of one level of size n of the recursive engine over the
+    distinct image rows ``rows`` of size n - 1 and the distinct shifts
+    ``k``, with c_k the shift r -> r + k mod n (``shift_images``) and
+    sigma_j row j of ``rows``.
+
+    "Apply c_k, then 1 (+) sigma_j" sends 0 to a = (1 (+) sigma_j)(k), so
+    it is "apply 1 (+) rho, then c_a" for exactly one rho, and distinct
+    pairs (k, j) give distinct permutations. With rho_0, rho_1, ... the
+    distinct rho in lexicographic order, the pair (k[i], j) has the cell
+    g n + a of its own, where rho = rho_g. Then "apply 1 (+) rho_g, then c_b"
+    is the permutation of cell g n + b.
+
+    Returns ``cells``, the (len(rows), len(k)) cells of the pairs (k[i], j)
+    at [j, i]; the image rows of every cell's permutation, distinct and in
+    lexicographic order; and ``order``, the cell of each of those rows.
     """
-    # Both row sets are int8: ``_row_order`` sorts int64 rows several times
-    # slower.
-    lifted = _lifted(lex_images(n - 1))
     shifts = shift_images(n)
-    tables = []
-    for rows in ([lifted[:, c] for c in shifts], [c[lifted] for c in shifts]):
-        order = _row_order(np.vstack(rows))
-        index = np.empty(len(order), dtype=np.int32)
-        index[order] = np.arange(len(order), dtype=np.int32)
-        tables.append(_frozen(index.reshape(n, -1)))
-    return tuple(tables)
+    pairs = _lifted(rows)[:, shifts[k]]
+    a = pairs[..., :1]
+    rho, group = _group_rows(((pairs - a) % n).reshape(-1, n))
+    cells = group.reshape(a.shape[:2]) * n + a[..., 0]
+    images = shifts[:, rho].transpose(1, 0, 2).reshape(-1, n)
+    order = _row_order(images)
+    return cells, images[order], order
 
 
 @lru_cache(maxsize=64)
-def _circulant_index(n: int) -> np.ndarray:
-    """The (n, n) read-only index table (b - c) mod n, cached per n:
-    w[_circulant_index(n)] is the circulant matrix whose entry [b, c] is
-    w[b - c mod n], the product of a dense level of size n of the recursive
-    engine with its second circulant factor."""
-    k = np.arange(n)
-    return _frozen((k[:, None] - k) % n)
+def _agl_plan(n: int, k: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_coset_plan`` over the rows of AGL(1, n - 1)
+    (``supercirculant_images``, whose rows are those of S_2 at n = 3), for
+    prime n - 1, cached per (n, k) and read-only: the recursive engine's
+    first level over a bottom block of prime size n - 1."""
+    plan = _coset_plan(n, supercirculant_images(n - 1), np.array(k, dtype=np.intp))
+    return tuple(map(_frozen, plan))
 
 
 def _lifted(images: np.ndarray) -> np.ndarray:
@@ -260,6 +267,26 @@ def _lifted(images: np.ndarray) -> np.ndarray:
 def _row_order(images: np.ndarray) -> np.ndarray:
     """Stable permutation of the rows that sorts them lexicographically."""
     return np.lexsort(images.T[::-1])
+
+
+def _group_rows(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``images`` in lexicographic order and, for each
+    row, the index of its value among them. Group starts are found by
+    comparing neighbouring sorted rows, _GROUP_BLOCK rows at a time, so no
+    sorted copy of all the rows is made; the index is int32 where it
+    fits."""
+    order = _row_order(images)
+    starts = np.ones(len(order), dtype=bool)
+    for lo in range(1, len(order), _GROUP_BLOCK):
+        block = images[order[lo - 1 : lo + _GROUP_BLOCK]]
+        starts[lo : lo + _GROUP_BLOCK] = (block[1:] != block[:-1]).any(axis=1)
+    rows = images[order[starts]]
+    dtype = np.int32 if len(order) <= np.iinfo(np.int32).max else np.intp
+    group = np.cumsum(starts, dtype=dtype)
+    group -= 1
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    return rows, inverse
 
 
 def _perms(images: np.ndarray):

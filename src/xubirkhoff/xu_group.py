@@ -112,7 +112,7 @@ def circulant_sum(w: np.ndarray) -> WeightedPermSum:
     """The sum of w[l] C[l,1] over the n cyclic shifts, zero weights kept,
     from the first row ``w`` of a circulant matrix, unchecked. C[l,1] is
     the shift Q^(l-1), row l-1 of ``shift_images``. Used by
-    ``circulant_xu_decompose`` and the recursive engine's sparse levels."""
+    ``circulant_xu_decompose``."""
     n = len(w)
     return WeightedPermSum._trusted(n, shift_images(n), w.copy(), "circulant")
 

@@ -102,7 +102,7 @@ class TestDecompose:
 
     def test_oversized_recursive_input_is_engine_error(self, capsys, tmp_path):
         # A full-support XU(16), the smallest composite size refused, is
-        # refused before its first product, which would take several GB;
+        # refused before its first fold, which would take several GB;
         # the message names the level and pairs.
         path = tmp_path / "x16.json"
         code, _, _ = run_cli(
@@ -157,7 +157,8 @@ class TestDecompose:
 
 
 class TestVerifyRoundTrip:
-    # Every engine; recursive at 6 is a dense sum, at 8 a product.
+    # Every engine; recursive at 6 and 8 folds one level through the cached
+    # plan over AGL(1, 5) and AGL(1, 7).
     @pytest.mark.parametrize(
         "method, n",
         [

@@ -1,9 +1,10 @@
-"""Every per-n table is shared by all of its callers, so each is cached for
-64 sizes and is read-only together with every array it views; and no sum
-the package returns lets a caller write through a base into such a table
-or into another sum."""
+"""Every cached table (per n, or per n and support for the recursive
+engine's plans) is shared by all of its callers, so each is cached for 64
+keys and is read-only together with every array it views; and no sum the
+package returns lets a caller write through a base into such a table or
+into another sum."""
 
-import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,19 +25,19 @@ from xubirkhoff import (
     random_xu,
     verify,
 )
-from xubirkhoff.birkhoff import _level_maps
+from xubirkhoff import birkhoff
+from xubirkhoff.birkhoff import _level_maps, _levels
 from xubirkhoff.numerics import _dft_matrix
 from xubirkhoff.permutations import (
+    _agl_plan,
     _circulant_index,
-    _level_tables,
     _prime_rows,
-    _supercirculant_ranks,
     d_images,
     lex_images,
     shift_images,
     supercirculant_images,
 )
-from xubirkhoff.scaling import _normal_constants
+from xubirkhoff.scaling import ScalingOptions, _normal_constants
 
 TABLES = {
     _dft_matrix: (1, 2, 5, 8),
@@ -44,9 +45,8 @@ TABLES = {
     shift_images: (2, 5, 9),
     d_images: (3, 5, 9),
     supercirculant_images: (2, 3, 5, 13),
-    _supercirculant_ranks: (2, 3, 5, 7),
     _prime_rows: (5, 7, 13),
-    _level_tables: (3, 4, 6),
+    _agl_plan: (3, 4, 6, 8),
     _circulant_index: (2, 5, 9),
     _level_maps: (3, 4, 7),
     _normal_constants: (2, 3, 7),
@@ -67,8 +67,10 @@ def assert_read_only_to_its_base(a: np.ndarray) -> None:
 )
 def test_tables_are_cached_and_read_only_to_their_base(build, n):
     assert build.cache_info().maxsize == 64
-    table = build(n)
-    assert build(n) is table
+    # A plan is cached per size and support; this one over all n shifts.
+    args = (n, tuple(range(n))) if build is _agl_plan else (n,)
+    table = build(*args)
+    assert build(*args) is table
     for a in table if isinstance(table, tuple) else (table,):
         assert_read_only_to_its_base(a)
 
@@ -117,35 +119,89 @@ def test_a_sum_cannot_write_into_the_table_it_shares():
     assert verify(decompose_xu4(x), x).ok
 
 
+def test_a_recursive_sum_cannot_write_into_its_cached_plan():
+    # A random XU(6) keeps every cell of its one level, whose plan is
+    # cached: the sum wraps the plan's rows.
+    x = random_xu(6, seed=7)
+    s = decompose_recursive(x)
+    images, weights = s.images.copy(), s.weights.copy()
+    view = s.images
+    while isinstance(view, np.ndarray):
+        with pytest.raises(ValueError):
+            view[:4] = view[4:8]
+        view = view.base
+    again = decompose_recursive(x)
+    assert again.images is s.images
+    assert np.array_equal(again.images, images)
+    assert np.array_equal(again.weights, weights)
+    assert verify(again, x).ok
+
+
+def test_a_first_level_over_the_bound_is_not_cached():
+    # XU(18) folds one level over the 272 rows of AGL(1, 17): at full
+    # support 18 * 18 * 272 = 88 128 cells may come out, over 2**16.
+    before = _agl_plan.cache_info()
+    x = random_xu(18, 0)
+    s = decompose_recursive(x)
+    assert _agl_plan.cache_info() == before
+    assert len(s) == 77_796
+    assert verify(s, x).ok
+
+
+def _top_plan(x):
+    """The recursive decomposition of ``x`` and the plan its top level
+    folds through, cached or built per call."""
+    plans = []
+
+    def spy(build):
+        def wrapped(*args):
+            plans.append(build(*args))
+            return plans[-1]
+
+        return wrapped
+
+    with mock.patch.object(birkhoff, "_agl_plan", spy(_agl_plan)), mock.patch.object(
+        birkhoff, "_coset_plan", spy(birkhoff._coset_plan)
+    ):
+        s = decompose_recursive(x)
+    return s, plans[-1]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_dense_sum_shares_the_cached_table(n):
-    # The recursive engine's sum wraps the cached rows of S_n themselves
-    # exactly when it keeps all n! weights, and a copy of the kept rows
-    # otherwise. The bottom block's weights vanish off AGL(1, p), which is
-    # all of S_3 under XU(4) and XU(5) but not of S_5: a random XU(6) keeps
-    # 408 of 720 weights. Level 8 is sparse, a product over the bottom
-    # block XU(7), and its 1 936 terms are never rows of the table.
+    # The recursive engine's sum wraps its top level's plan rows when it
+    # keeps every cell, as a random input does. At n = 4, 6 and 8 the top
+    # level is the first, over the rows of AGL(1, n - 1), and its plan is
+    # the cached one, with 24, 408 and 1 936 cells; the top levels of
+    # XU(5) and XU(7), with 120 and 4 746 cells, are built per call.
     x = random_xu(n, 3)
-    s = decompose_recursive(x)
-    table = lex_images(n)
-    every = len(s) == math.factorial(n)
-    assert every == (n < 6)
-    assert (s.images is table) == every
-    assert np.shares_memory(s.images, table) == every
+    s, (_, rows, _) = _top_plan(x)
+    assert len(s) == len(rows)
+    assert s.images is rows
+    levels, _ = _levels(x.astype(complex), ScalingOptions())
+    if len(levels) == 1:
+        k = tuple(np.flatnonzero(levels[0][0]).tolist())
+        assert rows is _agl_plan(n, k)[1]
     for a in (s.images, s.weights):
         assert_read_only_to_its_base(a)
     assert verify(s, x).ok
 
 
+# a I + (1 - a) c_3 with |a - 1/2| = 1/2: a circulant XU(6) of two terms.
+_A = 0.6 + 0.24**0.5 * 1j
+TWO_TERM_CIRCULANT = _A * np.eye(6) + (1 - _A) * np.roll(np.eye(6), 3, axis=1)
+
+
 @pytest.mark.parametrize(
     "x",
-    [random_circulant_xu(6, 1), np.eye(6)[[3, 0, 5, 1, 4, 2]]],
+    [TWO_TERM_CIRCULANT, np.eye(6)[[3, 0, 5, 1, 4, 2]]],
     ids=["circulant", "permutation"],
 )
 def test_pruned_dense_sum_copies_its_rows(x):
-    s = decompose_recursive(x)
-    table = lex_images(6)
-    assert len(s) < len(table) and not np.shares_memory(s.images, table)
+    # Each folds one level over its bottom block, one permutation, into
+    # the 6 cells of one group, and keeps 2 and 1 of them.
+    s, (_, rows, _) = _top_plan(x)
+    assert len(s) < len(rows) and not np.shares_memory(s.images, rows)
     for a in (s.images, s.weights):
         assert_read_only_to_its_base(a)
     assert verify(s, x).ok

@@ -1,6 +1,6 @@
-"""The recursive engine's dense level step, against the sum-product
-formula it replaces, the lexicographic tables it indexes, and the weights
-over AGL(1,p) of the prime block it stops at."""
+"""The recursive engine's coset fold, against the sum-product formula it
+replaces, the plans it folds through, and the weights over AGL(1,p) of the
+prime block it stops at."""
 
 import itertools
 import math
@@ -32,19 +32,18 @@ from xubirkhoff import (
 )
 from xubirkhoff import birkhoff
 from xubirkhoff.birkhoff import (
-    DENSE_MAX_N,
     PRUNE_EPS,
     _bottom,
-    _dense,
     _first_rows,
     _level_maps,
     _lexicographic,
     _next_core,
 )
 from xubirkhoff.permutations import (
-    _level_tables,
-    _supercirculant_ranks,
+    _agl_plan,
+    _coset_plan,
     lex_images,
+    shift_images,
     supercirculant_images,
 )
 from xubirkhoff.scaling import ScalingOptions, zxz_scale
@@ -109,8 +108,8 @@ def test_level_step_matches_fourier_embedding(n, seed):
         assert np.abs(got - fourier_embed(np.diag(di[1:]))[0]).max() <= 1e-15
 
 
-# n = 7 is the largest dense level; (9, 1) is a full-support input whose
-# two sparse levels stand over the bottom block XU(7).
+# (9, 1) is a full-support input whose two levels stand over the bottom
+# block XU(7).
 REFERENCE_CASES = [(n, seed) for n in range(3, 9) for seed in range(3)] + [
     (n, None) for n in range(3, 9)
 ] + [(9, 1)]
@@ -123,6 +122,28 @@ def test_matches_sum_product_reference(n, seed):
     want = _reference(x.astype(complex), ScalingOptions())
     assert np.array_equal(got.images, want.images)
     assert np.abs(got.weights - want.weights).max() <= 1e-15
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1))
+def test_matches_sum_product_reference_over_seeds(n, seed):
+    x = random_xu(n, seed)
+    got = decompose_recursive(x)
+    want = _reference(x, ScalingOptions())
+    assert np.array_equal(got.images, want.images)
+    assert np.abs(got.weights - want.weights).max() <= 1e-15
+
+
+def test_engine_never_calls_product():
+    # Each level is one coset fold, also over the 42 terms of the bottom
+    # block XU(7) under XU(8) and XU(9).
+    spy = mock.Mock(wraps=birkhoff.product)
+    with mock.patch.object(birkhoff, "product", spy):
+        for n in (6, 8, 9):
+            x = random_xu(n, 1)
+            assert verify(decompose_recursive(x), x).ok
+            assert verify(decompose_xu(x), x).ok
+    assert spy.call_count == 0
 
 
 def _few_term_inputs(n):
@@ -138,27 +159,20 @@ NEGATIVE_ZERO_XU2 = [
 ]
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_dense_weights_have_no_negative_zero_part(n):
-    # The JSON form would print such a part as -0.0. Above DENSE_MAX_N the
-    # engine's levels are sparse, but ``_dense`` holds at any size.
+    # The JSON form would print such a part as -0.0.
     for x in [*_few_term_inputs(n), *NEGATIVE_ZERO_XU2]:
         w = decompose_recursive(x).weights
         for part in (w.real, w.imag):
             assert not np.any(np.signbit(part) & (part == 0))
-    # Every product of the second step has imaginary part -0.0 here, so
-    # only a sum that starts from +0.0 ends at +0.0.
-    inner = np.full(math.factorial(n - 1), -1.0, dtype=complex)
-    w2 = np.full(n, -1.0, dtype=complex)
-    out = _dense(np.ones(n, dtype=complex), w2, inner)
-    assert not np.signbit(out.imag).any()
 
 
-@pytest.mark.parametrize("n", range(DENSE_MAX_N, 11))
-def test_both_sides_of_the_dense_bound_match_reference(n):
-    # n = DENSE_MAX_N is two dense levels over the bottom block XU(5); the
-    # larger n are sparse levels over the bottom block XU(7). A permutation
-    # matrix has a permutation matrix for its bottom block, one term.
+@pytest.mark.parametrize("n", range(7, 11))
+def test_few_term_inputs_match_reference(n):
+    # n = 7 is two levels over the bottom block XU(5), the larger n stand
+    # over the bottom block XU(7). A permutation matrix has a permutation
+    # matrix for its bottom block, one term.
     for x in _few_term_inputs(n):
         got = decompose_recursive(x)
         want = _reference(x.astype(complex), ScalingOptions())
@@ -169,8 +183,8 @@ def test_both_sides_of_the_dense_bound_match_reference(n):
 
 
 def test_few_term_inputs_at_n12_stay_small():
-    # Dense levels above DENSE_MAX_N would hold 12! complex weights
-    # (7.7 GB); even one at n = 10 holds 58 MB.
+    # The fold builds cells only for the pairs of nonzero terms: the n! weights
+    # of S_12 would take 7.7 GB.
     x = random_circulant_xu(12, 0)
     tracemalloc.start()
     try:
@@ -226,39 +240,87 @@ def test_lex_images_are_itertools_order_and_read_only(n):
     assert not images.flags.writeable
 
 
+def _plan_rows(n):
+    """Row sets of size n - 1 that a level of size n folds over: all of
+    S_(n-1), the rows of AGL(1, n - 1) where n - 1 is prime, and one
+    permutation."""
+    one = np.random.default_rng(n).permutation(n - 1)[None].astype(np.int8)
+    agl = [supercirculant_images(n - 1)] if is_prime(n - 1) else []
+    return [one, lex_images(n - 1), *agl]
+
+
+def _perms_of(rows):
+    return [Permutation(tuple(r)) for r in (rows.astype(int) + 1).tolist()]
+
+
+def _plans(n):
+    """The coset plans of a level of size n over every row set of
+    ``_plan_rows`` and a few shift sets, each with its image rows put in
+    cell order."""
+    for rows in _plan_rows(n):
+        for k in (np.arange(n), np.array([0, n - 1]), np.array([1])):
+            cells, images, order = _coset_plan(n, rows, k)
+            at = np.empty_like(order)
+            at[order] = np.arange(len(order))
+            yield rows, k, cells, images, order, images[at]
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_level_tables_cover_s_n_once(n):
-    left, coset = _level_tables(n)
-    for table in (left, coset):
-        assert table.dtype == np.int32
-        assert table.shape == (n, math.factorial(n - 1))
-        assert not table.flags.writeable
-        assert np.array_equal(np.sort(table, axis=None), np.arange(math.factorial(n)))
+    for rows, k, cells, images, order, _ in _plans(n):
+        assert cells.shape == (len(rows), len(k))
+        # Every pair has a cell of its own, since distinct rows below give
+        # distinct products, and every cell has one sorted row.
+        assert len(np.unique(cells)) == cells.size
+        assert np.array_equal(np.sort(order), np.arange(len(order)))
+        assert _lexsorted(images)
+    # Over all of S_(n-1) and every shift the pairs are all of S_n, once.
+    cells, images, _ = _coset_plan(n, lex_images(n - 1), np.arange(n))
+    assert np.array_equal(np.sort(cells, axis=None), np.arange(math.factorial(n)))
+    assert np.array_equal(images, lex_images(n))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_coset_table_shifts(n):
-    # c_l applied after the permutation at coset[a, j] is the one at
-    # coset[(a + l) % n, j], and coset[a] holds the images of 0 equal to a
-    images = lex_images(n)
-    _, coset = _level_tables(n)
-    k = np.arange(n)
-    assert np.array_equal(images[coset, 0], np.broadcast_to(k[:, None], coset.shape))
-    for shift in range(n):
-        moved = (images[coset] + shift) % n
-        assert np.array_equal(moved, images[coset[(k + shift) % n]])
+    # Cell g n + b holds "apply 1 (+) rho_g, then c_b", and cell g n is
+    # 1 (+) rho_g itself, the rho_g in lexicographic order.
+    shifts = _perms_of(shift_images(n))
+    for *_, by_row in _plans(n):
+        rho = by_row[::n]
+        assert not rho[:, 0].any() and _lexsorted(rho)
+        c = np.arange(len(by_row))
+        assert np.array_equal(by_row, (by_row[c - c % n] + (c % n)[:, None]) % n)
+        by_cell = _perms_of(by_row)
+        for c, perm in enumerate(by_cell):
+            assert perm == compose(by_cell[c - c % n], shifts[c % n])
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 9))
 def test_level_tables_compose_as_documented(n):
-    perms = [Permutation(tuple(r + 1)) for r in lex_images(n).astype(int)]
-    inner = [Permutation((1, *(r + 2))) for r in lex_images(n - 1).astype(int)]
-    shifts = [Permutation(tuple((np.arange(n) + k) % n + 1)) for k in range(n)]
-    left, coset = _level_tables(n)
-    for k, c in enumerate(shifts):
-        for j, p in enumerate(inner):
-            assert perms[left[k, j]] == compose(c, p)
-            assert perms[coset[k, j]] == compose(p, c)
+    # The pair (k[i], j) at cells[j, i] is "apply c_k, then 1 (+) sigma_j".
+    shifts = _perms_of(shift_images(n))
+    for rows, k, cells, *_, by_row in _plans(n):
+        by_cell = _perms_of(by_row)
+        lifted = [Permutation((1, *(r + 2 for r in sigma))) for sigma in rows.tolist()]
+        for sigma, row_cells in zip(lifted, cells.tolist()):
+            for shift, cell in zip(k.tolist(), row_cells):
+                assert compose(shifts[shift], sigma) == by_cell[cell]
+
+
+def _lexsorted(rows):
+    rows = rows.astype(int).tolist()
+    return all(a < b for a, b in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_agl_plan_is_the_coset_plan_of_its_rows(p):
+    for k in ((0, 1), tuple(range(p + 1))):
+        plan = _agl_plan(p + 1, k)
+        want = _coset_plan(p + 1, supercirculant_images(p), np.array(k))
+        for got, table in zip(plan, want):
+            assert np.array_equal(got, table)
+            assert not got.flags.writeable
+        assert _agl_plan(p + 1, k) is plan
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -348,8 +410,7 @@ def test_permutation_block_is_one_term(p):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16])
 def test_permutation_matrix_gives_its_one_term(n):
-    # On both sides of DENSE_MAX_N, and at n = 16, where full support is
-    # refused.
+    # Also at n = 16, where full support is refused.
     perm = np.random.default_rng(n).permutation(n)
     s = decompose_recursive(np.eye(n)[perm])
     assert np.array_equal(s.images, [perm])
@@ -369,12 +430,6 @@ def test_agl_weights_are_unitary_in_the_group_algebra(p):
             assert abs(np.vdot(m, m[then_q]) - want) <= 1e-14
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_supercirculant_ranks_index_lex_images(p):
-    ranks = _supercirculant_ranks(p)
-    assert np.array_equal(lex_images(p)[ranks], supercirculant_images(p))
-
-
 # The levels XU(n) scales, one call each: n, n - 1, ..., down to the first
 # level m whose middle block has prime size m - 1.
 SCALED_LEVELS = {4: 1, 5: 2, 6: 1, 7: 2, 8: 1, 9: 2, 10: 3, 12: 1, 14: 1}
@@ -382,8 +437,7 @@ SCALED_LEVELS = {4: 1, 5: 2, 6: 1, 7: 2, 8: 1, 9: 2, 10: 3, 12: 1, 14: 1}
 
 @pytest.mark.parametrize("n", SCALED_LEVELS)
 def test_engine_scales_only_the_levels_above_the_prime_block(n):
-    # XU(12) and XU(14) stand over the bottom blocks XU(11) and XU(13),
-    # sparse sums that their levels fold with ``product``.
+    # XU(12) and XU(14) stand over the bottom blocks XU(11) and XU(13).
     x = random_xu(n, n)
     spy = mock.Mock(wraps=birkhoff.zxz_scale)
     with mock.patch.object(birkhoff, "zxz_scale", spy):
