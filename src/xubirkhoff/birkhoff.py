@@ -15,8 +15,9 @@ with weight sum 1:
   composite dimension with a known squared-moduli-1 construction.
 * ``decompose_recursive``: works for every n by peeling one
   dimension at a time through the ZXZ factorization, down to the first
-  block of prime size p, whose weights over AGL(1,p) need no scaling;
-  the squared moduli sum to 1 up to the scaling and pruning residuals
+  block of size 1 or prime p, the input at prime n, whose weights over
+  AGL(1,p) need no scaling (``_agl``, which ``xu3`` reads too); the
+  squared moduli sum to 1 up to the scaling and pruning residuals
   (its weights form a unitary element of the group algebra, see its
   docstring). It scales the levels top down, then folds them bottom up,
   each level in one coset fold over sums: every product of a cyclic
@@ -84,6 +85,9 @@ _PLAN_CACHE_CELLS = 1 << 16
 # ``verify``'s default tolerance: the engines that scale carry their residual.
 VERIFY_TOL = 1e-9
 
+# The signs of the permutations of S_3 in lexicographic order (``lex_images``).
+_SIGN3 = np.array([1, -1, -1, 1, 1, -1])
+
 
 def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:
     """``weights[j]`` on the j-th permutation of {1..n} in lexicographic
@@ -112,13 +116,11 @@ def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
 def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     """The six-weight family for XU(3), parametrized by p.
 
-    The prime construction at n = 3, whose six supercirculants C[l,x] are
-    S_3: each weighs m[l,x] (``decompose_prime_parts``) plus its share of
-    the flat matrix W3 (every entry 1/3), split as p(P1+P4+P5)/3 +
-    (1-p)(P2+P3+P6)/3 over the even permutations, the cyclic shifts x = 1,
-    and the odd ones. The weight sum is 1 for every p; the squared moduli
-    sum to 1 + (2*p*conj(p) - p - conj(p))/3, which is 1 exactly on the
-    circle |p - 1/2| = 1/2 (e.g. p = 0 and p = 1).
+    The weights over AGL(1,3) = S_3 (``_agl``, ``decompose_recursive``),
+    plus (p-1)/3 times the sign of each permutation. The weight sum is 1
+    for every p; the squared moduli sum to 1 + (2*p*conj(p) - p -
+    conj(p))/3, which is 1 exactly on the circle |p - 1/2| = 1/2 (e.g.
+    p = 0 and p = 1).
     """
     p = complex(p)
     if not np.isfinite(p):
@@ -126,18 +128,7 @@ def decompose_xu3(x, p: complex = 1.0, tol: float = DEFAULT_TOL) -> WeightedPerm
     a = require_xu(x, tol)
     if a.shape[0] != 3:
         raise DimensionError(f"expected a 3x3 matrix, got {a.shape[0]}")
-    images, m = _supercirculants(a)
-    cyclic = (images[:, 1] - images[:, 0]) % 3 == 1
-    return _lexicographic(3, m + np.where(cyclic, p, 1.0 - p) / 3, "xu3")
-
-
-def _supercirculants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The image rows of the supercirculants C[l,x] of XU(n) member ``a``,
-    n prime, in lexicographic order (``supercirculant_images``), and their
-    weights m[l,x] = (<C[l,x], X> - 1)/n (``decompose_prime_parts``)."""
-    n = a.shape[0]
-    images = supercirculant_images(n)
-    return images, (a.ravel()[images + n * np.arange(n)].sum(axis=1) - 1) / n
+    return _lexicographic(3, _agl(a)[1] + (p - 1) / 3 * _SIGN3, "xu3")
 
 
 def decompose_prime_parts(
@@ -172,7 +163,9 @@ def decompose_prime_parts(
             f"the generic construction starts at n=5; use the closed forms "
             f"for n={n}"
         )
-    c_part = WeightedPermSum._trusted(n, *_supercirculants(a), "prime-c")
+    images = supercirculant_images(n)
+    m = (a.ravel()[images + n * np.arange(n)].sum(axis=1) - 1) / n
+    c_part = WeightedPermSum._trusted(n, images, m, "prime-c")
     d_part = WeightedPermSum._trusted(
         n, _prime_rows(n)[2], np.full(n, 1.0 / n, dtype=complex), "prime-d"
     )
@@ -285,11 +278,11 @@ def decompose_recursive(
     top down (``_levels``): level n scales its core and reads w1 and w2
     off Z1 and Z2 in one product. It hands level n-1 the core of ytilde,
     G^H y G for a cached isometry G, without forming the middle factor.
-    So it goes down to the first level whose ytilde has prime size p,
-    which only that level embeds: it is the bottom block, and nothing
-    below it is scaled. An XU(1) or XU(2) input is its own bottom block.
-    The second pass folds the levels bottom up, starting from the bottom
-    block's weights over the affine group AGL(1,p) (``_bottom``).
+    One rule stops it: the first block of size 1 or prime p, the input
+    itself or the first ytilde of prime size, which only its level embeds,
+    is the bottom block, and nothing below it is scaled. The second pass
+    folds the levels bottom up, starting from the bottom block's weights
+    over the affine group AGL(1,p) (``_bottom``).
 
     The bottom block Y needs no scaling. The supercirculants C[l,x],
     k -> (l-1) + kx mod p (``supercirculant_images``), form the sharply
@@ -312,10 +305,10 @@ def decompose_recursive(
       so sum_h |g_h|^2 = p ||D||^2. Y is unitary, so ||D||^2 = -2 Re g_e,
       and sum |m|^2 = 1 + 2 Re g_e / p + ||D||^2 / p = 1.
 
-    At p = 2, where H = S_2, the weights equal Y's first row in exact
-    arithmetic, and are read off it. A Y that is a permutation matrix up
-    to entries of modulus <= PRUNE_EPS is kept as that one permutation,
-    weight 1: over H its weights would spread over up to p(p - 1) terms.
+    At p = 2 and p = 3, H is all of S_p. A Y that is a permutation matrix
+    up to entries of modulus <= PRUNE_EPS, as is every XU(1), is kept as
+    that one permutation, weight 1: over H its weights would spread over up
+    to p(p - 1) terms.
 
     Each level folds its three sums, C(w1) (1 (+) s) C(w2), in one coset
     fold, where C(w) is the sum of w[k] c_k over the cyclic shifts c_k and
@@ -330,13 +323,14 @@ def decompose_recursive(
     modulus over PRUNE_EPS, in the lexicographic order of their rows, with
     no merging. The cells, the rows and their order are the level's plan
     (``_coset_plan``); it depends on the rows below and the support of w1
-    only. So the plan of a first level over the rows of AGL(1,p), S_2 at
-    p = 2, is cached per (n, support) (``_agl_plan``) while n nnz(w1)
+    only. So the plan of a first level over the rows of AGL(1,p) is
+    cached per (n, support) (``_agl_plan``) while n nnz(w1)
     p(p - 1) is at most _PLAN_CACHE_CELLS, up to n = 14 at full support;
     the bottom weights of modulus <= PRUNE_EPS are zeroed there, not
     dropped, to keep its rows. Every other plan depends on the input, and
     is built per call. An input with few terms (a permutation matrix, a
-    circulant) stays cheap at every n.
+    circulant) stays cheap at every n: an input that is the bottom block
+    drops its weights of modulus <= PRUNE_EPS, as a fold does.
     Before the first fold, the bottom block's row count bounds the pairs
     and cells of every level (``_refuse_oversized``), and a bound over
     ``permsum``'s cap of 40 M pairs raises UnsupportedDimensionError after
@@ -373,7 +367,7 @@ def decompose_recursive(
 
     ``tol`` gates the membership of ``x`` only. Every block below it is
     one the engine built, XU to within ``opts.tol`` by scaling, and is not
-    checked again. An XU(1) or XU(2) input keeps its zero weights.
+    checked again.
     """
     opts = opts or _DEFAULT_OPTIONS
     a = require_xu(x, tol)
@@ -393,56 +387,60 @@ def decompose_recursive(
         q = (q.reshape(-1, n) @ w2[_circulant_index(n)]).reshape(-1)[order]
         keep = np.abs(q) > PRUNE_EPS
         images, weights = (rows, q) if keep.all() else (rows[keep], q[keep])
-    return WeightedPermSum._trusted(a.shape[0], images, weights, "recursive")
+    out = WeightedPermSum._trusted(a.shape[0], images, weights, "recursive")
+    return out if levels else out.pruned(PRUNE_EPS)
 
 
 def _levels(a: np.ndarray, opts: ScalingOptions):
     """The scaled levels of XU(n) member ``a``, top down, and the bottom
-    block (``decompose_recursive``). Each level, of size n, n - 1, ...,
-    scales its core y, of size one less, and gives (w1, w2), the pruned
-    first rows of its two circulant factors (``_first_rows``). A level
-    whose y has composite size hands the next level its core, G^H y G
-    (``_next_core``), without forming the middle factor's block ytilde.
-    The first level whose y has prime size p embeds it: its ytilde is the
-    bottom block, returned as an XU(p) matrix. ``a`` itself is the bottom
-    block when n <= 2, with no levels."""
+    block, the first block of size 1 or prime (``decompose_recursive``):
+    ``a`` itself, with no levels, or an XU(p) ytilde. Each level, of size
+    n, n - 1, ..., scales its core y, of size one less, and gives
+    (w1, w2), the pruned first rows of its two circulant factors
+    (``_first_rows``). A level whose y has composite size hands the next
+    level its core, G^H y G (``_next_core``), without forming the middle
+    factor's block ytilde; the first whose y has prime size embeds it."""
     levels = []
-    if a.shape[0] > 2:
-        core = fourier_core(a)
-        while True:
-            fac = zxz_scale(core, opts)
-            m = len(core) + 1
-            d = np.ones((2, m), dtype=complex)
-            d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
-            d[1, 1:] = fac.z2
-            levels.append(_pruned(_first_rows(d)))
-            if is_prime(m - 1):
-                return levels, fourier_embed(fac.core)[1:, 1:]
-            core = _next_core(fac.core)
-    return levels, a
+    if len(a) == 1 or is_prime(len(a)):
+        return levels, a
+    core = fourier_core(a)
+    while True:
+        fac = zxz_scale(core, opts)
+        m = len(core) + 1
+        d = np.ones((2, m), dtype=complex)
+        d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
+        d[1, 1:] = fac.z2
+        levels.append(_pruned(_first_rows(d)))
+        if is_prime(m - 1):
+            return levels, fourier_embed(fac.core)[1:, 1:]
+        core = _next_core(fac.core)
 
 
 def _bottom(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The image rows, in lexicographic order, and the weights of the
-    bottom block, an XU(p) matrix Y with p prime or p = 1: the rows of
-    AGL(1,p) (``supercirculant_images``), whose first is the identity,
-    with the weights [h = e] + (1/p) sum_k (Y - I)[k, h(k)]
-    (``decompose_recursive``). At p <= 2 they are the rows of S_p and Y's
-    first row, zeros kept. A Y with only p entries of modulus over
+    bottom block, an XU(p) matrix Y with p prime or p = 1: its weights
+    over AGL(1,p) (``_agl``). A Y with only p entries of modulus over
     PRUNE_EPS is a permutation matrix up to the others, since its line
-    sums are 1: it is one term of weight 1."""
+    sums are 1: it is one term of weight 1, as is every XU(1) block."""
     p = len(block)
     big = np.abs(block) > PRUNE_EPS
-    if p <= 2:
-        images, weights = lex_images(p), block[0]
-    elif np.count_nonzero(big) == p:
+    if np.count_nonzero(big) == p:
         images, weights = big.argmax(axis=1)[None], np.ones(1)
     else:
-        images = supercirculant_images(p)
-        weights = (block - np.eye(p)).ravel()[images + p * np.arange(p)].sum(axis=1) / p
-        weights[0] += 1
+        images, weights = _agl(block)
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
     return images, weights + 0j
+
+
+def _agl(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows h of AGL(1,p) (``supercirculant_images``), the identity
+    first, and the weights [h = e] + (1/p) sum_k (Y - I)[k, h(k)] of the
+    XU(p) matrix Y, p prime, over them (``decompose_recursive``)."""
+    p = len(y)
+    images = supercirculant_images(p)
+    weights = (y - np.eye(p)).ravel()[images + p * np.arange(p)].sum(axis=1) / p
+    weights[0] += 1
+    return images, weights
 
 
 @lru_cache(maxsize=64)

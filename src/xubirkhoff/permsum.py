@@ -73,9 +73,9 @@ from .permutations import (
 _RECONSTRUCT_BLOCK = 1 << 14
 # The most term pairs one ``product`` takes. A pair peaks at 76-91 bytes
 # (n = 16 and 31), so this is 3.0-3.6 GB. The recursive engine bounds the
-# pairs and cells of each of its folds by the same cap: the largest
-# full-support fold it admits, level 11 of an explicit XU(11) (bound
-# 11! = 39.9 M), pairs 13.7 M rows into 23.5 M terms at a 1.7 GB peak.
+# pairs and cells of each of its folds by the same cap. Below n = 16, its
+# largest full-support fold, level 15 of XU(15) (bound 6.9 M cells),
+# pairs 458 640 rows into 2.47 M terms in 0.8 s at a 250 MB peak RSS.
 _PRODUCT_MAX_PAIRS = 40_000_000
 
 

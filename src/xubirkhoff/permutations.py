@@ -250,9 +250,9 @@ def _coset_plan(
 @lru_cache(maxsize=64)
 def _agl_plan(n: int, k: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_coset_plan`` over the rows of AGL(1, n - 1)
-    (``supercirculant_images``, whose rows are those of S_2 at n = 3), for
-    prime n - 1, cached per (n, k) and read-only: the recursive engine's
-    first level over a bottom block of prime size n - 1."""
+    (``supercirculant_images``) for prime n - 1, cached per (n, k) and
+    read-only: the recursive engine's first level over a bottom block of
+    prime size n - 1."""
     plan = _coset_plan(n, supercirculant_images(n - 1), np.array(k, dtype=np.intp))
     return tuple(map(_frozen, plan))
 

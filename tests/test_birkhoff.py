@@ -388,11 +388,12 @@ class TestRecursive:
         assert s.term_count == 2
         assert abs(s[Permutation((1, 2))] - (1 + e) / 2) < 1e-14
 
-    def test_eye2_keeps_both_closed_form_terms(self):
-        # n <= 2 returns the closed form unpruned, zero weight included
+    def test_eye2_is_one_term(self):
+        # Like every permutation matrix, the bottom block XU(2) identity is
+        # one term of weight 1.
         s = decompose_recursive(np.eye(2))
-        assert s.term_count == 2
-        assert s.weights.tolist() == [1, 0]
+        assert s.term_count == 1
+        assert s.items() == [(Permutation.identity(2), 1.0)]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_random_samples(self, n):

@@ -38,6 +38,7 @@ from xubirkhoff.permutations import (
     supercirculant_images,
 )
 from xubirkhoff.scaling import ScalingOptions, _normal_constants
+from xubirkhoff.xu_group import is_prime
 
 TABLES = {
     _dft_matrix: (1, 2, 5, 8),
@@ -169,19 +170,20 @@ def _top_plan(x):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_dense_sum_shares_the_cached_table(n):
-    # The recursive engine's sum wraps its top level's plan rows when it
-    # keeps every cell, as a random input does. At n = 4, 6 and 8 the top
+    # The recursive engine's sum wraps a cached table when it keeps every
+    # term, as a random input does. XU(5) and XU(7) are their own bottom
+    # blocks, whose rows are those of AGL(1, n). At n = 4, 6 and 8 the top
     # level is the first, over the rows of AGL(1, n - 1), and its plan is
-    # the cached one, with 24, 408 and 1 936 cells; the top levels of
-    # XU(5) and XU(7), with 120 and 4 746 cells, are built per call.
+    # the cached one, with 24, 408 and 1 936 cells.
     x = random_xu(n, 3)
-    s, (_, rows, _) = _top_plan(x)
+    if is_prime(n):
+        s, rows = decompose_recursive(x), supercirculant_images(n)
+    else:
+        s, (_, rows, _) = _top_plan(x)
+        (w1, _), = _levels(x.astype(complex), ScalingOptions())[0]
+        assert rows is _agl_plan(n, tuple(np.flatnonzero(w1).tolist()))[1]
     assert len(s) == len(rows)
     assert s.images is rows
-    levels, _ = _levels(x.astype(complex), ScalingOptions())
-    if len(levels) == 1:
-        k = tuple(np.flatnonzero(levels[0][0]).tolist())
-        assert rows is _agl_plan(n, k)[1]
     for a in (s.images, s.weights):
         assert_read_only_to_its_base(a)
     assert verify(s, x).ok

@@ -23,6 +23,7 @@ from xubirkhoff import (
     decompose_recursive,
     decompose_unitary,
     decompose_xu,
+    decompose_xu3,
     haar_unitary,
     product,
     random_circulant_xu,
@@ -36,7 +37,6 @@ from xubirkhoff.birkhoff import (
     _bottom,
     _first_rows,
     _level_maps,
-    _lexicographic,
     _next_core,
 )
 from xubirkhoff.permutations import (
@@ -61,10 +61,11 @@ def _reference(a, opts):
     pruned after each product. The levels pass their cores, first rows and
     bottom block as the engine's helpers build them, and stop at the same
     prime block, so that the reference differs from the engine only in how
-    it folds the levels."""
+    it folds the levels. An input of size 1 or prime is its own bottom
+    block."""
     n = a.shape[0]
-    if n <= 2:
-        return _lexicographic(n, a[0])
+    if n == 1 or is_prime(n):
+        return WeightedPermSum._trusted(n, *_bottom(a)).pruned(PRUNE_EPS)
     return _reference_level(fourier_core(a), opts)
 
 
@@ -151,8 +152,8 @@ def _few_term_inputs(n):
     return [np.eye(n), np.eye(n)[rng.permutation(n)], random_circulant_xu(n, n)]
 
 
-# XU(2) inputs whose off-diagonal parts are -0.0: the recursive engine
-# reads an XU(2) block's weights off its first row.
+# XU(2) identities whose off-diagonal parts are -0.0: a weight taken from
+# an entry of the block would keep that sign.
 NEGATIVE_ZERO_XU2 = [
     np.array([[1, -0.0], [-0.0, 1]]),
     np.array([[1, complex(0, -0.0)], [complex(0, -0.0), 1]]),
@@ -170,9 +171,9 @@ def test_dense_weights_have_no_negative_zero_part(n):
 
 @pytest.mark.parametrize("n", range(7, 11))
 def test_few_term_inputs_match_reference(n):
-    # n = 7 is two levels over the bottom block XU(5), the larger n stand
-    # over the bottom block XU(7). A permutation matrix has a permutation
-    # matrix for its bottom block, one term.
+    # n = 7 is its own bottom block, the larger n stand over the bottom
+    # block XU(7). A permutation matrix has a permutation matrix for its
+    # bottom block, one term.
     for x in _few_term_inputs(n):
         got = decompose_recursive(x)
         want = _reference(x.astype(complex), ScalingOptions())
@@ -334,8 +335,8 @@ def test_tolerances_do_not_compound_with_depth(n, seed):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_squared_moduli_sum_to_one_at_rounding_level(n):
-    # The bottom block is not scaled: its weights over AGL(1, p) are exact
-    # (its first row at p = 2), so it does not carry the scaling residual.
+    # The bottom block is not scaled: its weights over AGL(1, p) are exact,
+    # so it does not carry the scaling residual.
     # Scaling it once left |sum |m|^2 - 1| at 1.9e-11.
     for seed in range(4):
         s = decompose_recursive(random_xu(n, seed))
@@ -376,11 +377,9 @@ def _check_agl_weights(x):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_agl_weights_reconstruct_with_both_sums_one(p):
-    # At p = 2 the weights are read off the first row: AGL(1,2) is S_2.
     for seed in range(3):
         _check_agl_weights(random_xu(p, seed))
-    if p > 2:
-        assert _bottom(random_xu(p, 0))[0] is supercirculant_images(p)
+    assert _bottom(random_xu(p, 0))[0] is supercirculant_images(p)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -396,7 +395,7 @@ def test_agl_weights_of_the_identity_are_one_term(p):
     assert m[0] == 1 and np.array_equal(images[0], np.arange(p))
 
 
-@pytest.mark.parametrize("p", [p for p in PRIMES if p > 2])
+@pytest.mark.parametrize("p", PRIMES)
 def test_permutation_block_is_one_term(p):
     # Over AGL(1, p) a permutation matrix would spread over many terms,
     # whether or not it lies in the group. The engine's blocks carry
@@ -431,8 +430,10 @@ def test_agl_weights_are_unitary_in_the_group_algebra(p):
 
 
 # The levels XU(n) scales, one call each: n, n - 1, ..., down to the first
-# level m whose middle block has prime size m - 1.
-SCALED_LEVELS = {4: 1, 5: 2, 6: 1, 7: 2, 8: 1, 9: 2, 10: 3, 12: 1, 14: 1}
+# level m whose middle block has prime size m - 1, and none at prime n.
+SCALED_LEVELS = {
+    3: 0, 4: 1, 5: 0, 6: 1, 7: 0, 8: 1, 9: 2, 10: 3, 11: 0, 12: 1, 13: 0, 14: 1
+}
 
 
 @pytest.mark.parametrize("n", SCALED_LEVELS)
@@ -447,6 +448,55 @@ def test_engine_scales_only_the_levels_above_the_prime_block(n):
     # the middle block of the lowest level, has prime size.
     sizes = [len(call.args[0]) for call in spy.call_args_list]
     assert sizes == list(range(n - 1, n - 1 - SCALED_LEVELS[n], -1))
-    assert [is_prime(k) for k in sizes] == [False] * (len(sizes) - 1) + [True]
+    assert [is_prime(k) for k in sizes] == [False] * (len(sizes) - 1) + [True] * (
+        len(sizes) > 0
+    )
     assert verify(s, x).ok
     assert abs(s.sq_moduli_sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", PRIMES)
+def test_prime_input_is_its_own_bottom_block(n):
+    # No level is scaled: the sum is the input's weights over AGL(1, n), on
+    # the cached rows themselves.
+    x = random_xu(n, n)
+    spy = mock.Mock(wraps=birkhoff.zxz_scale)
+    with mock.patch.object(birkhoff, "zxz_scale", spy):
+        s = decompose_xu(x, method="recursive")
+    assert spy.call_count == 0
+    images, weights = _bottom(x)
+    assert s.images is images is supercirculant_images(n)
+    assert np.array_equal(s.weights, weights)
+    assert np.abs(s.reconstruct() - x).max() <= 1e-15
+    assert abs(s.sq_moduli_sum() - 1.0) <= 1e-15
+
+
+def _sign(rows):
+    """The sign of each 0-based image row, by counting its inversions."""
+    return np.array(
+        [(-1) ** sum(a > b for a, b in itertools.combinations(r, 2)) for r in rows.tolist()]
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_xu3_at_p1_is_the_recursive_engine_bit_for_bit(seed):
+    # Both read the weights over AGL(1,3) = S_3.
+    x = random_xu(3, seed)
+    got, want = decompose_xu3(x, p=1), decompose_recursive(x)
+    assert len(want) == 6
+    assert np.array_equal(got.images, want.images)
+    assert np.array_equal(got.weights, want.weights)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+def test_xu3_family_moves_along_the_sign(seed, p):
+    x = random_xu(3, seed)
+    base = decompose_xu3(x, p=1)
+    s = decompose_xu3(x, p=p)
+    assert np.array_equal(s.images, base.images)
+    want = (p - 1) / 3 * _sign(s.images)
+    assert np.abs(s.weights - base.weights - want).max() <= 1e-15
