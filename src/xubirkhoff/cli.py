@@ -47,7 +47,7 @@ from .numerics import (
     matrix_to_json,
     max_abs_diff,
 )
-from .permsum import perm_sum_from_json, perm_sum_to_json
+from .permsum import _perm_sum_text, perm_sum_from_json
 from .sampling import KINDS, SampleSpec, sample
 from .scaling import ScalingOptions, zxz_scale
 from .xu_group import is_prime, pitch, transfer_block_dims, transfer_matrix
@@ -76,17 +76,19 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ParseError(f"{path}: {e}") from e
 
 
-def _emit(obj, output: str | None) -> None:
-    """Write ``obj`` to the file ``output``, or to stdout when it is unset;
-    a file that cannot be written is a usage error, as one that cannot be
+def _emit(text: str, output: str | None) -> None:
+    """Write the document ``text`` and a newline to the file ``output``, or
+    to stdout when it is unset, without joining them into one more copy; a
+    file that cannot be written is a usage error, as one that cannot be
     read is."""
-    text = dumps_json(obj) + "\n"
     if not output:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
     except OSError as e:
         raise ParseError(f"cannot write {output}: {e}") from e
 
@@ -111,7 +113,7 @@ def _positive_int(text: str) -> int:
 
 def _cmd_sample(args) -> int:
     spec = SampleSpec(n=args.n, kind=args.kind, seed=args.seed)
-    _emit(matrix_to_json(sample(spec)), args.output)
+    _emit(dumps_json(matrix_to_json(sample(spec))), args.output)
     return 0
 
 
@@ -130,9 +132,7 @@ def _cmd_decompose(args) -> int:
     p = complex(args.p) if args.p is not None else 1.0
     s = decompose_xu(a, method=args.method, p=p, opts=opts, tol=tol)
     report = verify(s, a, tol=report_tol)
-    out = perm_sum_to_json(s)
-    out["report"] = report.to_json()
-    _emit(out, args.output)
+    _emit(_perm_sum_text(s, report.to_json()), args.output)
     return 0
 
 
@@ -150,7 +150,7 @@ def _cmd_scale(args) -> int:
         "restarts": fac.restarts,
         "reconstruction_error": max_abs_diff(fac.reconstruct(), a),
     }
-    _emit(out, args.output)
+    _emit(dumps_json(out), args.output)
     return 0
 
 
@@ -158,11 +158,11 @@ def _cmd_verify(args) -> int:
     tol = _tol(args, VERIFY_TOL)
     try:
         s = perm_sum_from_json(_load_json(args.decomposition))
-    except (ValueError, TypeError, KeyError, NotAPermutationError) as e:
+    except (ValueError, TypeError, NotAPermutationError) as e:
         raise ParseError(f"{args.decomposition}: {e}") from e
     a = _load_matrix(args.matrix)
     report = verify(s, a, tol=tol)
-    _emit(report.to_json(), args.output)
+    _emit(dumps_json(report.to_json()), args.output)
     return 0 if report.ok else 1
 
 
@@ -176,7 +176,7 @@ def _cmd_pitch_table(args) -> int:
     cells = [[pitch(n, r, s) for s in range(1, n)] for r in range(1, n)]
     xs = [[x for x, _ in row] for row in cells]
     ys = [[y for _, y in row] for row in cells]
-    _emit({"n": n, "x": xs, "y": ys}, args.output)
+    _emit(dumps_json({"n": n, "x": xs, "y": ys}), args.output)
     return 0
 
 
@@ -195,7 +195,7 @@ def _cmd_transfer(args) -> int:
         "max_line_sum": line_sum_spread(*line_sums(tm.matrix), 0.0),
         "matrix": matrix_to_json(tm.matrix),
     }
-    _emit(out, args.output)
+    _emit(dumps_json(out), args.output)
     return 0
 
 

@@ -91,8 +91,9 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 # Every table the package caches per n (this one, the tables of
-# ``permutations``, ``birkhoff``'s level maps and ``scaling``'s constants)
-# keeps 64 sizes and returns through ``_frozen``: all callers share it.
+# ``permutations``, ``birkhoff``'s level maps, ``scaling``'s constants and
+# the JSON writer's ``_int_table``) keeps 64 sizes and returns through
+# ``_frozen``: all callers share it.
 @lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
     k = np.arange(n)
@@ -248,7 +249,8 @@ def json_array(nested, shape: tuple, integers: bool, what: str) -> np.ndarray:
     Raises ValueError naming the field ``what`` for anything but an int or
     a float among the numbers (a string, boolean, null, object or too deep
     a list), a float in an integer field, a wrong shape, a non-finite
-    float, or an integer beyond int64.
+    float, or an integer beyond int64. A scalar field (``shape`` ``()``)
+    must be "an integer" or "a number", any other "integers" or "numbers".
     """
     leaves = [nested]
     try:
@@ -261,7 +263,10 @@ def json_array(nested, shape: tuple, integers: bool, what: str) -> np.ndarray:
     numbers = (int, np.integer) if integers else (int, float, np.integer, np.floating)
     for kind in kinds:
         if kind is bool or not issubclass(kind, numbers):
-            word = "integers" if integers else "numbers"
+            if shape:
+                word = "integers" if integers else "numbers"
+            else:
+                word = "an integer" if integers else "a number"
             raise ValueError(f"{what} must be {word}, got {kind.__name__}")
     dtype = np.dtype(np.int64 if integers else np.float64)
     try:
@@ -378,7 +383,8 @@ def _checked(text: str) -> str:
 def _dump_block(value, template: str, dicts: bool, indent: int) -> str:
     """The uniform block ``value``, one element a line: each chunk of up to
     ``_CHUNK`` elements is one % of ``template`` repeated, over the numbers
-    of the chunk's rows (of its dicts' values, with ``dicts``)."""
+    of the chunk's rows (of its dicts' values, with ``dicts``). A row may
+    also hold the text of a one-line list of ints, for a ``%s``."""
     sep = ",\n" + " " * (indent + 2)
     chunks = []
     count = 0
@@ -390,6 +396,33 @@ def _dump_block(value, template: str, dicts: bool, indent: int) -> str:
         rows = chain.from_iterable(map(dict.values, part)) if dicts else part
         chunks.append(_checked(chunk_template % tuple(chain.from_iterable(rows))))
     return _block(chunks, indent, "[", "]")
+
+
+@lru_cache(maxsize=64)
+def _int_table(stop: int) -> np.ndarray:
+    """``b", v"`` for each v in range(stop), as one bytes dtype, which pads
+    every entry with NULs to the width of the longest."""
+    return _frozen(np.array([b", %d" % v for v in range(stop)]))
+
+
+def _int_lines(values: np.ndarray, stop: int) -> list[str]:
+    """``dumps_json(row)`` of each row of ``values``, a (k, m) integer array
+    with m >= 1 and every entry in range(stop).
+
+    One gather from ``_int_table(stop)`` writes every entry, NUL-padded,
+    between a "[" and a "]\\n" per row. The first entry of a row loses its
+    ", ", one ``bytes.translate`` drops the padding, and one decode and one
+    split give the rows: a few array passes instead of a %d per entry."""
+    k, m = values.shape
+    table = _int_table(stop)
+    width = m * table.dtype.itemsize
+    text = np.empty((k, width + 3), dtype=np.uint8)
+    text[:, 0] = ord("[")
+    text[:, 1:-2] = table[values].view(np.uint8).reshape(k, width)
+    text[:, 1:3] = 0
+    text[:, -2] = ord("]")
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
 def _dump_list(value, indent: int) -> str:
@@ -481,6 +514,8 @@ def dumps_json(value, indent: int = 0) -> str:
     str keys in the same order whose values are such lists, such as the
     ``{"perm", "weight"}`` terms of a decomposition. Anything else, and a
     key that a template cannot hold, takes one call per element. Both
-    paths write the same bytes.
+    paths write the same bytes. ``permsum`` writes decomposition documents
+    from a sum's arrays through the same templates and blocks, and the
+    tests pin its text to this function's.
     """
     return _dump(value, indent)

@@ -49,8 +49,13 @@ import numpy as np
 
 from .errors import DimensionError, NotAPermutationError, UnsupportedDimensionError
 from .numerics import (
+    _block,
+    _dump_block,
     _frozen,
+    _int_lines,
+    _line_template,
     check_int,
+    dumps_json,
     json_array,
     json_complex,
     json_pairs,
@@ -509,14 +514,42 @@ def perm_sum_to_json(s) -> dict:
     return {"n": s.n, "engine": s.engine, "terms": terms}
 
 
+def _perm_sum_text(s, report: dict) -> str:
+    """``dumps_json({**perm_sum_to_json(s), "report": report})`` for a
+    WeightedPermSum, written from its arrays without the per-term lists
+    and dicts: every ``perm`` line comes from one byte-table gather over
+    the image rows (``numerics._int_lines``), and the ``weight`` pairs, the
+    term braces and the block from ``dumps_json``'s own %.17g templates and
+    blocks. Any other sum raises TypeError."""
+    if not isinstance(s, WeightedPermSum):
+        raise TypeError(f"cannot write {type(s).__name__} from its arrays")
+    terms = "[]"
+    if len(s):
+        perms = _int_lines(s.images + 1, s.n + 1)
+        w = s.weights
+        rows = list(zip(perms, w.real.tolist(), w.imag.tolist()))
+        weight = _line_template("%.17g", 2)
+        term = _block(['"perm": %s', f'"weight": {weight}'], 4, "{", "}")
+        terms = _dump_block(rows, term, False, 2)
+    members = {
+        "n": dumps_json(s.n),
+        "engine": dumps_json(s.engine),
+        "terms": terms,
+        "report": dumps_json(report, 2),
+    }
+    return _block([f'"{k}": {v}' for k, v in members.items()], 0, "{", "}")
+
+
 def perm_sum_from_json(obj):
     """Parse the decomposition schema; returns a WeightedPermSum when no
     term carries phases, otherwise a ComplexPermSum.
 
-    Malformed fields raise ValueError, TypeError or KeyError: ``terms``
-    must be an array of objects and ``engine``, when present, a string.
-    Numbers are read by ``numerics.json_array``, so ``n`` must be a
-    positive integer, a ``perm`` n integers and every part a finite
+    Malformed fields raise ValueError: ``terms`` must be an array of
+    objects, each with a ``perm`` and a ``weight`` (a term without one is
+    named, 1-based, with the field it lacks, and so is a term without
+    ``phases`` when another has them), and ``engine``, when present, a
+    string. Numbers are read by ``numerics.json_array``, so ``n`` must be
+    a positive integer, a ``perm`` n integers and every part a finite
     number. A ``perm`` that is not a bijection on 1..n raises
     NotAPermutationError.
     """
@@ -533,12 +566,22 @@ def perm_sum_from_json(obj):
     if not k:
         return WeightedPermSum(n, engine=engine)
     what = f"term 'perm' entries (bijections on 1..{n})"
-    images = json_array([t["perm"] for t in raw], (k, n), True, what) - 1
-    weights = json_complex([t["weight"] for t in raw], (k,), "term 'weight' parts")
+    images = json_array(_field(raw, "perm"), (k, n), True, what) - 1
+    weights = json_complex(_field(raw, "weight"), (k,), "term 'weight' parts")
     if any("phases" in t for t in raw):
-        phases = json_complex([t["phases"] for t in raw], (k, n), "term 'phases' parts")
+        phases = json_complex(_field(raw, "phases"), (k, n), "term 'phases' parts")
         return ComplexPermSum.from_arrays(n, images, weights, phases, engine)
     return WeightedPermSum.from_arrays(n, images, weights, engine)
+
+
+def _field(terms: list, key: str) -> list:
+    """The ``key`` member of each of ``terms``; ValueError naming the first
+    term (1-based) that lacks it. The search runs only on that error."""
+    try:
+        return [t[key] for t in terms]
+    except KeyError:
+        j = next(j for j, t in enumerate(terms, 1) if key not in t)
+        raise ValueError(f"decomposition term {j} has no {key!r}") from None
 
 
 __all__ = [

@@ -299,7 +299,8 @@ class TestSchemaTypes:
         mpath, d = self._decomposition(capsys, tmp_path)
         d["n"] = n
         code, _, err = self._verify(capsys, tmp_path, d, mpath)
-        assert code == 2 and "integers" in err
+        kind = type(n).__name__
+        assert code == 2 and f"'n' must be an integer, got {kind}" in err
 
     @pytest.mark.parametrize("part", ["0.5", True, False])
     def test_non_number_weight_part(self, capsys, tmp_path, part):
@@ -387,6 +388,31 @@ class TestSchemaTypes:
         code, out, err = self._verify(capsys, tmp_path, d, mpath)
         assert code == 2
         assert out == "" and "d.json" in err and f"'{field}' must be" in err
+
+    @pytest.mark.parametrize("field", ["perm", "weight"])
+    @pytest.mark.parametrize("term", [1, 4, 25])
+    def test_term_without_a_field_is_named(self, capsys, tmp_path, field, term):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        del d["terms"][term - 1][field]
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2 and out == ""
+        assert f"error: {tmp_path / 'd.json'}: decomposition term {term} has no '{field}'\n" == err
+
+    def test_phases_on_only_some_terms_names_a_term_without(self, capsys, tmp_path):
+        mpath = tmp_path / "u.json"
+        write_matrix(mpath, haar_unitary(3, seed=4))
+        d = perm_sum_to_json(decompose_unitary(haar_unitary(3, seed=4)))
+        del d["terms"][2]["phases"]
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2 and out == ""
+        assert "d.json: decomposition term 3 has no 'phases'" in err
+        # Phases on one term of a plain decomposition: the first term
+        # without them is named.
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d["terms"][1]["phases"] = [[1.0, 0.0]] * 5
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2 and out == ""
+        assert "d.json: decomposition term 1 has no 'phases'" in err
 
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_ragged_matrix_entries(self, capsys, tmp_path, command):

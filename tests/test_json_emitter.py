@@ -8,6 +8,10 @@ raise the same error, for every document whose strings and keys hold no
 control characters (the oracle wrote those unescaped, which is not JSON).
 The block strategies below reach every fallback of the template path: an
 odd leaf or shape, nan and inf, and keys a template cannot hold.
+
+``decompose`` writes its document from the sum's arrays
+(``permsum._perm_sum_text``), which must give the text ``dumps_json``
+gives for ``perm_sum_to_json`` with the report added.
 """
 
 import json
@@ -21,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xubirkhoff import (
+    WeightedPermSum,
     decompose_unitary,
     decompose_xu,
     haar_unitary,
@@ -28,8 +33,8 @@ from xubirkhoff import (
     verify,
 )
 from xubirkhoff.cli import main
-from xubirkhoff.numerics import dumps_json, matrix_from_json, matrix_to_json
-from xubirkhoff.permsum import perm_sum_to_json
+from xubirkhoff.numerics import _int_table, dumps_json, matrix_from_json, matrix_to_json
+from xubirkhoff.permsum import _perm_sum_text, perm_sum_to_json
 
 
 def _oracle_format_number(v) -> str:
@@ -282,20 +287,98 @@ def test_matrix_to_json_unchanged(n):
     assert dumps_json(new) == oracle_dumps_json(old)
 
 
+# Every --method at a size it takes, auto up to n = 31, and prime n = 131,
+# whose image rows are int32 with three-digit entries.
+CLI_RUNS = [
+    *((n, "auto") for n in (1, 2, 3, 4, 5, 11, 17, 31, 131)),
+    *((n, "recursive") for n in (6, 7, 8, 12)),
+    (2, "xu2"),
+    (3, "xu3"),
+    (4, "xu4"),
+    (5, "prime"),
+]
+
+
 def test_cli_documents_byte_identical(tmp_path):
     """The files ``sample``, ``decompose``, ``verify`` and ``scale`` write
-    are what the oracle writes for the same data, with a trailing newline."""
+    are what the oracle writes for the same data, with a trailing newline:
+    ``decompose`` writes from the sum's arrays, every other command through
+    ``dumps_json``."""
     m, d, r, c = (str(tmp_path / f) for f in ("m.json", "d.json", "r.json", "c.json"))
-    for n in (4, 5, 11, 17, 31):
-        argv = ["sample", str(n), "--kind", "xu", "--seed", "1", "--output", m]
+    for n, method in CLI_RUNS:
+        # An XU(1) is a circulant one; the xu sampler starts at n = 2.
+        kind = "circulant_xu" if n == 1 else "xu"
+        argv = ["sample", str(n), "--kind", kind, "--seed", "1", "--output", m]
         assert main(argv) == 0
-        assert main(["decompose", m, "--output", d]) == 0
+        assert main(["decompose", m, "--method", method, "--output", d]) == 0
         assert main(["verify", d, m, "--output", r]) == 0
         assert main(["scale", m, "--output", c]) == 0
         for path in (m, d, r, c):
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            assert text == oracle_dumps_json(json.loads(text)) + "\n"
+            assert text == oracle_dumps_json(json.loads(text)) + "\n", (n, method, path)
+
+
+def _generic_text(s, report):
+    return dumps_json({**perm_sum_to_json(s), "report": report})
+
+
+# Weight parts: any finite float, and the edges of the %.17g forms.
+EDGE_PARTS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0]
+weight_parts = finite | st.sampled_from(EDGE_PARTS)
+
+
+@st.composite
+def array_sums(draw):
+    """A ``WeightedPermSum.from_arrays`` sum of 0 to 40 random rows at n = 1
+    to 140 (int32 rows from n = 128), rewrapped with drawn weights as an
+    engine wraps its arrays, so that -0.0 parts, which a merge turns into
+    0.0, reach the writer too; its engine label is any text."""
+    n = draw(st.integers(1, 140))
+    k = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = np.array([rng.permutation(n) for _ in range(k)], dtype=int).reshape(k, n)
+    engine = draw(st.text(max_size=8))
+    rows = WeightedPermSum.from_arrays(n, images, np.ones(k), engine).images
+    parts = draw(st.lists(weight_parts, min_size=2 * len(rows), max_size=2 * len(rows)))
+    weights = np.array(parts, dtype=float).view(complex)
+    return WeightedPermSum._trusted(n, rows, weights, engine)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(array_sums(), st.dictionaries(keys, documents, max_size=3))
+def test_writer_matches_the_generic_path(s, report):
+    assert _perm_sum_text(s, report) == _generic_text(s, report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 127, 128, 131])
+def test_writer_edge_sums(n):
+    """An empty sum, one term, a -0.0 part in every place, and int8 and
+    int32 rows, against the generic path."""
+    engine = 'a "label"\n'
+    report = {"ok": True}
+    rng = np.random.default_rng(n)
+    rows = np.unique(np.array([rng.permutation(n) for _ in range(3)]), axis=0)
+    weights = np.full(len(rows), complex(-0.0, -0.0))
+    weights[-1] = complex(1.0, -0.0)
+    texts = []
+    for s in (
+        WeightedPermSum(n, engine=engine),
+        WeightedPermSum.from_arrays(n, rows[:1], [1.0], engine),
+        WeightedPermSum._trusted(n, rows, weights, engine),
+    ):
+        texts.append(_perm_sum_text(s, report))
+        assert texts[-1] == _generic_text(s, report)
+        assert json.loads(texts[-1])["engine"] == engine
+    assert '"terms": [],' in texts[0]
+    assert f'"perm": {(rows[0] + 1).tolist()},' in texts[1]
+    assert len(rows) == 1 or '"weight": [-0.0, -0.0]' in texts[2]
+
+
+def test_writer_refuses_complex_sums():
+    s = decompose_unitary(haar_unitary(3, seed=1))
+    with pytest.raises(TypeError, match="ComplexPermSum"):
+        _perm_sum_text(s, {})
 
 
 def test_layout():
@@ -425,19 +508,34 @@ def test_numpy_int_rejected(doc):
         dumps_json(doc)
 
 
-def test_peak_memory_of_a_large_document():
-    """Emitting the 961-term n = 31 decomposition holds the items and one
-    joined copy, not a copy per nesting level (the oracle peaked at about
-    3.5 times the output)."""
-    x = random_xu(31, seed=3)
-    s = decompose_xu(x)
-    doc = perm_sum_to_json(s)
-    doc["report"] = verify(s, x).to_json()
+def _traced_peak(write):
+    """The text ``write()`` returns and the traced peak of writing it."""
     tracemalloc.start()
     try:
-        text = dumps_json(doc)
+        text = write()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return text, peak
+
+
+def test_peak_memory_of_a_large_document():
+    """Emitting the 961-term n = 31 decomposition holds the items and one
+    joined copy, not a copy per nesting level (the oracle peaked at about
+    3.5 times the output). Writing it from the sum's arrays peaks no
+    higher than building its dict and emitting that."""
+    x = random_xu(31, seed=3)
+    s = decompose_xu(x)
+    report = verify(s, x).to_json()
+    doc = perm_sum_to_json(s)
+    doc["report"] = report
+    text, peak = _traced_peak(lambda: dumps_json(doc))
     assert len(text) > 150_000
     assert peak < 2.5 * len(text)
+    # Sum to text, each path from its first call (the writer builds its
+    # byte table then).
+    _int_table.cache_clear()
+    generic, generic_peak = _traced_peak(lambda: _generic_text(s, report))
+    written, written_peak = _traced_peak(lambda: _perm_sum_text(s, report))
+    assert written == generic == text
+    assert written_peak <= generic_peak

@@ -25,6 +25,7 @@ from xubirkhoff import (
 from xubirkhoff.numerics import (
     dumps_json,
     is_unitary,
+    json_array,
     json_complex,
     json_pairs,
     line_sum_spread,
@@ -327,6 +328,24 @@ class TestMatrixJson:
     def test_bool_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})
+
+    @pytest.mark.parametrize(
+        "value, integers, message",
+        [
+            (2.0, True, "an integer, got float"),
+            ("2", True, "an integer, got str"),
+            ("2", False, "a number, got str"),
+            ([2.0], True, "integers, got float"),
+            ([None], False, "numbers, got NoneType"),
+        ],
+    )
+    def test_scalar_fields_name_one_value(self, value, integers, message):
+        shape = (1,) if isinstance(value, list) else ()
+        with pytest.raises(ValueError, match=f"^field must be {message}$"):
+            json_array(value, shape, integers, "field")
+        if not shape and integers:
+            with pytest.raises(ValueError, match=f"^matrix 'dim' must be {message}$"):
+                matrix_from_json({"dim": value, "entries": [[[1.0, 0.0]]]})
 
 
 class TestJsonPairs:

@@ -27,7 +27,7 @@ from xubirkhoff import (
 )
 from xubirkhoff import birkhoff
 from xubirkhoff.birkhoff import _level_maps, _levels
-from xubirkhoff.numerics import _dft_matrix
+from xubirkhoff.numerics import _dft_matrix, _int_table
 from xubirkhoff.permutations import (
     _agl_plan,
     _circulant_index,
@@ -51,6 +51,7 @@ TABLES = {
     _circulant_index: (2, 5, 9),
     _level_maps: (3, 4, 7),
     _normal_constants: (2, 3, 7),
+    _int_table: (2, 32, 132),
 }
 
 
