@@ -37,14 +37,13 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    _matrix_doc,
     check_int,
     check_tol,
     dumps_json,
-    json_pairs,
     line_sum_spread,
     line_sums,
     matrix_from_json,
-    matrix_to_json,
     max_abs_diff,
 )
 from .permsum import _perm_sum_text, perm_sum_from_json
@@ -113,7 +112,7 @@ def _positive_int(text: str) -> int:
 
 def _cmd_sample(args) -> int:
     spec = SampleSpec(n=args.n, kind=args.kind, seed=args.seed)
-    _emit(dumps_json(matrix_to_json(sample(spec))), args.output)
+    _emit(dumps_json(_matrix_doc(sample(spec))), args.output)
     return 0
 
 
@@ -142,9 +141,9 @@ def _cmd_scale(args) -> int:
     fac = zxz_scale(a, ScalingOptions(tol=tol, rng_seed=args.seed))
     out = {
         "alpha": fac.alpha,
-        "z1": json_pairs(fac.z1),
-        "z2": json_pairs(fac.z2),
-        "core": matrix_to_json(fac.core),
+        "z1": fac.z1,
+        "z2": fac.z2,
+        "core": _matrix_doc(fac.core),
         "spread": fac.spread,
         "iterations": fac.iterations,
         "restarts": fac.restarts,
@@ -193,7 +192,7 @@ def _cmd_transfer(args) -> int:
         "block_dims": list(transfer_block_dims(tm.n, tm.r, tm.s)),
         "pitches": list(pitches) if pitches is not None else None,
         "max_line_sum": line_sum_spread(*line_sums(tm.matrix), 0.0),
-        "matrix": matrix_to_json(tm.matrix),
+        "matrix": _matrix_doc(tm.matrix),
     }
     _emit(dumps_json(out), args.output)
     return 0

@@ -91,9 +91,9 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 # Every table the package caches per n (this one, the tables of
-# ``permutations``, ``birkhoff``'s level maps, ``scaling``'s constants and
-# the JSON writer's ``_int_table``) keeps 64 sizes and returns through
-# ``_frozen``: all callers share it.
+# ``permutations``, ``birkhoff``'s level maps, ``scaling``'s constants, the
+# JSON writer's ``_int_table`` and ``_array_template``) keeps 64 sizes, and
+# each array among them returns through ``_frozen``: all callers share it.
 @lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
     k = np.arange(n)
@@ -231,8 +231,15 @@ def classify(m, tol: float = DEFAULT_TOL) -> MatrixClass:
 
 def matrix_to_json(m) -> dict:
     """Convert a matrix to the shared JSON-ready schema."""
+    doc = _matrix_doc(m)
+    return {**doc, "entries": json_pairs(doc["entries"])}
+
+
+def _matrix_doc(m) -> dict:
+    """The matrix schema with its entries left as the complex array, which
+    ``dumps_json`` writes as it writes ``matrix_to_json(m)``."""
     a = as_complex_matrix(m)
-    return {"dim": a.shape[0], "entries": json_pairs(a)}
+    return {"dim": a.shape[0], "entries": a}
 
 
 def json_pairs(z) -> list:
@@ -316,8 +323,8 @@ def _format_number(v) -> str:
 
 _NUMBERS = (bool, int, float)
 _SPECS = {int: "%d", float: "%.17g"}
-# Elements of a uniform block formatted by one %, which bounds the size of
-# a chunk's template and of its tuple of numbers.
+# Elements of a block formatted by one %, which bounds the size of a
+# chunk's template and of its tuple of numbers.
 _CHUNK = 64
 _NEGATIVE_ZERO = re.compile(r"-0(?=[,\]])")
 # A JSON string literal, as json.dumps(s, ensure_ascii=False) writes it.
@@ -328,45 +335,6 @@ _quote = json.JSONEncoder(ensure_ascii=False).encode
 def _line_template(spec: str, k: int) -> str:
     """``[spec, spec, ...]``: the %-template of a one-line list of k numbers."""
     return "[" + ", ".join([spec] * k) + "]"
-
-
-def _rows_template(rows) -> str | None:
-    """The line template of each of ``rows`` when they are lists or tuples
-    of one length whose numbers are all ints or all floats, else None."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    lengths = set(map(len, rows))
-    kinds = set(map(type, chain.from_iterable(rows)))
-    if len(lengths) != 1 or len(kinds) != 1 or kinds - _SPECS.keys():
-        return None
-    return _line_template(_SPECS[kinds.pop()], lengths.pop())
-
-
-def _dicts_template(dicts, indent: int) -> str | None:
-    """The %-template of each of ``dicts``, at ``indent``, when they have
-    the same str keys in the same order and each key's values pass
-    ``_rows_template``, else None.
-
-    A key whose quoted form holds ``%``, ``-0``, ``nan`` or ``inf`` gives
-    None: it would be read as a format, or by ``_checked`` as a number.
-    """
-    if set(map(type, dicts)) != {dict}:
-        return None
-    if set(map(type, chain.from_iterable(dicts))) != {str}:
-        return None
-    keys = set(map(tuple, dicts))
-    if len(keys) != 1:
-        return None
-    members = []
-    for key in keys.pop():
-        quoted = _quote(key)
-        if any(s in quoted for s in ("%", "-0", "nan", "inf")):
-            return None
-        line = _rows_template([d[key] for d in dicts])
-        if line is None:
-            return None
-        members.append(f"{quoted}: {line}")
-    return _block(members, indent, "{", "}") if members else None
 
 
 def _checked(text: str) -> str:
@@ -380,22 +348,45 @@ def _checked(text: str) -> str:
     return _NEGATIVE_ZERO.sub("-0.0", text)
 
 
-def _dump_block(value, template: str, dicts: bool, indent: int) -> str:
-    """The uniform block ``value``, one element a line: each chunk of up to
-    ``_CHUNK`` elements is one % of ``template`` repeated, over the numbers
-    of the chunk's rows (of its dicts' values, with ``dicts``). A row may
-    also hold the text of a one-line list of ints, for a ``%s``."""
+def _dump_block(rows, template: str, indent: int) -> str:
+    """``rows`` one element a line: each chunk of up to ``_CHUNK`` rows is
+    one % of ``template`` repeated, over the values of the chunk's rows
+    (numbers, or the text of a one-line list for a ``%s``)."""
     sep = ",\n" + " " * (indent + 2)
     chunks = []
     count = 0
-    for start in range(0, len(value), _CHUNK):
-        part = value[start : start + _CHUNK]
+    for start in range(0, len(rows), _CHUNK):
+        part = rows[start : start + _CHUNK]
         if len(part) != count:
             count = len(part)
             chunk_template = sep.join([template] * count)
-        rows = chain.from_iterable(map(dict.values, part)) if dicts else part
-        chunks.append(_checked(chunk_template % tuple(chain.from_iterable(rows))))
+        chunks.append(_checked(chunk_template % tuple(chain.from_iterable(part))))
     return _block(chunks, indent, "[", "]")
+
+
+@lru_cache(maxsize=64)
+def _array_template(shape: tuple, indent: int) -> str:
+    """The %-template of a complex array of ``shape`` at ``indent``: nested
+    blocks of ``[re, im]`` lines, as ``dumps_json`` writes its pairs."""
+    if not shape:
+        return _line_template("%.17g", 2)
+    if not shape[0]:
+        return "[]"
+    inner = _array_template(shape[1:], indent + 2)
+    return _block([inner] * shape[0], indent, "[", "]")
+
+
+def _dump_array(value: np.ndarray, indent: int) -> str:
+    """``dumps_json(json_pairs(value))``, from the array. The parts of
+    complex64 and complex128 are floats, as in ``json_pairs``; an array of
+    any other dtype, or a 0-d one, raises TypeError."""
+    if value.ndim == 0 or value.dtype.char not in "FD":
+        raise TypeError(f"cannot serialize a {value.ndim}-d {value.dtype} array")
+    if not len(value):
+        return "[]"
+    parts = np.ascontiguousarray(value, complex).view(float)
+    rows = parts.reshape(len(value), -1).tolist()
+    return _dump_block(rows, _array_template(value.shape[1:], indent + 2), indent)
 
 
 @lru_cache(maxsize=64)
@@ -431,11 +422,6 @@ def _dump_list(value, indent: int) -> str:
     kinds = set(map(type, value))
     if len(kinds) == 1 and (spec := _SPECS.get(next(iter(kinds)))):
         return _checked(_line_template(spec, len(value)) % tuple(value))
-    if len(value) > 1:
-        if (template := _rows_template(value)) is not None:
-            return _dump_block(value, template, False, indent)
-        if (template := _dicts_template(value, indent + 2)) is not None:
-            return _dump_block(value, template, True, indent)
     items = [_dump(v, indent + 2) for v in value]
     if all(isinstance(v, _NUMBERS) for v in value):
         return "[" + ", ".join(items) + "]"
@@ -477,7 +463,12 @@ def _dump_any(value, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-_CONTAINERS = {list: _dump_list, tuple: _dump_list, dict: _dump_dict}
+_CONTAINERS = {
+    list: _dump_list,
+    tuple: _dump_list,
+    dict: _dump_dict,
+    np.ndarray: _dump_array,
+}
 
 
 def _dump(value, indent: int) -> str:
@@ -485,7 +476,8 @@ def _dump(value, indent: int) -> str:
 
 
 def dumps_json(value, indent: int = 0) -> str:
-    """Serialize nested dict/list/tuple/number/str/bool/None.
+    """Serialize nested dict/list/tuple/number/str/bool/None and complex
+    arrays.
 
     The layout is fixed, and the tests pin it byte for byte:
 
@@ -502,20 +494,19 @@ def dumps_json(value, indent: int = 0) -> str:
       ``json.dumps(s, ensure_ascii=False)`` escapes them.
 
     No trailing newline is added; the CLI writes one after the document.
-    Other types, ``np.int64`` among them, raise TypeError; float
-    subclasses such as ``np.float64`` print as floats.
+    A complex ``np.ndarray`` of ndim >= 1 (complex64 or complex128) is
+    written as its ``json_pairs`` are. Other types, ``np.int64`` and any
+    other array among them, raise TypeError; float subclasses such as
+    ``np.float64`` print as floats.
 
     The stdlib encoder prints shortest round-trip floats; the fixed 17-digit
     form is part of the output contract, hence this small emitter. A list
     made only of ``int``s or only of ``float``s is formatted with one
-    %-template. So is each chunk of up to 64 elements of a uniform block:
-    two or more equal-length lists (or tuples) of only ints or only floats,
-    such as the ``[re, im]`` pairs of a matrix row, or dicts with the same
-    str keys in the same order whose values are such lists, such as the
-    ``{"perm", "weight"}`` terms of a decomposition. Anything else, and a
-    key that a template cannot hold, takes one call per element. Both
-    paths write the same bytes. ``permsum`` writes decomposition documents
-    from a sum's arrays through the same templates and blocks, and the
-    tests pin its text to this function's.
+    %-template, any other list one element at a time: the reference path
+    the tests compare against. A complex array is formatted from one
+    cached template per shape and indent, one % per 64 elements of its
+    first axis. ``permsum`` writes decomposition documents from a sum's
+    arrays through the same templates and blocks, and the tests pin its
+    text to this function's.
     """
     return _dump(value, indent)

@@ -34,7 +34,8 @@ bijections by construction, and a ``WeightedPermSum``'s rows must already
 be distinct and in lexicographic order. Arrays from outside the package
 enter through ``from_arrays``, which validates them first. Every public
 constructor, ``add`` and the ``terms`` setter refuse a weight or phase
-that is not finite, as the JSON reader does. The
+that is not finite, as the JSON reader does, and they and ``product`` a
+merged or multiplied weight that leaves the float range. The
 ``Permutation``-object API (``items()``, ``s[p]``, ``p in s``, ``add``,
 ``terms``, ``items_sorted``) is for callers; its objects (1-based image
 tuples) are built only when read.
@@ -141,22 +142,25 @@ def _sum_pair_groups(
     The pair weights are formed a block of rows of ``inverse`` at a time,
     about k pairs per block, so that no array holds a weight for every
     pair. Each block adds its pairs in pair order, and the blocks add up
-    in row order.
+    in row order. A product or sum past the float range raises ValueError.
     """
     out = np.zeros(k, dtype=complex)
     rows = max(1, k // max(1, len(wb)))
     for start in range(0, len(wa), rows):
-        w = np.multiply.outer(wa[start : start + rows], wb).reshape(-1)
+        # A product past the float range is refused below, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.multiply.outer(wa[start : start + rows], wb).reshape(-1)
         _add_groups(out, inverse[start : start + rows].reshape(-1), w.real, w.imag)
-    return out
+    return _finite(out, "product weights")
 
 
 def _merge(images: np.ndarray, weights: np.ndarray):
-    """Sorted distinct rows and their weights, each summed in input order."""
+    """Sorted distinct rows and their weights, each summed in input order;
+    ValueError when a sum of finite weights leaves the float range."""
     rows, inverse = _group_rows(images)
     out = np.zeros(len(rows), dtype=complex)
     _add_groups(out, inverse, weights.real, weights.imag)
-    return rows, out
+    return rows, _finite(out, "summed weights")
 
 
 def _reconstruct(
@@ -220,7 +224,8 @@ def product(a: "WeightedPermSum", b: "WeightedPermSum") -> "WeightedPermSum":
     An operand that is not a WeightedPermSum, such as a ComplexPermSum
     whose phases the product would drop, raises TypeError. Sizes that
     differ raise DimensionError, and more than ``_PRODUCT_MAX_PAIRS`` pairs
-    raise UnsupportedDimensionError before any work (``check_pairs``).
+    raise UnsupportedDimensionError before any work (``check_pairs``); a
+    weight past the float range raises ValueError.
 
     The composed rows are grouped as ``_merge`` groups rows
     (``_group_rows``) and freed before any pair weight exists; the pair
@@ -530,7 +535,7 @@ def _perm_sum_text(s, report: dict) -> str:
         rows = list(zip(perms, w.real.tolist(), w.imag.tolist()))
         weight = _line_template("%.17g", 2)
         term = _block(['"perm": %s', f'"weight": {weight}'], 4, "{", "}")
-        terms = _dump_block(rows, term, False, 2)
+        terms = _dump_block(rows, term, 2)
     members = {
         "n": dumps_json(s.n),
         "engine": dumps_json(s.engine),

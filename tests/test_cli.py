@@ -333,6 +333,14 @@ class TestSchemaTypes:
         assert code == 2
         assert out == "" and "d.json" in err and "finite" in err
 
+    def test_weights_summing_past_the_float_range(self, capsys, tmp_path):
+        mpath, d = self._decomposition(capsys, tmp_path)
+        d["terms"] = [{**d["terms"][0], "weight": [1e308, 0.0]}] * 2
+        code, out, err = self._verify(capsys, tmp_path, d, mpath)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "d.json" in err
+        assert "summed weights must be finite" in err
+
     def test_non_finite_phase_part(self, capsys, tmp_path):
         mpath = tmp_path / "u.json"
         write_matrix(mpath, haar_unitary(3, seed=4))

@@ -1,17 +1,17 @@
 """Byte-for-byte tests of the 17-digit JSON emitter.
 
-``oracle_dumps_json`` is the emitter as it was before lists of numbers, and
-uniform blocks of such lists or of dicts of them, were formatted with
-%-templates: one recursive call per value, with the later rule that -0.0
-is written as ``-0.0``. ``dumps_json`` must write the same bytes, and
-raise the same error, for every document whose strings and keys hold no
-control characters (the oracle wrote those unescaped, which is not JSON).
-The block strategies below reach every fallback of the template path: an
-odd leaf or shape, nan and inf, and keys a template cannot hold.
+``oracle_dumps_json`` is the emitter as it was before lists of numbers
+were formatted with %-templates: one recursive call per value, with the
+later rule that -0.0 is written as ``-0.0``. ``dumps_json`` must write the
+same bytes, and raise the same error, for every document whose strings
+and keys hold no control characters (the oracle wrote those unescaped,
+which is not JSON). The block strategies below draw lists of rows and of
+dicts of rows, with an odd leaf or shape, nan and inf, and odd keys.
 
-``decompose`` writes its document from the sum's arrays
-(``permsum._perm_sum_text``), which must give the text ``dumps_json``
-gives for ``perm_sum_to_json`` with the report added.
+A complex array must write what ``dumps_json`` writes for its
+``json_pairs``, and ``decompose``'s document from the sum's arrays
+(``permsum._perm_sum_text``) what it writes for ``perm_sum_to_json`` with
+the report added.
 """
 
 import json
@@ -33,7 +33,13 @@ from xubirkhoff import (
     verify,
 )
 from xubirkhoff.cli import main
-from xubirkhoff.numerics import _int_table, dumps_json, matrix_from_json, matrix_to_json
+from xubirkhoff.numerics import (
+    _int_table,
+    dumps_json,
+    json_pairs,
+    matrix_from_json,
+    matrix_to_json,
+)
 from xubirkhoff.permsum import _perm_sum_text, perm_sum_to_json
 
 
@@ -130,11 +136,11 @@ def test_float_lists_byte_identical(values, indent):
     assert dumps_json(doc, indent) == oracle_dumps_json(doc, indent)
 
 
-# Uniform blocks: two or more equal-length rows of only ints or only floats,
+# Blocks of lists: two or more equal-length rows of ints, floats or bools,
 # or dicts with the same keys whose values are such rows, up to three
-# 64-element chunks long; and the same shapes of bools, which are not. Each
-# test case makes one change of a kind below, after which the block may
-# still be uniform ("none", "-0.0", "nan", "inf") or not.
+# 64-element chunks long. Each test case makes one change of a kind below
+# ("none" makes none), which the list path must write, or refuse, as the
+# oracle does.
 CHUNK = 64
 ODD_LEAVES = {
     "bool": lambda v: True,
@@ -251,6 +257,81 @@ def test_blocks_byte_identical_to_oracle(dicts, change, data, indent, nested):
     assert _outcome(dumps_json, doc, indent) == _outcome(oracle_dumps_json, doc, indent)
 
 
+# Complex arrays: each must write what its json_pairs write, as the whole
+# document and nested in others, at any indent.
+ARRAY_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+SIZES = st.sampled_from([0, 1, 2, 63, 64, 65, 129, 140]) | st.integers(0, 140)
+
+
+@st.composite
+def complex_arrays(draw):
+    """A complex128 array of shape (k,) or (n, m), sizes 0 to 140, whose
+    parts come from a small drawn pool of edge and ordinary floats; a 2-D
+    one is sometimes a transposed, non-contiguous view."""
+    shape = tuple(draw(st.lists(SIZES, min_size=1, max_size=2)))
+    pool = draw(st.lists(finite | st.sampled_from(ARRAY_PARTS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.choice(np.array(pool), size=(*shape, 2))
+    a = parts.view(complex).reshape(shape)
+    if len(shape) == 2 and draw(st.booleans()):
+        a = a.T
+    return a
+
+
+def _nestings(x):
+    """``x`` as the document, as a member, and deeper in lists and dicts."""
+    return [x, {"x": x}, [{"a": [1, x]}, {"b": {"c": x}}]]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(complex_arrays(), st.integers(0, 6))
+def test_arrays_byte_identical_to_their_pairs(a, indent):
+    pairs = json_pairs(a)
+    for doc, reference in zip(_nestings(a), _nestings(pairs)):
+        assert dumps_json(doc, indent) == dumps_json(reference, indent)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    complex_arrays().filter(lambda a: a.size),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+)
+def test_arrays_refuse_non_finite_parts(a, bad, seed, indent):
+    parts = np.array(json_pairs(a))
+    parts.reshape(-1)[np.random.default_rng(seed).integers(parts.size)] = bad
+    a = parts.view(complex).reshape(a.shape)
+    for doc, reference in zip(_nestings(a), _nestings(json_pairs(a))):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json(reference, indent)
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json(doc, indent)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3), (0, 2), (3, 2, 4), (1, 1, 1, 1)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_arrays_of_any_rank_and_complex64(shape, dtype):
+    a = (np.arange(np.prod(shape)) - 2.5 - 1j).reshape(shape).astype(dtype)
+    for indent in (0, 3):
+        assert dumps_json({"a": a}, indent) == dumps_json({"a": json_pairs(a)}, indent)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        np.zeros(3),
+        np.arange(4).reshape(2, 2),
+        np.array(1 + 2j),
+        np.zeros((2, 2), dtype=np.clongdouble),
+        {"m": np.array([True])},
+    ],
+)
+def test_other_arrays_rejected(doc):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_json(doc)
+
+
 def _documents():
     """Every kind of document the CLI writes, at sizes 2..13 (decompositions
     only where the closed-form or recursive engines are fast)."""
@@ -317,6 +398,30 @@ def test_cli_documents_byte_identical(tmp_path):
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             assert text == oracle_dumps_json(json.loads(text)) + "\n", (n, method, path)
+
+
+# sample at sizes past one and two 64-row chunks, scale at the closed-form
+# size 2 and two iterated ones, and transfer: every command that writes a
+# complex array from the array itself.
+ARRAY_COMMANDS = [
+    *(["sample", str(n), "--kind", "unitary"] for n in (1, 2, 4, 31, 131)),
+    *(["scale", f"u{n}.json"] for n in (2, 7, 31)),
+    ["transfer", "5", "1", "2"],
+    ["transfer", "31", "3", "7"],
+]
+
+
+def test_cli_array_documents_byte_identical(tmp_path, monkeypatch):
+    """The files written from complex arrays are fixed points of the list
+    path: ``dumps_json`` of the lists they read back as."""
+    monkeypatch.chdir(tmp_path)
+    for n in (2, 7, 31):
+        argv = ["sample", str(n), "--kind", "unitary", "--seed", "4"]
+        assert main([*argv, "--output", f"u{n}.json"]) == 0
+    for argv in ARRAY_COMMANDS:
+        assert main([*argv, "--output", "out.json"]) == 0
+        text = (tmp_path / "out.json").read_text(encoding="utf-8")
+        assert text == dumps_json(json.loads(text)) + "\n", argv
 
 
 def _generic_text(s, report):

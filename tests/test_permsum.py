@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,37 @@ def test_add_refuses_non_finite_and_keeps_the_sum():
     with pytest.raises(ValueError, match="weight must be finite"):
         s.add(SWAP, np.inf)
     assert s.items() == [(IDENTITY, 0.5)]
+
+
+# Finite weights whose sum or product leaves the float range: each entry
+# point that merges or multiplies refuses the result instead of storing inf.
+OVERFLOWS = {
+    "from_arrays": lambda: WeightedPermSum.from_arrays(
+        3, [[1, 0, 2], [1, 0, 2]], [1e308, 1e308]
+    ),
+    "terms": lambda: WeightedPermSum(3, [(SWAP, 1e308), (SWAP, 1e308)]),
+    "add": lambda: WeightedPermSum(3, [(SWAP, 1e308)]).add(SWAP, 1e308),
+    "from_json": lambda: perm_sum_from_json(
+        {"n": 3, "terms": [{"perm": [2, 1, 3], "weight": [-1e308, 0.0]}] * 2}
+    ),
+    "imaginary": lambda: WeightedPermSum(3, [(SWAP, 1e308j), (SWAP, 1e308j)]),
+}
+
+
+@pytest.mark.parametrize("make", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_merged_weights_past_the_float_range_refused(make):
+    with pytest.raises(ValueError, match="^summed weights must be finite$"):
+        make()
+
+
+@pytest.mark.parametrize("wa, wb", [(1e200, 1e200), (1e200j, 1e200j), (1e300, -1e10)])
+def test_product_weights_past_the_float_range_refused(wa, wb):
+    a = WeightedPermSum(3, [(SWAP, wa)])
+    b = WeightedPermSum(3, [(IDENTITY, wb)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^product weights must be finite$"):
+            product(a, b)
 
 
 def test_complex_pruned_keeps_phases_and_order():
