@@ -12,7 +12,9 @@ with weight sum 1:
   (dispatching to the closed forms below 5); exactly n^2 terms whose
   squared moduli sum to 1.
 * ``decompose_xu4``: the explicit 24-weight table for XU(4), the one
-  composite dimension with a known squared-moduli-1 construction.
+  composite dimension with an exact table; exact tables exist only for
+  prime n and n = 4, and ``decompose_recursive`` reaches squared moduli
+  summing to 1 at every other n up to its residual.
 * ``decompose_recursive``: works for every n by peeling one
   dimension at a time through the ZXZ factorization, down to the first
   block of size 1 or prime p, the input at prime n, whose weights over
@@ -75,11 +77,11 @@ from .xu_group import fourier_core, fourier_embed, is_prime, require_xu
 PRUNE_EPS = 1e-14
 
 # The most cells a cached first-level plan of the recursive engine
-# (``permutations._agl_plan``) may hold, bounded before it is built by
-# n * nnz(w1) * p(p - 1) over a bottom block of prime size p = n - 1. At
-# full support that admits every first level up to n = 14 (25 900 cells,
-# 0.58 MB of tables); n = 18 builds 77 796 cells and n = 32 890 944
-# (36 MB), per call.
+# (``permutations._agl_plan``, over all n shifts) may hold, bounded before
+# it is built by n * n * p(p - 1) over a bottom block of prime size
+# p = n - 1. That admits every first level up to n = 14 (25 900 cells,
+# 0.58 MB of tables); n = 18 builds up to 77 796 cells and n = 32 up to
+# 890 944 (36 MB), per call.
 _PLAN_CACHE_CELLS = 1 << 16
 
 # ``verify``'s default tolerance: the engines that scale carry their residual.
@@ -153,7 +155,10 @@ def decompose_prime_parts(
     a = require_xu(x, tol)
     n = a.shape[0]
     if not is_prime(n):
-        composite = "composite (only n=4 has a known squared-moduli-1 table)"
+        composite = (
+            "composite (exact tables exist only for prime n and n=4; "
+            "'recursive' reaches sum |m|^2 = 1 up to its residual)"
+        )
         raise UnsupportedDimensionError(
             f"the supercirculant construction needs prime n; n={n} is "
             f"{composite if n > 1 else 'not prime'}"
@@ -179,10 +184,10 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
     Dispatches to the closed forms for n = 2 and n = 3 (with p = 1); for
     n >= 5 combines the supercirculant part and the flat part into exactly
     n^2 terms (the two permutation families are disjoint, so nothing
-    merges). Composite n raises UnsupportedDimensionError: whether such a
-    construction exists for composite n > 4 is an open question, and only
-    the n = 4 table (``decompose_xu4``) is known. Each branch checks XU
-    membership once.
+    merges). Composite n raises UnsupportedDimensionError: exact tables
+    exist only for prime n and n = 4 (``decompose_xu4``), and at every
+    other n ``decompose_recursive`` reaches squared moduli summing to 1 up
+    to its residual. Each branch checks XU membership once.
     """
     a = as_complex_matrix(x)
     n = a.shape[0]
@@ -244,8 +249,8 @@ def _xu4_weights(u: np.ndarray) -> list[complex]:
 
 
 def decompose_xu4(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
-    """The 24-term table for XU(4), the known composite case with squared
-    moduli summing to 1.
+    """The 24-term table for XU(4), the one composite case with an exact
+    table whose squared moduli sum to 1.
 
     Evaluates fixed linear forms of the 3x3 core entries, one weight per
     permutation of {1..4} in lexicographic order. Four of the weights are
@@ -276,13 +281,13 @@ def decompose_recursive(
 
     The engine makes two passes over the levels. The first scales them
     top down (``_levels``): level n scales its core and reads w1 and w2
-    off Z1 and Z2 in one product. It hands level n-1 the core of ytilde,
-    G^H y G for a cached isometry G, without forming the middle factor.
-    One rule stops it: the first block of size 1 or prime p, the input
-    itself or the first ytilde of prime size, which only its level embeds,
-    is the bottom block, and nothing below it is scaled. The second pass
-    folds the levels bottom up, starting from the bottom block's weights
-    over the affine group AGL(1,p) (``_bottom``).
+    off Z1 and Z2 in one product. It hands level n-1 the block ytilde,
+    through the embedding F (1 (+) y) F^-1 of its scaled core y. One rule,
+    the loop's condition, stops it: the first block of size 1 or prime p,
+    the input itself or the first ytilde of prime size, is the bottom
+    block, and nothing below it is scaled. The second pass folds the
+    levels bottom up, starting from the bottom block's weights over the
+    affine group AGL(1,p) (``_bottom``).
 
     The bottom block Y needs no scaling. The supercirculants C[l,x],
     k -> (l-1) + kx mod p (``supercirculant_images``), form the sharply
@@ -324,10 +329,12 @@ def decompose_recursive(
     no merging. The cells, the rows and their order are the level's plan
     (``_coset_plan``); it depends on the rows below and the support of w1
     only. So the plan of a first level over the rows of AGL(1,p) is
-    cached per (n, support) (``_agl_plan``) while n nnz(w1)
-    p(p - 1) is at most _PLAN_CACHE_CELLS, up to n = 14 at full support;
-    the bottom weights of modulus <= PRUNE_EPS are zeroed there, not
-    dropped, to keep its rows. Every other plan depends on the input, and
+    cached once per n, over all n shifts (``_agl_plan``), while
+    n n p(p - 1) is at most _PLAN_CACHE_CELLS, up to n = 14; the fold
+    takes the columns ``cells[:, k]`` of the support k of w1, and the
+    cells that no pair reaches keep weight 0 and are pruned. The bottom
+    weights of modulus <= PRUNE_EPS are zeroed there, not dropped, to
+    keep its rows. Every other plan depends on the input, and
     is built per call. An input with few terms (a permutation matrix, a
     circulant) stays cheap at every n: an input that is the bottom block
     drops its weights of modulus <= PRUNE_EPS, as a fold does.
@@ -377,9 +384,9 @@ def decompose_recursive(
     for level, (w1, w2) in enumerate(reversed(levels)):
         n = len(w1)
         k = np.flatnonzero(w1)
-        pairs = len(images) * len(k)
-        if level == 0 and len(images) > 1 and n * pairs <= _PLAN_CACHE_CELLS:
-            cells, rows, order = _agl_plan(n, tuple(k.tolist()))
+        if level == 0 and 1 < len(images) <= _PLAN_CACHE_CELLS // (n * n):
+            cells, rows, order = _agl_plan(n)
+            cells = cells[:, k]
         else:
             cells, rows, order = _coset_plan(n, images, k)
         q = np.zeros(len(order), dtype=complex)
@@ -394,26 +401,19 @@ def decompose_recursive(
 def _levels(a: np.ndarray, opts: ScalingOptions):
     """The scaled levels of XU(n) member ``a``, top down, and the bottom
     block, the first block of size 1 or prime (``decompose_recursive``):
-    ``a`` itself, with no levels, or an XU(p) ytilde. Each level, of size
-    n, n - 1, ..., scales its core y, of size one less, and gives
-    (w1, w2), the pruned first rows of its two circulant factors
-    (``_first_rows``). A level whose y has composite size hands the next
-    level its core, G^H y G (``_next_core``), without forming the middle
-    factor's block ytilde; the first whose y has prime size embeds it."""
-    levels = []
-    if len(a) == 1 or is_prime(len(a)):
-        return levels, a
-    core = fourier_core(a)
-    while True:
-        fac = zxz_scale(core, opts)
-        m = len(core) + 1
-        d = np.ones((2, m), dtype=complex)
+    ``a`` itself, with no levels, or an XU(p) ytilde. Each level scales
+    the core y of its block and gives (w1, w2), the pruned first rows of
+    its two circulant factors (``_first_rows``); the block below it is
+    ytilde, of F (1 (+) y) F^-1 = 1 (+) ytilde."""
+    levels, block = [], a
+    while len(block) > 1 and not is_prime(len(block)):
+        fac = zxz_scale(fourier_core(block), opts)
+        d = np.ones((2, len(block)), dtype=complex)
         d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
         d[1, 1:] = fac.z2
         levels.append(_pruned(_first_rows(d)))
-        if is_prime(m - 1):
-            return levels, fourier_embed(fac.core)[1:, 1:]
-        core = _next_core(fac.core)
+        block = fourier_embed(fac.core)[1:, 1:]
+    return levels, block
 
 
 def _bottom(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,19 +444,10 @@ def _agl(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _level_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only matrices that carry a recursion level of size n:
-    conj(F_n) / sqrt(n), which gives ``_first_rows``, and G^H and G for
-    the isometry G = F_n[1:, 1:]^H F_(n-1)[:, 1:] of ``_next_core``.
-
-    G^H G = I: the rows 1.. of F_n are orthonormal, so
-    F_n[1:, 1:] F_n[1:, 1:]^H = I - J / n with J all ones, and the columns
-    1.. of F_(n-1) are orthogonal to the constant vector.
-    """
-    f = dft_matrix(n)
-    rows = f.conj() / math.sqrt(n)
-    g = f[1:, 1:].conj().T @ dft_matrix(n - 1)[:, 1:]
-    return _frozen(rows), _frozen(g.conj().T.copy()), _frozen(g)
+def _first_row_map(n: int) -> np.ndarray:
+    """conj(F_n) / sqrt(n), cached per n and read-only: the map
+    ``_first_rows`` applies to a level of size n."""
+    return _frozen(dft_matrix(n).conj() / math.sqrt(n))
 
 
 def _first_rows(d: np.ndarray) -> np.ndarray:
@@ -464,19 +455,7 @@ def _first_rows(d: np.ndarray) -> np.ndarray:
     per row d_i of ``d``, whose first entries are 1: the first row of F is
     constant, 1 / sqrt(n), so each is conj(F) d_i / sqrt(n), in one
     product (F is symmetric)."""
-    return d @ _level_maps(d.shape[-1])[0]
-
-
-def _next_core(y: np.ndarray) -> np.ndarray:
-    """The core of the XU block ytilde of the middle factor
-    F (1 (+) y) F^-1 = 1 (+) ytilde of a level of size n, from the scaled
-    core y of size n - 1: G^H y G (``_level_maps``). It is
-    ``fourier_core(fourier_embed(y)[1:, 1:])`` in exact arithmetic, one
-    product each way instead of two: F (1 (+) y) F^-1 is J / n plus
-    F[:, 1:] y F[:, 1:]^H, and the block J / n of ytilde vanishes in the
-    core because the columns 1.. of F_(n-1) sum to zero."""
-    gh, g = _level_maps(len(y) + 1)[1:]
-    return gh @ y @ g
+    return d @ _first_row_map(d.shape[-1])
 
 
 def _refuse_oversized(levels, terms: int) -> None:
@@ -531,10 +510,10 @@ def decompose_xu(
 ) -> WeightedPermSum:
     """Front door for XU decompositions.
 
-    ``method`` is one of ``METHODS``. 'auto' picks the engine with the
-    squared-moduli-1 guarantee when one exists (prime n or n = 4) and falls
-    back to the recursive engine for n = 1 and composite n > 4; any other
-    name runs that engine. ``p`` reaches only 'xu3' and ``opts`` only
+    ``method`` is one of ``METHODS``. 'auto' picks an exact table where
+    one exists (prime n or n = 4) and the recursive engine for n = 1 and
+    composite n > 4, whose squared moduli sum to 1 up to its residual; any
+    other name runs that engine. ``p`` reaches only 'xu3' and ``opts`` only
     'recursive'. ``tol`` is the membership tolerance of ``x``, the same
     for every engine. An unknown method raises ValueError.
     """

@@ -91,9 +91,10 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 # Every table the package caches per n (this one, the tables of
-# ``permutations``, ``birkhoff``'s level maps, ``scaling``'s constants, the
-# JSON writer's ``_int_table`` and ``_array_template``) keeps 64 sizes, and
-# each array among them returns through ``_frozen``: all callers share it.
+# ``permutations``, ``birkhoff``'s first-row map, ``scaling``'s constants,
+# the JSON writer's ``_int_table`` and ``_array_template``) keeps 64 sizes,
+# and each array among them returns through ``_frozen``: all callers share
+# it.
 @lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
     k = np.arange(n)

@@ -19,10 +19,9 @@ groups image rows (``_row_order`` and ``_group_rows``, with which
 from the families: ``_prime_rows`` (the n^2 rows of the prime
 construction), ``_coset_plan`` (the plan of one fold of the recursive
 engine, over the rows ``_lifted`` makes), ``_agl_plan`` (that plan over
-the rows of AGL(1,p), cached) and ``_circulant_index`` (the circulant
-matrix of a fold). Every table but the per-call ``_coset_plan`` is
-cached for 64 keys (n, or n and the shifts for ``_agl_plan``), and is
-read-only down to its base.
+the rows of AGL(1,p) and all n shifts) and ``_circulant_index`` (the
+circulant matrix of a fold). Every table but the per-call ``_coset_plan``
+is cached for 64 sizes n, and is read-only down to its base.
 The engines wrap these rows in sums, and ``shift_matrix`` and
 ``d_family`` read them as ``Permutation`` objects.
 ``lexicographic_permutations`` and ``supercirculant_perm`` build the same
@@ -248,12 +247,15 @@ def _coset_plan(
 
 
 @lru_cache(maxsize=64)
-def _agl_plan(n: int, k: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _agl_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_coset_plan`` over the rows of AGL(1, n - 1)
-    (``supercirculant_images``) for prime n - 1, cached per (n, k) and
-    read-only: the recursive engine's first level over a bottom block of
-    prime size n - 1."""
-    plan = _coset_plan(n, supercirculant_images(n - 1), np.array(k, dtype=np.intp))
+    (``supercirculant_images``) for prime n - 1 and all n shifts, cached
+    per n and read-only: the recursive engine's first level over a bottom
+    block of prime size n - 1. A first level over the shifts ``k`` fills
+    the columns ``cells[:, k]``: its rows are those of ``_coset_plan``
+    over ``k`` and more, all in lexicographic order, and the cells that no
+    pair reaches keep weight 0, which the fold's pruning drops."""
+    plan = _coset_plan(n, supercirculant_images(n - 1), np.arange(n))
     return tuple(map(_frozen, plan))
 
 

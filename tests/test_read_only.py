@@ -1,8 +1,7 @@
-"""Every cached table (per n, or per n and support for the recursive
-engine's plans) is shared by all of its callers, so each is cached for 64
-keys and is read-only together with every array it views; and no sum the
-package returns lets a caller write through a base into such a table or
-into another sum."""
+"""Every cached table, per n, is shared by all of its callers, so each is
+cached for 64 keys and is read-only together with every array it views;
+and no sum the package returns lets a caller write through a base into
+such a table or into another sum."""
 
 from unittest import mock
 
@@ -26,7 +25,7 @@ from xubirkhoff import (
     verify,
 )
 from xubirkhoff import birkhoff
-from xubirkhoff.birkhoff import _level_maps, _levels
+from xubirkhoff.birkhoff import _first_row_map, _levels
 from xubirkhoff.numerics import _dft_matrix, _int_table
 from xubirkhoff.permutations import (
     _agl_plan,
@@ -38,7 +37,7 @@ from xubirkhoff.permutations import (
     supercirculant_images,
 )
 from xubirkhoff.scaling import ScalingOptions, _normal_constants
-from xubirkhoff.xu_group import is_prime
+from xubirkhoff.xu_group import fourier_embed, is_prime
 
 TABLES = {
     _dft_matrix: (1, 2, 5, 8),
@@ -49,7 +48,7 @@ TABLES = {
     _prime_rows: (5, 7, 13),
     _agl_plan: (3, 4, 6, 8),
     _circulant_index: (2, 5, 9),
-    _level_maps: (3, 4, 7),
+    _first_row_map: (3, 4, 7),
     _normal_constants: (2, 3, 7),
     _int_table: (2, 32, 132),
 }
@@ -69,10 +68,8 @@ def assert_read_only_to_its_base(a: np.ndarray) -> None:
 )
 def test_tables_are_cached_and_read_only_to_their_base(build, n):
     assert build.cache_info().maxsize == 64
-    # A plan is cached per size and support; this one over all n shifts.
-    args = (n, tuple(range(n))) if build is _agl_plan else (n,)
-    table = build(*args)
-    assert build(*args) is table
+    table = build(n)
+    assert build(n) is table
     for a in table if isinstance(table, tuple) else (table,):
         assert_read_only_to_its_base(a)
 
@@ -150,6 +147,25 @@ def test_a_first_level_over_the_bound_is_not_cached():
     assert verify(s, x).ok
 
 
+def test_one_cached_first_fold_plan_per_size():
+    # A full-support input and an embedded XU(n - 1), whose first fold
+    # pairs the shift 0 alone, fold through the one plan of their size, and
+    # each sum is, bit for bit, its fold through a plan over its own shifts.
+    _agl_plan.cache_clear()
+    for size, n in enumerate([6, 8, 12, 14], 1):
+        inputs = [random_xu(n, 1), fourier_embed(random_xu(n - 1, 1))]
+        (w1, _), = _levels(inputs[1], ScalingOptions())[0]
+        assert np.flatnonzero(w1).tolist() == [0]
+        sums = [decompose_recursive(x) for x in inputs]
+        assert _agl_plan.cache_info().currsize == size
+        with mock.patch.object(birkhoff, "_PLAN_CACHE_CELLS", 0):
+            for x, s in zip(inputs, sums):
+                want = decompose_recursive(x)
+                assert np.array_equal(s.images, want.images)
+                assert np.array_equal(s.weights, want.weights)
+        assert _agl_plan.cache_info().currsize == size
+
+
 def _top_plan(x):
     """The recursive decomposition of ``x`` and the plan its top level
     folds through, cached or built per call."""
@@ -181,8 +197,7 @@ def test_dense_sum_shares_the_cached_table(n):
         s, rows = decompose_recursive(x), supercirculant_images(n)
     else:
         s, (_, rows, _) = _top_plan(x)
-        (w1, _), = _levels(x.astype(complex), ScalingOptions())[0]
-        assert rows is _agl_plan(n, tuple(np.flatnonzero(w1).tolist()))[1]
+        assert rows is _agl_plan(n)[1]
     assert len(s) == len(rows)
     assert s.images is rows
     for a in (s.images, s.weights):

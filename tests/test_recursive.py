@@ -36,8 +36,6 @@ from xubirkhoff.birkhoff import (
     PRUNE_EPS,
     _bottom,
     _first_rows,
-    _level_maps,
-    _next_core,
 )
 from xubirkhoff.permutations import (
     _agl_plan,
@@ -58,50 +56,29 @@ def _lift(s):
 
 def _reference(a, opts):
     """One recursion level per call, multiplied out with ``product`` and
-    pruned after each product. The levels pass their cores, first rows and
+    pruned after each product. The levels pass their blocks, first rows and
     bottom block as the engine's helpers build them, and stop at the same
     prime block, so that the reference differs from the engine only in how
-    it folds the levels. An input of size 1 or prime is its own bottom
-    block."""
+    it folds the levels. A block of size 1 or prime is the bottom block."""
     n = a.shape[0]
     if n == 1 or is_prime(n):
         return WeightedPermSum._trusted(n, *_bottom(a)).pruned(PRUNE_EPS)
-    return _reference_level(fourier_core(a), opts)
-
-
-def _reference_level(core, opts):
-    """The level of size len(core) + 1 whose core is ``core``, and every
-    level below it down to the first middle block of prime size."""
-    n = len(core) + 1
-    fac = zxz_scale(core, opts)
+    fac = zxz_scale(fourier_core(a), opts)
     d = np.ones((2, n), dtype=complex)
     d[0, 1:] = np.exp(1j * fac.alpha) * fac.z1
     d[1, 1:] = fac.z2
     w1, w2 = _first_rows(d)
     s1 = circulant_sum(w1).pruned(PRUNE_EPS)
     s2 = circulant_sum(w2).pruned(PRUNE_EPS)
-    if is_prime(n - 1):
-        block = fourier_embed(fac.core)[1:, 1:]
-        inner = WeightedPermSum._trusted(n - 1, *_bottom(block))
-    else:
-        inner = _reference_level(_next_core(fac.core), opts)
-    sy = _lift(inner)
+    sy = _lift(_reference(fourier_embed(fac.core)[1:, 1:], opts))
     return product(product(s1, sy).pruned(PRUNE_EPS), s2).pruned(PRUNE_EPS)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(3, 10), st.integers(0, 2**32 - 1))
 def test_level_step_matches_fourier_embedding(n, seed):
-    # One level of size n passes its scaled core y to the next as G^H y G,
-    # and reads each circulant first row off its diagonal in one product.
-    y = haar_unitary(n - 1, seed)
-    rows, gh, g = _level_maps(n)
-    assert _level_maps(n)[2] is g
-    assert not any(m.flags.writeable for m in (rows, gh, g))
-    assert np.array_equal(gh, g.conj().T)
-    assert np.abs(gh @ g - np.eye(n - 2)).max() <= 1e-15
-    want = fourier_core(fourier_embed(y)[1:, 1:])
-    assert np.abs(_next_core(y) - want).max() <= 1e-15
+    # One level of size n reads each circulant first row off its diagonal
+    # in one product.
     rng = np.random.default_rng(seed)
     d = np.ones((2, n), dtype=complex)
     d[:, 1:] = np.exp(2j * np.pi * rng.random((2, n - 1)))
@@ -315,13 +292,12 @@ def _lexsorted(rows):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_agl_plan_is_the_coset_plan_of_its_rows(p):
-    for k in ((0, 1), tuple(range(p + 1))):
-        plan = _agl_plan(p + 1, k)
-        want = _coset_plan(p + 1, supercirculant_images(p), np.array(k))
-        for got, table in zip(plan, want):
-            assert np.array_equal(got, table)
-            assert not got.flags.writeable
-        assert _agl_plan(p + 1, k) is plan
+    plan = _agl_plan(p + 1)
+    want = _coset_plan(p + 1, supercirculant_images(p), np.arange(p + 1))
+    for got, table in zip(plan, want):
+        assert np.array_equal(got, table)
+        assert not got.flags.writeable
+    assert _agl_plan(p + 1) is plan
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
