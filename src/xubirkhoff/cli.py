@@ -58,21 +58,25 @@ class ParseError(Exception):
     an output file that cannot be written (exit status 2)."""
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse):
+    """``parse`` of the text of the JSON file ``path``: the one place where
+    the CLI reads a file. A file that cannot be read, text that is not
+    JSON and a document that ``parse`` refuses are bad input, named by
+    path; ``json.JSONDecodeError`` is a ValueError, so it is caught
+    first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except (ValueError, TypeError, KeyError, NotAPermutationError) as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    try:
-        return matrix_from_json(_load_json(path))
-    except (ValueError, TypeError, KeyError) as e:
-        raise ParseError(f"{path}: {e}") from e
+    return _load_json(path, lambda text: matrix_from_json(json.loads(text)))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -155,10 +159,9 @@ def _cmd_scale(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = _tol(args, VERIFY_TOL)
-    try:
-        s = perm_sum_from_json(_load_json(args.decomposition))
-    except (ValueError, TypeError, NotAPermutationError) as e:
-        raise ParseError(f"{args.decomposition}: {e}") from e
+    # The text itself, which ``perm_sum_from_json`` reads through its
+    # arrays when ``decompose`` wrote it.
+    s = _load_json(args.decomposition, perm_sum_from_json)
     a = _load_matrix(args.matrix)
     report = verify(s, a, tol=tol)
     _emit(dumps_json(report.to_json()), args.output)

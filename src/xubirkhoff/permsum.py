@@ -43,6 +43,7 @@ tuples) are built only when read.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,6 +52,7 @@ import numpy as np
 from .errors import DimensionError, NotAPermutationError, UnsupportedDimensionError
 from .numerics import (
     _block,
+    _checked,
     _dump_block,
     _frozen,
     _int_lines,
@@ -545,9 +547,127 @@ def _perm_sum_text(s, report: dict) -> str:
     return _block([f'"{k}": {v}' for k, v in members.items()], 0, "{", "}")
 
 
+# The fixed lines of the terms block of a ``_perm_sum_text`` document. Each
+# term is four lines: "{", its perm line, its weight line and "}", with a
+# comma after every term but the last.
+_TERMS_OPEN, _TERMS_CLOSE = '  "terms": [', "  ],"
+_TERM_OPEN, _TERM_CLOSE = "    {", "    }"
+_PERM = '      "perm": '
+_WEIGHT = '      "weight": '
+# Every character of the numbers on the perm and weight lines, and of the
+# ", " between them.
+_INT_CHARS = b"0123456789, "
+_FLOAT_CHARS = b"0123456789.e+-, "
+
+
+def _terms_block(text: str):
+    """``(document, (images, weights))`` for the text of a decomposition
+    document in ``_perm_sum_text``'s layout, None for any other text: its
+    terms block as arrays, with 1-based images in the image dtype of their
+    size, and the rest of the text as ``json.loads`` reads it, with
+    ``"terms": []`` in place of the block.
+
+    The block is found by its fixed lines. All perm entries are read into
+    int64 in one pass and all weight parts into float64 in another. The
+    arrays stand only if ``_perm_sum_text``'s own helpers write them back
+    to the same lines, byte for byte: ``_int_lines`` the perm lines, and
+    the %.17g template with ``_checked`` the weight lines. As 17
+    significant digits name one double, ``json.loads`` would read the
+    same numbers. The rest of the text must parse with "terms" a member
+    of its top-level object and of no other, and its "n" must be the perm
+    length."""
+    lines = text.split("\n")
+    try:
+        start = lines.index(_TERMS_OPEN) + 1
+        stop = lines.index(_TERMS_CLOSE, start)
+    except ValueError:
+        return None
+    block = lines[start:stop]
+    k, extra = divmod(len(block), 4)
+    if (
+        not k
+        or extra
+        or block[::4].count(_TERM_OPEN) != k
+        or block[3::4].count(_TERM_CLOSE + ",") != k - 1
+        or block[-1] != _TERM_CLOSE
+    ):
+        return None
+    perm_lines, weight_lines = block[1::4], block[2::4]
+    # The numbers stand between "[" and "]," on a perm line, and between
+    # "[" and "]" on a weight line.
+    perms = ", ".join([line[len(_PERM) + 1 : -2] for line in perm_lines])
+    perms = _numbers(perms, _INT_CHARS, np.int64)
+    parts = ", ".join([line[len(_WEIGHT) + 1 : -1] for line in weight_lines])
+    parts = _numbers(parts, _FLOAT_CHARS, float)
+    if perms is None or parts is None or len(parts) != 2 * k:
+        return None
+    n, extra = divmod(len(perms), k)
+    if not n or extra or perms.min() < 0 or perms.max() > n:
+        return None
+    # In the sum's own dtype, so that no int64 copy outlives the parse.
+    images = perms.reshape(k, n).astype(_image_dtype(n))
+    del perms
+    if perm_lines != [_PERM + row + "," for row in _int_lines(images, n + 1)]:
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    template = "\n".join([_WEIGHT + _line_template("%.17g", 2)] * k)
+    if _checked(template % tuple(parts.tolist())) != "\n".join(weight_lines):
+        return None
+    rest = [*lines[: start - 1], _TERMS_OPEN + "],", *lines[stop + 1 :]]
+    rest = _top_level_terms("\n".join(rest))
+    if rest is None or rest.get("n") != n:
+        return None
+    return rest, (images, parts.view(complex))
+
+
+def _numbers(text: str, chars: bytes, dtype) -> np.ndarray | None:
+    """The comma-separated numbers of ``text`` as one array of ``dtype``,
+    or None when the text holds a character outside ``chars`` or a run
+    that ``np.fromstring`` cannot read. NumPy 2 raises on such a run;
+    NumPy 1.x warns and returns what it read, which the caller's byte
+    check then refuses, or raises the warning where filters make it an
+    error."""
+    if not text.isascii() or text.encode().translate(None, chars):
+        return None
+    try:
+        return np.fromstring(text, dtype, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _top_level_terms(text: str) -> dict | None:
+    """``json.loads(text)`` when it is an object and its one member named
+    "terms", among all its objects, is a member of that top-level object;
+    None otherwise, or when the text is not JSON."""
+    objects = []
+
+    def members(pairs):
+        objects.append(pairs)
+        return dict(pairs)
+
+    try:
+        doc = json.loads(text, object_pairs_hook=members)
+    except ValueError:
+        return None
+    owners = [pairs for pairs in objects for key, _ in pairs if key == "terms"]
+    if isinstance(doc, dict) and len(owners) == 1 and owners[0] is objects[-1]:
+        return doc
+    return None
+
+
 def perm_sum_from_json(obj):
-    """Parse the decomposition schema; returns a WeightedPermSum when no
-    term carries phases, otherwise a ComplexPermSum.
+    """Parse the decomposition schema, given as the parsed document or as
+    its text (a ``str``); returns a WeightedPermSum when no term carries
+    phases, otherwise a ComplexPermSum.
+
+    Text is read in one of two ways, with the same result, bit for bit,
+    and the same errors. A document in the layout ``decompose`` writes
+    (``_perm_sum_text``) has its terms read straight into arrays, and
+    only the rest of it goes through ``json.loads``. Any other text (a
+    compacted or hand-edited document, complex terms, an empty ``terms``,
+    a number in another form) goes through ``json.loads`` as a whole, and
+    text that is not JSON raises its ``json.JSONDecodeError``.
 
     Malformed fields raise ValueError: ``terms`` must be an array of
     objects, each with a ``perm`` and a ``weight`` (a term without one is
@@ -558,12 +678,19 @@ def perm_sum_from_json(obj):
     number. A ``perm`` that is not a bijection on 1..n raises
     NotAPermutationError.
     """
+    terms = None
+    if isinstance(obj, str):
+        found = _terms_block(obj)
+        obj, terms = (json.loads(obj), None) if found is None else found
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError("decomposition JSON must have 'n' and 'terms' fields")
     n = json_size(obj["n"], "decomposition 'n'")
     engine = obj.get("engine", "")
     if not isinstance(engine, str):
         raise ValueError("decomposition 'engine' must be a string")
+    if terms is not None:
+        images, weights = terms
+        return WeightedPermSum.from_arrays(n, images - 1, weights, engine)
     raw = obj["terms"]
     if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
         raise ValueError("decomposition 'terms' must be an array of objects")

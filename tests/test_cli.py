@@ -547,7 +547,7 @@ class TestTolValidation:
     def test_bad_tol_exits_2_before_reading(
         self, capsys, tmp_path, monkeypatch, command, tol
     ):
-        def no_read(path):
+        def no_read(path, parse):
             raise AssertionError(f"read {path}")
 
         monkeypatch.setattr("xubirkhoff.cli._load_json", no_read)
