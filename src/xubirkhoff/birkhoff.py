@@ -34,11 +34,13 @@ multiplicatively and ``verify`` recomputes every claimed invariant from
 scratch.
 
 The engines keep the arithmetic. Every image-row table they read is
-built, ordered and cached in ``permutations``: ``lex_images`` for the
-tables over all of S_n (n = 2, 3, 4), ``supercirculant_images`` and
-``_prime_rows`` for the prime construction and the recursive engine's
-bottom block, and ``_coset_plan``, ``_agl_plan`` and ``_circulant_index``
-for the recursive engine's folds.
+built, ordered and cached in ``permutations``: ``closed_form_images``
+for the one table each closed form writes over (all of S_n for n = 2,
+3, 4, the n^2 rows of ``_prime_rows`` at prime n >= 5),
+``supercirculant_images`` and ``_prime_rows`` for the two parts of the
+prime construction and the recursive engine's bottom block, and
+``_coset_plan``, ``_agl_plan`` and ``_circulant_index`` for the
+recursive engine's folds.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .permutations import (
     _circulant_index,
     _coset_plan,
     _prime_rows,
-    lex_images,
+    closed_form_images,
     supercirculant_images,
 )
 from .scaling import _DEFAULT_OPTIONS, ScalingOptions, _input_tol, zxz_scale
@@ -93,10 +95,10 @@ _SIGN3 = np.array([1, -1, -1, 1, 1, -1])
 
 def _lexicographic(n: int, weights, engine: str = "") -> WeightedPermSum:
     """``weights[j]`` on the j-th permutation of {1..n} in lexicographic
-    order (``lex_images``)."""
+    order (``closed_form_images``, all of S_n for n <= 4)."""
     # Adding 0j makes each -0.0 part +0.0, which the JSON form prints as 0.
     weights = np.array(weights, dtype=complex) + 0j
-    return WeightedPermSum._trusted(n, lex_images(n), weights, engine)
+    return WeightedPermSum._trusted(n, closed_form_images(n), weights, engine)
 
 
 def decompose_xu2(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
@@ -197,9 +199,9 @@ def decompose_prime(x, tol: float = DEFAULT_TOL) -> WeightedPermSum:
         out = decompose_xu3(a, p=1.0, tol=tol)
     else:
         c_part, d_part = decompose_prime_parts(a, tol)
-        images, order, _ = _prime_rows(n)
-        weights = np.concatenate([c_part.weights, d_part.weights])[order]
-        out = WeightedPermSum._trusted(n, images, weights)
+        weights = np.concatenate([c_part.weights, d_part.weights])
+        weights = weights[_prime_rows(n)[1]]
+        out = WeightedPermSum._trusted(n, closed_form_images(n), weights)
     out.engine = "prime"
     return out
 

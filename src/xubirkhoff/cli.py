@@ -102,6 +102,12 @@ def _tol(args, default):
     return default if args.tol is None else check_tol(args.tol, "--tol")
 
 
+def _seed(args) -> int:
+    """``--seed``, checked before any work as ``--tol`` is: a negative
+    seed is a usage error that names the option."""
+    return check_int(args.seed, 0, "--seed", ValueError)
+
+
 def _positive_int(text: str) -> int:
     """argparse type of a dimension ``n``: an integer >= 1 by
     ``check_int``. Anything else is a usage error (exit 2) before any
@@ -125,13 +131,14 @@ def _cmd_decompose(args) -> int:
     # checks at no less than VERIFY_TOL: the engines that scale carry the
     # scaling residual.
     tol = _tol(args, DEFAULT_TOL)
+    seed = _seed(args)
     report_tol = max(tol, VERIFY_TOL)
     if args.p is not None and args.method != "xu3":
         raise ParseError(
             f"--p applies only to --method xu3, not --method {args.method}"
         )
     a = _load_matrix(args.matrix)
-    opts = ScalingOptions(rng_seed=args.seed)
+    opts = ScalingOptions(rng_seed=seed)
     p = complex(args.p) if args.p is not None else 1.0
     s = decompose_xu(a, method=args.method, p=p, opts=opts, tol=tol)
     report = verify(s, a, tol=report_tol)
@@ -141,8 +148,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_scale(args) -> int:
     tol = _tol(args, DEFAULT_TOL)
+    seed = _seed(args)
     a = _load_matrix(args.matrix)
-    fac = zxz_scale(a, ScalingOptions(tol=tol, rng_seed=args.seed))
+    fac = zxz_scale(a, ScalingOptions(tol=tol, rng_seed=seed))
     out = {
         "alpha": fac.alpha,
         "z1": fac.z1,

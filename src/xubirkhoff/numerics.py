@@ -397,24 +397,27 @@ def _int_table(stop: int) -> np.ndarray:
     return _frozen(np.array([b", %d" % v for v in range(stop)]))
 
 
-def _int_lines(values: np.ndarray, stop: int) -> list[str]:
-    """``dumps_json(row)`` of each row of ``values``, a (k, m) integer array
-    with m >= 1 and every entry in range(stop).
+def _int_lines(values: np.ndarray, stop: int, head: str, tail: str) -> str:
+    """One line per row of ``values``, a (k, m) integer array with m >= 1
+    and every entry in range(stop), joined by newlines: ``head``, the
+    row's entries as ``dumps_json(row)`` writes them between its brackets,
+    then ``tail``. ``head`` and ``tail`` are ASCII.
 
     One gather from ``_int_table(stop)`` writes every entry, NUL-padded,
-    between a "[" and a "]\\n" per row. The first entry of a row loses its
-    ", ", one ``bytes.translate`` drops the padding, and one decode and one
-    split give the rows: a few array passes instead of a %d per entry."""
+    between the head and the tail of its row. The first entry of a row
+    loses its ", ", and one ``bytes.translate`` drops the padding: a few
+    array passes instead of a %d per entry."""
     k, m = values.shape
     table = _int_table(stop)
     width = m * table.dtype.itemsize
-    text = np.empty((k, width + 3), dtype=np.uint8)
-    text[:, 0] = ord("[")
-    text[:, 1:-2] = table[values].view(np.uint8).reshape(k, width)
-    text[:, 1:3] = 0
-    text[:, -2] = ord("]")
-    text[:, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    head, tail = head.encode(), tail.encode() + b"\n"
+    text = np.empty((k, len(head) + width + len(tail)), dtype=np.uint8)
+    text[:, : len(head)] = np.frombuffer(head, np.uint8)
+    entries = text[:, len(head) : len(head) + width]
+    entries[:] = table[values].view(np.uint8).reshape(k, width)
+    entries[:, :2] = 0
+    text[:, len(head) + width :] = np.frombuffer(tail, np.uint8)
+    return text.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _dump_list(value, indent: int) -> str:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -70,6 +71,7 @@ from .permutations import (
     _image_dtype,
     _perms,
     _row_order,
+    closed_form_images,
     perm_to_matrix,
 )
 
@@ -521,32 +523,6 @@ def perm_sum_to_json(s) -> dict:
     return {"n": s.n, "engine": s.engine, "terms": terms}
 
 
-def _perm_sum_text(s, report: dict) -> str:
-    """``dumps_json({**perm_sum_to_json(s), "report": report})`` for a
-    WeightedPermSum, written from its arrays without the per-term lists
-    and dicts: every ``perm`` line comes from one byte-table gather over
-    the image rows (``numerics._int_lines``), and the ``weight`` pairs, the
-    term braces and the block from ``dumps_json``'s own %.17g templates and
-    blocks. Any other sum raises TypeError."""
-    if not isinstance(s, WeightedPermSum):
-        raise TypeError(f"cannot write {type(s).__name__} from its arrays")
-    terms = "[]"
-    if len(s):
-        perms = _int_lines(s.images + 1, s.n + 1)
-        w = s.weights
-        rows = list(zip(perms, w.real.tolist(), w.imag.tolist()))
-        weight = _line_template("%.17g", 2)
-        term = _block(['"perm": %s', f'"weight": {weight}'], 4, "{", "}")
-        terms = _dump_block(rows, term, 2)
-    members = {
-        "n": dumps_json(s.n),
-        "engine": dumps_json(s.engine),
-        "terms": terms,
-        "report": dumps_json(report, 2),
-    }
-    return _block([f'"{k}": {v}' for k, v in members.items()], 0, "{", "}")
-
-
 # The fixed lines of the terms block of a ``_perm_sum_text`` document. Each
 # term is four lines: "{", its perm line, its weight line and "}", with a
 # comma after every term but the last.
@@ -558,20 +534,96 @@ _WEIGHT = '      "weight": '
 # ", " between them.
 _INT_CHARS = b"0123456789, "
 _FLOAT_CHARS = b"0123456789.e+-, "
+# The most entries (rows times n) of a closed-form support whose perm lines
+# are cached as text (``_support_lines``), bounded before they are
+# rendered. That admits S_1..S_4 and every prime n up to 31 (29 791
+# entries and 123 KB of text at n = 31, 345 KB for all 13 sizes, with
+# KB = 1 024 bytes); from n = 37 (50 653 entries, 207 KB) on, the lines
+# are rendered per call.
+_SUPPORT_TEXT_CELLS = 1 << 15
+
+
+def _perm_lines(images: np.ndarray) -> str:
+    """The perm lines of a ``_perm_sum_text`` document over the 0-based
+    image rows ``images``, as one string: one byte-table gather over the
+    rows (``numerics._int_lines``)."""
+    return _int_lines(images + 1, images.shape[1] + 1, _PERM + "[", "],")
+
+
+def _support_rows(n: int, k: int) -> np.ndarray | None:
+    """``closed_form_images(n)``, the support every closed-form document of
+    size n is written over, when it has k rows; None otherwise. A prime
+    table is built only for k = n^2, so no table larger than the k rows
+    asking for it is built."""
+    if n > 4 and n * n != k:
+        return None
+    rows = closed_form_images(n)
+    return rows if rows is not None and len(rows) == k else None
+
+
+def _support_lines(n: int) -> str:
+    """``_perm_lines(closed_form_images(n))`` for an n with a closed-form
+    support: rendered once per size and kept up to
+    ``_SUPPORT_TEXT_CELLS`` entries, rendered per call above."""
+    rows = closed_form_images(n)
+    return _perm_lines(rows) if rows.size > _SUPPORT_TEXT_CELLS else _cached_lines(n)
+
+
+@lru_cache(maxsize=64)
+def _cached_lines(n: int) -> str:
+    return _perm_lines(closed_form_images(n))
+
+
+def _perm_sum_text(s, report: dict) -> str:
+    """``dumps_json({**perm_sum_to_json(s), "report": report})`` for a
+    WeightedPermSum, written from its arrays without the per-term lists
+    and dicts. A sum over the closed-form support of its size
+    (``closed_form_images``, the rows of every ``auto`` result at prime n
+    and n <= 4) takes that support's cached perm lines
+    (``_support_lines``); any other sum has its perm lines written by one
+    byte-table gather over its image rows (``_perm_lines``). The
+    ``weight`` pairs, the term braces and the block come from
+    ``dumps_json``'s own %.17g templates and blocks. Anything but a
+    WeightedPermSum raises TypeError."""
+    if not isinstance(s, WeightedPermSum):
+        raise TypeError(f"cannot write {type(s).__name__} from its arrays")
+    terms = "[]"
+    if len(s):
+        support = _support_rows(s.n, len(s))
+        if support is not None and np.array_equal(support, s.images):
+            perms = _support_lines(s.n)
+        else:
+            perms = _perm_lines(s.images)
+        w = s.weights
+        rows = list(zip(perms.split("\n"), w.real.tolist(), w.imag.tolist()))
+        weight = _line_template("%.17g", 2)
+        term = "\n".join(["{", "%s", _WEIGHT + weight, _TERM_CLOSE])
+        terms = _dump_block(rows, term, 2)
+    members = {
+        "n": dumps_json(s.n),
+        "engine": dumps_json(s.engine),
+        "terms": terms,
+        "report": dumps_json(report, 2),
+    }
+    return _block([f'"{k}": {v}' for k, v in members.items()], 0, "{", "}")
 
 
 def _terms_block(text: str):
-    """``(document, (images, weights))`` for the text of a decomposition
-    document in ``_perm_sum_text``'s layout, None for any other text: its
-    terms block as arrays, with 1-based images in the image dtype of their
-    size, and the rest of the text as ``json.loads`` reads it, with
-    ``"terms": []`` in place of the block.
+    """``(document, (images, weights, on_support))`` for the text of a
+    decomposition document in ``_perm_sum_text``'s layout, None for any
+    other text: its terms block as 0-based images in the image dtype of
+    their size and complex weights, and the rest of the text as
+    ``json.loads`` reads it, with ``"terms": []`` in place of the block.
 
-    The block is found by its fixed lines. All perm entries are read into
-    int64 in one pass and all weight parts into float64 in another. The
-    arrays stand only if ``_perm_sum_text``'s own helpers write them back
-    to the same lines, byte for byte: ``_int_lines`` the perm lines, and
-    the %.17g template with ``_checked`` the weight lines. As 17
+    The block is found by its fixed lines. Its perm lines are first
+    compared with those of the closed-form support of the size they name
+    (``_support_rows``, ``_support_lines``), as one string. On a match
+    (``on_support``), the images are that frozen table itself and no perm
+    entry is parsed. Otherwise all perm entries are read into int64 in
+    one pass (``_perm_rows``), and they stand only if ``_perm_lines``
+    writes them back to the same lines, byte for byte. All weight parts
+    are read into float64 in one pass and stand only if the %.17g
+    template with ``_checked`` writes them back to the same lines. As 17
     significant digits name one double, ``json.loads`` would read the
     same numbers. The rest of the text must parse with "terms" a member
     of its top-level object and of no other, and its "n" must be the perm
@@ -592,14 +644,43 @@ def _terms_block(text: str):
         or block[-1] != _TERM_CLOSE
     ):
         return None
-    perm_lines, weight_lines = block[1::4], block[2::4]
-    # The numbers stand between "[" and "]," on a perm line, and between
-    # "[" and "]" on a weight line.
-    perms = ", ".join([line[len(_PERM) + 1 : -2] for line in perm_lines])
+    perm_lines = "\n".join(block[1::4])
+    weight_lines = "\n".join(block[2::4])
+    # A perm line names its size by its commas, one after each entry.
+    n = block[1].count(",")
+    rest = "\n".join([*lines[: start - 1], _TERMS_OPEN + "],", *lines[stop + 1 :]])
+    # One str per line, 407 KB at n = 31: not held through the parse.
+    del lines, block
+    images = _support_rows(n, k)
+    on_support = images is not None and perm_lines == _support_lines(n)
+    if not on_support:
+        images = _perm_rows(perm_lines, k)
+        if images is None:
+            return None
+        n = images.shape[1]
+    # The numbers stand between "[" and "]" on a weight line.
+    parts = weight_lines[len(_WEIGHT) + 1 : -1]
+    parts = _numbers(parts.replace("]\n" + _WEIGHT + "[", ", "), _FLOAT_CHARS, float)
+    if parts is None or len(parts) != 2 * k or not np.isfinite(parts).all():
+        return None
+    template = "\n".join([_WEIGHT + _line_template("%.17g", 2)] * k)
+    if _checked(template % tuple(parts.tolist())) != weight_lines:
+        return None
+    rest = _top_level_terms(rest)
+    if rest is None or rest.get("n") != n:
+        return None
+    return rest, (images, parts.view(complex), on_support)
+
+
+def _perm_rows(text: str, k: int) -> np.ndarray | None:
+    """The 0-based image rows of ``text``, k perm lines, in the image dtype
+    of their size, when the lines hold as many integers each and
+    ``_perm_lines`` writes the rows back to ``text`` byte for byte; None
+    otherwise."""
+    # The numbers stand between "[" and "]," on a perm line.
+    perms = text[len(_PERM) + 1 : -2].replace("],\n" + _PERM + "[", ", ")
     perms = _numbers(perms, _INT_CHARS, np.int64)
-    parts = ", ".join([line[len(_WEIGHT) + 1 : -1] for line in weight_lines])
-    parts = _numbers(parts, _FLOAT_CHARS, float)
-    if perms is None or parts is None or len(parts) != 2 * k:
+    if perms is None:
         return None
     n, extra = divmod(len(perms), k)
     if not n or extra or perms.min() < 0 or perms.max() > n:
@@ -607,18 +688,8 @@ def _terms_block(text: str):
     # In the sum's own dtype, so that no int64 copy outlives the parse.
     images = perms.reshape(k, n).astype(_image_dtype(n))
     del perms
-    if perm_lines != [_PERM + row + "," for row in _int_lines(images, n + 1)]:
-        return None
-    if not np.isfinite(parts).all():
-        return None
-    template = "\n".join([_WEIGHT + _line_template("%.17g", 2)] * k)
-    if _checked(template % tuple(parts.tolist())) != "\n".join(weight_lines):
-        return None
-    rest = [*lines[: start - 1], _TERMS_OPEN + "],", *lines[stop + 1 :]]
-    rest = _top_level_terms("\n".join(rest))
-    if rest is None or rest.get("n") != n:
-        return None
-    return rest, (images, parts.view(complex))
+    images -= 1
+    return images if text == _perm_lines(images) else None
 
 
 def _numbers(text: str, chars: bytes, dtype) -> np.ndarray | None:
@@ -664,10 +735,16 @@ def perm_sum_from_json(obj):
     Text is read in one of two ways, with the same result, bit for bit,
     and the same errors. A document in the layout ``decompose`` writes
     (``_perm_sum_text``) has its terms read straight into arrays, and
-    only the rest of it goes through ``json.loads``. Any other text (a
-    compacted or hand-edited document, complex terms, an empty ``terms``,
-    a number in another form) goes through ``json.loads`` as a whole, and
-    text that is not JSON raises its ``json.JSONDecodeError``.
+    only the rest of it goes through ``json.loads``. When its perm lines
+    are those of the closed-form support of their size
+    (``closed_form_images``), compared with that support's cached text,
+    the images are the support's own table and no perm entry is parsed;
+    the sum skips ``from_arrays``' checks and merge, which the table
+    passes by construction, and writes a -0.0 weight part as 0.0, as
+    the merge does. Any other text (a compacted or hand-edited document,
+    complex terms, an empty ``terms``, a number in another form) goes
+    through ``json.loads`` as a whole, and text that is not JSON raises
+    its ``json.JSONDecodeError``.
 
     Malformed fields raise ValueError: ``terms`` must be an array of
     objects, each with a ``perm`` and a ``weight`` (a term without one is
@@ -689,8 +766,13 @@ def perm_sum_from_json(obj):
     if not isinstance(engine, str):
         raise ValueError("decomposition 'engine' must be a string")
     if terms is not None:
-        images, weights = terms
-        return WeightedPermSum.from_arrays(n, images - 1, weights, engine)
+        images, weights, on_support = terms
+        if on_support:
+            # The support's own table, whose rows are distinct bijections
+            # in order; adding 0j writes each -0.0 part as 0.0, as the
+            # merge of ``from_arrays`` does.
+            return WeightedPermSum._trusted(n, images, weights + 0j, engine)
+        return WeightedPermSum.from_arrays(n, images, weights, engine)
     raw = obj["terms"]
     if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
         raise ValueError("decomposition 'terms' must be an array of objects")

@@ -22,6 +22,9 @@ engine, over the rows ``_lifted`` makes), ``_agl_plan`` (that plan over
 the rows of AGL(1,p) and all n shifts) and ``_circulant_index`` (the
 circulant matrix of a fold). Every table but the per-call ``_coset_plan``
 is cached for 64 sizes n, and is read-only down to its base.
+``closed_form_images`` names the one table over which the closed forms
+write every XU(n) of a size, for the engines and for ``permsum``, which
+writes and reads its ``perm`` lines as cached text.
 The engines wrap these rows in sums, and ``shift_matrix`` and
 ``d_family`` read them as ``Permutation`` objects.
 ``lexicographic_permutations`` and ``supercirculant_perm`` build the same
@@ -133,6 +136,15 @@ def lexicographic_index(p: Permutation) -> int:
     return rank + 1
 
 
+def is_prime(n: int) -> bool:
+    """Trial-division primality, ample for desk-scale dimensions; False
+    for integers below 2."""
+    n = check_int(n, None, "dimension n")
+    if n < 2:
+        return False
+    return all(n % d != 0 for d in range(2, int(math.isqrt(n)) + 1))
+
+
 # How many sorted rows ``_group_rows`` compares with their predecessors at
 # a time.
 _GROUP_BLOCK = 1 << 12
@@ -206,6 +218,19 @@ def _prime_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     images = np.vstack([supercirculant_images(n), d_rows])
     order = _row_order(images)
     return _frozen(images[order]), _frozen(order), _frozen(d_rows)
+
+
+def closed_form_images(n: int) -> Optional[np.ndarray]:
+    """The image rows over which ``decompose_xu``'s 'auto' writes every
+    XU(n) in closed form, the same for every input of size n: all of S_n
+    in lexicographic order (``lex_images``) for 1 <= n <= 4, the n^2 rows
+    of the prime construction (``_prime_rows``) for prime n >= 5, and
+    None for any other n. The array is the cached, read-only table
+    itself, so the engines that write over it and the JSON layer that
+    looks it up share one object per n."""
+    if 1 <= n <= 4:
+        return lex_images(n)
+    return _prime_rows(n)[0] if n > 4 and is_prime(n) else None
 
 
 @lru_cache(maxsize=64)

@@ -31,7 +31,7 @@ from .numerics import (
     shift_relation_holds,
 )
 from .permsum import WeightedPermSum
-from .permutations import shift_images
+from .permutations import is_prime, shift_images
 
 
 def require_xu(m, tol: float = DEFAULT_TOL, what: str = "input") -> np.ndarray:
@@ -165,15 +165,6 @@ def transfer_matrix(n: int, r: int, s: int) -> TransferMatrix:
     expo = (r * k[:, None] - s * k[None, :]) % n
     m = np.exp(2j * math.pi * expo / n)
     return TransferMatrix(n=n, r=r, s=s, matrix=m)
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality, ample for desk-scale dimensions; False
-    for integers below 2."""
-    n = check_int(n, None, "dimension n")
-    if n < 2:
-        return False
-    return all(n % d != 0 for d in range(2, int(math.isqrt(n)) + 1))
 
 
 def pitch(n: int, r: int, s: int) -> tuple[int, int]:

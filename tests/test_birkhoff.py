@@ -44,6 +44,7 @@ from xubirkhoff.birkhoff import METHODS
 from xubirkhoff.numerics import dft_matrix, max_abs_diff
 from xubirkhoff.permutations import (
     _prime_rows,
+    closed_form_images,
     d_images,
     shift_images,
     supercirculant_images,
@@ -476,6 +477,18 @@ class TestDecomposeXuFrontDoor:
         assert decompose_xu(random_xu(5, seed=0)).engine == "prime"
         assert decompose_xu(random_xu(4, seed=0)).engine == "xu4"
         assert decompose_xu(random_xu(6, seed=0)).engine == "recursive"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 31])
+    def test_auto_writes_over_the_closed_form_support(self, n):
+        """At prime n and n <= 4, 'auto' keeps every term, on the very table
+        the JSON layer looks up; elsewhere there is no such table."""
+        s = decompose_xu(np.eye(1) if n == 1 else random_xu(n, seed=1))
+        support = closed_form_images(n)
+        if n in (1, 6, 8):
+            assert support is None or s.images is not support
+            assert (support is None) == (n > 4)
+        else:
+            assert s.images is support
 
     def test_explicit_method(self):
         x = random_xu(3, seed=9)

@@ -531,7 +531,23 @@ class TestSeedValidation:
         code, out, err = run_cli(capsys, command, str(path), "--seed", "-1")
         assert code == 2
         assert out == ""
-        assert "rng_seed" in err
+        assert err == "error: --seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["decompose", "scale"])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_exits_2_before_reading(
+        self, capsys, tmp_path, monkeypatch, command, seed
+    ):
+        def no_read(path, parse):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("xubirkhoff.cli._load_json", no_read)
+        dest = tmp_path / "out.json"
+        argv = [command, "x.json", f"--seed={seed}", "--output", str(dest)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --seed must be an integer >= 0, got {seed}\n"
+        assert not dest.exists()
 
 
 class TestTolValidation:

@@ -7,6 +7,13 @@
 size, engine, images and weight bytes, or an error of the same type and
 message. The mutations below make texts that leave the writer's layout
 a little or a lot, in the numbers, the lines or the members.
+
+A document over the closed-form support of its size
+(``closed_form_images``: S_n for n <= 4, the n^2 rows of the prime
+construction at prime n) is written and read through that support's
+cached perm lines, and its perm entries are never parsed. The same
+rules hold for it on every size up to the first prime above the cache's
+bound.
 """
 
 import json
@@ -18,12 +25,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xubirkhoff import ComplexPermSum, WeightedPermSum, matrix_from_json, verify
+from xubirkhoff import (
+    ComplexPermSum,
+    WeightedPermSum,
+    matrix_from_json,
+    permsum,
+    verify,
+)
 from xubirkhoff.cli import main
 from xubirkhoff.errors import NotAPermutationError
 from xubirkhoff.numerics import dumps_json
 from xubirkhoff.permsum import _perm_sum_text, perm_sum_from_json, perm_sum_to_json
-from xubirkhoff.xu_group import is_prime
+from xubirkhoff.permutations import closed_form_images, is_prime
 
 # Weight parts the %.17g forms treat apart, and integer-valued floats.
 EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.0, 3.0, 1e16]
@@ -309,3 +322,139 @@ def test_verify_of_a_missing_file(tmp_path, capsys):
     code = main(["verify", str(tmp_path / "d.json"), str(x)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: cannot read {tmp_path / 'd.json'}: ")
+
+
+# Every size with a closed-form support, up to the first prime whose perm
+# lines are rendered per call instead of cached.
+ABOVE_BOUND = next(
+    p for p in range(5, 200) if is_prime(p) and p**3 > permsum._SUPPORT_TEXT_CELLS
+)
+SUPPORT_SIZES = [1, 2, 3, 4] + [p for p in range(5, ABOVE_BOUND + 1) if is_prime(p)]
+
+
+def support_sum(n: int, seed: int, engine: str = "prime") -> WeightedPermSum:
+    """A sum over ``closed_form_images(n)``, as the closed forms wrap it,
+    with weight parts drawn as ``random_sum`` draws them and a -0.0 among
+    the real and among the imaginary parts."""
+    rng = np.random.default_rng(seed)
+    rows = closed_form_images(n)
+    parts = rng.standard_normal(2 * len(rows))
+    edge = rng.random(len(parts)) < 0.3
+    parts[edge] = rng.choice(EDGE_PARTS, np.count_nonzero(edge))
+    parts[0] = parts[-1] = -0.0
+    return WeightedPermSum._trusted(n, rows, parts.view(complex), engine)
+
+
+@pytest.mark.parametrize("n", SUPPORT_SIZES)
+def test_support_routes_agree(n):
+    """Both routes give the sum ``from_arrays`` merges, -0.0 parts written
+    as 0.0, and the writer's text is the list path's."""
+    for seed in range(3):
+        s = support_sum(n, seed)
+        report = {"tol": 1e-9, "passed": {"ok": True}, "term_count": len(s)}
+        text = _perm_sum_text(s, report)
+        assert text == dumps_json({**perm_sum_to_json(s), "report": report})
+        by_text, by_json = _both_routes(text)
+        assert by_text == by_json
+        merged = WeightedPermSum.from_arrays(n, s.images, s.weights, s.engine)
+        assert by_text == _outcome(lambda: merged)
+        assert perm_sum_from_json(text).images is closed_form_images(n)
+
+
+def test_support_lines_cached_up_to_the_bound():
+    """One string per size up to the bound, kept; above it, the same text
+    rendered per call."""
+    permsum._cached_lines.cache_clear()
+    texts = {n: permsum._support_lines(n) for n in SUPPORT_SIZES}
+    assert permsum._cached_lines.cache_info().currsize == len(SUPPORT_SIZES) - 1
+    for n, text in texts.items():
+        cached = closed_form_images(n).size <= permsum._SUPPORT_TEXT_CELLS
+        assert cached == (n != ABOVE_BOUND)
+        again = permsum._support_lines(n)
+        assert again == text and (again is text) == cached
+        lines = _text(support_sum(n, 0)).split("\n")
+        assert text.split("\n") == [line for line in lines if line.startswith(PERM)]
+
+
+# The mutations after which the perm lines are still the support's: the
+# reader takes them as that table, and checks "n" as it does elsewhere.
+SUPPORT_ROUTE = {"none", "n as a float"}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_each_mutation_on_the_support_at_n_31(mutation):
+    """Every mutation on a document over the n = 31 support: the routes
+    agree, ``json.loads`` reads the whole text unless it is in the
+    writer's layout, and the perm entries are parsed unless the perm
+    lines are still the support's."""
+    s = support_sum(31, 5)
+    text = MUTATIONS[mutation](_text(s), s, 7)
+    with mock.patch.object(
+        permsum, "_perm_rows", wraps=permsum._perm_rows
+    ) as parse, mock.patch("json.loads", wraps=json.loads) as loads:
+        by_text = _outcome(lambda: perm_sum_from_json(text))
+    assert (loads.call_args.args[0] == text) == (mutation not in ARRAY_ROUTE)
+    if mutation in ARRAY_ROUTE:
+        assert parse.call_count == (mutation not in SUPPORT_ROUTE)
+    assert by_text == _outcome(lambda: perm_sum_from_json(json.loads(text)))
+
+
+@pytest.mark.parametrize("n", SUPPORT_SIZES[1:])
+def test_a_row_with_two_entries_swapped_is_not_the_support(n):
+    """A support row with two entries swapped is still a bijection (for
+    n <= 4, one the support has already): the writer renders it, the
+    reader parses it, and the sum is ``from_arrays``'s."""
+    s = support_sum(n, n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        images = np.array(s.images)
+        j = rng.integers(len(images))
+        a, b = rng.choice(n, 2, replace=False)
+        images[j, [a, b]] = images[j, [b, a]]
+        t = WeightedPermSum._trusted(n, images, s.weights, s.engine)
+        text = _text(t)
+        report = json.loads(text)["report"]
+        assert text == dumps_json({**perm_sum_to_json(t), "report": report})
+        with mock.patch.object(permsum, "_perm_rows", wraps=permsum._perm_rows) as spy:
+            by_text, by_json = _both_routes(text)
+        assert spy.call_count == 1 and by_text == by_json
+        merged = WeightedPermSum.from_arrays(n, images, s.weights, s.engine)
+        assert by_text == _outcome(lambda: merged)
+        assert merged.images is not closed_form_images(n)
+
+
+def test_support_perm_entries_are_never_parsed():
+    """A spy on the number reader: a support document's text has only its
+    weight parts read, a document of random rows also its perm entries,
+    and neither hands a term to ``json.loads``."""
+    for n in SUPPORT_SIZES:
+        for s, parsed in ((support_sum(n, 1), 0), (random_sum(n, 5, n), 1)):
+            if n <= 3 and parsed:
+                continue  # five random rows of S_1..S_3 may fill it
+            text = _text(s)
+            with mock.patch.object(
+                permsum, "_numbers", wraps=permsum._numbers
+            ) as numbers, mock.patch("json.loads", wraps=json.loads) as loads:
+                assert perm_sum_from_json(text) == WeightedPermSum.from_arrays(
+                    n, s.images, s.weights, s.engine
+                )
+            kinds = [c.args[1] for c in numbers.call_args_list]
+            assert kinds.count(permsum._INT_CHARS) == parsed, n
+            assert kinds.count(permsum._FLOAT_CHARS) == 1, n
+            assert '"perm"' not in loads.call_args.args[0]
+
+
+def test_no_support_table_is_built_for_a_block_of_another_size():
+    """The size a perm line names comes from the text: a prime size's table
+    (n^2 rows) is looked up only for a block of n^2 terms, so a short block
+    that names a large prime never builds one."""
+    for n, k in ((37, 5), (101, 1), (7, 48)):
+        s = random_sum(n, k, n)
+        text = _text(s)
+        with mock.patch.object(
+            permsum, "closed_form_images", wraps=closed_form_images
+        ) as lookup:
+            assert perm_sum_from_json(text) == WeightedPermSum.from_arrays(
+                n, s.images, s.weights, s.engine
+            )
+        assert lookup.call_count == 0

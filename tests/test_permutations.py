@@ -28,7 +28,15 @@ from xubirkhoff import (
     van_der_waerden,
 )
 from xubirkhoff.numerics import dumps_json, max_abs_diff, shift_relation_holds
-from xubirkhoff.permutations import d_images, shift_images, supercirculant_images
+from xubirkhoff.permutations import (
+    _prime_rows,
+    closed_form_images,
+    d_images,
+    is_prime,
+    lex_images,
+    shift_images,
+    supercirculant_images,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -366,3 +374,16 @@ class TestPermJson:
         # integers, image entries integers, and nothing is converted.
         with pytest.raises(ValueError):
             perm_from_json(obj)
+
+
+@pytest.mark.parametrize("n", range(0, 40))
+def test_closed_form_images(n):
+    """S_n for 1 <= n <= 4, the prime construction's n^2 rows at prime
+    n >= 5, None elsewhere; always the cached table itself."""
+    rows = closed_form_images(n)
+    if 1 <= n <= 4:
+        assert rows is lex_images(n)
+    elif is_prime(n):
+        assert rows is _prime_rows(n)[0] and rows.shape == (n * n, n)
+    else:
+        assert rows is None
